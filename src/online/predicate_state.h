@@ -1,6 +1,6 @@
-// Shared per-predicate adaptive state of the SVAQD-family engines:
-// kernel background estimator, burstiness moments, and the lazily
-// recomputed critical value. Internal to vaq_online.
+// Per-literal state of the online engine: kernel background estimator,
+// burstiness moments, and the lazily recomputed critical value. Internal
+// to vaq_online.
 #ifndef VAQ_ONLINE_PREDICATE_STATE_H_
 #define VAQ_ONLINE_PREDICATE_STATE_H_
 
@@ -10,13 +10,15 @@
 #include "scanstat/critical_value.h"
 #include "scanstat/kernel_estimator.h"
 #include "scanstat/markov.h"
+#include "video/cnf_query.h"
 
 namespace vaq {
 namespace online {
 namespace internal_online {
 
-// Tracks one predicate's background estimate and critical value.
+// Tracks one literal's background estimate and critical value.
 struct PredicateState {
+  Literal literal;
   scanstat::KernelRateEstimator estimator;
   scanstat::ScanConfig config;
   bool burst_aware = false;
@@ -32,12 +34,23 @@ struct PredicateState {
   double count_sq_sum = 0.0;
   double window_sum = 0.0;
 
-  PredicateState(double bandwidth, double prior_p, double prior_weight,
-                 scanstat::ScanConfig cfg, bool burst_aware_in)
-      : estimator(bandwidth, prior_p, prior_weight),
+  // `adaptive` derives the first critical value from the estimator
+  // (SVAQD); otherwise it is the static one from `prior_p` itself (SVAQ).
+  // The two differ: the estimator's rate is (w·p0)/w, which need not
+  // round-trip to p0 in IEEE doubles.
+  PredicateState(Literal lit, double bandwidth, double prior_p,
+                 double prior_weight, scanstat::ScanConfig cfg,
+                 bool burst_aware_in, bool adaptive)
+      : literal(lit),
+        estimator(bandwidth, prior_p, prior_weight),
         config(cfg),
         burst_aware(burst_aware_in) {
-    Recompute();
+    if (adaptive) {
+      Recompute();
+    } else {
+      p_at_last_compute = prior_p;
+      kcrit = scanstat::CriticalValue(prior_p, config);
+    }
   }
 
   // Records one background clip's count for the overdispersion estimate

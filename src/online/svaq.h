@@ -1,6 +1,7 @@
 // Algorithm SVAQ (§3.1): streaming video action queries with static
 // critical values derived from a fixed background probability via scan
-// statistics (Eq. 5).
+// statistics (Eq. 5). SVAQ is the online engine (online/streaming.h) with
+// adaptation off.
 #ifndef VAQ_ONLINE_SVAQ_H_
 #define VAQ_ONLINE_SVAQ_H_
 
@@ -9,7 +10,6 @@
 
 #include "common/interval.h"
 #include "detect/models.h"
-#include "online/clip_evaluator.h"
 #include "scanstat/critical_value.h"
 #include "video/layout.h"
 #include "video/query_spec.h"
@@ -22,13 +22,10 @@ struct SvaqOptions {
   // Significance level of Eq. 5.
   double alpha = 0.01;
   // Initial background probability of positive object predictions per
-  // frame (one value for all object predicates; §3.2 allows per-predicate
-  // values — use `p0_per_object` to override).
+  // frame (one value for all object predicates).
   double p0_object = 1e-3;
   // Initial background probability of positive action predictions per shot.
   double p0_action = 1e-3;
-  // Optional per-object-predicate overrides (empty = use p0_object).
-  std::vector<double> p0_per_object;
   // Design horizon in frames for the scan-statistic length L = N/w; 0
   // means "use the video length" (streaming callers should set their
   // expected stream length).
@@ -46,7 +43,9 @@ struct OnlineResult {
   // Per-clip query indicator 1_q^(c).
   std::vector<bool> clip_indicator;
   int64_t clips_processed = 0;
-  // Final critical values (SVAQD mutates them as the stream evolves).
+  // Final critical values (SVAQD mutates them as the stream evolves): one
+  // per distinct object literal in query order, and the first action
+  // literal's (0 without one).
   std::vector<int64_t> kcrit_objects;
   int64_t kcrit_action = 0;
   // Model invocation accounting for the §5.2 runtime analysis.
@@ -67,7 +66,8 @@ class Svaq {
  public:
   Svaq(QuerySpec query, VideoLayout layout, SvaqOptions options);
 
-  // Processes every clip of the bound video in stream order.
+  // Processes every clip of the bound video in stream order: Svaqd::Run
+  // with adaptation off.
   OnlineResult Run(detect::ObjectDetector* detector,
                    detect::ActionRecognizer* recognizer) const;
 

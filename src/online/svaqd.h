@@ -8,17 +8,17 @@
 // whenever they have drifted materially. This removes the dependence on
 // the initial background probability, adapts to sudden rate changes
 // (concept drift) and ignores gradual ones, as Figure 2 of the paper
-// demonstrates.
+// demonstrates. SVAQD is the online engine (online/streaming.h) with
+// adaptation on.
 #ifndef VAQ_ONLINE_SVAQD_H_
 #define VAQ_ONLINE_SVAQD_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "detect/resilient.h"
 #include "fault/fault_plan.h"
 #include "online/svaq.h"
-#include "scanstat/kernel_estimator.h"
+#include "video/cnf_query.h"
 
 namespace vaq {
 namespace online {
@@ -68,6 +68,13 @@ enum class UpdatePolicy {
 
 struct SvaqdOptions {
   SvaqOptions base;
+  // The switch between the two algorithms. true: SVAQD, the critical
+  // values follow each predicate's kernel background estimate. false:
+  // SVAQ, each predicate keeps the static critical value of its p0 for the
+  // whole stream; the estimators never update (update_policy, burst_aware,
+  // recompute_rel_tol and probe_period have no effect) and no clip is
+  // probed.
+  bool adaptive = true;
   // Kernel bandwidth u for object predicates, in frames.
   double bandwidth_frames = 12000;
   // Kernel bandwidth u for the action predicate, in shots.
@@ -107,38 +114,23 @@ struct SvaqdOptions {
   MissingObsPolicy missing_policy = MissingObsPolicy::kBackgroundPrior;
 };
 
-namespace internal_online {
-
-struct PredicateState;
-
-// Fallback positive probability for one predicate's missing observations
-// under `policy`.
-double FallbackRate(MissingObsPolicy policy, const PredicateState& state);
-
-// Post-clip adaptive-state update (carry-last tracking, background
-// estimator feeding, lazy critical-value recomputation) shared verbatim by
-// Svaqd::Run and StreamingSvaqd::PushClip. Only successfully observed
-// occurrence units reach the estimators, so injected faults cannot bias
-// the background rate.
-void UpdateAdaptiveState(const SvaqdOptions& options,
-                         const ClipEvaluation& eval,
-                         std::vector<PredicateState>* objects,
-                         PredicateState* action);
-
-}  // namespace internal_online
-
-// SVAQD per Algorithm 3.
+// SVAQD per Algorithm 3, over a whole (finite) video: pushes every clip
+// of the layout through one StreamingSvaqd and collects the result.
 class Svaqd {
  public:
   Svaqd(QuerySpec query, VideoLayout layout, SvaqdOptions options);
+  // A general CNF query (§2, footnotes 3-4).
+  Svaqd(CnfQuery query, VideoLayout layout, SvaqdOptions options);
 
+  // `detector` is required when the query has an object predicate,
+  // `recognizer` when it has an action predicate.
   OnlineResult Run(detect::ObjectDetector* detector,
                    detect::ActionRecognizer* recognizer) const;
 
   const SvaqdOptions& options() const { return options_; }
 
  private:
-  QuerySpec query_;
+  CnfQuery query_;
   VideoLayout layout_;
   SvaqdOptions options_;
 };

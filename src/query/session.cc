@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "offline/repository.h"
-#include "online/cnf_engine.h"
 #include "video/cnf_query.h"
 
 #include "query/lexer.h"
@@ -180,6 +179,16 @@ StatusOr<QueryResult> ExecuteRankedStatement(
   return result;
 }
 
+StatusOr<CnfQuery> OnlineStatementQuery(const QueryStatement& stmt,
+                                        const Vocabulary& vocab) {
+  if (!stmt.IsConjunctive()) {
+    return CnfQuery::FromNames(vocab, stmt.cnf_clauses);
+  }
+  VAQ_ASSIGN_OR_RETURN(QuerySpec spec,
+                       QuerySpec::FromNames(vocab, stmt.action, stmt.objects));
+  return CnfQuery::FromConjunctive(spec);
+}
+
 StatusOr<QueryResult> ExecuteOnlineStatement(
     const QueryStatement& stmt, const synth::Scenario& scenario,
     const online::SvaqdOptions& options, detect::ModelBundle* models,
@@ -189,44 +198,28 @@ StatusOr<QueryResult> ExecuteOnlineStatement(
   // The resilient model wrappers read the thread-local context, so their
   // per-outcome call counts land on this query's "online" node.
   obs::ScopedQueryContext scoped(phase);
-  const auto charge = [&phase](const QueryResult& r) {
-    phase.AddMs(r.detector_stats.simulated_ms +
-                r.recognizer_stats.simulated_ms);
-    phase.AddStat("detector_inferences", r.detector_stats.inferences);
-    phase.AddStat("recognizer_inferences", r.recognizer_stats.inferences);
-    if (r.degraded_clips > 0) phase.AddStat("degraded_clips", r.degraded_clips);
-    if (r.dropped_clips > 0) phase.AddStat("dropped_clips", r.dropped_clips);
-  };
+  VAQ_ASSIGN_OR_RETURN(CnfQuery query,
+                       OnlineStatementQuery(stmt, scenario.vocab()));
+  online::OnlineResult online_result =
+      online::Svaqd(std::move(query), scenario.layout(), options)
+          .Run(models->detector.get(), models->recognizer.get());
   QueryResult result;
   result.online = true;
-  if (stmt.IsConjunctive()) {
-    VAQ_ASSIGN_OR_RETURN(
-        QuerySpec spec,
-        QuerySpec::FromNames(scenario.vocab(), stmt.action, stmt.objects));
-    online::Svaqd engine(spec, scenario.layout(), options);
-    online::OnlineResult online_result =
-        engine.Run(models->detector.get(), models->recognizer.get());
-    result.sequences = std::move(online_result.sequences);
-    result.detector_stats = online_result.detector_stats;
-    result.recognizer_stats = online_result.recognizer_stats;
-    result.degraded_clips = online_result.degraded_clips;
-    result.dropped_clips = online_result.dropped_clips;
-    charge(result);
-    return result;
+  result.sequences = std::move(online_result.sequences);
+  result.detector_stats = online_result.detector_stats;
+  result.recognizer_stats = online_result.recognizer_stats;
+  result.degraded_clips = online_result.degraded_clips;
+  result.dropped_clips = online_result.dropped_clips;
+  phase.AddMs(result.detector_stats.simulated_ms +
+              result.recognizer_stats.simulated_ms);
+  phase.AddStat("detector_inferences", result.detector_stats.inferences);
+  phase.AddStat("recognizer_inferences", result.recognizer_stats.inferences);
+  if (result.degraded_clips > 0) {
+    phase.AddStat("degraded_clips", result.degraded_clips);
   }
-  // General CNF statement (footnotes 3-4): the disjunction-aware engine.
-  VAQ_ASSIGN_OR_RETURN(
-      CnfQuery cnf,
-      CnfQuery::FromNames(scenario.vocab(), stmt.cnf_clauses));
-  online::CnfEngineOptions cnf_options;
-  cnf_options.svaqd = options;
-  online::CnfEngine engine(cnf, scenario.layout(), cnf_options);
-  online::CnfResult cnf_result =
-      engine.Run(models->detector.get(), models->recognizer.get());
-  result.sequences = std::move(cnf_result.sequences);
-  result.detector_stats = cnf_result.detector_stats;
-  result.recognizer_stats = cnf_result.recognizer_stats;
-  charge(result);
+  if (result.dropped_clips > 0) {
+    phase.AddStat("dropped_clips", result.dropped_clips);
+  }
   return result;
 }
 

@@ -25,6 +25,7 @@
 #include "online/svaqd.h"
 #include "query/ast.h"
 #include "synth/scenario.h"
+#include "video/cnf_query.h"
 
 namespace vaq {
 namespace query {
@@ -87,6 +88,12 @@ detect::ModelBundle MakeStatementModels(const std::vector<std::string>& names,
 // Canonical name of that stack ("maskrcnn_i3d", "yolo_i3d", "ideal"); the
 // serving layer keys its shared detection cache by it.
 const char* StatementModelStack(const std::vector<std::string>& names);
+
+// The online engine's query for a statement: a conjunctive statement is
+// lifted through CnfQuery::FromConjunctive, keeping Algorithm 2's
+// objects-then-action order; any other is its CNF clauses.
+StatusOr<CnfQuery> OnlineStatementQuery(const QueryStatement& stmt,
+                                        const Vocabulary& vocab);
 
 // Runs an online (streaming) statement against `scenario` using
 // caller-owned `models` (whose stack must match the statement; see

@@ -629,29 +629,14 @@ Status Server::AdmitStandingLocked(int64_t id, const std::string& sql,
         q.stmt.models, source.scenario.truth(), source.model_seed);
     q.models = &q.owned_models;
   }
-  if (q.stmt.IsConjunctive()) {
-    auto spec = QuerySpec::FromNames(source.scenario.vocab(), q.stmt.action,
-                                     q.stmt.objects);
-    if (!spec.ok()) {
-      q.status = spec.status();
-      q.finished = true;
-    } else {
-      q.svaqd = std::make_unique<online::StreamingSvaqd>(
-          std::move(spec).value(), source.scenario.layout(), source.options,
-          online::StreamingSvaqd::Callback());
-    }
+  auto cnf = query::OnlineStatementQuery(q.stmt, source.scenario.vocab());
+  if (!cnf.ok()) {
+    q.status = cnf.status();
+    q.finished = true;
   } else {
-    auto cnf =
-        CnfQuery::FromNames(source.scenario.vocab(), q.stmt.cnf_clauses);
-    if (!cnf.ok()) {
-      q.status = cnf.status();
-      q.finished = true;
-    } else {
-      online::CnfEngineOptions cnf_options;
-      cnf_options.svaqd = source.options;
-      q.cnf = std::make_unique<online::CnfStream>(
-          std::move(cnf).value(), source.scenario.layout(), cnf_options);
-    }
+    q.engine = std::make_unique<online::StreamingSvaqd>(
+        std::move(cnf).value(), source.scenario.layout(), source.options,
+        online::StreamingSvaqd::Callback());
   }
   if (q.stmt.recall_target < 1.0 && q.status.ok()) {
     VAQ_RETURN_IF_ERROR(PlanStandingCascadeLocked(&q, source));
@@ -666,7 +651,7 @@ Status Server::AdmitStandingLocked(int64_t id, const std::string& sql,
 Status Server::PlanStandingCascadeLocked(StandingQuery* q,
                                          const StreamSource& source) {
   cascade::CascadePlan plan;
-  if (q->svaqd != nullptr) {
+  if (q->stmt.IsConjunctive()) {
     cascade::ProxySet& set = proxies_[q->source];
     if (set.find(q->source) == set.end()) {
       // First approximate query on this stream: load the persisted proxy
@@ -778,15 +763,11 @@ Status Server::AdvanceStreamLocked(const std::string& source) {
     // Cascade prefilter: a clip the proxy ruled out advances the engine
     // without any model call (per-query proxy-vs-expensive attribution
     // lands on the advance node as clips_pruned).
-    const bool pruned = q.cascade_active && q.svaqd != nullptr &&
-                        !q.surviving.Contains(pos);
+    const bool pruned = q.cascade_active && !q.surviving.Contains(pos);
     StatusOr<bool> indicator =
-        pruned ? q.svaqd->PushPrunedClip()
-        : q.svaqd != nullptr
-            ? q.svaqd->PushClip(q.models->detector.get(),
-                                q.models->recognizer.get())
-            : q.cnf->PushClip(q.models->detector.get(),
-                              q.models->recognizer.get());
+        pruned ? q.engine->PushPrunedClip()
+               : q.engine->PushClip(q.models->detector.get(),
+                                    q.models->recognizer.get());
     if (!indicator.ok()) {
       q.status = indicator.status();
       q.finished = true;
@@ -838,8 +819,7 @@ std::vector<ServedQuery> Server::FinishStanding() {
   for (const std::unique_ptr<StandingQuery>& owner : standing_) {
     StandingQuery& q = *owner;
     if (!q.finished) {
-      if (q.svaqd != nullptr) q.svaqd->Finish();
-      if (q.cnf != nullptr) q.cnf->Finish();
+      q.engine->Finish();
       q.finished = true;
     }
     ServedQuery served;
@@ -851,13 +831,9 @@ std::vector<ServedQuery> Server::FinishStanding() {
     served.trace = q.trace;
     if (q.status.ok()) {
       served.result.online = true;
-      if (q.svaqd != nullptr) {
-        served.result.sequences = q.svaqd->sequences();
-        served.result.degraded_clips = q.svaqd->degraded_clips();
-        served.result.dropped_clips = q.svaqd->dropped_clips();
-      } else if (q.cnf != nullptr) {
-        served.result.sequences = q.cnf->sequences();
-      }
+      served.result.sequences = q.engine->sequences();
+      served.result.degraded_clips = q.engine->degraded_clips();
+      served.result.dropped_clips = q.engine->dropped_clips();
       served.result.detector_stats = q.det_acc;
       served.result.recognizer_stats = q.rec_acc;
       served.result.cascade_plan = q.cascade_plan;
@@ -934,15 +910,9 @@ Status Server::CheckpointLocked() {
     p.PutString(q.sql);
     EncodeStatus(q.status, &p);
     p.PutBool(q.finished);
-    const uint32_t kind = q.svaqd != nullptr ? 1u : (q.cnf != nullptr ? 2u : 0u);
-    p.PutU32(kind);
-    std::string engine_blob;
-    if (q.svaqd != nullptr) {
-      engine_blob = q.svaqd->SnapshotState();
-    } else if (q.cnf != nullptr) {
-      engine_blob = q.cnf->SnapshotState();
-    }
-    p.PutString(engine_blob);
+    // The engine-blob layout, 0 when construction failed (no engine).
+    p.PutU32(q.engine != nullptr ? online::StreamingSvaqd::kBlobLayout : 0u);
+    p.PutString(q.engine != nullptr ? q.engine->SnapshotState() : "");
     EncodeModelStats(q.det_acc, &p);
     EncodeModelStats(q.rec_acc, &p);
     // Cascade pruning is an accumulator, not derivable from the engine
@@ -1091,7 +1061,7 @@ Status Server::RestoreBlobLocked(uint32_t /*version*/,
         std::string sql;
         Status saved_status;
         bool finished = false;
-        uint32_t kind = 0;
+        uint32_t layout = 0;
         std::string engine_blob;
         detect::ModelStats det_acc, rec_acc;
         int64_t clips_pruned = 0;
@@ -1099,11 +1069,21 @@ Status Server::RestoreBlobLocked(uint32_t /*version*/,
         VAQ_RETURN_IF_ERROR(in.GetString(&sql));
         VAQ_RETURN_IF_ERROR(DecodeStatus(&in, &saved_status));
         VAQ_RETURN_IF_ERROR(in.GetBool(&finished));
-        VAQ_RETURN_IF_ERROR(in.GetU32(&kind));
+        VAQ_RETURN_IF_ERROR(in.GetU32(&layout));
         VAQ_RETURN_IF_ERROR(in.GetString(&engine_blob));
         VAQ_RETURN_IF_ERROR(DecodeModelStats(&in, &det_acc));
         VAQ_RETURN_IF_ERROR(DecodeModelStats(&in, &rec_acc));
         VAQ_RETURN_IF_ERROR(in.GetI64(&clips_pruned));
+        if (layout == 1 || layout == 2) {
+          // Retired layouts (DESIGN.md §10): no decoder reads them.
+          return Status::Unimplemented(
+              "standing query #" + std::to_string(id) +
+              " was checkpointed with engine-blob layout " +
+              std::to_string(layout) +
+              (layout == 1 ? " (StreamingSvaqd)" : " (CnfStream)") +
+              "; this build reads layout " +
+              std::to_string(online::StreamingSvaqd::kBlobLayout) + " only");
+        }
         auto parsed = query::Parse(sql);
         if (!parsed.ok()) {
           return Status::Corruption("unparsable standing query in snapshot: " +
@@ -1113,17 +1093,15 @@ Status Server::RestoreBlobLocked(uint32_t /*version*/,
             AdmitStandingLocked(id, sql, std::move(parsed).value()));
         StandingQuery& q = *standing_.back();
         const uint32_t rebuilt =
-            q.svaqd != nullptr ? 1u : (q.cnf != nullptr ? 2u : 0u);
-        if (rebuilt != kind) {
+            q.engine != nullptr ? online::StreamingSvaqd::kBlobLayout : 0u;
+        if (rebuilt != layout) {
           return Status::Corruption(
-              "engine kind mismatch for standing query #" +
+              "engine-blob layout mismatch for standing query #" +
               std::to_string(id) +
               " (were the registrations changed since the snapshot?)");
         }
-        if (q.svaqd != nullptr) {
-          VAQ_RETURN_IF_ERROR(q.svaqd->RestoreState(engine_blob));
-        } else if (q.cnf != nullptr) {
-          VAQ_RETURN_IF_ERROR(q.cnf->RestoreState(engine_blob));
+        if (q.engine != nullptr) {
+          VAQ_RETURN_IF_ERROR(q.engine->RestoreState(engine_blob));
         }
         q.status = saved_status;
         q.finished = finished;

@@ -84,7 +84,6 @@
 #include "obs/metrics.h"
 #include "obs/query_trace.h"
 #include "offline/scoring.h"
-#include "online/cnf_engine.h"
 #include "online/streaming.h"
 #include "query/session.h"
 #include "serve/detection_cache.h"
@@ -318,16 +317,15 @@ class Server {
     int64_t completed = 0;
     int64_t failed = 0;
   };
-  // One admitted standing query and its incremental engine. Exactly one
-  // of svaqd/cnf is set (neither when construction failed; see status).
+  // One admitted standing query and its incremental engine (null when
+  // construction failed; see status).
   struct StandingQuery {
     int64_t id = 0;
     std::string sql;
     std::string source;  // Registered stream name.
     std::string stack;   // Model stack (shared-cache key).
     query::QueryStatement stmt;
-    std::unique_ptr<online::StreamingSvaqd> svaqd;
-    std::unique_ptr<online::CnfStream> cnf;
+    std::unique_ptr<online::StreamingSvaqd> engine;
     detect::ModelBundle owned_models;  // Backing store when cache is off.
     detect::ModelBundle* models = nullptr;
     detect::ModelStats det_acc;  // This query's per-clip stat deltas,

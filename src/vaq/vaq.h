@@ -8,7 +8,8 @@
 // Typical entry points:
 //   * synth::Scenario        — generate an evaluation video + query.
 //   * detect::ModelBundle    — simulated detector / recognizer / tracker.
-//   * online::Svaq, Svaqd    — streaming query engines.
+//   * online::StreamingSvaqd — the push-based online engine; Svaq and
+//                              Svaqd run it over a whole video.
 //   * offline::Ingestor      — one-time ingestion into a VideoIndex.
 //   * offline::Rvaq          — ranked top-K retrieval.
 //   * query::Session         — the SQL-like front end.
@@ -39,8 +40,6 @@
 #include "offline/rvaq.h"
 #include "offline/scoring.h"
 #include "offline/tbclip.h"
-#include "online/clip_evaluator.h"
-#include "online/cnf_engine.h"
 #include "online/streaming.h"
 #include "online/svaq.h"
 #include "online/svaqd.h"

@@ -379,6 +379,44 @@ TEST(CkptRecoveryTest, RecoverGuardsItsPreconditions) {
   }
 }
 
+TEST(CkptRecoveryTest, RetiredEngineBlobLayoutsAreRejected) {
+  // Snapshots written before the online engines were merged carry engine
+  // blobs of layout 1 (conjunctive) or 2 (CNF). Recovery names the layout
+  // instead of misreading the blob.
+  for (const uint32_t layout : {1u, 2u}) {
+    ckpt::Payload standing;
+    standing.PutI64(0);  // Query id.
+    standing.PutString("SELECT MERGE(clipID) FROM cam0 WHERE act='walking'");
+    standing.PutBool(true);   // Status OK.
+    standing.PutBool(false);  // Not finished.
+    standing.PutU32(layout);
+    standing.PutString("");   // Engine blob.
+    for (int model = 0; model < 2; ++model) {
+      standing.PutI64(0);  // inferences
+      standing.PutI64(0);  // type_queries
+      standing.PutF64(0);  // simulated_ms
+      for (int counter = 0; counter < 5; ++counter) standing.PutI64(0);
+    }
+    standing.PutI64(0);  // Clips pruned.
+    ckpt::Serializer snapshot;
+    snapshot.Append(/*kSnapStanding=*/1, standing);
+    ckpt::MemStore store;
+    ASSERT_TRUE(store.Put(ckpt::SnapshotName(0), snapshot.blob()).ok());
+
+    obs::MetricRegistry::Global().Reset();
+    auto server =
+        tools::MakeStandingDemoServer(DemoSpec(&store, nullptr, true));
+    ASSERT_TRUE(server.ok());
+    const auto report = server.value()->Recover();
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kUnimplemented);
+    EXPECT_NE(report.status().message().find("engine-blob layout " +
+                                             std::to_string(layout)),
+              std::string::npos)
+        << report.status();
+  }
+}
+
 TEST(CkptRecoveryTest, EmptyStoreRecoversToColdStartAndRunsNormally) {
   // `vaqctl recover` on a directory nobody has served into yet: cold
   // start, then the session proceeds as if freshly configured.

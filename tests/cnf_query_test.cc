@@ -7,7 +7,6 @@
 #include "offline/baselines.h"
 #include "offline/ingest.h"
 #include "offline/rvaq.h"
-#include "online/cnf_engine.h"
 #include "online/svaqd.h"
 #include "query/session.h"
 #include "synth/scenario.h"
@@ -79,26 +78,30 @@ TEST(CnfQueryTest, DistinctLiteralsDeduplicates) {
 }
 
 // ---------------------------------------------------------------------------
-// Online CNF engine.
+// Online CNF queries (the one online engine over general CNF).
 // ---------------------------------------------------------------------------
 
 TEST(CnfEngineTest, ConjunctiveCnfMatchesSvaqd) {
-  // A conjunctive query lifted to CNF must produce the same sequences as
-  // the dedicated conjunctive engine — but note Algorithm 2 evaluates
-  // objects before the action while the lift preserves that order, so the
-  // estimator observation streams coincide too.
+  // A conjunctive query lifted to CNF must produce the same sequences and
+  // model calls as the QuerySpec form: the lift keeps Algorithm 2's
+  // objects-before-action order, so the estimator observation streams
+  // coincide too.
   const synth::Scenario& sc = CnfScenario();
   detect::ModelBundle m1 = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 9);
-  online::Svaqd svaqd(sc.query(), sc.layout(), online::SvaqdOptions{});
   const online::OnlineResult expected =
-      svaqd.Run(m1.detector.get(), m1.recognizer.get());
+      online::Svaqd(sc.query(), sc.layout(), online::SvaqdOptions{})
+          .Run(m1.detector.get(), m1.recognizer.get());
 
   detect::ModelBundle m2 = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 9);
-  online::CnfEngine engine(CnfQuery::FromConjunctive(sc.query()),
-                           sc.layout(), online::CnfEngineOptions{});
-  const online::CnfResult actual =
-      engine.Run(m2.detector.get(), m2.recognizer.get());
+  const online::OnlineResult actual =
+      online::Svaqd(CnfQuery::FromConjunctive(sc.query()), sc.layout(),
+                    online::SvaqdOptions{})
+          .Run(m2.detector.get(), m2.recognizer.get());
   EXPECT_EQ(actual.sequences, expected.sequences);
+  EXPECT_EQ(actual.detector_stats.type_queries,
+            expected.detector_stats.type_queries);
+  EXPECT_EQ(actual.recognizer_stats.type_queries,
+            expected.recognizer_stats.type_queries);
 }
 
 TEST(CnfEngineTest, DisjunctionWithIdealModelsMatchesClauseSemantics) {
@@ -109,13 +112,13 @@ TEST(CnfEngineTest, DisjunctionWithIdealModelsMatchesClauseSemantics) {
   ASSERT_TRUE(cnf.ok());
   // Zero prior + noise-free models pin every k_crit at 1 from the first
   // clip, making the clause semantics exactly checkable.
-  online::CnfEngineOptions options;
-  options.svaqd.base.p0_object = 1e-9;
-  options.svaqd.base.p0_action = 1e-9;
-  options.svaqd.prior_weight = 0;
-  online::CnfEngine engine(*cnf, sc.layout(), options);
-  const online::CnfResult result =
-      engine.Run(models.detector.get(), models.recognizer.get());
+  online::SvaqdOptions options;
+  options.base.p0_object = 1e-9;
+  options.base.p0_action = 1e-9;
+  options.prior_weight = 0;
+  const online::OnlineResult result =
+      online::Svaqd(*cnf, sc.layout(), options)
+          .Run(models.detector.get(), models.recognizer.get());
   // With ideal models and k_crit = 1, a clip fires iff either action has
   // at least one (half-covered) truth shot in it.
   const ActionTypeId jumping = sc.vocab().FindActionType("jumping");
@@ -140,16 +143,15 @@ TEST(CnfEngineTest, MultipleActionsConjunction) {
   auto cnf = CnfQuery::FromNames(sc.vocab(),
                                  {{"act:jumping"}, {"act:waving"}});
   ASSERT_TRUE(cnf.ok());
-  online::CnfEngine engine(*cnf, sc.layout(), online::CnfEngineOptions{});
-  const online::CnfResult both =
-      engine.Run(models.detector.get(), models.recognizer.get());
+  const online::OnlineResult both =
+      online::Svaqd(*cnf, sc.layout(), online::SvaqdOptions{})
+          .Run(models.detector.get(), models.recognizer.get());
 
   detect::ModelBundle m2 = detect::ModelBundle::Ideal(sc.truth(), 9);
   auto only_jump = CnfQuery::FromNames(sc.vocab(), {{"act:jumping"}});
-  online::CnfEngine jump_engine(*only_jump, sc.layout(),
-                                online::CnfEngineOptions{});
-  const online::CnfResult jump =
-      jump_engine.Run(m2.detector.get(), m2.recognizer.get());
+  const online::OnlineResult jump =
+      online::Svaqd(*only_jump, sc.layout(), online::SvaqdOptions{})
+          .Run(m2.detector.get(), m2.recognizer.get());
   // Conjunction is a subset of each conjunct.
   EXPECT_EQ(both.sequences.Intersect(jump.sequences), both.sequences);
   EXPECT_LE(both.sequences.TotalLength(), jump.sequences.TotalLength());
@@ -160,17 +162,15 @@ TEST(CnfEngineTest, DisjunctionIsSupersetOfEachDisjunct) {
   auto disjunction =
       CnfQuery::FromNames(sc.vocab(), {{"obj:car", "obj:truck"}});
   detect::ModelBundle m1 = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
-  online::CnfEngine engine(*disjunction, sc.layout(),
-                           online::CnfEngineOptions{});
-  const online::CnfResult either =
-      engine.Run(m1.detector.get(), m1.recognizer.get());
+  const online::OnlineResult either =
+      online::Svaqd(*disjunction, sc.layout(), online::SvaqdOptions{})
+          .Run(m1.detector.get(), m1.recognizer.get());
 
   auto car_only = CnfQuery::FromNames(sc.vocab(), {{"obj:car"}});
   detect::ModelBundle m2 = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
-  online::CnfEngine car_engine(*car_only, sc.layout(),
-                               online::CnfEngineOptions{});
-  const online::CnfResult car =
-      car_engine.Run(m2.detector.get(), m2.recognizer.get());
+  const online::OnlineResult car =
+      online::Svaqd(*car_only, sc.layout(), online::SvaqdOptions{})
+          .Run(m2.detector.get(), m2.recognizer.get());
   // Every clip matching "car" also matches "car OR truck" (same models,
   // same seeds, adaptive thresholds estimated from the same counts).
   EXPECT_EQ(car.sequences.Intersect(either.sequences), car.sequences);
@@ -179,14 +179,14 @@ TEST(CnfEngineTest, DisjunctionIsSupersetOfEachDisjunct) {
 TEST(CnfEngineTest, StaticModeHonorsInitialCriticalValues) {
   const synth::Scenario& sc = CnfScenario();
   detect::ModelBundle models = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
-  online::CnfEngineOptions options;
+  online::SvaqdOptions options;
   options.adaptive = false;
-  options.svaqd.base.p0_object = 0.9;  // Hostile: k_crit = never.
-  options.svaqd.base.p0_action = 0.9;
-  online::CnfEngine engine(CnfQuery::FromConjunctive(sc.query()),
-                           sc.layout(), options);
-  const online::CnfResult result =
-      engine.Run(models.detector.get(), models.recognizer.get());
+  options.base.p0_object = 0.9;  // Hostile: k_crit = never.
+  options.base.p0_action = 0.9;
+  const online::OnlineResult result =
+      online::Svaqd(CnfQuery::FromConjunctive(sc.query()), sc.layout(),
+                    options)
+          .Run(models.detector.get(), models.recognizer.get());
   EXPECT_TRUE(result.sequences.empty());  // Static mode cannot recover.
 }
 

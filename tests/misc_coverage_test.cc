@@ -1,5 +1,5 @@
 // Edge-path coverage across modules: page-straddling reads, odd layouts,
-// CNF engine corner configurations, catalog overwrite semantics.
+// CNF query corner configurations, catalog overwrite semantics.
 #include <filesystem>
 #include <fstream>
 
@@ -7,7 +7,8 @@
 
 #include "common/rng.h"
 #include "detect/models.h"
-#include "online/cnf_engine.h"
+#include "online/streaming.h"
+#include "online/svaqd.h"
 #include "storage/catalog.h"
 #include "storage/paged_table.h"
 #include "synth/generator.h"
@@ -99,13 +100,16 @@ TEST(CnfEngineEdgeTest, SingleLiteralActionOnlyQuery) {
   detect::ModelBundle models = detect::ModelBundle::Ideal(truth, 1);
   auto cnf = CnfQuery::FromNames(vocab, {{"act:spin"}});
   ASSERT_TRUE(cnf.ok());
-  online::CnfEngineOptions options;
-  options.svaqd.probe_period = 0;  // No probing needed: single literal.
-  online::CnfEngine engine(*cnf, truth.layout(), options);
-  const online::CnfResult result =
-      engine.Run(/*detector=*/nullptr, models.recognizer.get());
-  EXPECT_GT(result.sequences.TotalLength(), 0);
-  EXPECT_EQ(result.literals.size(), 1u);
+  online::SvaqdOptions options;
+  options.probe_period = 0;  // No probing needed: single literal.
+  online::StreamingSvaqd engine(*cnf, truth.layout(), options, nullptr);
+  for (ClipIndex c = 0; c < truth.layout().NumClips(); ++c) {
+    ASSERT_TRUE(
+        engine.PushClip(/*detector=*/nullptr, models.recognizer.get()).ok());
+  }
+  engine.Finish();
+  EXPECT_GT(engine.sequences().TotalLength(), 0);
+  EXPECT_EQ(engine.literals().size(), 1u);
 }
 
 TEST(CnfEngineEdgeTest, RepeatedLiteralAcrossClausesEvaluatedOnce) {
@@ -127,11 +131,11 @@ TEST(CnfEngineEdgeTest, RepeatedLiteralAcrossClausesEvaluatedOnce) {
   auto cnf = CnfQuery::FromNames(
       vocab, {{"obj:car"}, {"obj:car", "act:spin"}});
   ASSERT_TRUE(cnf.ok());
-  online::CnfEngineOptions options;
-  options.svaqd.base.short_circuit = false;
-  online::CnfEngine engine(*cnf, truth.layout(), options);
-  const online::CnfResult result =
-      engine.Run(models.detector.get(), models.recognizer.get());
+  online::SvaqdOptions options;
+  options.base.short_circuit = false;
+  const online::OnlineResult result =
+      online::Svaqd(*cnf, truth.layout(), options)
+          .Run(models.detector.get(), models.recognizer.get());
   // Every frame is queried for "car" exactly once (plus action shots for
   // the second clause when reached).
   EXPECT_LE(models.detector->stats().type_queries,

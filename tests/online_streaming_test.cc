@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "detect/models.h"
+#include "fault/fault_plan.h"
 #include "synth/scenario.h"
 
 namespace vaq {
@@ -170,6 +171,74 @@ TEST(StreamingSvaqdTest, PartialStreamMatchesPrefixSemantics) {
         *again.PushClip(m2.detector.get(), m2.recognizer.get());
     EXPECT_EQ(indicator, full_indicators[static_cast<size_t>(c)]) << c;
   }
+}
+
+TEST(StreamingSvaqdTest, RejectedPushLeavesStateUntouched) {
+  // Under fault injection the resilience state binds to the first push's
+  // models; a push with another instance is rejected before anything
+  // moves — cursor, clock, estimators and the models' stats alike.
+  const synth::Scenario& sc = StreamScenario();
+  fault::FaultSpec spec;
+  spec.timeout_rate = 0.05;
+  spec.drop_clip_rate = 0.05;
+  const fault::FaultPlan plan(spec, 11);
+  SvaqdOptions options;
+  options.fault_plan = &plan;
+
+  detect::ModelBundle ref_models =
+      detect::ModelBundle::MaskRcnnI3d(sc.truth(), 3);
+  StreamingSvaqd reference(sc.query(), sc.layout(), options, nullptr);
+  std::vector<bool> expected;
+  for (ClipIndex c = 0; c < sc.layout().NumClips(); ++c) {
+    expected.push_back(*reference.PushClip(ref_models.detector.get(),
+                                           ref_models.recognizer.get()));
+  }
+
+  detect::ModelBundle models = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 3);
+  detect::ModelBundle other = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 3);
+  StreamingSvaqd stream(sc.query(), sc.layout(), options, nullptr);
+  std::vector<bool> actual;
+  actual.push_back(
+      *stream.PushClip(models.detector.get(), models.recognizer.get()));
+  const auto wrong_detector =
+      stream.PushClip(other.detector.get(), models.recognizer.get());
+  ASSERT_FALSE(wrong_detector.ok());
+  EXPECT_EQ(wrong_detector.status().code(), StatusCode::kInvalidArgument);
+  const auto wrong_recognizer =
+      stream.PushClip(models.detector.get(), other.recognizer.get());
+  ASSERT_FALSE(wrong_recognizer.ok());
+  EXPECT_EQ(wrong_recognizer.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(stream.next_clip(), 1);
+  EXPECT_EQ(other.detector->stats().type_queries, 0);
+  EXPECT_EQ(other.recognizer->stats().type_queries, 0);
+  for (ClipIndex c = 1; c < sc.layout().NumClips(); ++c) {
+    actual.push_back(
+        *stream.PushClip(models.detector.get(), models.recognizer.get()));
+  }
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(stream.degraded_clips(), reference.degraded_clips());
+  EXPECT_EQ(models.detector->stats().type_queries,
+            ref_models.detector->stats().type_queries);
+}
+
+TEST(StreamingSvaqdTest, MissingModelIsInvalidArgument) {
+  const synth::Scenario& sc = StreamScenario();
+  detect::ModelBundle models = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 3);
+  StreamingSvaqd stream(sc.query(), sc.layout(), SvaqdOptions{}, nullptr);
+  const auto no_detector = stream.PushClip(nullptr, models.recognizer.get());
+  ASSERT_FALSE(no_detector.ok());
+  EXPECT_EQ(no_detector.status().code(), StatusCode::kInvalidArgument);
+  const auto no_recognizer = stream.PushClip(models.detector.get(), nullptr);
+  ASSERT_FALSE(no_recognizer.ok());
+  EXPECT_EQ(no_recognizer.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(stream.next_clip(), 0);
+  EXPECT_EQ(models.recognizer->stats().type_queries, 0);
+
+  // A model the query does not need may be absent.
+  QuerySpec action_only;
+  action_only.action = sc.query().action;
+  StreamingSvaqd actions(action_only, sc.layout(), SvaqdOptions{}, nullptr);
+  EXPECT_TRUE(actions.PushClip(nullptr, models.recognizer.get()).ok());
 }
 
 }  // namespace

@@ -37,14 +37,26 @@ const synth::Scenario& SmallScenario() {
   return *scenario;
 }
 
+// Algorithm 2's per-clip evaluation, observed through the engine: with
+// static critical values, a clip is positive exactly when every
+// predicate's positive-unit count, scanned directly from the models,
+// reaches its critical value.
 TEST(ClipEvaluatorTest, CountsMatchDirectModelScan) {
   const synth::Scenario& sc = SmallScenario();
+  detect::ModelBundle engine_models =
+      detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
   detect::ModelBundle models = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
-  ClipEvaluator evaluator(sc.query(), sc.layout(), models.detector.get(),
-                          models.recognizer.get());
-  for (ClipIndex c : {0L, 7L, 33L}) {
-    const ClipEvaluation eval =
-        evaluator.Evaluate(c, {0}, 0, /*short_circuit=*/false);
+  SvaqOptions options;
+  options.p0_object = 0.015;
+  options.p0_action = 0.0015;
+  options.short_circuit = false;
+  const Svaq engine(sc.query(), sc.layout(), options);
+  const OnlineResult result = engine.Run(engine_models.detector.get(),
+                                         engine_models.recognizer.get());
+  const int64_t kcrit_object = engine.InitialObjectCriticalValues()[0];
+  const int64_t kcrit_action = engine.InitialActionCriticalValue();
+  int positives = 0;
+  for (ClipIndex c = 0; c < sc.layout().NumClips(); ++c) {
     int64_t object_count = 0;
     const Interval frames = sc.layout().ClipFrameRange(c);
     for (FrameIndex v = frames.lo; v <= frames.hi; ++v) {
@@ -57,30 +69,40 @@ TEST(ClipEvaluatorTest, CountsMatchDirectModelScan) {
       action_count +=
           models.recognizer->IsPositive(sc.query().action, s) ? 1 : 0;
     }
-    EXPECT_EQ(eval.object_counts[0], object_count);
-    EXPECT_EQ(eval.action_count, action_count);
-    EXPECT_EQ(eval.frames_in_clip, frames.length());
-    EXPECT_EQ(eval.shots_in_clip, shots.length());
+    const bool expected =
+        object_count >= kcrit_object && action_count >= kcrit_action;
+    EXPECT_EQ(result.clip_indicator[static_cast<size_t>(c)], expected)
+        << "clip " << c;
+    positives += expected ? 1 : 0;
   }
+  EXPECT_GT(positives, 0);
+  // Without short-circuiting every unit of every predicate is scanned.
+  EXPECT_EQ(result.detector_stats.type_queries, sc.layout().num_frames());
+  EXPECT_EQ(result.recognizer_stats.type_queries, sc.layout().NumShots());
 }
 
 TEST(ClipEvaluatorTest, ShortCircuitSkipsLaterPredicates) {
   const synth::Scenario& sc = SmallScenario();
-  detect::ModelBundle models = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
-  ClipEvaluator evaluator(sc.query(), sc.layout(), models.detector.get(),
-                          models.recognizer.get());
-  // Impossible object threshold: the object predicate fails, so the action
-  // must not be evaluated.
-  const int64_t w = sc.layout().frames_per_clip();
-  const ClipEvaluation eval =
-      evaluator.Evaluate(0, {w + 1}, 1, /*short_circuit=*/true);
-  EXPECT_FALSE(eval.positive);
-  EXPECT_TRUE(eval.ObjectEvaluated(0));
-  EXPECT_FALSE(eval.ActionEvaluated());
+  // An object critical value above the clip length: the object predicate
+  // fails on every clip, so the action must never be evaluated.
+  SvaqOptions options;
+  options.p0_object = 0.9;
+  const Svaq engine(sc.query(), sc.layout(), options);
+  ASSERT_GT(engine.InitialObjectCriticalValues()[0],
+            sc.layout().frames_per_clip());
+  detect::ModelBundle m1 = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
+  const OnlineResult skipped =
+      engine.Run(m1.detector.get(), m1.recognizer.get());
+  EXPECT_TRUE(skipped.sequences.empty());
+  EXPECT_EQ(skipped.recognizer_stats.type_queries, 0);
   // Without short-circuiting everything is evaluated.
-  const ClipEvaluation full =
-      evaluator.Evaluate(0, {w + 1}, 1, /*short_circuit=*/false);
-  EXPECT_TRUE(full.ActionEvaluated());
+  SvaqOptions full = options;
+  full.short_circuit = false;
+  detect::ModelBundle m2 = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
+  const OnlineResult evaluated =
+      Svaq(sc.query(), sc.layout(), full)
+          .Run(m2.detector.get(), m2.recognizer.get());
+  EXPECT_EQ(evaluated.recognizer_stats.type_queries, sc.layout().NumShots());
 }
 
 TEST(ClipEvaluatorTest, ShortCircuitSavesInferences) {
@@ -159,16 +181,6 @@ TEST(SvaqTest, CriticalValuesRespondToP0) {
             b.InitialObjectCriticalValues()[0]);
   EXPECT_LT(a.InitialActionCriticalValue(),
             b.InitialActionCriticalValue());
-}
-
-TEST(SvaqTest, PerObjectP0Override) {
-  const synth::Scenario& sc = SmallScenario();
-  SvaqOptions options;
-  options.p0_object = 0.3;
-  options.p0_per_object = {1e-5};
-  Svaq engine(sc.query(), sc.layout(), options);
-  // The override (1e-5) wins over p0_object.
-  EXPECT_LE(engine.InitialObjectCriticalValues()[0], 4);
 }
 
 // SVAQD's headline property (Figure 2): wildly different initial

@@ -49,4 +49,18 @@ foreach(family
   endif()
 endforeach()
 
+# The online engine labels its families by adaptation (engine="svaq" or
+# engine="svaqd"), whether a batch run or a stream pushes the clips.
+string(FIND "${run1}" "vaq_clips_processed_total{engine=\"svaqd\"}" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR
+    "vaqctl metrics output has no engine=\"svaqd\" clip counter")
+endif()
+string(FIND "${run1}" "streaming_svaqd" found)
+if(NOT found EQUAL -1)
+  message(FATAL_ERROR
+    "vaqctl metrics output still carries the retired engine label "
+    "streaming_svaqd")
+endif()
+
 message(STATUS "vaqctl metrics: deterministic, selfchecked, all families present")
