@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
+#include "obs/metrics.h"
 
 namespace vaq {
 namespace cascade {
@@ -71,6 +72,18 @@ std::string CascadePlan::ToString() const {
   }
   out += ")";
   return out;
+}
+
+void CountPlan(const CascadePlan& plan) {
+  if (plan.use_cascade) {
+    static obs::Counter* const cascade = obs::MetricRegistry::Global()
+        .GetCounter("vaq_cascade_plans_total", {{"mode", "cascade"}});
+    cascade->Increment();
+  } else {
+    static obs::Counter* const exact = obs::MetricRegistry::Global()
+        .GetCounter("vaq_cascade_plans_total", {{"mode", "exact"}});
+    exact->Increment();
+  }
 }
 
 Planner::Planner(const ProxySet* proxy, PlannerOptions options)

@@ -69,6 +69,10 @@ struct CascadePlan {
   std::string ToString() const;
 };
 
+// Counts one planned statement in vaq_cascade_plans_total{mode=...}
+// ("cascade" or "exact"). Each mode resolves its counter on first use.
+void CountPlan(const CascadePlan& plan);
+
 // Cost model knobs: which expensive models the cascade is fronting.
 struct PlannerOptions {
   detect::ModelProfile detector = detect::ModelProfile::MaskRcnn();

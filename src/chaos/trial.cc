@@ -196,7 +196,13 @@ Status RunStandingChaos(const TrialScenario& s, const Schedule& schedule,
 
   int64_t done = 0;
   bool aborted = false;
-  std::string corrupted;  // Corrupted snapshot entry name, if any.
+  // The corrupted snapshot entry, if any: its name and its bytes right
+  // after the flip. Recovery that rejects it restores an older snapshot
+  // and rewinds the sequence, so a later checkpoint may legitimately
+  // rewrite a valid snapshot under the same name; only the corrupted
+  // bytes themselves must never be restored.
+  std::string corrupted;
+  std::string corrupted_bytes;
 
   const auto violation = [&](const std::string& msg) {
     r->violations.push_back("standing: " + msg);
@@ -220,6 +226,13 @@ Status RunStandingChaos(const TrialScenario& s, const Schedule& schedule,
     }
     return newest;
   };
+  // True while the newest snapshot still holds the corrupted bytes.
+  const auto newest_is_corrupted = [&]() -> StatusOr<bool> {
+    VAQ_ASSIGN_OR_RETURN(const std::string newest, newest_snapshot());
+    if (corrupted.empty() || newest != corrupted) return false;
+    VAQ_ASSIGN_OR_RETURN(const std::string bytes, store.Get(newest));
+    return bytes == corrupted_bytes;
+  };
 
   const auto crash_recover = [&](const ChaosEvent& e) -> Status {
     // A torn advance needs a clip left to tear; at end of stream the
@@ -234,8 +247,7 @@ Status RunStandingChaos(const TrialScenario& s, const Schedule& schedule,
     }
     // The WAL record of a torn advance is applied once, on replay.
     const int64_t expect_done = done + (torn ? 1 : 0);
-    VAQ_ASSIGN_OR_RETURN(const std::string newest, newest_snapshot());
-    const bool expect_reject = !corrupted.empty() && corrupted == newest;
+    VAQ_ASSIGN_OR_RETURN(const bool expect_reject, newest_is_corrupted());
 
     server.reset();  // Crash: the process is gone, registry and all.
     registry.Reset();
@@ -317,8 +329,8 @@ Status RunStandingChaos(const TrialScenario& s, const Schedule& schedule,
         }
         // Only corrupt when a fallback exists (recovery must always
         // succeed — that invariant is the oracle, not corruption
-        // itself) and the newest is not already corrupt (a second flip
-        // could cancel the first).
+        // itself) and the newest is not the entry corrupted before (a
+        // second flip could cancel the first).
         if (snaps.size() < 2 || snaps.back() == corrupted) {
           ++r->coverage["event.skipped.corrupt_snapshot"];
           break;
@@ -333,6 +345,7 @@ Status RunStandingChaos(const TrialScenario& s, const Schedule& schedule,
         VAQ_RETURN_IF_ERROR(
             ckpt::CorruptEntryByte(&store, snaps.back(), index, mask));
         corrupted = snaps.back();
+        VAQ_ASSIGN_OR_RETURN(corrupted_bytes, store.Get(corrupted));
         ++r->coverage["event.corrupt_snapshot"];
         break;
       }

@@ -34,6 +34,21 @@ const std::vector<double>& AnswerMsBounds() {
   return bounds;
 }
 
+// vaq_cluster_queries_total{mode="ranked",outcome=...}; each outcome
+// resolves its counter on first use.
+obs::Counter* RankedQueries(bool ok) {
+  if (ok) {
+    static obs::Counter* const ok_total = obs::MetricRegistry::Global()
+        .GetCounter("vaq_cluster_queries_total",
+                    {{"mode", "ranked"}, {"outcome", "ok"}});
+    return ok_total;
+  }
+  static obs::Counter* const error_total = obs::MetricRegistry::Global()
+      .GetCounter("vaq_cluster_queries_total",
+                  {{"mode", "ranked"}, {"outcome", "error"}});
+  return error_total;
+}
+
 // Per-shard gather state.
 struct ShardState {
   int active_host = 0;
@@ -178,13 +193,21 @@ int Coordinator::Rebalance(const RebalanceOptions& rebalance) {
   // Close the load window: the next window starts from zero under the
   // (possibly new) layout.
   std::fill(shard_load_ms_.begin(), shard_load_ms_.end(), 0.0);
-  for (int s = 0; s < num_shards(); ++s) {
-    obs::MetricRegistry::Global()
-        .GetGauge("vaq_cluster_shard_load_ms",
-                  {{"shard", std::to_string(s)}})
-        ->Set(0.0);
-  }
+  for (int s = 0; s < num_shards(); ++s) ShardLoadGauge(s)->Set(0.0);
   return actions;
+}
+
+obs::Gauge* Coordinator::ShardLoadGauge(int shard) const {
+  const size_t index = static_cast<size_t>(shard);
+  if (shard_load_gauges_.size() <= index) {
+    shard_load_gauges_.resize(index + 1, nullptr);
+  }
+  obs::Gauge*& gauge = shard_load_gauges_[index];
+  if (gauge == nullptr) {
+    gauge = obs::MetricRegistry::Global().GetGauge(
+        "vaq_cluster_shard_load_ms", {{"shard", std::to_string(shard)}});
+  }
+  return gauge;
 }
 
 double Coordinator::ShardLoadMs(int shard) const {
@@ -217,7 +240,6 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
     const std::string& action, const std::vector<std::string>& objects,
     const offline::ScoringModel& scoring, offline::RvaqOptions rvaq,
     const obs::QueryContext& ctx, int64_t plan_wire_bytes) const {
-  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   // The query id that rides every simulated wire message of this query
   // (a no-op "-" when untraced). Appending it to the payload leaves the
   // modeled byte counts — and therefore every delivery time — unchanged.
@@ -225,10 +247,7 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
       ctx.active() ? ctx.trace->root_name() : std::string("-");
   const obs::QueryContext phase = ctx.Child("scatter_gather");
   if (repository_->num_videos() == 0) {
-    registry
-        .GetCounter("vaq_cluster_queries_total",
-                    {{"mode", "ranked"}, {"outcome", "error"}})
-        ->Increment();
+    RankedQueries(/*ok=*/false)->Increment();
     return Status::FailedPrecondition("repository holds no videos");
   }
   for (const std::unique_ptr<Node>& node : nodes_) node->ResetRun();
@@ -316,9 +335,10 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
       ShardState& state = shards[static_cast<size_t>(timer_shard)];
       if (HostDown(state.active_host, clock.now_ms())) {
         ++result.failovers;
-        registry
-            .GetCounter("vaq_cluster_failovers_total", {{"mode", "ranked"}})
-            ->Increment();
+        static obs::Counter* const failovers =
+            obs::MetricRegistry::Global().GetCounter(
+                "vaq_cluster_failovers_total", {{"mode", "ranked"}});
+        failovers->Increment();
         phase.Child("shard" + std::to_string(timer_shard))
             .AddStat("failovers", 1);
         if (state.replicas_used >= options_.num_replicas) {
@@ -339,15 +359,19 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
     }
 
     Delivery delivery;
-    VAQ_CHECK(net.NextDelivery(&delivery));
+    // The peeked copy may have been a duplicate, suppressed on pop with
+    // nothing behind it: nothing arrived, so re-enter the event loop.
+    if (!net.NextDelivery(&delivery)) continue;
     clock.Advance(delivery.delivered_ms - clock.now_ms());
     const double now = clock.now_ms();
 
     if (delivery.tag == kTagQuery || delivery.tag == kTagFetch) {
       // A node receives a batch request.
       if (HostDown(delivery.to, now)) {
-        registry.GetCounter("vaq_cluster_net_lost_outage_total", {})
-            ->Increment();
+        static obs::Counter* const lost_outage =
+            obs::MetricRegistry::Global().GetCounter(
+                "vaq_cluster_net_lost_outage_total");
+        lost_outage->Increment();
         continue;  // Lost; the coordinator's timer recovers.
       }
       const size_t comma = delivery.payload.find(',');
@@ -382,7 +406,10 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
     if (state.expected != index) {
       // Stale: a slow primary's batch landing after failover already
       // served this index, or a batch past an already-satisfied stream.
-      registry.GetCounter("vaq_cluster_stale_batches_total", {})->Increment();
+      static obs::Counter* const stale_batches =
+          obs::MetricRegistry::Global().GetCounter(
+              "vaq_cluster_stale_batches_total");
+      stale_batches->Increment();
       continue;
     }
     Node* sender = HostNode(delivery.from);
@@ -411,10 +438,7 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
       // Load window for elastic rebalancing (replica re-runs count: a
       // failing-over shard really did cost that much scan time).
       shard_load_ms_[static_cast<size_t>(shard)] += run->modeled_ms;
-      registry
-          .GetGauge("vaq_cluster_shard_load_ms",
-                    {{"shard", std::to_string(shard)}})
-          ->Set(shard_load_ms_[static_cast<size_t>(shard)]);
+      ShardLoadGauge(shard)->Set(shard_load_ms_[static_cast<size_t>(shard)]);
       shard_ctx.AddMs(run->modeled_ms);
       shard_ctx.AddStat("videos_queried", run->videos_queried);
       shard_ctx.AddStat("videos_skipped", run->videos_skipped);
@@ -465,10 +489,7 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
   }
 
   if (!failure.ok()) {
-    registry
-        .GetCounter("vaq_cluster_queries_total",
-                    {{"mode", "ranked"}, {"outcome", "error"}})
-        ->Increment();
+    RankedQueries(/*ok=*/false)->Increment();
     return failure;
   }
 
@@ -510,21 +531,23 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
   result.merged.wall_ms = result.answer_ms;  // Virtual, not wall, time.
   result.net = net.stats();
 
-  registry
-      .GetCounter("vaq_cluster_queries_total",
-                  {{"mode", "ranked"}, {"outcome", "ok"}})
-      ->Increment();
-  registry.GetCounter("vaq_cluster_batches_total", {{"result", "consumed"}})
-      ->Increment(result.batches_consumed);
-  registry.GetCounter("vaq_cluster_batches_total", {{"result", "pruned"}})
-      ->Increment(result.batches_pruned);
-  registry
-      .GetCounter("vaq_cluster_entries_total", {{"result", "consumed"}})
-      ->Increment(result.entries_consumed);
-  registry.GetCounter("vaq_cluster_entries_total", {{"result", "pruned"}})
-      ->Increment(result.entries_total - result.entries_consumed);
-  registry.GetHistogram("vaq_cluster_answer_ms", AnswerMsBounds())
-      ->Observe(result.answer_ms);
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  static obs::Counter* const batches_consumed = registry.GetCounter(
+      "vaq_cluster_batches_total", {{"result", "consumed"}});
+  static obs::Counter* const batches_pruned = registry.GetCounter(
+      "vaq_cluster_batches_total", {{"result", "pruned"}});
+  static obs::Counter* const entries_consumed = registry.GetCounter(
+      "vaq_cluster_entries_total", {{"result", "consumed"}});
+  static obs::Counter* const entries_pruned = registry.GetCounter(
+      "vaq_cluster_entries_total", {{"result", "pruned"}});
+  static obs::Histogram* const answer_ms =
+      registry.GetHistogram("vaq_cluster_answer_ms", AnswerMsBounds());
+  RankedQueries(/*ok=*/true)->Increment();
+  batches_consumed->Increment(result.batches_consumed);
+  batches_pruned->Increment(result.batches_pruned);
+  entries_consumed->Increment(result.entries_consumed);
+  entries_pruned->Increment(result.entries_total - result.entries_consumed);
+  answer_ms->Observe(result.answer_ms);
   latency_->Record(result.answer_ms);
   // Coordinator-level attribution: self_ms is the end-to-end virtual
   // answer latency (the shards' scan ms sits on their child nodes and
@@ -569,10 +592,7 @@ StatusOr<query::QueryResult> Coordinator::ExecuteRanked(
     } else {
       plan.recall_target = stmt.recall_target;  // Exact fallback.
     }
-    obs::MetricRegistry::Global()
-        .GetCounter("vaq_cascade_plans_total",
-                    {{"mode", plan.use_cascade ? "cascade" : "exact"}})
-        ->Increment();
+    cascade::CountPlan(plan);
     result.cascade_plan = plan.ToString();
     cascade_phase.AddStat("clips_total", plan.clips_total);
     cascade_phase.AddStat("clips_surviving", plan.clips_surviving);

@@ -1,8 +1,10 @@
 #include "cluster/net.h"
 
+#include <cstring>
 #include <limits>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 
@@ -25,6 +27,31 @@ double JitterUniform(uint64_t seed, int64_t link, int64_t seq) {
   return static_cast<double>(SplitMix64(s) >> 11) * 0x1.0p-53;
 }
 
+// vaq_cluster_net_messages_total{tag=...}. The tags are a closed set;
+// each resolves its counter on its first message.
+obs::Counter* MessagesCounter(const char* tag_name) {
+  const auto resolve = [](const char* tag) {
+    return obs::MetricRegistry::Global().GetCounter(
+        "vaq_cluster_net_messages_total", {{"tag", tag}});
+  };
+  if (std::strcmp(tag_name, "query") == 0) {
+    static obs::Counter* const query = resolve("query");
+    return query;
+  }
+  if (std::strcmp(tag_name, "fetch") == 0) {
+    static obs::Counter* const fetch = resolve("fetch");
+    return fetch;
+  }
+  if (std::strcmp(tag_name, "batch") == 0) {
+    static obs::Counter* const batch = resolve("batch");
+    return batch;
+  }
+  VAQ_CHECK(std::strcmp(tag_name, "ship") == 0)
+      << "unknown net message tag '" << tag_name << "'";
+  static obs::Counter* const ship = resolve("ship");
+  return ship;
+}
+
 }  // namespace
 
 Net::Net(NetOptions options, const fault::FaultPlan* plan)
@@ -32,16 +59,14 @@ Net::Net(NetOptions options, const fault::FaultPlan* plan)
 
 void Net::Send(int from, int to, uint32_t tag, const char* tag_name,
                std::string payload, int64_t wire_bytes, double send_ms) {
-  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   const int64_t link = LinkOf(from, to);
   const int64_t seq = next_seq_++;
   ++stats_.messages;
   stats_.bytes += wire_bytes;
-  registry
-      .GetCounter("vaq_cluster_net_messages_total", {{"tag", tag_name}})
-      ->Increment();
-  registry.GetCounter("vaq_cluster_net_bytes_total", {})
-      ->Increment(wire_bytes);
+  MessagesCounter(tag_name)->Increment();
+  static obs::Counter* const bytes =
+      obs::MetricRegistry::Global().GetCounter("vaq_cluster_net_bytes_total");
+  bytes->Increment(wire_bytes);
 
   // Drops only delay: each lost copy schedules a retransmission one RTO
   // later, and the final attempt always goes through.
@@ -51,7 +76,9 @@ void Net::Send(int from, int to, uint32_t tag, const char* tag_name,
     while (attempts < options_.max_attempts &&
            plan_->NetDrops(link, seq, attempts - 1)) {
       ++stats_.drops;
-      registry.GetCounter("vaq_cluster_net_drops_total", {})->Increment();
+      static obs::Counter* const drops =
+          obs::MetricRegistry::Global().GetCounter("vaq_cluster_net_drops_total");
+      drops->Increment();
       depart_ms += options_.rto_ms;
       ++attempts;
     }
@@ -62,8 +89,9 @@ void Net::Send(int from, int to, uint32_t tag, const char* tag_name,
     // partition delays traffic, it never changes what is delivered.
     while (plan_->NetPartitioned(depart_ms)) {
       ++stats_.partition_drops;
-      registry.GetCounter("vaq_cluster_net_partition_drops_total", {})
-          ->Increment();
+      static obs::Counter* const partition_drops =
+          obs::MetricRegistry::Global().GetCounter("vaq_cluster_net_partition_drops_total");
+      partition_drops->Increment();
       if (attempts < options_.max_attempts) {
         depart_ms += options_.rto_ms;
         ++attempts;
@@ -111,9 +139,9 @@ bool Net::NextDelivery(Delivery* out) {
     queue_.pop();
     if (pending.duplicate) {
       ++stats_.duplicates_suppressed;
-      obs::MetricRegistry::Global()
-          .GetCounter("vaq_cluster_net_duplicates_total", {})
-          ->Increment();
+      static obs::Counter* const duplicates =
+          obs::MetricRegistry::Global().GetCounter("vaq_cluster_net_duplicates_total");
+      duplicates->Increment();
       continue;
     }
     ++stats_.deliveries;

@@ -71,7 +71,8 @@ class Net {
   Net(NetOptions options, const fault::FaultPlan* plan);
 
   // Queues a message sent at virtual time `send_ms`. `tag_name` labels
-  // the vaq_cluster_net_messages_total counter ("query", "batch", ...).
+  // the vaq_cluster_net_messages_total counter and is one of "query",
+  // "fetch", "batch" or "ship".
   // `wire_bytes` is the modeled on-the-wire size (the in-process
   // `payload` is just the logical content, e.g. a batch coordinate, so
   // transfer time is charged for the bytes a real serialization would
@@ -83,7 +84,9 @@ class Net {
   // Duplicate copies are suppressed here. False when idle.
   bool NextDelivery(Delivery* out);
 
-  // Virtual time of the next delivery; infinity when idle.
+  // Virtual time of the next pending copy; infinity when idle. The copy
+  // may be a duplicate that NextDelivery then suppresses, so a following
+  // NextDelivery can return false or a later delivery.
   double PeekTimeMs() const;
 
   bool idle() const { return queue_.empty(); }

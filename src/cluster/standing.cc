@@ -89,9 +89,9 @@ Status StandingCluster::AdvanceStream(const std::string& source) {
   }
   VAQ_RETURN_IF_ERROR(state.server->AdvanceStream(source));
   ++intended_[source];
-  obs::MetricRegistry::Global()
-      .GetCounter("vaq_cluster_advances_total", {})
-      ->Increment();
+  static obs::Counter* const advances =
+      obs::MetricRegistry::Global().GetCounter("vaq_cluster_advances_total");
+  advances->Increment();
   if (!state.failed && ++state.advances_since_ship >=
                            options_.ship_every_advances) {
     VAQ_RETURN_IF_ERROR(Ship(owner));
@@ -117,9 +117,9 @@ Status StandingCluster::Ship(int node) {
   // The follower of node i lives on host num_nodes + i.
   net_->Send(node, options_.num_nodes + node, kTagShip, "ship", "", bytes,
              clock_.now_ms());
-  obs::MetricRegistry::Global()
-      .GetCounter("vaq_cluster_ship_bytes_total", {})
-      ->Increment(bytes);
+  static obs::Counter* const ship_bytes =
+      obs::MetricRegistry::Global().GetCounter("vaq_cluster_ship_bytes_total");
+  ship_bytes->Increment(bytes);
   return Status::OK();
 }
 
@@ -144,9 +144,10 @@ Status StandingCluster::Failover(int node) {
          ++pos) {
       VAQ_RETURN_IF_ERROR(standby->AdvanceStream(source));
       ++catchup_advances_;
-      obs::MetricRegistry::Global()
-          .GetCounter("vaq_cluster_catchup_advances_total", {})
-          ->Increment();
+      static obs::Counter* const catchup =
+          obs::MetricRegistry::Global().GetCounter(
+              "vaq_cluster_catchup_advances_total");
+      catchup->Increment();
     }
   }
   state.server = std::move(standby);

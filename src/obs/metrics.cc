@@ -129,6 +129,7 @@ Counter* MetricRegistry::GetCounter(const std::string& name,
   Labels canonical = labels;
   std::sort(canonical.begin(), canonical.end());
   std::lock_guard<std::mutex> lock(mu_);
+  ++lookups_;
   Instrument& inst = instruments_[{name, CanonicalLabels(canonical)}];
   if (inst.counter == nullptr) {
     VAQ_CHECK(inst.gauge == nullptr && inst.histogram == nullptr)
@@ -145,6 +146,7 @@ Gauge* MetricRegistry::GetGauge(const std::string& name,
   Labels canonical = labels;
   std::sort(canonical.begin(), canonical.end());
   std::lock_guard<std::mutex> lock(mu_);
+  ++lookups_;
   Instrument& inst = instruments_[{name, CanonicalLabels(canonical)}];
   if (inst.gauge == nullptr) {
     VAQ_CHECK(inst.counter == nullptr && inst.histogram == nullptr)
@@ -162,6 +164,7 @@ Histogram* MetricRegistry::GetHistogram(const std::string& name,
   Labels canonical = labels;
   std::sort(canonical.begin(), canonical.end());
   std::lock_guard<std::mutex> lock(mu_);
+  ++lookups_;
   Instrument& inst = instruments_[{name, CanonicalLabels(canonical)}];
   if (inst.histogram == nullptr) {
     VAQ_CHECK(inst.counter == nullptr && inst.gauge == nullptr)
@@ -224,6 +227,11 @@ void MetricRegistry::Reset() {
         break;
     }
   }
+}
+
+int64_t MetricRegistry::lookups() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return lookups_;
 }
 
 void RestoreSnapshot(const Snapshot& snap) {

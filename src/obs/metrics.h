@@ -16,10 +16,23 @@
 //   vaq_model_calls_total{domain="detector",outcome="ok"}
 //   vaq_model_calls_total{domain="detector",outcome="timeout"}
 //
-// Registration (Get*) takes a mutex; the returned pointer is stable for
-// the registry's lifetime, so hot paths resolve once (constructor or
-// function-local static) and then touch a single relaxed `std::atomic` —
-// cheap enough to sit inside the per-frame model loop.
+// Registration (Get*) takes a mutex, sorts the labels and searches a
+// map; the returned pointer is stable for the registry's lifetime, so hot
+// paths resolve once and then touch a single relaxed `std::atomic` —
+// cheap enough to sit inside the per-frame model loop. A call site that
+// runs per query, per video, per message or per clip, with labels fixed
+// at the site, resolves once, at its first use, in a function-local
+// static:
+//
+//   static obs::Counter* const pruned = obs::MetricRegistry::Global()
+//       .GetCounter("vaq_cascade_videos_pruned_total");
+//   pruned->Increment();
+//
+// Resolving at first use, not eagerly, keeps registration timing: a
+// family appears in snapshots only once something has recorded into it.
+// A label value that varies at run time over a closed set takes one
+// call site per value; objects built per query (Rvaq, Net) resolve per
+// process, never in their constructors.
 //
 // Determinism: every engine records *logical* quantities (event counts,
 // simulated milliseconds) rather than wall time, and snapshots iterate
@@ -170,6 +183,10 @@ class MetricRegistry {
   // tools use this to scope a snapshot to a single run.
   void Reset();
 
+  // Number of Get* calls so far (never reset). Tests read it to assert
+  // that a repeated query resolves no instrument.
+  int64_t lookups() const;
+
  private:
   struct Instrument {
     Snapshot::Kind kind;
@@ -183,6 +200,7 @@ class MetricRegistry {
   // iteration deterministically sorted.
   mutable std::mutex mu_;
   std::map<std::pair<std::string, std::string>, Instrument> instruments_;
+  int64_t lookups_ = 0;  // Guarded by mu_.
 };
 
 // Canonical label rendering: key-sorted `k1="v1",k2="v2"` with

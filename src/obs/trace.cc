@@ -26,16 +26,20 @@ Tracer& Tracer::Global() {
 void Tracer::SetClock(ClockFn clock) {
   std::lock_guard<std::mutex> lock(mu_);
   clock_ = std::move(clock);
+  clock_pinned_.store(clock_ != nullptr, std::memory_order_release);
 }
 
 double Tracer::NowMs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return clock_ ? clock_() : SteadyNowMs();
+  if (clock_pinned_.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (clock_) return clock_();
+  }
+  return SteadyNowMs();
 }
 
 void Tracer::SetRecording(bool on) {
   std::lock_guard<std::mutex> lock(mu_);
-  recording_ = on;
+  recording_.store(on, std::memory_order_release);
   if (!on) records_.clear();
 }
 
@@ -48,13 +52,25 @@ std::vector<SpanRecord> Tracer::TakeRecords() {
 
 void Tracer::RecordClosed(const char* name, int depth, double start_ms,
                           double duration_ms) {
+  if (!recording()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (!recording_ || records_.size() >= kMaxRecords) return;
+  if (!recording() || records_.size() >= kMaxRecords) return;
   records_.push_back(SpanRecord{name, depth, start_ms, duration_ms});
 }
 
-Span::Span(const char* name)
-    : name_(name),
+void SpanSite::Record(double duration_ms) {
+  std::call_once(resolved_, [this] {
+    MetricRegistry& registry = MetricRegistry::Global();
+    total_ = registry.GetCounter("vaq_span_total", {{"span", name_}});
+    ms_ = registry.GetHistogram("vaq_span_ms", DefaultLatencyBucketsMs(),
+                                {{"span", name_}});
+  });
+  total_->Increment();
+  ms_->Observe(duration_ms);
+}
+
+Span::Span(SpanSite* site)
+    : site_(site),
       start_ms_(Tracer::Global().NowMs()),
       depth_(g_span_depth++) {}
 
@@ -62,13 +78,8 @@ Span::~Span() {
   --g_span_depth;
   Tracer& tracer = Tracer::Global();
   const double duration = tracer.NowMs() - start_ms_;
-  MetricRegistry& registry = MetricRegistry::Global();
-  registry.GetCounter("vaq_span_total", {{"span", name_}})->Increment();
-  registry
-      .GetHistogram("vaq_span_ms", DefaultLatencyBucketsMs(),
-                    {{"span", name_}})
-      ->Observe(duration);
-  tracer.RecordClosed(name_, depth_, start_ms_, duration);
+  site_->Record(duration);
+  tracer.RecordClosed(site_->name(), depth_, start_ms_, duration);
 }
 
 }  // namespace obs

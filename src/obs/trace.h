@@ -7,19 +7,24 @@
 //
 // A span measures the wall time between its construction and destruction
 // and records it into the global registry's `vaq_span_ms{span="<name>"}`
-// histogram plus `vaq_span_total{span="<name>"}` counter. Spans nest:
-// a thread-local depth counter tracks containment, and when recording is
-// enabled the tracer also keeps an in-memory list of closed spans
-// (name, depth, start, duration) for tests and debugging.
+// histogram plus `vaq_span_total{span="<name>"}` counter. Each
+// VAQ_TRACE_SPAN call site owns a static `SpanSite` that resolves those
+// two instruments when a span of the site first closes, so later closes
+// do no registry lookup. Spans nest: a thread-local depth counter tracks
+// containment, and when recording is enabled the tracer also keeps an
+// in-memory list of closed spans (name, depth, start, duration) for tests
+// and debugging.
 //
 // The clock is pluggable so tracing composes with simulated time: tests
 // bind it to a `fault::SimClock` (span durations then reflect the
 // deterministic simulated timeline), and one-shot tools bind it to a
 // constant to keep metric exports byte-identical across runs. The
-// default is the real steady clock.
+// default is the real steady clock. Opening and closing a span takes the
+// tracer's mutex only while a clock is pinned or recording is on.
 #ifndef VAQ_OBS_TRACE_H_
 #define VAQ_OBS_TRACE_H_
 
+#include <atomic>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -50,7 +55,9 @@ class Tracer {
   // When enabled, closed spans are appended to an internal buffer
   // (bounded at `kMaxRecords`; older spans win).
   void SetRecording(bool on);
-  bool recording() const { return recording_; }
+  bool recording() const {
+    return recording_.load(std::memory_order_acquire);
+  }
   // Drains and returns the record buffer.
   std::vector<SpanRecord> TakeRecords();
 
@@ -61,23 +68,52 @@ class Tracer {
  private:
   static constexpr size_t kMaxRecords = 4096;
 
+  // The span fast path reads these flags and locks mu_ only when one is
+  // set; each is written under mu_.
+  std::atomic<bool> clock_pinned_{false};
+  std::atomic<bool> recording_{false};
   mutable std::mutex mu_;
   ClockFn clock_;  // Null = steady clock.
-  bool recording_ = false;
   std::vector<SpanRecord> records_;
 };
 
-// RAII span. `name` must outlive the span (string literals in practice).
+class Counter;
+class Histogram;
+
+// One span call site: its name and the registry instruments its spans
+// record into, resolved when the first span of the site closes. Sites are
+// statics (VAQ_TRACE_SPAN declares one); a call site whose name varies at
+// run time needs one site per name.
+class SpanSite {
+ public:
+  // `name` must outlive the site (a string literal in practice).
+  constexpr explicit SpanSite(const char* name) : name_(name) {}
+
+  SpanSite(const SpanSite&) = delete;
+  SpanSite& operator=(const SpanSite&) = delete;
+
+  const char* name() const { return name_; }
+  // Records one closed span into vaq_span_total / vaq_span_ms.
+  void Record(double duration_ms);
+
+ private:
+  const char* name_;
+  std::once_flag resolved_;
+  Counter* total_ = nullptr;
+  Histogram* ms_ = nullptr;
+};
+
+// RAII span of one site.
 class Span {
  public:
-  explicit Span(const char* name);
+  explicit Span(SpanSite* site);
   ~Span();
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  const char* name_;
+  SpanSite* site_;
   double start_ms_;
   int depth_;
 };
@@ -87,8 +123,12 @@ class Span {
 
 #define VAQ_TRACE_CONCAT_INNER_(a, b) a##b
 #define VAQ_TRACE_CONCAT_(a, b) VAQ_TRACE_CONCAT_INNER_(a, b)
-// Opens a span covering the rest of the enclosing scope.
-#define VAQ_TRACE_SPAN(name) \
-  ::vaq::obs::Span VAQ_TRACE_CONCAT_(vaq_trace_span_, __LINE__)(name)
+// Opens a span covering the rest of the enclosing scope. `name` must be a
+// constant expression: the site is resolved once, whatever the caller.
+#define VAQ_TRACE_SPAN(name)                                           \
+  static constinit ::vaq::obs::SpanSite VAQ_TRACE_CONCAT_(             \
+      vaq_trace_site_, __LINE__)(name);                                \
+  ::vaq::obs::Span VAQ_TRACE_CONCAT_(vaq_trace_span_, __LINE__)(        \
+      &VAQ_TRACE_CONCAT_(vaq_trace_site_, __LINE__))
 
 #endif  // VAQ_OBS_TRACE_H_

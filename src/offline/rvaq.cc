@@ -88,9 +88,10 @@ TopKResult Rvaq::Run() const {
       }
     }
     candidates = IntervalSet::FromIntervals(std::move(retained));
-    obs::MetricRegistry::Global()
-        .GetCounter("vaq_cascade_candidates_pruned_total")
-        ->Increment(result.candidates_pruned);
+    static obs::Counter* const candidates_pruned =
+        obs::MetricRegistry::Global().GetCounter(
+            "vaq_cascade_candidates_pruned_total");
+    candidates_pruned->Increment(result.candidates_pruned);
   }
 
   ClipScoreSource source(tables_, scoring_);
@@ -120,12 +121,17 @@ TopKResult Rvaq::Run() const {
     result.bai_stopped = outcome.stopped;
     result.bai_stopping_statistic = outcome.stopping_statistic;
     candidates = IntervalSet::FromIntervals(std::move(surviving));
-    obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-    registry.GetCounter("vaq_bai_pulls_total")->Increment(outcome.pulls);
-    registry.GetCounter("vaq_bai_arms_eliminated_total")
-        ->Increment(outcome.arms_eliminated);
+    static obs::Counter* const pulls =
+        obs::MetricRegistry::Global().GetCounter("vaq_bai_pulls_total");
+    static obs::Counter* const arms_eliminated =
+        obs::MetricRegistry::Global().GetCounter(
+            "vaq_bai_arms_eliminated_total");
+    pulls->Increment(outcome.pulls);
+    arms_eliminated->Increment(outcome.arms_eliminated);
     if (outcome.stopped) {
-      registry.GetCounter("vaq_bai_stops_total")->Increment(1);
+      static obs::Counter* const stops =
+          obs::MetricRegistry::Global().GetCounter("vaq_bai_stops_total");
+      stops->Increment(1);
     }
   }
 
@@ -190,10 +196,11 @@ TopKResult Rvaq::Run() const {
                        });
     }
     result.accesses = CollectCounters(*tables_);
-    storage::MirrorAccessCounter(result.accesses, "rvaq");
-    obs::MetricRegistry::Global()
-        .GetCounter("vaq_rvaq_iterations_total")
-        ->Increment(result.iterations);
+    static const storage::AccessMirror accesses("rvaq");
+    static obs::Counter* const iterations =
+        obs::MetricRegistry::Global().GetCounter("vaq_rvaq_iterations_total");
+    accesses.Add(result.accesses);
+    iterations->Increment(result.iterations);
     result.wall_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - start)
                          .count();

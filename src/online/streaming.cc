@@ -510,15 +510,22 @@ std::string StreamingSvaqd::SnapshotState() const {
     EncodePredicateState(s.literals[i], &p);
     out.Append(kTagLiteral, p);
   }
-  if (s.rdetector != nullptr) {
+  // A core state restored before its wrapper exists (no faulted push
+  // since the restore) is still pending and must survive this snapshot.
+  const auto append_core = [&out](uint32_t tag, const CoreState& core) {
     ckpt::Payload p;
-    EncodeCoreState(s.rdetector->core_state(), &p);
-    out.Append(kTagDetectorCore, p);
+    EncodeCoreState(core, &p);
+    out.Append(tag, p);
+  };
+  if (s.rdetector != nullptr) {
+    append_core(kTagDetectorCore, s.rdetector->core_state());
+  } else if (s.has_pending_det_core) {
+    append_core(kTagDetectorCore, s.pending_det_core);
   }
   if (s.rrecognizer != nullptr) {
-    ckpt::Payload p;
-    EncodeCoreState(s.rrecognizer->core_state(), &p);
-    out.Append(kTagRecognizerCore, p);
+    append_core(kTagRecognizerCore, s.rrecognizer->core_state());
+  } else if (s.has_pending_rec_core) {
+    append_core(kTagRecognizerCore, s.pending_rec_core);
   }
   return out.blob();
 }

@@ -19,7 +19,9 @@ Svaqd::Svaqd(CnfQuery query, VideoLayout layout, SvaqdOptions options)
 
 OnlineResult Svaqd::Run(detect::ObjectDetector* detector,
                         detect::ActionRecognizer* recognizer) const {
-  VAQ_TRACE_SPAN(options_.adaptive ? "svaqd/run" : "svaq/run");
+  static constinit obs::SpanSite svaqd_site("svaqd/run");
+  static constinit obs::SpanSite svaq_site("svaq/run");
+  const obs::Span span(options_.adaptive ? &svaqd_site : &svaq_site);
   const auto start = std::chrono::steady_clock::now();
   const detect::ModelStats detector_stats_before =
       detector != nullptr ? detector->stats() : detect::ModelStats();

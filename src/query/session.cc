@@ -99,10 +99,7 @@ StatusOr<QueryResult> ExecuteRankedStatement(
       // model: fall back to the exact path while honoring the clause.
       plan.recall_target = stmt.recall_target;
     }
-    obs::MetricRegistry::Global()
-        .GetCounter("vaq_cascade_plans_total",
-                    {{"mode", plan.use_cascade ? "cascade" : "exact"}})
-        ->Increment();
+    cascade::CountPlan(plan);
     result.cascade_plan = plan.ToString();
     cascade_phase.AddStat("clips_total", plan.clips_total);
     cascade_phase.AddStat("clips_surviving", plan.clips_surviving);
@@ -111,9 +108,10 @@ StatusOr<QueryResult> ExecuteRankedStatement(
       surviving = filters->SurvivingClips(stmt.video);
       if (surviving != nullptr && surviving->empty()) {
         // The proxy rules out the whole video: answer without binding.
-        obs::MetricRegistry::Global()
-            .GetCounter("vaq_cascade_videos_pruned_total")
-            ->Increment();
+        static obs::Counter* const videos_pruned =
+            obs::MetricRegistry::Global().GetCounter(
+                "vaq_cascade_videos_pruned_total");
+        videos_pruned->Increment();
         result.online = false;
         return result;
       }
@@ -262,12 +260,10 @@ StatusOr<QueryResult> Session::Execute(const QueryStatement& stmt) {
 
 StatusOr<QueryResult> Session::Execute(const QueryStatement& stmt,
                                        const obs::QueryContext& ctx) {
-  const bool offline_query = stmt.ranked || stmt.limit >= 0;
-  obs::MetricRegistry::Global()
-      .GetCounter("vaq_session_statements_total",
-                  {{"kind", offline_query ? "ranked" : "online"}})
-      ->Increment();
-  if (offline_query) {
+  if (stmt.ranked || stmt.limit >= 0) {
+    static obs::Counter* const ranked = obs::MetricRegistry::Global()
+        .GetCounter("vaq_session_statements_total", {{"kind", "ranked"}});
+    ranked->Increment();
     auto backend = backends_.find(stmt.video);
     if (backend != backends_.end()) {
       return backend->second->ExecuteRanked(stmt, ctx);
@@ -281,6 +277,9 @@ StatusOr<QueryResult> Session::Execute(const QueryStatement& stmt,
                                   ctx, proxy_);
   }
 
+  static obs::Counter* const online = obs::MetricRegistry::Global()
+      .GetCounter("vaq_session_statements_total", {{"kind", "online"}});
+  online->Increment();
   auto it = streams_.find(stmt.video);
   if (it == streams_.end()) {
     return Status::NotFound("no stream named '" + stmt.video + "'");

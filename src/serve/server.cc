@@ -672,10 +672,7 @@ Status Server::PlanStandingCascadeLocked(StandingQuery* q,
     // CNF statements are outside the planner's cost model: exact path.
     plan.recall_target = q->stmt.recall_target;
   }
-  obs::MetricRegistry::Global()
-      .GetCounter("vaq_cascade_plans_total",
-                  {{"mode", plan.use_cascade ? "cascade" : "exact"}})
-      ->Increment();
+  cascade::CountPlan(plan);
   q->cascade_plan = plan.ToString();
   if (plan.use_cascade) {
     cascade::PlanFilters filters(&proxies_[q->source], plan);
@@ -791,9 +788,10 @@ Status Server::AdvanceStreamLocked(const std::string& source) {
     if (pruned) {
       ++q.clips_pruned;
       adv.AddStat("clips_pruned", 1);
-      obs::MetricRegistry::Global()
-          .GetCounter("vaq_cascade_standing_clips_pruned_total")
-          ->Increment();
+      static obs::Counter* const clips_pruned =
+          obs::MetricRegistry::Global().GetCounter(
+              "vaq_cascade_standing_clips_pruned_total");
+      clips_pruned->Increment();
     }
   }
   stream_pos_[source] = pos + 1;

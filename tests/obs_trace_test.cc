@@ -4,6 +4,7 @@
 // obs::QueryContext (the serve worker-pool contract).
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -69,6 +70,17 @@ TEST_F(TraceTest, ClosedSpansMirrorIntoTheGlobalRegistry) {
   EXPECT_GE(ms->count(), 1);
 }
 
+TEST_F(TraceTest, SiteResolvesItsInstrumentsOnItsFirstCloseOnly) {
+  const int64_t before = MetricRegistry::Global().lookups();
+  for (int i = 0; i < 3; ++i) {
+    VAQ_TRACE_SPAN("trace_test/resolve_once");
+    // Open spans register nothing: the family appears on first close.
+    EXPECT_EQ(MetricRegistry::Global().lookups() - before, i == 0 ? 0 : 2);
+  }
+  // One counter and one histogram lookup, on the first close.
+  EXPECT_EQ(MetricRegistry::Global().lookups() - before, 2);
+}
+
 TEST_F(TraceTest, TakeRecordsDrains) {
   { VAQ_TRACE_SPAN("once"); }
   EXPECT_EQ(Tracer::Global().TakeRecords().size(), 1u);
@@ -82,6 +94,36 @@ TEST_F(TraceTest, SequentialSpansShareDepthZero) {
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].depth, 0);
   EXPECT_EQ(records[1].depth, 0);
+}
+
+// Serve workers close spans concurrently, so a site's first close can
+// happen on several threads at once: its instruments must resolve
+// race-free (the TSan duplicate of this test checks that) and no close
+// may be lost. No clock is pinned and recording is off, so every close
+// takes the tracer's lock-free path.
+TEST(SpanSiteTest, ConcurrentClosesAtOneFreshSiteAreAllCounted) {
+  constexpr int kThreads = 8;
+  constexpr int kClosesPerThread = 50;
+  Counter* total = MetricRegistry::Global().GetCounter(
+      "vaq_span_total", {{"span", "trace_test/concurrent"}});
+  Histogram* ms = MetricRegistry::Global().GetHistogram(
+      "vaq_span_ms", DefaultLatencyBucketsMs(),
+      {{"span", "trace_test/concurrent"}});
+  const int64_t total_before = total->value();
+  const int64_t ms_before = ms->count();
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&start] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kClosesPerThread; ++i) {
+        VAQ_TRACE_SPAN("trace_test/concurrent");
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(total->value() - total_before, kThreads * kClosesPerThread);
+  EXPECT_EQ(ms->count() - ms_before, kThreads * kClosesPerThread);
 }
 
 // Cross-thread span parenting, the contract the serve worker pool is

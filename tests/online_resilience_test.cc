@@ -1,9 +1,12 @@
 // Graceful degradation of the online engines under injected faults: the
 // resilient path must stay bit-compatible with the raw path when the plan
-// injects nothing, batch and streaming must agree fault for fault, and
+// injects nothing, batch and streaming must agree fault for fault, a
+// snapshot/restore must resume the retry and breaker state exactly, and
 // every missing-observation policy must keep event streams well-formed.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "detect/resilient.h"
@@ -12,6 +15,7 @@
 #include "online/streaming.h"
 #include "online/svaqd.h"
 #include "synth/scenario.h"
+#include "tools/pipeline_setup.h"
 
 namespace vaq {
 namespace online {
@@ -99,6 +103,73 @@ TEST(ResilienceTest, StreamingMatchesBatchUnderFaults) {
   EXPECT_EQ(stream.degraded_clips(), batch.degraded_clips);
   EXPECT_EQ(stream.dropped_clips(), batch.dropped_clips);
   EXPECT_GT(batch.degraded_clips, 0);  // The spec really injected faults.
+}
+
+// A checkpoint restores the retry nonces and breaker state into the
+// engine, where they wait for the first faulted push to create the
+// resilient wrappers. A snapshot taken before that push (here: after
+// pruned clips only) must carry the pending state, or the next recovery
+// restarts nonces and breaker from zero and the results diverge from an
+// uninterrupted stream.
+TEST(ResilienceTest, SnapshotKeepsCoreStateRestoredBeforeTheNextPush) {
+  const synth::Scenario& sc = FaultScenario();
+  const fault::FaultPlan plan(tools::DemoFaultSpec(), 31);
+  const SvaqdOptions options = tools::DemoSvaqdOptions(&plan);
+  const ClipIndex restore_at = 30;
+  const ClipIndex resume_at = 34;  // Clips in between are pruned.
+  const auto push = [&](StreamingSvaqd* stream, ClipIndex c,
+                        detect::ModelBundle* models) {
+    const StatusOr<bool> indicator =
+        c >= restore_at && c < resume_at
+            ? stream->PushPrunedClip()
+            : stream->PushClip(models->detector.get(),
+                               models->recognizer.get());
+    EXPECT_TRUE(indicator.ok()) << indicator.status();
+    return indicator.ok() && *indicator;
+  };
+
+  detect::ModelBundle m1 = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
+  StreamingSvaqd reference(sc.query(), sc.layout(), options, nullptr);
+  std::vector<bool> expected;
+  for (ClipIndex c = 0; c < sc.layout().NumClips(); ++c) {
+    expected.push_back(push(&reference, c, &m1));
+  }
+  reference.Finish();
+
+  detect::ModelBundle m2 = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
+  auto stream = std::make_unique<StreamingSvaqd>(sc.query(), sc.layout(),
+                                                 options, nullptr);
+  std::vector<bool> indicators;
+  for (ClipIndex c = 0; c < sc.layout().NumClips(); ++c) {
+    if (c == restore_at || c == resume_at) {
+      const std::string blob = stream->SnapshotState();
+      stream = std::make_unique<StreamingSvaqd>(sc.query(), sc.layout(),
+                                                options, nullptr);
+      ASSERT_TRUE(stream->RestoreState(blob).ok());
+    }
+    indicators.push_back(push(stream.get(), c, &m2));
+  }
+  stream->Finish();
+
+  EXPECT_EQ(indicators, expected);
+  EXPECT_EQ(stream->sequences(), reference.sequences());
+  EXPECT_EQ(stream->kcrit(), reference.kcrit());
+  EXPECT_EQ(stream->degraded_clips(), reference.degraded_clips());
+  EXPECT_EQ(stream->dropped_clips(), reference.dropped_clips());
+  const auto expect_same_stats = [](const detect::ModelStats& got,
+                                    const detect::ModelStats& want) {
+    EXPECT_EQ(got.inferences, want.inferences);
+    EXPECT_EQ(got.type_queries, want.type_queries);
+    EXPECT_EQ(got.simulated_ms, want.simulated_ms);
+    EXPECT_EQ(got.faults_injected, want.faults_injected);
+    EXPECT_EQ(got.retries, want.retries);
+    EXPECT_EQ(got.failures, want.failures);
+    EXPECT_EQ(got.fallbacks, want.fallbacks);
+    EXPECT_EQ(got.breaker_trips, want.breaker_trips);
+  };
+  expect_same_stats(m2.detector->stats(), m1.detector->stats());
+  expect_same_stats(m2.recognizer->stats(), m1.recognizer->stats());
+  EXPECT_GT(m1.detector->stats().retries, 0);  // The plan really faulted.
 }
 
 TEST(ResilienceTest, FaultCountersSurfaceInModelStats) {
