@@ -251,6 +251,9 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
     return Status::FailedPrecondition("repository holds no videos");
   }
   for (const std::unique_ptr<Node>& node : nodes_) node->ResetRun();
+  // The statement's per-video RVAQ runner, shared by every node it
+  // reaches (one workspace per statement).
+  offline::RankedScan scan(action, objects, scoring, rvaq);
 
   // The *live* layout, not ClusterOptions::num_shards — elastic
   // split/merge may have changed it since construction.
@@ -281,8 +284,10 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
              std::to_string(s) + ",0," + qid, query_wire_bytes, 0.0);
   }
 
-  // The consumed candidate pool and the global top-k heap over it.
-  std::vector<ShardEntry> consumed;
+  // The consumed candidate pool — entries of the shard runs, which stay
+  // put until the next query resets the nodes — and the global top-k
+  // heap over it.
+  std::vector<const ShardEntry*> consumed;
   std::priority_queue<double, std::vector<double>, std::greater<double>> heap;
 
   const auto remaining_bound = [&]() {
@@ -381,7 +386,7 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
       VAQ_CHECK(node != nullptr);
       double send_ms;
       if (!node->has_run()) {
-        auto run_or = node->RunRanked(action, objects, scoring, rvaq);
+        auto run_or = node->RunRanked(&scan);
         if (!run_or.ok()) {
           failure = run_or.status();
           break;
@@ -417,21 +422,13 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
     // The node echoed the request payload back, query id included — the
     // batch provably belongs to this query's context.
     VAQ_CHECK(delivery.payload.substr(delivery.payload.rfind(',') + 1) == qid);
-    ShardBatch batch = sender->Batch(shard, index, options_.batch_size);
+    const ShardBatch batch = sender->Batch(shard, index, options_.batch_size);
+    const ShardRun* run = sender->run();
     const obs::QueryContext shard_ctx =
         phase.Child("shard" + std::to_string(shard));
     if (!state.folded) {
       // Shard accounting folds exactly once, replica re-runs included.
-      const ShardRun* run = sender->run();
-      result.merged.accesses += run->accesses;
-      result.merged.videos_queried += run->videos_queried;
-      result.merged.videos_skipped += run->videos_skipped;
-      result.merged.videos_pruned += run->videos_pruned;
-      result.merged.candidates_pruned += run->candidates_pruned;
-      result.merged.candidate_sequences += run->candidate_sequences;
-      result.merged.bai_pulls += run->bai_pulls;
-      result.merged.bai_arms_eliminated += run->bai_arms_eliminated;
-      result.merged.bai_stops += run->bai_stops;
+      result.merged += *run;
       result.single_node_ms += run->modeled_ms;
       result.max_shard_ms = std::max(result.max_shard_ms, run->modeled_ms);
       state.folded = true;
@@ -455,14 +452,16 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
     }
     ++state.consumed_batches;
     ++result.batches_consumed;
-    result.entries_consumed += static_cast<int64_t>(batch.entries.size());
+    const int64_t entries = static_cast<int64_t>(batch.end - batch.begin);
+    result.entries_consumed += entries;
     shard_ctx.AddStat("batches", 1);
-    shard_ctx.AddStat("entries", static_cast<int64_t>(batch.entries.size()));
+    shard_ctx.AddStat("entries", entries);
     shard_ctx.AddStat("net_bytes", batch.wire_bytes);
-    for (ShardEntry& entry : batch.entries) {
+    for (size_t i = batch.begin; i < batch.end; ++i) {
+      const ShardEntry& entry = run->entries[i];
       heap.push(entry.merge_score);
       if (heap.size() > static_cast<size_t>(rvaq.k)) heap.pop();
-      consumed.push_back(std::move(entry));
+      consumed.push_back(&entry);
     }
     state.bound = batch.next_bound;
     state.expected = -1;
@@ -517,14 +516,14 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
   // candidates in (video name, per-video rank) order — the order the
   // single-node loop appends them — then the shared stable merge.
   std::sort(consumed.begin(), consumed.end(),
-            [](const ShardEntry& a, const ShardEntry& b) {
-              if (a.video != b.video) return a.video < b.video;
-              return a.rank_in_video < b.rank_in_video;
+            [](const ShardEntry* a, const ShardEntry* b) {
+              if (a->video != b->video) return a->video < b->video;
+              return a->rank_in_video < b->rank_in_video;
             });
   result.merged.top.reserve(consumed.size());
-  for (ShardEntry& entry : consumed) {
-    result.merged.top.push_back(offline::RepositoryRankedSequence{
-        std::move(entry.video), entry.sequence});
+  for (const ShardEntry* entry : consumed) {
+    result.merged.top.push_back(
+        offline::RepositoryRankedSequence{entry->video, entry->sequence});
   }
   offline::MergeRankedCandidates(&result.merged.top, rvaq.k);
   result.answer_ms = clock.now_ms();

@@ -1,6 +1,8 @@
 #include "cluster/net.h"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -122,7 +124,7 @@ void Net::Send(int from, int to, uint32_t tag, const char* tag_name,
     copy.delivered_ms = copy.delivery.delivered_ms;
     copy.duplicate = true;
     copy.order = next_order_++;
-    queue_.push(std::move(copy));
+    Push(std::move(copy));
   }
   delivery.payload = std::move(payload);
   Pending pending;
@@ -130,13 +132,19 @@ void Net::Send(int from, int to, uint32_t tag, const char* tag_name,
   pending.delivery = std::move(delivery);
   pending.duplicate = false;
   pending.order = next_order_++;
-  queue_.push(std::move(pending));
+  Push(std::move(pending));
+}
+
+void Net::Push(Pending pending) {
+  queue_.push_back(std::move(pending));
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<Pending>());
 }
 
 bool Net::NextDelivery(Delivery* out) {
   while (!queue_.empty()) {
-    Pending pending = queue_.top();
-    queue_.pop();
+    std::pop_heap(queue_.begin(), queue_.end(), std::greater<Pending>());
+    Pending pending = std::move(queue_.back());
+    queue_.pop_back();
     if (pending.duplicate) {
       ++stats_.duplicates_suppressed;
       static obs::Counter* const duplicates =
@@ -153,7 +161,7 @@ bool Net::NextDelivery(Delivery* out) {
 
 double Net::PeekTimeMs() const {
   if (queue_.empty()) return std::numeric_limits<double>::infinity();
-  return queue_.top().delivered_ms;
+  return queue_.front().delivered_ms;
 }
 
 }  // namespace cluster

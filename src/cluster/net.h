@@ -26,7 +26,6 @@
 #define VAQ_CLUSTER_NET_H_
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -106,13 +105,17 @@ class Net {
     }
   };
 
+  void Push(Pending pending);
+
   NetOptions options_;
   const fault::FaultPlan* plan_;
   uint64_t seed_;
   int64_t next_seq_ = 0;
   int64_t next_order_ = 0;
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
-      queue_;
+  // Min-heap on (delivered_ms, order) under std::greater: the earliest
+  // copy is at the front. A plain vector heap rather than a
+  // priority_queue, so a popped delivery is moved out, not copied.
+  std::vector<Pending> queue_;
   NetStats stats_;
 };
 

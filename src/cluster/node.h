@@ -2,7 +2,7 @@
 //
 // A `Node` owns a list of video names (its shard of the repository) and
 // answers a conjunctive ranked query by running per-video RVAQ — the
-// exact single-node code path (offline::QueryVideoTopK) over the exact
+// exact single-node code path (offline::RankedScan) over the exact
 // single-node per-video K, in video-name order — and sorting the union
 // of per-video winners by descending merge score. The coordinator then
 // gathers this stream in fixed-size batches, each annotated with the
@@ -49,33 +49,21 @@ struct ShardEntry {
 int64_t EntryWireBytes(const ShardEntry& entry);
 
 // A completed shard-local scan: the node's full candidate stream plus
-// the accounting the coordinator folds into the global result.
-struct ShardRun {
+// the accounting the coordinator folds into the global result, summed
+// over the shard's videos. The accounting is deterministic per shard
+// contents — a replica's run reports identical numbers, so failover
+// cannot skew the gathered totals or the adaptive-sampling certificate.
+struct ShardRun : offline::RankedScanTotals {
   std::vector<ShardEntry> entries;  // merge_score desc, ties (video, rank).
-  storage::AccessCounter accesses;
-  int64_t videos_queried = 0;
-  int64_t videos_skipped = 0;
-  // Cascade prefilter accounting (zero on the exact path): videos whose
-  // every clip the proxy ruled out, and candidate intervals dropped
-  // before table binds on surviving videos.
-  int64_t videos_pruned = 0;
-  int64_t candidates_pruned = 0;
-  int64_t candidate_sequences = 0;
-  // Adaptive-sampling accounting (zero on the exact path), summed over
-  // the shard's videos. Deterministic per shard contents — a replica's
-  // run reports identical numbers, so failover cannot skew the gathered
-  // certificate.
-  int64_t bai_pulls = 0;
-  int64_t bai_arms_eliminated = 0;
-  int64_t bai_stops = 0;
   double modeled_ms = 0.0;  // Modeled sequential disk time of the scan.
 };
 
-// One gather batch.
+// One gather batch: a slice of the shard run, named by index range.
 struct ShardBatch {
   int shard = 0;
-  int index = 0;                    // Batch number within the stream.
-  std::vector<ShardEntry> entries;  // Up to batch_size entries.
+  int index = 0;     // Batch number within the stream.
+  size_t begin = 0;  // ShardRun::entries [begin, end): up to batch_size.
+  size_t end = 0;
   // Highest merge score still unsent after this batch — the shard's
   // remaining upper bound. -infinity when the stream is exhausted.
   double next_bound = -std::numeric_limits<double>::infinity();
@@ -93,14 +81,12 @@ class Node {
   int id() const { return id_; }
   const std::vector<std::string>& videos() const { return videos_; }
 
-  // Runs the shard-local scan for a conjunctive query (at most once: a
-  // repeat call with any arguments returns the cached run). Thread-
-  // compatible, not thread-safe — the cluster simulation is single-
-  // threaded by construction.
-  StatusOr<const ShardRun*> RunRanked(const std::string& action,
-                                      const std::vector<std::string>& objects,
-                                      const offline::ScoringModel& scoring,
-                                      offline::RvaqOptions options);
+  // Runs the shard-local scan of a conjunctive query, one scan->Video()
+  // per shard video, at most once: a repeat call returns the cached run.
+  // `scan` is the statement's, shared by every node it reaches — the
+  // simulation runs all nodes on the coordinator's thread, so one
+  // workspace serves the statement. Thread-compatible, not thread-safe.
+  StatusOr<const ShardRun*> RunRanked(offline::RankedScan* scan);
 
   // Whether the shard scan has executed for the current query.
   bool has_run() const { return has_run_; }
@@ -108,7 +94,8 @@ class Node {
   // The cached run; valid only when has_run().
   const ShardRun* run() const { return &run_; }
 
-  // Slices batch `index` out of the cached run (RunRanked first).
+  // Batch `index` of the cached run (RunRanked first). Its entries stay
+  // in the run, which outlives every batch of the query.
   ShardBatch Batch(int shard, int index, int batch_size) const;
 
   // Total batches of the cached run under `batch_size`.

@@ -94,28 +94,48 @@ bool IntervalSet::Contains(int64_t x) const {
 
 IntervalSet IntervalSet::Intersect(const IntervalSet& other) const {
   IntervalSet out;
+  out.AssignIntersection(*this, other);
+  return out;
+}
+
+IntervalSet IntervalSet::Union(const IntervalSet& other) const {
+  IntervalSet out;
+  out.AssignUnion(*this, other);
+  return out;
+}
+
+void IntervalSet::AssignIntersection(const IntervalSet& a,
+                                     const IntervalSet& b) {
+  intervals_.clear();
   size_t i = 0;
   size_t j = 0;
-  while (i < intervals_.size() && j < other.intervals_.size()) {
-    const Interval& a = intervals_[i];
-    const Interval& b = other.intervals_[j];
-    const int64_t lo = std::max(a.lo, b.lo);
-    const int64_t hi = std::min(a.hi, b.hi);
-    if (lo <= hi) out.Add(Interval(lo, hi));
+  while (i < a.intervals_.size() && j < b.intervals_.size()) {
+    const Interval& x = a.intervals_[i];
+    const Interval& y = b.intervals_[j];
+    const int64_t lo = std::max(x.lo, y.lo);
+    const int64_t hi = std::min(x.hi, y.hi);
+    if (lo <= hi) Add(Interval(lo, hi));
     // Advance whichever interval ends first.
-    if (a.hi < b.hi) {
+    if (x.hi < y.hi) {
       ++i;
     } else {
       ++j;
     }
   }
-  return out;
 }
 
-IntervalSet IntervalSet::Union(const IntervalSet& other) const {
-  std::vector<Interval> all = intervals_;
-  all.insert(all.end(), other.intervals_.begin(), other.intervals_.end());
-  return FromIntervals(std::move(all));
+void IntervalSet::AssignUnion(const IntervalSet& a, const IntervalSet& b) {
+  intervals_.clear();
+  size_t i = 0;
+  size_t j = 0;
+  // Both inputs are sorted by lo, so merging them in lo order only ever
+  // appends to or extends the tail (Add's fast paths).
+  while (i < a.intervals_.size() || j < b.intervals_.size()) {
+    const bool take_a =
+        j == b.intervals_.size() ||
+        (i < a.intervals_.size() && a.intervals_[i].lo <= b.intervals_[j].lo);
+    Add(take_a ? a.intervals_[i++] : b.intervals_[j++]);
+  }
 }
 
 IntervalSet IntervalSet::ComplementWithin(const Interval& universe) const {

@@ -82,8 +82,17 @@ class IntervalSet {
   // re-merged into maximal runs. Implemented as a linear two-pointer sweep.
   IntervalSet Intersect(const IntervalSet& other) const;
 
-  // Set union, re-merged into maximal runs.
+  // Set union, re-merged into maximal runs (a linear merge).
   IntervalSet Union(const IntervalSet& other) const;
+
+  // In-place forms of the two operations above for callers that reuse
+  // one set's storage across many evaluations: each replaces this set's
+  // contents and keeps its capacity. Neither operand may be this set.
+  void AssignIntersection(const IntervalSet& a, const IntervalSet& b);
+  void AssignUnion(const IntervalSet& a, const IntervalSet& b);
+
+  // Empties the set, keeping its capacity.
+  void Clear() { intervals_.clear(); }
 
   // Identifiers in [universe.lo, universe.hi] not covered by this set.
   IntervalSet ComplementWithin(const Interval& universe) const;

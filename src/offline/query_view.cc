@@ -1,5 +1,7 @@
 #include "offline/query_view.h"
 
+#include <utility>
+
 #include "common/logging.h"
 
 namespace vaq {
@@ -96,95 +98,116 @@ StatusOr<QueryTables> QueryTables::BindCnf(const storage::VideoIndex& index,
 }
 
 IntervalSet QueryTables::ComputePq() const {
-  IntervalSet pq = IntervalSet::FromIntervals({Interval(0, num_clips - 1)});
-  for (const std::vector<int>& clause : schema.clauses) {
-    // A clause is satisfied wherever any of its literals' individual
-    // sequences cover the clip (footnote 4 of the paper).
-    IntervalSet clause_cover;
-    for (int table : clause) {
-      clause_cover = clause_cover.Union(*sequences[static_cast<size_t>(table)]);
-    }
-    pq = pq.Intersect(clause_cover);
-  }
+  IntervalSet pq;
+  IntervalSet cover;
+  IntervalSet scratch;
+  ComputePq(&pq, &cover, &scratch);
   return pq;
 }
 
+void QueryTables::ComputePq(IntervalSet* pq, IntervalSet* cover,
+                            IntervalSet* scratch) const {
+  pq->Clear();
+  pq->Add(Interval(0, num_clips - 1));
+  for (const std::vector<int>& clause : schema.clauses) {
+    // A clause is satisfied wherever any of its literals' individual
+    // sequences cover the clip (footnote 4 of the paper).
+    cover->Clear();
+    for (int table : clause) {
+      scratch->AssignUnion(*cover, *sequences[static_cast<size_t>(table)]);
+      std::swap(*cover, *scratch);
+    }
+    scratch->AssignIntersection(*pq, *cover);
+    std::swap(*pq, *scratch);
+  }
+}
+
 double ExactSequenceScore(const QueryTables& tables,
-                          const ScoringModel& scoring, const Interval& seq) {
+                          const ScoringModel& scoring, const Interval& seq,
+                          ExactScoreScratch* scratch) {
   const std::vector<const storage::ScoreTableView*>& all = tables.AllTables();
   const size_t len = static_cast<size_t>(seq.length());
-  std::vector<std::vector<double>> columns(all.size());
-  for (size_t t = 0; t < all.size(); ++t) {
-    columns[t].reserve(len);
-    all[t]->RangeScores(seq.lo, seq.hi, &columns[t]);
+  std::vector<double>& columns = scratch->columns;
+  columns.clear();
+  for (const storage::ScoreTableView* table : all) {
+    table->RangeScores(seq.lo, seq.hi, &columns);
   }
-  std::vector<double> values(all.size());
+  std::vector<double>& values = scratch->values;
+  values.resize(all.size());
   double total = scoring.Identity();
   for (size_t i = 0; i < len; ++i) {
-    for (size_t t = 0; t < all.size(); ++t) values[t] = columns[t][i];
+    for (size_t t = 0; t < all.size(); ++t) values[t] = columns[t * len + i];
     total = scoring.Combine(total, scoring.ClipScore(values, tables.schema));
   }
   return total;
 }
 
+double ExactSequenceScore(const QueryTables& tables,
+                          const ScoringModel& scoring, const Interval& seq) {
+  ExactScoreScratch scratch;
+  return ExactSequenceScore(tables, scoring, seq, &scratch);
+}
+
 ClipScoreSource::ClipScoreSource(const QueryTables* tables,
-                                 const ScoringModel* scoring)
-    : tables_(tables), scoring_(scoring) {
+                                 const ScoringModel* scoring) {
+  Reset(tables, scoring);
+}
+
+void ClipScoreSource::Reset(const QueryTables* tables,
+                            const ScoringModel* scoring) {
   VAQ_CHECK(tables != nullptr);
   VAQ_CHECK(scoring != nullptr);
-  const size_t n = static_cast<size_t>(tables_->num_clips);
-  const size_t t = static_cast<size_t>(tables_->num_tables());
-  entry_value_.assign(t, std::vector<double>(n, 0.0));
-  entry_known_.assign(t, std::vector<bool>(n, false));
-  full_score_.assign(n, 0.0);
-  full_known_.assign(n, false);
+  tables_ = tables;
+  scoring_ = scoring;
+  num_clips_ = static_cast<size_t>(tables->num_clips);
+  const size_t entries =
+      static_cast<size_t>(tables->num_tables()) * num_clips_;
+  entry_value_.assign(entries, 0.0);
+  entry_known_.assign(entries, false);
+  full_score_.assign(num_clips_, 0.0);
+  full_known_.assign(num_clips_, false);
+  values_.resize(static_cast<size_t>(tables->num_tables()));
 }
 
 void ClipScoreSource::NoteKnownEntry(int table_idx, ClipIndex clip,
                                      double score) {
-  entry_value_[static_cast<size_t>(table_idx)][static_cast<size_t>(clip)] =
-      score;
-  entry_known_[static_cast<size_t>(table_idx)][static_cast<size_t>(clip)] =
-      true;
+  const size_t e = EntryIndex(static_cast<size_t>(table_idx), clip);
+  entry_value_[e] = score;
+  entry_known_[e] = true;
 }
 
 int64_t ClipScoreSource::MissingEntries(ClipIndex clip) const {
-  const size_t c = static_cast<size_t>(clip);
-  if (full_known_[c]) return 0;
+  if (full_known_[static_cast<size_t>(clip)]) return 0;
   int64_t missing = 0;
-  for (const auto& known : entry_known_) {
-    if (!known[c]) ++missing;
+  for (size_t t = 0; t < tables_->tables.size(); ++t) {
+    if (!entry_known_[EntryIndex(t, clip)]) ++missing;
   }
   return missing;
 }
 
 double ClipScoreSource::BoundWith(ClipIndex clip,
                                   const std::vector<double>& fill) const {
-  const size_t c = static_cast<size_t>(clip);
-  const size_t num_tables = entry_value_.size();
-  VAQ_CHECK_EQ(fill.size(), num_tables);
-  std::vector<double> values(num_tables);
-  for (size_t t = 0; t < num_tables; ++t) {
-    values[t] = entry_known_[t][c] ? entry_value_[t][c] : fill[t];
+  VAQ_CHECK_EQ(fill.size(), tables_->tables.size());
+  for (size_t t = 0; t < fill.size(); ++t) {
+    const size_t e = EntryIndex(t, clip);
+    values_[t] = entry_known_[e] ? entry_value_[e] : fill[t];
   }
-  return scoring_->ClipScore(values, tables_->schema);
+  return scoring_->ClipScore(values_, tables_->schema);
 }
 
 double ClipScoreSource::Score(ClipIndex clip) {
   const size_t c = static_cast<size_t>(clip);
   if (full_known_[c]) return full_score_[c];
   const std::vector<const storage::ScoreTableView*>& all = tables_->AllTables();
-  std::vector<double> values(all.size());
   for (size_t t = 0; t < all.size(); ++t) {
-    if (entry_known_[t][c]) {
-      values[t] = entry_value_[t][c];
-    } else {
-      values[t] = all[t]->RandomScore(clip);  // Counted random access.
-      entry_value_[t][c] = values[t];
-      entry_known_[t][c] = true;
+    const size_t e = EntryIndex(t, clip);
+    if (!entry_known_[e]) {
+      entry_value_[e] = all[t]->RandomScore(clip);  // Counted random access.
+      entry_known_[e] = true;
     }
+    values_[t] = entry_value_[e];
   }
-  const double score = scoring_->ClipScore(values, tables_->schema);
+  const double score = scoring_->ClipScore(values_, tables_->schema);
   full_score_[c] = score;
   full_known_[c] = true;
   return score;

@@ -58,6 +58,17 @@ struct QueryTables {
 
   // P_q per the generalized Eq. 12.
   IntervalSet ComputePq() const;
+
+  // The same P_q written into `*pq`, reusing its storage and that of the
+  // two scratch sets (all three distinct).
+  void ComputePq(IntervalSet* pq, IntervalSet* cover,
+                 IntervalSet* scratch) const;
+};
+
+// Buffers of ExactSequenceScore, reusable across calls.
+struct ExactScoreScratch {
+  std::vector<double> columns;  // Table-major range-scan rows.
+  std::vector<double> values;   // One clip's per-table scores.
 };
 
 // Exact score of a candidate sequence via one contiguous range scan per
@@ -65,12 +76,21 @@ struct QueryTables {
 // projection, so Pq-Traverse and winner finalization pay one seek per
 // (sequence, table) plus sequential rows).
 double ExactSequenceScore(const QueryTables& tables,
+                          const ScoringModel& scoring, const Interval& seq,
+                          ExactScoreScratch* scratch);
+double ExactSequenceScore(const QueryTables& tables,
                           const ScoringModel& scoring, const Interval& seq);
 
 // Caching, access-counted clip score computation.
 class ClipScoreSource {
  public:
+  // An unbound source; Reset() binds it.
+  ClipScoreSource() = default;
   ClipScoreSource(const QueryTables* tables, const ScoringModel* scoring);
+
+  // Binds the source to `tables` with nothing known, reusing this
+  // object's buffers (RVAQ resets one source per video of a statement).
+  void Reset(const QueryTables* tables, const ScoringModel* scoring);
 
   // Full clip score; random-accesses only the tables whose entry for
   // `clip` is not yet known. Cached: a second call is free.
@@ -97,13 +117,20 @@ class ClipScoreSource {
   double BoundWith(ClipIndex clip, const std::vector<double>& fill) const;
 
  private:
-  const QueryTables* tables_;
-  const ScoringModel* scoring_;
-  // Per table: known entry values (indexed by clip) and known flags.
-  std::vector<std::vector<double>> entry_value_;
-  std::vector<std::vector<bool>> entry_known_;
+  size_t EntryIndex(size_t table, ClipIndex clip) const {
+    return table * num_clips_ + static_cast<size_t>(clip);
+  }
+
+  const QueryTables* tables_ = nullptr;
+  const ScoringModel* scoring_ = nullptr;
+  size_t num_clips_ = 0;
+  // Known entry values and flags, table-major (EntryIndex).
+  std::vector<double> entry_value_;
+  std::vector<bool> entry_known_;
   std::vector<double> full_score_;
   std::vector<bool> full_known_;
+  // One clip's per-table scores, assembled for g by Score and BoundWith.
+  mutable std::vector<double> values_;
 };
 
 }  // namespace offline

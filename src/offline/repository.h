@@ -27,6 +27,10 @@ StatusOr<QueryTables> BindByName(const storage::VideoIndex& index,
                                  const std::string& action,
                                  const std::vector<std::string>& objects);
 
+// The same bind written into `*out`, reusing its storage.
+Status BindByName(const storage::VideoIndex& index, const std::string& action,
+                  const std::vector<std::string>& objects, QueryTables* out);
+
 // One globally-ranked result.
 struct RepositoryRankedSequence {
   std::string video;  // Repository name of the source video.
@@ -53,9 +57,9 @@ StatusOr<TopKResult> QueryVideoTopK(const storage::VideoIndex& index,
                                     const ScoringModel& scoring,
                                     RvaqOptions options);
 
-struct RepositoryTopKResult {
-  std::vector<RepositoryRankedSequence> top;  // Best first.
-  storage::AccessCounter accesses;            // Summed across videos.
+// The accounting of a ranked statement over some videos, summed per video.
+struct RankedScanTotals {
+  storage::AccessCounter accesses;
   int64_t videos_queried = 0;
   int64_t videos_skipped = 0;   // Videos missing a queried type.
   int64_t candidate_sequences = 0;
@@ -64,11 +68,47 @@ struct RepositoryTopKResult {
   // inside queried videos.
   int64_t videos_pruned = 0;
   int64_t candidates_pruned = 0;
-  // Adaptive-sampling accounting, summed across videos (0 when
-  // RvaqOptions::identifier is null).
+  // Adaptive-sampling accounting (0 when RvaqOptions::identifier is null).
   int64_t bai_pulls = 0;
   int64_t bai_arms_eliminated = 0;
   int64_t bai_stops = 0;  // Videos whose identification stopped confident.
+
+  RankedScanTotals& operator+=(const RankedScanTotals& other);
+};
+
+// One ranked statement's per-video step, shared by Repository::TopK and
+// cluster::Node::RunRanked so that both visit a video the same way. It
+// owns the statement's RvaqWorkspace: every video binds its tables into
+// it and runs RVAQ through it.
+class RankedScan {
+ public:
+  // `scoring` and the hooks in `options` must outlive the scan.
+  // `options.identifier_seed` is the statement's base seed; each video's
+  // seed derives from its NAME, so visit order and shard layout cannot
+  // move a video's pull streams.
+  RankedScan(std::string action, std::vector<std::string> objects,
+             const ScoringModel& scoring, RvaqOptions options);
+
+  // Runs the statement on one video and folds its accounting into
+  // `totals`. A video whose every clip the cascade prefilter ruled out is
+  // pruned before any table is bound; one that did not ingest a queried
+  // type is skipped. Returns the video's winners, best first (none when
+  // pruned or skipped), valid until the next call.
+  StatusOr<const std::vector<RankedSequence>*> Video(
+      const std::string& name, const storage::VideoIndex& index,
+      RankedScanTotals* totals);
+
+ private:
+  const std::string action_;
+  const std::vector<std::string> objects_;
+  const ScoringModel& scoring_;
+  const RvaqOptions options_;
+  const std::vector<RankedSequence> none_;
+  RvaqWorkspace workspace_;
+};
+
+struct RepositoryTopKResult : RankedScanTotals {
+  std::vector<RepositoryRankedSequence> top;  // Best first.
   double wall_ms = 0.0;
 };
 

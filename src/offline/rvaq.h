@@ -19,6 +19,7 @@
 #include "common/interval.h"
 #include "common/rng.h"
 #include "offline/query_view.h"
+#include "offline/tbclip.h"
 #include "storage/access_counter.h"
 
 namespace vaq {
@@ -149,6 +150,61 @@ struct TopKResult {
   double wall_ms = 0.0;
 };
 
+// The buffers of RVAQ runs, owned by one ranked statement. A statement
+// runs RVAQ once per video; every run through the same workspace resets
+// these buffers instead of reallocating them, so after the first video a
+// run allocates only where its output outgrows an earlier one. The
+// workspace holds no state across runs (every buffer is rewritten before
+// it is read) and nothing is shared between workspaces: each statement
+// owns its own, so concurrent statements never contend.
+class RvaqWorkspace {
+ public:
+  RvaqWorkspace() = default;
+  RvaqWorkspace(const RvaqWorkspace&) = delete;
+  RvaqWorkspace& operator=(const RvaqWorkspace&) = delete;
+
+  // Storage for the current video's bound tables (BindByName's output
+  // form writes into it); a run may also use tables held elsewhere.
+  QueryTables* tables() { return &tables_; }
+
+ private:
+  friend class Rvaq;
+
+  // Bound-tracking state of one candidate sequence (§4.3 notation).
+  struct SeqState {
+    Interval clips;
+    double s_up;   // f over top-processed clips.
+    double s_lo;   // f over bottom-processed clips.
+    int64_t l_up;  // Clips not yet top-processed.
+    int64_t l_lo;  // Clips not yet bottom-processed.
+    double b_up;
+    double b_lo;
+    bool decided;  // Confirmed winner or confirmed loser.
+  };
+
+  QueryTables tables_;
+  // The run's result; `top` and `pq` keep their capacity across runs.
+  TopKResult result_;
+  IntervalSet pq_cover_;    // ComputePq scratch.
+  IntervalSet pq_scratch_;  // ComputePq scratch.
+  std::vector<Interval> candidates_;
+  std::vector<SeqState> seqs_;
+  std::vector<bool> skip_;
+  ClipScoreSource source_;
+  TbClipIterator iterator_;
+  // Per bound-loop iteration: lower bounds, the by-lower-bound order and
+  // membership of the current top-K.
+  std::vector<double> lows_;
+  std::vector<size_t> order_;
+  std::vector<bool> in_topk_;
+  // Finalization: the winners (indices into seqs_, by lower bound), their
+  // output rows and the by-exact-score permutation of those rows.
+  std::vector<size_t> winners_;
+  std::vector<RankedSequence> rows_;
+  std::vector<size_t> row_order_;
+  ExactScoreScratch exact_;
+};
+
 class Rvaq {
  public:
   // `tables` and `scoring` must outlive the object.
@@ -158,6 +214,10 @@ class Rvaq {
   // Runs the full algorithm. Resets the bound tables' access counters at
   // entry so `accesses` reflects this run only.
   TopKResult Run() const;
+
+  // The same run through `workspace`'s buffers. The result lives in the
+  // workspace and is valid until its next run.
+  const TopKResult& Run(RvaqWorkspace* workspace) const;
 
  private:
   const QueryTables* tables_;

@@ -11,28 +11,46 @@ namespace offline {
 
 TbClipIterator::TbClipIterator(const QueryTables* tables,
                                ClipScoreSource* source,
-                               const std::vector<bool>* skip)
-    : tables_(tables),
-      source_(source),
-      skip_(skip),
-      all_tables_(tables->AllTables()) {
+                               const std::vector<bool>* skip) {
+  Reset(tables, source, skip);
+}
+
+void TbClipIterator::Reset(const QueryTables* tables, ClipScoreSource* source,
+                           const std::vector<bool>* skip) {
+  VAQ_CHECK(tables != nullptr);
   VAQ_CHECK(source != nullptr);
   VAQ_CHECK(skip != nullptr);
-  VAQ_CHECK_EQ(static_cast<int64_t>(skip->size()), tables_->num_clips);
-  const size_t n = static_cast<size_t>(tables_->num_clips);
+  VAQ_CHECK_EQ(static_cast<int64_t>(skip->size()), tables->num_clips);
+  tables_ = tables;
+  source_ = source;
+  skip_ = skip;
+  const size_t n = static_cast<size_t>(tables->num_clips);
+  const size_t num_tables = tables->tables.size();
+  // A clip enters each list (and the pending list) at most once, so
+  // reserving n reallocates a list only when n grows, not per doubling.
   for (SideState& side : sides_) {
+    side.stamp = 0;
     side.seen_count.assign(n, 0);
-    side.thresholds.assign(all_tables_.size(), 0.0);
+    side.seen_list.clear();
+    side.seen_list.reserve(n);
+    side.complete_cursor = 0;
+    side.complete.clear();
+    side.complete.reserve(n);
   }
+  pending_.reserve(n);
   // Before any row is read, the top side knows no ceiling.
-  sides_[0].thresholds.assign(all_tables_.size(),
+  sides_[0].thresholds.assign(num_tables,
                               std::numeric_limits<double>::infinity());
+  sides_[1].thresholds.assign(num_tables, 0.0);
   processed_.assign(n, false);
+  clips_processed_ = 0;
 }
 
 TbClipIterator::Entry TbClipIterator::SelectExtreme(bool top_side) {
   SideState& side = sides_[top_side ? 0 : 1];
-  const int64_t num_tables = static_cast<int64_t>(all_tables_.size());
+  const std::vector<const storage::ScoreTableView*>& tables =
+      tables_->AllTables();
+  const int64_t num_tables = static_cast<int64_t>(tables.size());
   const int64_t num_rows = tables_->num_clips;
 
   // Step 1: parallel sorted (or reverse) access until some complete clip
@@ -52,9 +70,8 @@ TbClipIterator::Entry TbClipIterator::SelectExtreme(bool top_side) {
   while (!have_candidate() && side.stamp < num_rows) {
     for (int64_t t = 0; t < num_tables; ++t) {
       const storage::ScoreRow row =
-          top_side ? all_tables_[static_cast<size_t>(t)]->SortedRow(side.stamp)
-                   : all_tables_[static_cast<size_t>(t)]->ReverseRow(
-                         side.stamp);
+          top_side ? tables[static_cast<size_t>(t)]->SortedRow(side.stamp)
+                   : tables[static_cast<size_t>(t)]->ReverseRow(side.stamp);
       source_->NoteKnownEntry(static_cast<int>(t), row.clip, row.score);
       side.thresholds[static_cast<size_t>(t)] = row.score;
       int16_t& count = side.seen_count[static_cast<size_t>(row.clip)];
@@ -80,21 +97,21 @@ TbClipIterator::Entry TbClipIterator::SelectExtreme(bool top_side) {
       best.score = score;
     }
   };
-  std::vector<std::pair<double, ClipIndex>> pending;  // (bound, clip).
+  pending_.clear();
   for (ClipIndex clip : side.seen_list) {
     if (!Usable(clip)) continue;
     if (source_->HasScore(clip)) {
       consider(clip, source_->Score(clip));  // Cached: free.
     } else {
-      pending.emplace_back(source_->BoundWith(clip, side.thresholds), clip);
+      pending_.emplace_back(source_->BoundWith(clip, side.thresholds), clip);
     }
   }
   // Most promising bounds first (largest for top, smallest for bottom).
-  std::sort(pending.begin(), pending.end(),
+  std::sort(pending_.begin(), pending_.end(),
             [&](const auto& a, const auto& b) {
               return top_side ? a.first > b.first : a.first < b.first;
             });
-  for (const auto& [bound, clip] : pending) {
+  for (const auto& [bound, clip] : pending_) {
     if (best.valid() &&
         (top_side ? bound <= best.score : bound >= best.score)) {
       break;  // No remaining clip can beat the extreme.

@@ -15,6 +15,7 @@
 #define VAQ_OFFLINE_TBCLIP_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "offline/query_view.h"
@@ -30,10 +31,17 @@ class TbClipIterator {
     bool valid() const { return clip >= 0; }
   };
 
+  // An unbound iterator; Reset() binds it.
+  TbClipIterator() = default;
   // `skip` may grow between Next() calls (RVAQ adds decided sequences);
   // all pointers must outlive the iterator.
   TbClipIterator(const QueryTables* tables, ClipScoreSource* source,
                  const std::vector<bool>* skip);
+
+  // Rebinds the iterator to a fresh scan, reusing this object's buffers
+  // (RVAQ resets one iterator per video of a statement).
+  void Reset(const QueryTables* tables, ClipScoreSource* source,
+             const std::vector<bool>* skip);
 
   // Produces the next top and bottom clips. Either side may come back
   // invalid when no candidate remains; returns false when both are
@@ -55,10 +63,9 @@ class TbClipIterator {
            !(*skip_)[static_cast<size_t>(clip)];
   }
 
-  const QueryTables* tables_;
-  ClipScoreSource* source_;
-  const std::vector<bool>* skip_;
-  std::vector<const storage::ScoreTableView*> all_tables_;
+  const QueryTables* tables_ = nullptr;
+  ClipScoreSource* source_ = nullptr;
+  const std::vector<bool>* skip_ = nullptr;
 
   // Per-side state; index 0 = top, 1 = bottom.
   struct SideState {
@@ -70,6 +77,8 @@ class TbClipIterator {
     std::vector<double> thresholds;    // Last row score read per table.
   };
   SideState sides_[2];
+  // SelectExtreme's partially-known candidates: (score bound, clip).
+  std::vector<std::pair<double, ClipIndex>> pending_;
 
   std::vector<bool> processed_;
   int64_t clips_processed_ = 0;

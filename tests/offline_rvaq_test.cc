@@ -1,7 +1,9 @@
 #include "offline/rvaq.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -222,6 +224,185 @@ TEST(RvaqTest, OneSidedBoundsAblationStillFindsCorrectSet) {
                      expected.top[0].exact_score)
         << "seed=" << seed;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Workspace reuse: a ranked statement runs every video through one
+// RvaqWorkspace. Back-to-back runs over instances of varying shape must
+// each match a fresh run bit for bit, so a buffer a run fails to reset
+// (sized or filled by the previous instance) shows up as a difference.
+// ---------------------------------------------------------------------------
+
+// An instance whose tables each carry their own individual sequences,
+// under a conjunctive schema or a random CNF schema over the tables.
+struct SchemaInstance {
+  std::vector<storage::ScoreTable> tables;
+  std::vector<IntervalSet> sequences;
+  QueryTables query;
+};
+
+std::unique_ptr<SchemaInstance> RandomSchemaInstance(Rng* rng,
+                                                     int64_t num_clips,
+                                                     int num_tables, bool cnf) {
+  auto inst = std::make_unique<SchemaInstance>();
+  // The query points into both vectors: size them before taking pointers.
+  inst->tables.reserve(static_cast<size_t>(num_tables));
+  inst->sequences.resize(static_cast<size_t>(num_tables));
+  for (int t = 0; t < num_tables; ++t) {
+    std::vector<storage::ScoreTable::Row> rows;
+    for (int64_t c = 0; c < num_clips; ++c) {
+      // Integer scores make ties frequent.
+      rows.push_back({c, std::floor(rng->UniformDouble(0, 10))});
+    }
+    inst->tables.push_back(
+        std::move(storage::ScoreTable::Build(std::move(rows))).value());
+    IntervalSet& seqs = inst->sequences[static_cast<size_t>(t)];
+    for (int64_t lo = rng->UniformInt(0, 3); lo < num_clips;) {
+      const int64_t hi = std::min(num_clips - 1, lo + rng->UniformInt(0, 9));
+      seqs.Add(Interval(lo, hi));
+      lo = hi + 1 + rng->UniformInt(0, 4);
+    }
+    inst->query.tables.push_back(&inst->tables.back());
+    inst->query.sequences.push_back(&seqs);
+  }
+  inst->query.num_clips = num_clips;
+  TableSchema& schema = inst->query.schema;
+  if (!cnf) {
+    schema.num_objects = num_tables - 1;
+    schema.has_action = true;
+    for (int t = 0; t < num_tables; ++t) schema.clauses.push_back({t});
+    return inst;
+  }
+  // Every table in some clause; clauses of one to three literals, some
+  // shared between clauses.
+  for (int t = 0; t < num_tables; ++t) {
+    if (schema.clauses.empty() || rng->UniformInt(0, 1) == 0) {
+      schema.clauses.emplace_back();
+    }
+    schema.clauses.back().push_back(t);
+  }
+  if (num_tables > 1 && rng->UniformInt(0, 1) == 0) {
+    schema.clauses.push_back(
+        {static_cast<int>(rng->UniformInt(0, num_tables - 1))});
+  }
+  return inst;
+}
+
+// A deterministic stand-in for the WITH CONFIDENCE identifier: pulls one
+// seeded clip score per arm through the source (charging its random
+// accesses and warming its cache) and eliminates a seeded subset of
+// arms, keeping at least k.
+class SampledIdentifier : public SequenceIdentifier {
+ public:
+  IdentifyOutcome Identify(const std::vector<Interval>& candidates,
+                           int64_t k, uint64_t seed,
+                           ClipScoreSource* source) const override {
+    Rng rng(seed);
+    IdentifyOutcome out;
+    out.keep.assign(candidates.size(), true);
+    out.pulls_per_arm.assign(candidates.size(), 1);
+    for (const Interval& arm : candidates) {
+      out.stopping_statistic +=
+          source->Score(rng.UniformInt(arm.lo, arm.hi));
+      ++out.pulls;
+    }
+    int64_t kept = static_cast<int64_t>(candidates.size());
+    for (size_t i = 0; i < candidates.size() && kept > k; ++i) {
+      if (rng.UniformInt(0, 1) == 0) {
+        out.keep[i] = false;
+        --kept;
+        ++out.arms_eliminated;
+      }
+    }
+    out.stopped = kept == k;
+    return out;
+  }
+};
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// Every field of two results but wall_ms, doubles compared bit for bit.
+void ExpectBitIdentical(const TopKResult& got, const TopKResult& want) {
+  ASSERT_EQ(got.top.size(), want.top.size());
+  for (size_t i = 0; i < got.top.size(); ++i) {
+    const RankedSequence& g = got.top[i];
+    const RankedSequence& w = want.top[i];
+    EXPECT_EQ(g.clips, w.clips) << "rank " << i;
+    EXPECT_TRUE(SameBits(g.lower_bound, w.lower_bound)) << "rank " << i;
+    EXPECT_TRUE(SameBits(g.upper_bound, w.upper_bound)) << "rank " << i;
+    EXPECT_TRUE(SameBits(g.exact_score, w.exact_score)) << "rank " << i;
+    EXPECT_EQ(g.has_exact, w.has_exact) << "rank " << i;
+  }
+  EXPECT_EQ(got.pq, want.pq);
+  EXPECT_EQ(got.accesses.sorted_accesses, want.accesses.sorted_accesses);
+  EXPECT_EQ(got.accesses.reverse_accesses, want.accesses.reverse_accesses);
+  EXPECT_EQ(got.accesses.random_accesses, want.accesses.random_accesses);
+  EXPECT_EQ(got.accesses.range_scans, want.accesses.range_scans);
+  EXPECT_EQ(got.accesses.range_rows, want.accesses.range_rows);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.candidates_pruned, want.candidates_pruned);
+  EXPECT_EQ(got.bai_pulls, want.bai_pulls);
+  EXPECT_EQ(got.bai_arms_eliminated, want.bai_arms_eliminated);
+  EXPECT_EQ(got.bai_stopped, want.bai_stopped);
+  EXPECT_TRUE(
+      SameBits(got.bai_stopping_statistic, want.bai_stopping_statistic));
+}
+
+TEST(RvaqWorkspaceTest, BackToBackRunsMatchFreshRunsBitForBit) {
+  const PaperScoring paper;
+  const CnfScoring cnf;
+  const SampledIdentifier identifier;
+  RvaqWorkspace workspace;
+  int filtered = 0;
+  int identified = 0;
+  int looped = 0;
+  for (uint64_t seed = 0; seed < 240; ++seed) {
+    Rng rng(MixSeed(seed, 0x7773ULL));
+    // Clip counts and table counts both shrink and grow between runs.
+    const int64_t num_clips = rng.UniformInt(1, 120);
+    const int num_tables = static_cast<int>(rng.UniformInt(1, 4));
+    const bool cnf_schema = rng.UniformInt(0, 1) == 1;
+    auto inst = RandomSchemaInstance(&rng, num_clips, num_tables, cnf_schema);
+    const ScoringModel& scoring =
+        cnf_schema ? static_cast<const ScoringModel&>(cnf) : paper;
+    RvaqOptions options;
+    options.k = rng.UniformInt(1, 6);
+    options.use_skip = rng.UniformInt(0, 1) == 1;
+    options.two_sided_bounds = rng.UniformInt(0, 3) != 0;
+    options.exact_scores = rng.UniformInt(0, 3) != 0;
+    IntervalSet surviving;
+    if (rng.UniformInt(0, 2) == 0) {
+      for (int64_t c = 0; c < num_clips; ++c) {
+        if (rng.UniformInt(0, 3) == 0) surviving.Add(Interval(c, c));
+      }
+      options.clip_filter = &surviving;
+      ++filtered;
+    }
+    if (rng.UniformInt(0, 2) == 0) {
+      options.identifier = &identifier;
+      options.identifier_seed = seed;
+      ++identified;
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const TopKResult fresh = Rvaq(&inst->query, &scoring, options).Run();
+    // Half the runs bind through the workspace's own table storage, as a
+    // repository statement does.
+    const QueryTables* tables = &inst->query;
+    if (seed % 2 == 1) {
+      *workspace.tables() = inst->query;
+      tables = workspace.tables();
+    }
+    const TopKResult& reused = Rvaq(tables, &scoring, options).Run(&workspace);
+    ExpectBitIdentical(reused, fresh);
+    if (HasFatalFailure()) return;
+    if (fresh.iterations > 0) ++looped;
+  }
+  // The draws reach the filter, the identifier and the bound loop often.
+  EXPECT_GT(filtered, 40);
+  EXPECT_GT(identified, 40);
+  EXPECT_GT(looped, 80);
 }
 
 TEST(FaTopKTest, StopsBeforeFullScan) {

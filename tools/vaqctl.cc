@@ -315,6 +315,15 @@ int CmdTopK(const Args& args) {
   options.k = std::atoll(args.Get("k", "5").c_str());
   auto result = repository.TopK(action, SplitCommas(args.Get("objects")),
                                 scoring, options);
+  if (result.ok() && result->videos_queried == 0 &&
+      result->videos_skipped > 0) {
+    // Every video lacks a queried type: a misspelled or never-ingested
+    // type, not an empty answer.
+    result = Status::NotFound(
+        "no video ingested every queried type (" +
+        std::to_string(result->videos_skipped) + " of " +
+        std::to_string(repository.num_videos()) + " videos skipped)");
+  }
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
