@@ -23,7 +23,6 @@
 #include "detect/models.h"
 #include "scanstat/critical_value.h"
 #include "scanstat/naus.h"
-#include "storage/paged_table.h"
 #include "storage/score_table.h"
 #include "synth/generator.h"
 
@@ -108,48 +107,6 @@ void BM_DetectorMaxScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DetectorMaxScore);
-
-void BM_PagedRandomScore(benchmark::State& state) {
-  static const std::string path = [] {
-    Rng rng(4);
-    std::vector<storage::ScoreTable::Row> rows;
-    for (int64_t c = 0; c < 50000; ++c) {
-      rows.push_back({c, rng.UniformDouble(0, 100)});
-    }
-    const storage::ScoreTable table =
-        std::move(storage::ScoreTable::Build(std::move(rows))).value();
-    const std::string p = "/tmp/vaq_bench_paged.pgd";
-    VAQ_CHECK_OK(storage::WritePagedTable(table, p));
-    return p;
-  }();
-  storage::PageCache cache(state.range(0), 4096);
-  auto paged = std::move(storage::PagedScoreTable::Open(path, &cache)).value();
-  Rng rng(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(paged->RandomScore(
-        static_cast<ClipIndex>(rng.UniformInt(uint64_t{50000}))));
-  }
-  state.counters["fetch_rate"] =
-      static_cast<double>(cache.fetches()) /
-      static_cast<double>(std::max<int64_t>(cache.fetches() + cache.hits(),
-                                            1));
-}
-BENCHMARK(BM_PagedRandomScore)->Arg(4)->Arg(64)->Arg(1024);
-
-void BM_PagedRangeScan(benchmark::State& state) {
-  static const std::string path = "/tmp/vaq_bench_paged.pgd";
-  storage::PageCache cache(64, 4096);
-  auto paged = std::move(storage::PagedScoreTable::Open(path, &cache)).value();
-  std::vector<double> out;
-  int64_t lo = 0;
-  for (auto _ : state) {
-    out.clear();
-    paged->RangeScores(lo, lo + 499, &out);
-    benchmark::DoNotOptimize(out.data());
-    lo = (lo + 500) % 49000;
-  }
-}
-BENCHMARK(BM_PagedRangeScan);
 
 // --- Wall-clock regression gate -----------------------------------------
 // Self-timed ns/op for the scan-statistic tail-probability kernel — the

@@ -1,6 +1,7 @@
 #include "cascade/store.h"
 
 #include <utility>
+#include <vector>
 
 #include "ckpt/serializer.h"
 #include "obs/metrics.h"
@@ -62,16 +63,14 @@ StatusOr<ProxyVideoIndex> DecodeProxyIndex(const std::string& blob) {
     } else if (record.tag == kTagColumn) {
       ProxyColumn column;
       VAQ_RETURN_IF_ERROR(payload.GetString(&column.concept_name));
-      uint32_t n = 0;
-      VAQ_RETURN_IF_ERROR(payload.GetU32(&n));
-      column.scores.resize(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        VAQ_RETURN_IF_ERROR(payload.GetF64(&column.scores[i]));
-      }
-      VAQ_RETURN_IF_ERROR(payload.GetU32(&n));
-      column.heldout_positive.resize(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        VAQ_RETURN_IF_ERROR(payload.GetF64(&column.heldout_positive[i]));
+      for (std::vector<double>* values :
+           {&column.scores, &column.heldout_positive}) {
+        uint32_t n = 0;
+        VAQ_RETURN_IF_ERROR(payload.GetCount(&n, sizeof(double)));
+        values->resize(n);
+        for (double& value : *values) {
+          VAQ_RETURN_IF_ERROR(payload.GetF64(&value));
+        }
       }
       index.columns.push_back(std::move(column));
     }

@@ -38,7 +38,8 @@ Status DecodeMetricEntry(PayloadReader* in, obs::Snapshot::Entry* out) {
   }
   out->kind = static_cast<obs::Snapshot::Kind>(kind);
   uint32_t n_labels = 0;
-  VAQ_RETURN_IF_ERROR(in->GetU32(&n_labels));
+  // A label is two strings, each at least its u32 length.
+  VAQ_RETURN_IF_ERROR(in->GetCount(&n_labels, 2 * sizeof(uint32_t)));
   out->labels.reserve(n_labels);
   for (uint32_t i = 0; i < n_labels; ++i) {
     std::string key, value;
@@ -55,14 +56,15 @@ Status DecodeMetricEntry(PayloadReader* in, obs::Snapshot::Entry* out) {
       break;
     case obs::Snapshot::Kind::kHistogram: {
       uint32_t n_bounds = 0;
-      VAQ_RETURN_IF_ERROR(in->GetU32(&n_bounds));
+      // Each bound brings an f64 bound and an i64 bucket count.
+      VAQ_RETURN_IF_ERROR(in->GetCount(&n_bounds, 2 * sizeof(uint64_t)));
       out->bounds.resize(n_bounds);
-      for (uint32_t i = 0; i < n_bounds; ++i) {
-        VAQ_RETURN_IF_ERROR(in->GetF64(&out->bounds[i]));
+      for (double& bound : out->bounds) {
+        VAQ_RETURN_IF_ERROR(in->GetF64(&bound));
       }
-      out->bucket_counts.resize(n_bounds + 1);
-      for (uint32_t i = 0; i <= n_bounds; ++i) {
-        VAQ_RETURN_IF_ERROR(in->GetI64(&out->bucket_counts[i]));
+      out->bucket_counts.resize(static_cast<size_t>(n_bounds) + 1);
+      for (int64_t& count : out->bucket_counts) {
+        VAQ_RETURN_IF_ERROR(in->GetI64(&count));
       }
       VAQ_RETURN_IF_ERROR(in->GetI64(&out->hist_count));
       VAQ_RETURN_IF_ERROR(in->GetF64(&out->hist_sum));

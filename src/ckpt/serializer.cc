@@ -1,6 +1,8 @@
 #include "ckpt/serializer.h"
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 namespace vaq {
 namespace ckpt {
@@ -64,6 +66,14 @@ void Payload::PutString(std::string_view v) {
   data_.append(v.data(), v.size());
 }
 
+void Payload::PutIntervalSet(const IntervalSet& set) {
+  PutU32(static_cast<uint32_t>(set.size()));
+  for (const Interval& iv : set.intervals()) {
+    PutI64(iv.lo);
+    PutI64(iv.hi);
+  }
+}
+
 Status PayloadReader::GetU32(uint32_t* out) {
   if (remaining() < 4) return Status::Corruption("payload underrun (u32)");
   *out = GetLe32(data_.data() + offset_);
@@ -102,13 +112,31 @@ Status PayloadReader::GetBool(bool* out) {
 
 Status PayloadReader::GetString(std::string* out) {
   uint32_t size = 0;
-  Status s = GetU32(&size);
-  if (!s.ok()) return s;
-  if (remaining() < size) {
-    return Status::Corruption("payload underrun (string)");
-  }
+  VAQ_RETURN_IF_ERROR(GetCount(&size, 1));
   out->assign(data_.data() + offset_, size);
   offset_ += size;
+  return Status::OK();
+}
+
+Status PayloadReader::GetCount(uint32_t* out, size_t min_item_bytes) {
+  VAQ_RETURN_IF_ERROR(GetU32(out));
+  if (static_cast<uint64_t>(*out) * min_item_bytes > remaining()) {
+    return Status::Corruption("payload underrun: count " +
+                              std::to_string(*out) + " exceeds the " +
+                              std::to_string(remaining()) + " bytes left");
+  }
+  return Status::OK();
+}
+
+Status PayloadReader::GetIntervalSet(IntervalSet* out) {
+  uint32_t n = 0;
+  VAQ_RETURN_IF_ERROR(GetCount(&n, 2 * sizeof(int64_t)));
+  std::vector<Interval> intervals(n);
+  for (Interval& iv : intervals) {
+    VAQ_RETURN_IF_ERROR(GetI64(&iv.lo));
+    VAQ_RETURN_IF_ERROR(GetI64(&iv.hi));
+  }
+  *out = IntervalSet::FromIntervals(std::move(intervals));
   return Status::OK();
 }
 
@@ -151,6 +179,7 @@ StatusOr<Deserializer> Deserializer::Open(std::string_view blob) {
     return Status::Corruption("bad checkpoint magic");
   }
   const uint32_t version = GetLe32(blob.data() + 8);
+  if (version == 0) return Status::Corruption("bad checkpoint version 0");
   if (version > kFormatVersion) {
     return Status::Unimplemented("checkpoint format version " +
                                  std::to_string(version) +

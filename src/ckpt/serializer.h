@@ -7,11 +7,12 @@
 //   blob   := magic:u64 version:u32 record*
 //   record := tag:u32 length:u32 payload:length crc:u64
 //
-// where crc is the FNV-1a 64-bit hash of tag||length||payload — the same
-// checksum scheme storage::PagedTable uses for its integrity pages. All
+// where crc is the FNV-1a 64-bit hash of tag||length||payload. All
 // integers are little-endian regardless of host, so blobs are portable
 // and the golden-file test (tests/ckpt_golden_test.cc) pins the byte
-// layout.
+// layout. Engine snapshots, WAL segments, metric snapshots, proxy
+// indexes (cascade/store) and the ingested-video catalog
+// (storage/catalog) all share this framing.
 //
 // Forward compatibility: readers skip records whose tag they do not
 // recognise (the checksum is still verified), so a newer writer may add
@@ -31,6 +32,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/interval.h"
 #include "common/status.h"
 
 namespace vaq {
@@ -42,7 +44,7 @@ inline constexpr uint32_t kFormatVersion = 1;
 // "VAQCKPT\x01" little-endian.
 inline constexpr uint64_t kBlobMagic = 0x0154504b43514156ULL;
 
-// FNV-1a 64-bit, identical to the storage::PagedTable page checksum.
+// FNV-1a 64-bit: the record checksum.
 uint64_t Fnv1a64(const char* data, size_t size);
 
 // Field-level payload writer: fixed-width little-endian scalars plus
@@ -56,6 +58,8 @@ class Payload {
   void PutF64(double v);  // IEEE-754 bit pattern; round-trips exactly.
   void PutBool(bool v);
   void PutString(std::string_view v);  // u32 length + bytes
+  // u32 count, then one i64 lo/hi pair per interval.
+  void PutIntervalSet(const IntervalSet& set);
 
   const std::string& data() const { return data_; }
 
@@ -64,7 +68,8 @@ class Payload {
 };
 
 // Mirror of Payload. Every getter fails with kCorruption when the
-// payload is exhausted or a length prefix overruns it.
+// payload is exhausted or a length prefix overruns it, so no decoder
+// allocates more than the bytes it was handed.
 class PayloadReader {
  public:
   explicit PayloadReader(std::string_view data) : data_(data) {}
@@ -75,6 +80,10 @@ class PayloadReader {
   Status GetF64(double* out);
   Status GetBool(bool* out);
   Status GetString(std::string* out);
+  // A u32 item count, rejected when `count * min_item_bytes` exceeds the
+  // bytes left: read it before sizing a container by it.
+  Status GetCount(uint32_t* out, size_t min_item_bytes);
+  Status GetIntervalSet(IntervalSet* out);
 
   size_t remaining() const { return data_.size() - offset_; }
 
@@ -117,7 +126,8 @@ class Serializer {
 
 // Blob reader. Open() validates the header and rejects blobs written by
 // a *newer* format version (kUnimplemented); older versions are read
-// under this version's record schemas (append-only evolution).
+// under this version's record schemas (append-only evolution). Version
+// 0 was never written, so it is kCorruption (a flipped version bit).
 class Deserializer {
  public:
   static StatusOr<Deserializer> Open(std::string_view blob);

@@ -89,7 +89,8 @@ struct FaultSpec {
   // Per-clip probability that the clip's observations are lost entirely
   // (e.g. the camera feed dropped the segment).
   double drop_clip_rate = 0.0;
-  // Per-attempt probability that a storage page read fails.
+  // Per-attempt probability that a storage page write fails while ingest
+  // materializes a score table (offline::Ingestor).
   double page_error_rate = 0.0;
   // Per-read probability that a checkpoint store entry comes back with a
   // flipped bit (media corruption; see ckpt::RecoveryDriver).
@@ -153,7 +154,7 @@ class FaultPlan {
   // True when clip `clip`'s observations are dropped wholesale.
   bool DropClip(int64_t clip) const;
 
-  // True when the `attempt`-th read of storage page `page` fails.
+  // True when the `attempt`-th access of storage page `page` fails.
   bool PageReadFails(int64_t page, int64_t attempt) const;
 
   // True when a read of checkpoint entry `entry` (a stable hash of the

@@ -10,12 +10,12 @@ namespace offline {
 namespace {
 
 void ResetCounters(const QueryTables& tables) {
-  for (const storage::ScoreTableView* t : tables.AllTables()) t->ResetCounter();
+  for (const storage::ScoreTable* t : tables.AllTables()) t->ResetCounter();
 }
 
 storage::AccessCounter CollectCounters(const QueryTables& tables) {
   storage::AccessCounter total;
-  for (const storage::ScoreTableView* t : tables.AllTables()) {
+  for (const storage::ScoreTable* t : tables.AllTables()) {
     total += t->counter();
   }
   return total;
@@ -62,7 +62,7 @@ TopKResult FaTopK(const QueryTables& tables, const ScoringModel& scoring,
   result.pq = tables.ComputePq();
 
   ClipScoreSource source(&tables, &scoring);
-  const std::vector<const storage::ScoreTableView*> all = tables.AllTables();
+  const std::vector<const storage::ScoreTable*> all = tables.AllTables();
 
   // Clips whose score FA must produce: all clips of all candidate
   // sequences.

@@ -11,11 +11,13 @@ namespace vaq {
 namespace offline {
 namespace {
 
-// Simulated materialization of one score table through faulty storage
-// (mirrors PageCache's read-retry discipline on the write side): each
-// 4096-byte page write may fail per the plan and is retried with a fresh
-// attempt nonce; three consecutive failures abort the ingest. Tables get
-// disjoint page-id ranges so their fault streams are independent.
+// Simulated materialization of one score table through faulty storage,
+// the only consumer of the plan's page_error_rate: each 4096-byte page
+// write may fail per the plan and is retried with a fresh attempt nonce;
+// three consecutive failures abort the ingest. Tables get disjoint
+// page-id ranges so their fault streams are independent. The page model
+// (24 B per row) is the fault plan's unit of work, not the catalog's
+// on-disk size.
 Status MaterializeTable(const fault::FaultPlan* plan, int64_t table_ordinal,
                         int64_t num_rows) {
   if (plan == nullptr || plan->spec().page_error_rate <= 0.0) {

@@ -125,11 +125,11 @@ void QueryTables::ComputePq(IntervalSet* pq, IntervalSet* cover,
 double ExactSequenceScore(const QueryTables& tables,
                           const ScoringModel& scoring, const Interval& seq,
                           ExactScoreScratch* scratch) {
-  const std::vector<const storage::ScoreTableView*>& all = tables.AllTables();
+  const std::vector<const storage::ScoreTable*>& all = tables.AllTables();
   const size_t len = static_cast<size_t>(seq.length());
   std::vector<double>& columns = scratch->columns;
   columns.clear();
-  for (const storage::ScoreTableView* table : all) {
+  for (const storage::ScoreTable* table : all) {
     table->RangeScores(seq.lo, seq.hi, &columns);
   }
   std::vector<double>& values = scratch->values;
@@ -198,7 +198,7 @@ double ClipScoreSource::BoundWith(ClipIndex clip,
 double ClipScoreSource::Score(ClipIndex clip) {
   const size_t c = static_cast<size_t>(clip);
   if (full_known_[c]) return full_score_[c];
-  const std::vector<const storage::ScoreTableView*>& all = tables_->AllTables();
+  const std::vector<const storage::ScoreTable*>& all = tables_->AllTables();
   for (size_t t = 0; t < all.size(); ++t) {
     const size_t e = EntryIndex(t, clip);
     if (!entry_known_[e]) {

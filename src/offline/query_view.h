@@ -33,7 +33,7 @@ namespace offline {
 struct QueryTables {
   // One entry per distinct literal, objects-then-action for conjunctive
   // binds, first-appearance order for CNF binds.
-  std::vector<const storage::ScoreTableView*> tables;
+  std::vector<const storage::ScoreTable*> tables;
   std::vector<const IntervalSet*> sequences;
   TableSchema schema;
   int64_t num_clips = 0;
@@ -52,7 +52,7 @@ struct QueryTables {
   int num_tables() const { return static_cast<int>(tables.size()); }
 
   // All tables in schema order.
-  const std::vector<const storage::ScoreTableView*>& AllTables() const {
+  const std::vector<const storage::ScoreTable*>& AllTables() const {
     return tables;
   }
 

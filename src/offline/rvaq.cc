@@ -17,12 +17,12 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 void ResetCounters(const QueryTables& tables) {
-  for (const storage::ScoreTableView* t : tables.AllTables()) t->ResetCounter();
+  for (const storage::ScoreTable* t : tables.AllTables()) t->ResetCounter();
 }
 
 storage::AccessCounter CollectCounters(const QueryTables& tables) {
   storage::AccessCounter total;
-  for (const storage::ScoreTableView* t : tables.AllTables()) {
+  for (const storage::ScoreTable* t : tables.AllTables()) {
     total += t->counter();
   }
   return total;

@@ -48,7 +48,7 @@ void TbClipIterator::Reset(const QueryTables* tables, ClipScoreSource* source,
 
 TbClipIterator::Entry TbClipIterator::SelectExtreme(bool top_side) {
   SideState& side = sides_[top_side ? 0 : 1];
-  const std::vector<const storage::ScoreTableView*>& tables =
+  const std::vector<const storage::ScoreTable*>& tables =
       tables_->AllTables();
   const int64_t num_tables = static_cast<int64_t>(tables.size());
   const int64_t num_rows = tables_->num_clips;

@@ -497,11 +497,7 @@ std::string StreamingSvaqd::SnapshotState() const {
   }
   {
     ckpt::Payload seqs;
-    seqs.PutU32(static_cast<uint32_t>(sequences_.size()));
-    for (const Interval& iv : sequences_.intervals()) {
-      seqs.PutI64(iv.lo);
-      seqs.PutI64(iv.hi);
-    }
+    seqs.PutIntervalSet(sequences_);
     out.Append(kTagSequences, seqs);
   }
   for (size_t i = 0; i < s.literals.size(); ++i) {
@@ -567,18 +563,9 @@ Status StreamingSvaqd::RestoreState(const std::string& blob) {
         saw_meta = true;
         break;
       }
-      case kTagSequences: {
-        uint32_t n = 0;
-        VAQ_RETURN_IF_ERROR(in.GetU32(&n));
-        sequences_ = IntervalSet();
-        for (uint32_t i = 0; i < n; ++i) {
-          Interval iv;
-          VAQ_RETURN_IF_ERROR(in.GetI64(&iv.lo));
-          VAQ_RETURN_IF_ERROR(in.GetI64(&iv.hi));
-          sequences_.Add(iv);
-        }
+      case kTagSequences:
+        VAQ_RETURN_IF_ERROR(in.GetIntervalSet(&sequences_));
         break;
-      }
       case kTagLiteral: {
         uint32_t index = 0;
         VAQ_RETURN_IF_ERROR(in.GetU32(&index));

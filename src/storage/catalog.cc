@@ -1,57 +1,117 @@
 #include "storage/catalog.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
+#include <cmath>
+#include <utility>
+
+#include "ckpt/serializer.h"
 
 namespace vaq {
 namespace storage {
 namespace {
 
-namespace fs = std::filesystem;
+// Record tags of a catalog entry. Append-only within a format version.
+constexpr uint32_t kTagHeader = 1;
+constexpr uint32_t kTagObject = 2;
+constexpr uint32_t kTagAction = 3;
 
-constexpr uint64_t kIndexMagic = 0x5641515f49445831ULL;  // "VAQ_IDX1"
-
-void WriteString(std::ofstream& out, const std::string& s) {
-  const uint64_t n = s.size();
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(s.data(), static_cast<std::streamsize>(n));
+Status BadName(const std::string& name) {
+  return Status::InvalidArgument("bad video name '" + name +
+                                 "': use only [A-Za-z0-9._-]");
 }
 
-bool ReadString(std::ifstream& in, std::string* s) {
-  uint64_t n = 0;
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  if (!in || n > (1u << 20)) return false;
-  s->resize(n);
-  in.read(s->data(), static_cast<std::streamsize>(n));
-  return static_cast<bool>(in);
-}
-
-void WriteIntervalSet(std::ofstream& out, const IntervalSet& set) {
-  const uint64_t n = set.size();
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  for (const Interval& iv : set.intervals()) {
-    out.write(reinterpret_cast<const char*>(&iv.lo), sizeof(iv.lo));
-    out.write(reinterpret_cast<const char*>(&iv.hi), sizeof(iv.hi));
+std::string EncodeVideo(const VideoIndex& index) {
+  ckpt::Serializer out;
+  ckpt::Payload header;
+  header.PutI64(index.video_id);
+  header.PutI64(index.num_clips);
+  header.PutU32(static_cast<uint32_t>(index.objects.size()));
+  header.PutU32(static_cast<uint32_t>(index.actions.size()));
+  out.Append(kTagHeader, header);
+  for (const bool is_action : {false, true}) {
+    for (const TypeIndex& t : is_action ? index.actions : index.objects) {
+      ckpt::Payload p;
+      p.PutU32(static_cast<uint32_t>(t.type_id));
+      p.PutString(t.type_name);
+      p.PutIntervalSet(t.sequences);
+      p.PutU32(static_cast<uint32_t>(t.table.num_rows()));
+      for (ClipIndex c = 0; c < t.table.num_rows(); ++c) {
+        p.PutF64(t.table.PeekScore(c));
+      }
+      out.Append(is_action ? kTagAction : kTagObject, p);
+    }
   }
+  return out.blob();
 }
 
-bool ReadIntervalSet(std::ifstream& in, IntervalSet* set) {
-  uint64_t n = 0;
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  if (!in) return false;
-  std::vector<Interval> intervals(n);
-  for (Interval& iv : intervals) {
-    in.read(reinterpret_cast<char*>(&iv.lo), sizeof(iv.lo));
-    in.read(reinterpret_cast<char*>(&iv.hi), sizeof(iv.hi));
+StatusOr<TypeIndex> DecodeType(std::string_view payload, int64_t num_clips) {
+  ckpt::PayloadReader in(payload);
+  TypeIndex t;
+  uint32_t type_id = 0;
+  VAQ_RETURN_IF_ERROR(in.GetU32(&type_id));
+  t.type_id = static_cast<int32_t>(type_id);
+  VAQ_RETURN_IF_ERROR(in.GetString(&t.type_name));
+  VAQ_RETURN_IF_ERROR(in.GetIntervalSet(&t.sequences));
+  if (!t.sequences.empty() && (t.sequences.intervals().front().lo < 0 ||
+                               t.sequences.intervals().back().hi >=
+                                   num_clips)) {
+    return Status::Corruption("type '" + t.type_name +
+                              "' has a sequence outside the video's " +
+                              std::to_string(num_clips) + " clips");
   }
-  if (!in) return false;
-  *set = IntervalSet::FromIntervals(std::move(intervals));
-  return true;
+  uint32_t rows = 0;
+  VAQ_RETURN_IF_ERROR(in.GetCount(&rows, sizeof(double)));
+  if (rows != num_clips) {
+    return Status::Corruption("type '" + t.type_name + "' has " +
+                              std::to_string(rows) + " scores for " +
+                              std::to_string(num_clips) + " clips");
+  }
+  std::vector<ScoreRow> column(rows);
+  for (uint32_t c = 0; c < rows; ++c) {
+    column[c].clip = c;
+    VAQ_RETURN_IF_ERROR(in.GetF64(&column[c].score));
+    // NaN has no rank: it would break the sort in ScoreTable::Build.
+    if (std::isnan(column[c].score)) {
+      return Status::Corruption("type '" + t.type_name + "' has a NaN score");
+    }
+  }
+  VAQ_ASSIGN_OR_RETURN(t.table, ScoreTable::Build(std::move(column)));
+  return t;
 }
 
-std::string TableFileName(bool is_action, int32_t type_id) {
-  return (is_action ? "act_" : "obj_") + std::to_string(type_id) + ".tbl";
+StatusOr<VideoIndex> DecodeVideo(std::string_view blob) {
+  VAQ_ASSIGN_OR_RETURN(const std::vector<ckpt::Record> records,
+                       ckpt::ParseBlob(blob));
+  if (records.empty() || records[0].tag != kTagHeader) {
+    return Status::Corruption("missing header record");
+  }
+  VideoIndex index;
+  uint32_t num_objects = 0;
+  uint32_t num_actions = 0;
+  ckpt::PayloadReader header(records[0].payload);
+  VAQ_RETURN_IF_ERROR(header.GetI64(&index.video_id));
+  VAQ_RETURN_IF_ERROR(header.GetI64(&index.num_clips));
+  VAQ_RETURN_IF_ERROR(header.GetU32(&num_objects));
+  VAQ_RETURN_IF_ERROR(header.GetU32(&num_actions));
+  if (index.num_clips < 0) return Status::Corruption("negative clip count");
+  for (size_t i = 1; i < records.size(); ++i) {
+    const ckpt::Record& record = records[i];
+    // Unknown tags: skipped (checksum already verified by ParseBlob).
+    if (record.tag != kTagObject && record.tag != kTagAction) continue;
+    VAQ_ASSIGN_OR_RETURN(TypeIndex t,
+                         DecodeType(record.payload, index.num_clips));
+    (record.tag == kTagAction ? index.actions : index.objects)
+        .push_back(std::move(t));
+  }
+  if (index.objects.size() != num_objects ||
+      index.actions.size() != num_actions) {
+    return Status::Corruption(
+        "header promises " + std::to_string(num_objects) + " object and " +
+        std::to_string(num_actions) + " action tables, found " +
+        std::to_string(index.objects.size()) + " and " +
+        std::to_string(index.actions.size()));
+  }
+  return index;
 }
 
 }  // namespace
@@ -96,96 +156,42 @@ void VideoIndex::ResetAccessCounters() const {
   for (const TypeIndex& t : actions) t.table.ResetCounter();
 }
 
-Catalog::Catalog(std::string root) : root_(std::move(root)) {}
+Catalog::Catalog(std::string root) : store_(std::move(root)) {}
 
 Status Catalog::Save(const std::string& name, const VideoIndex& index) const {
-  std::error_code ec;
-  const fs::path dir = fs::path(root_) / name;
-  fs::create_directories(dir, ec);
-  if (ec) return Status::IoError("cannot create " + dir.string());
-
-  std::ofstream out(dir / "index.bin", std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot write index.bin in " + dir.string());
-  const uint64_t magic = kIndexMagic;
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&index.video_id),
-            sizeof(index.video_id));
-  out.write(reinterpret_cast<const char*>(&index.num_clips),
-            sizeof(index.num_clips));
-  for (const bool is_action : {false, true}) {
-    const auto& types = is_action ? index.actions : index.objects;
-    const uint64_t n = types.size();
-    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-    for (const TypeIndex& t : types) {
-      out.write(reinterpret_cast<const char*>(&t.type_id), sizeof(t.type_id));
-      WriteString(out, t.type_name);
-      WriteIntervalSet(out, t.sequences);
-      VAQ_RETURN_IF_ERROR(
-          t.table.WriteTo((dir / TableFileName(is_action, t.type_id))
-                              .string()));
-    }
-  }
-  if (!out) return Status::IoError("short write of index.bin");
-  return Status::OK();
+  if (!ckpt::ValidEntryName(name)) return BadName(name);
+  return store_.Put(name, EncodeVideo(index));
 }
 
 StatusOr<VideoIndex> Catalog::Load(const std::string& name) const {
-  const fs::path dir = fs::path(root_) / name;
-  std::ifstream in(dir / "index.bin", std::ios::binary);
-  if (!in) return Status::NotFound("no index.bin in " + dir.string());
-  uint64_t magic = 0;
-  VideoIndex index;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&index.video_id), sizeof(index.video_id));
-  in.read(reinterpret_cast<char*>(&index.num_clips), sizeof(index.num_clips));
-  if (!in || magic != kIndexMagic) {
-    return Status::Corruption("bad index header in " + dir.string());
-  }
-  for (const bool is_action : {false, true}) {
-    auto& types = is_action ? index.actions : index.objects;
-    uint64_t n = 0;
-    in.read(reinterpret_cast<char*>(&n), sizeof(n));
-    if (!in) return Status::Corruption("truncated index in " + dir.string());
-    types.resize(n);
-    for (TypeIndex& t : types) {
-      in.read(reinterpret_cast<char*>(&t.type_id), sizeof(t.type_id));
-      if (!ReadString(in, &t.type_name) ||
-          !ReadIntervalSet(in, &t.sequences)) {
-        return Status::Corruption("truncated index in " + dir.string());
-      }
-      VAQ_ASSIGN_OR_RETURN(
-          t.table, ScoreTable::ReadFrom(
-                       (dir / TableFileName(is_action, t.type_id)).string()));
-    }
+  if (!ckpt::ValidEntryName(name)) return BadName(name);
+  VAQ_ASSIGN_OR_RETURN(const std::string blob, store_.Get(name));
+  StatusOr<VideoIndex> index = DecodeVideo(blob);
+  if (!index.ok()) {
+    return Status(index.status().code(), "video '" + name + "' in " +
+                                             root() + ": " +
+                                             index.status().message());
   }
   return index;
 }
 
 Status Catalog::Delete(const std::string& name) const {
-  const fs::path dir = fs::path(root_) / name;
-  if (!fs::exists(dir / "index.bin")) {
+  if (!ckpt::ValidEntryName(name)) return BadName(name);
+  if (!Contains(name)) {
     return Status::NotFound("no ingested video named '" + name + "'");
   }
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-  if (ec) return Status::IoError("cannot delete " + dir.string());
-  return Status::OK();
+  return store_.Delete(name);
 }
 
 bool Catalog::Contains(const std::string& name) const {
-  return fs::exists(fs::path(root_) / name / "index.bin");
+  if (!ckpt::ValidEntryName(name)) return false;
+  const std::vector<std::string> names = ListVideos();
+  return std::binary_search(names.begin(), names.end(), name);
 }
 
 std::vector<std::string> Catalog::ListVideos() const {
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(root_, ec)) {
-    if (entry.is_directory() && fs::exists(entry.path() / "index.bin")) {
-      names.push_back(entry.path().filename().string());
-    }
-  }
-  std::sort(names.begin(), names.end());
-  return names;
+  StatusOr<std::vector<std::string>> names = store_.List();
+  return names.ok() ? std::move(names).value() : std::vector<std::string>();
 }
 
 }  // namespace storage

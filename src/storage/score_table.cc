@@ -1,19 +1,12 @@
 #include "storage/score_table.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <string>
 
 #include "common/logging.h"
 
 namespace vaq {
 namespace storage {
-namespace {
-
-constexpr uint64_t kTableMagic = 0x5641515f54424c31ULL;  // "VAQ_TBL1"
-
-}  // namespace
 
 StatusOr<ScoreTable> ScoreTable::Build(std::vector<Row> rows) {
   ScoreTable table;
@@ -78,40 +71,6 @@ double ScoreTable::PeekScore(ClipIndex cid) const {
   VAQ_CHECK_GE(cid, 0);
   VAQ_CHECK_LT(cid, num_rows());
   return by_clip_[static_cast<size_t>(cid)];
-}
-
-Status ScoreTable::WriteTo(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for write: " + path);
-  const uint64_t magic = kTableMagic;
-  const uint64_t n = static_cast<uint64_t>(num_rows());
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  for (const Row& row : by_rank_) {
-    out.write(reinterpret_cast<const char*>(&row.clip), sizeof(row.clip));
-    out.write(reinterpret_cast<const char*>(&row.score), sizeof(row.score));
-  }
-  if (!out) return Status::IoError("short write: " + path);
-  return Status::OK();
-}
-
-StatusOr<ScoreTable> ScoreTable::ReadFrom(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  uint64_t magic = 0;
-  uint64_t n = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  if (!in || magic != kTableMagic) {
-    return Status::Corruption("bad score table header: " + path);
-  }
-  std::vector<Row> rows(n);
-  for (Row& row : rows) {
-    in.read(reinterpret_cast<char*>(&row.clip), sizeof(row.clip));
-    in.read(reinterpret_cast<char*>(&row.score), sizeof(row.score));
-  }
-  if (!in) return Status::Corruption("truncated score table: " + path);
-  return Build(std::move(rows));
 }
 
 }  // namespace storage

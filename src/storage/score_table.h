@@ -10,13 +10,12 @@
 //                       (TBClip's bottom cursor, Algorithm 5 step 3);
 //   * random access   — look up the score of a given clip id.
 //
-// Tables serialize to a simple versioned binary file so a video repository
-// survives process restarts (the ingestion phase runs once per video).
+// Tables persist inside the ingested-video catalog (storage/catalog.h),
+// which stores each table's scores in clip order and rebuilds it here.
 #ifndef VAQ_STORAGE_SCORE_TABLE_H_
 #define VAQ_STORAGE_SCORE_TABLE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -32,28 +31,8 @@ struct ScoreRow {
   double score = 0.0;
 };
 
-// Access interface of a clip score table: the three counted paths query
-// processing uses, regardless of whether the table lives in memory
-// (ScoreTable) or on disk behind a page cache (PagedScoreTable).
-class ScoreTableView {
- public:
-  virtual ~ScoreTableView() = default;
-
-  virtual int64_t num_rows() const = 0;
-  // Sorted access: the row with the `rank`-th highest score (0-based).
-  virtual ScoreRow SortedRow(int64_t rank) const = 0;
-  // Reverse access: the row with the `rank`-th lowest score (0-based).
-  virtual ScoreRow ReverseRow(int64_t rank) const = 0;
-  // Random access: the score of clip `cid`.
-  virtual double RandomScore(ClipIndex cid) const = 0;
-  // Range scan over the contiguous clips [lo, hi] (one seek + rows).
-  virtual void RangeScores(ClipIndex lo, ClipIndex hi,
-                           std::vector<double>* out) const = 0;
-  virtual const AccessCounter& counter() const = 0;
-  virtual void ResetCounter() const = 0;
-};
-
-class ScoreTable : public ScoreTableView {
+// A clip score table held in memory, with counted access paths.
+class ScoreTable {
  public:
   using Row = ScoreRow;
 
@@ -64,26 +43,25 @@ class ScoreTable : public ScoreTableView {
   // row even for zero scores so sorted access can reach every clip).
   static StatusOr<ScoreTable> Build(std::vector<Row> rows);
 
-  int64_t num_rows() const override {
-    return static_cast<int64_t>(by_rank_.size());
-  }
-  Row SortedRow(int64_t rank) const override;
-  Row ReverseRow(int64_t rank) const override;
-  double RandomScore(ClipIndex cid) const override;
-  // Contiguous clip ids are physically adjacent in the by-clip projection
-  // of the table, so a range costs one seek plus sequential rows.
+  int64_t num_rows() const { return static_cast<int64_t>(by_rank_.size()); }
+  // Sorted access: the row with the `rank`-th highest score (0-based).
+  Row SortedRow(int64_t rank) const;
+  // Reverse access: the row with the `rank`-th lowest score (0-based).
+  Row ReverseRow(int64_t rank) const;
+  // Random access: the score of clip `cid`.
+  double RandomScore(ClipIndex cid) const;
+  // Range scan over the contiguous clips [lo, hi]. Contiguous clip ids
+  // are physically adjacent in the by-clip projection of the table, so a
+  // range costs one seek plus sequential rows.
   void RangeScores(ClipIndex lo, ClipIndex hi, std::vector<double>* out)
-      const override;
+      const;
 
   // Uncounted internal lookups (for building ground truth in tests or
   // result verification; not part of the costed query path).
   double PeekScore(ClipIndex cid) const;
 
-  const AccessCounter& counter() const override { return counter_; }
-  void ResetCounter() const override { counter_.Reset(); }
-
-  Status WriteTo(const std::string& path) const;
-  static StatusOr<ScoreTable> ReadFrom(const std::string& path);
+  const AccessCounter& counter() const { return counter_; }
+  void ResetCounter() const { counter_.Reset(); }
 
  private:
   std::vector<Row> by_rank_;      // Sorted by score descending.

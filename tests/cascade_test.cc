@@ -29,6 +29,7 @@
 #include "cascade/planner.h"
 #include "cascade/proxy_index.h"
 #include "cascade/store.h"
+#include "ckpt/serializer.h"
 #include "ckpt/store.h"
 #include "detect/model_profile.h"
 #include "detect/models.h"
@@ -151,6 +152,30 @@ TEST(CascadeStoreTest, SaveLoadRoundtrip) {
       LoadProxyIndex(store, "v0", built.fingerprint);
   EXPECT_FALSE(damaged.ok());
   EXPECT_NE(damaged.status().code(), StatusCode::kNotFound);
+}
+
+TEST(CascadeStoreTest, HugeColumnCountIsCorruption) {
+  // A checksum-valid proxy blob whose column claims 2^32-1 scores must be
+  // rejected before the column is sized.
+  ckpt::Serializer blob;
+  ckpt::Payload header;
+  header.PutString("v0");
+  header.PutI64(/*num_clips=*/4);
+  header.PutF64(/*frames_per_clip=*/30.0);
+  header.PutF64(/*shots_per_clip=*/1.0);
+  header.PutU64(/*fingerprint=*/99);
+  header.PutU32(/*columns=*/1);
+  blob.Append(/*tag=*/1, header);
+  ckpt::Payload column;
+  column.PutString("dog");
+  column.PutU32(0xFFFFFFFFu);
+  column.PutF64(0.5);
+  blob.Append(/*tag=*/2, column);
+
+  ckpt::MemStore store;
+  ASSERT_TRUE(store.Put(ProxyEntryName("v0"), blob.blob()).ok());
+  EXPECT_EQ(LoadProxyIndex(store, "v0", 99).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(CascadeStoreTest, LoadOrBuildPersistsLoadsAndInvalidates) {

@@ -279,9 +279,9 @@ bool PlanCorrupts(const fault::FaultPlan& plan, const std::string& name) {
 }
 
 // Corrupt-position far enough into the blob that the flip cannot land in
-// the 12-byte header (where it could read as a plausible older version
-// instead of failing a record checksum). Snapshots are KBs, so > 5% of
-// the blob is comfortably past byte 12.
+// the 12-byte header (where it could read as a newer format version,
+// kUnimplemented, instead of failing a record checksum). Snapshots are
+// KBs, so > 5% of the blob is comfortably past byte 12.
 bool CorruptsBody(const fault::FaultPlan& plan, const std::string& name) {
   if (!PlanCorrupts(plan, name)) return false;
   const int64_t entry = static_cast<int64_t>(

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/metrics_io.h"
 #include "ckpt/recovery.h"
 #include "ckpt/serializer.h"
 #include "ckpt/store.h"
@@ -32,6 +33,10 @@ TEST(PayloadTest, RoundTripsEveryFieldType) {
   payload.PutBool(false);
   payload.PutString("durability");
   payload.PutString("");  // Empty strings are legal.
+  const IntervalSet set =
+      IntervalSet::FromIntervals({Interval(0, 3), Interval(9, 9)});
+  payload.PutIntervalSet(set);  // u32 count + one i64 lo/hi pair each.
+  const size_t set_bytes = 4 + 2 * 16;
 
   PayloadReader reader(payload.data());
   uint32_t u32 = 0;
@@ -48,6 +53,9 @@ TEST(PayloadTest, RoundTripsEveryFieldType) {
   ASSERT_TRUE(reader.GetBool(&b2).ok());
   ASSERT_TRUE(reader.GetString(&s1).ok());
   ASSERT_TRUE(reader.GetString(&s2).ok());
+  EXPECT_EQ(reader.remaining(), set_bytes);
+  IntervalSet set_back;
+  ASSERT_TRUE(reader.GetIntervalSet(&set_back).ok());
   EXPECT_EQ(u32, 0xDEADBEEFu);
   EXPECT_EQ(u64, 0x0123456789ABCDEFull);
   EXPECT_EQ(i64, -42);
@@ -56,6 +64,7 @@ TEST(PayloadTest, RoundTripsEveryFieldType) {
   EXPECT_FALSE(b2);
   EXPECT_EQ(s1, "durability");
   EXPECT_EQ(s2, "");
+  EXPECT_EQ(set_back, set);
   EXPECT_EQ(reader.remaining(), 0u);
 }
 
@@ -98,6 +107,58 @@ TEST(PayloadTest, UnderrunIsCorruption) {
   PayloadReader sreader(lying.data());
   std::string s;
   EXPECT_EQ(sreader.GetString(&s).code(), StatusCode::kCorruption);
+}
+
+TEST(PayloadTest, HugeCountsAreCorruptionNotAllocations) {
+  // Checksum-valid payloads whose counts claim far more items than the
+  // bytes that follow must fail before anything is sized by the count.
+  Payload bare;
+  bare.PutU32(0xFFFFFFFFu);
+  bare.PutF64(1.0);
+  {
+    PayloadReader reader(bare.data());
+    uint32_t n = 0;
+    EXPECT_EQ(reader.GetCount(&n, sizeof(double)).code(),
+              StatusCode::kCorruption);
+  }
+  {
+    PayloadReader reader(bare.data());
+    IntervalSet set;
+    EXPECT_EQ(reader.GetIntervalSet(&set).code(), StatusCode::kCorruption);
+  }
+  {
+    // A count that fits is accepted, and leaves its items to be read.
+    Payload fits;
+    fits.PutU32(2);
+    fits.PutF64(1.0);
+    fits.PutF64(2.0);
+    PayloadReader reader(fits.data());
+    uint32_t n = 0;
+    ASSERT_TRUE(reader.GetCount(&n, sizeof(double)).ok());
+    EXPECT_EQ(n, 2u);
+    EXPECT_EQ(reader.remaining(), 2 * sizeof(double));
+  }
+
+  // A histogram that claims 2^32-1 bounds (whose bucket count n+1 would
+  // also wrap to 0 in u32 arithmetic).
+  Payload histogram;
+  histogram.PutString("vaq_latency_ms");
+  histogram.PutU32(static_cast<uint32_t>(obs::Snapshot::Kind::kHistogram));
+  histogram.PutU32(0);  // No labels.
+  histogram.PutU32(0xFFFFFFFFu);
+  histogram.PutF64(1.0);
+  obs::Snapshot::Entry entry;
+  PayloadReader hist_reader(histogram.data());
+  EXPECT_EQ(DecodeMetricEntry(&hist_reader, &entry).code(),
+            StatusCode::kCorruption);
+
+  Payload labels;
+  labels.PutString("vaq_queries_total");
+  labels.PutU32(static_cast<uint32_t>(obs::Snapshot::Kind::kCounter));
+  labels.PutU32(0xFFFFFFFFu);
+  PayloadReader label_reader(labels.data());
+  EXPECT_EQ(DecodeMetricEntry(&label_reader, &entry).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(RecordTest, AppendReadRoundTrip) {
@@ -200,6 +261,13 @@ TEST(BlobTest, RejectsBadMagicAndNewerVersion) {
   newer[8] = static_cast<char>(kFormatVersion + 1);
   EXPECT_EQ(Deserializer::Open(newer).status().code(),
             StatusCode::kUnimplemented);
+
+  // Version 0 was never written: flipping bit 0 of the version byte must
+  // not turn a v1 blob into an accepted "older" one.
+  std::string v0 = blob;
+  v0[8] ^= 0x01;
+  EXPECT_EQ(Deserializer::Open(v0).status().code(), StatusCode::kCorruption);
+  EXPECT_FALSE(ParseBlob(v0).ok());
 
   EXPECT_EQ(Deserializer::Open("short").status().code(),
             StatusCode::kCorruption);

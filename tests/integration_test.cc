@@ -7,7 +7,7 @@
 #include "offline/ingest.h"
 #include "offline/repository.h"
 #include "query/session.h"
-#include "storage/paged_table.h"
+#include "storage/catalog.h"
 #include "synth/scenario.h"
 
 namespace vaq {
@@ -68,10 +68,10 @@ TEST(IntegrationTest, DeterministicAcrossRuns) {
   EXPECT_FALSE(third == first);
 }
 
-TEST(IntegrationTest, CatalogToPagedTablesToRvaq) {
-  // Ingest -> persist -> export the queried tables to the paged on-disk
-  // format -> answer the query straight off disk; results must match the
-  // in-memory run bit for bit.
+TEST(IntegrationTest, CatalogRoundTripToRvaq) {
+  // Ingest -> persist -> load into a fresh catalog object, the way a
+  // restarted process would -> answer the query from the loaded tables;
+  // results and access counts must match the in-memory run exactly.
   const synth::Scenario& sc = SharedScenario();
   detect::ModelBundle models =
       detect::ModelBundle::MaskRcnnI3d(sc.truth(), 55);
@@ -80,42 +80,34 @@ TEST(IntegrationTest, CatalogToPagedTablesToRvaq) {
   const storage::VideoIndex index =
       std::move(ingestor.Ingest(sc.truth(), models)).value();
 
+  const std::string dir =
+      (fs::temp_directory_path() / "vaq_integration_catalog").string();
+  fs::remove_all(dir);
+  ASSERT_TRUE(storage::Catalog(dir).Save("beer", index).ok());
+  auto loaded = storage::Catalog(dir).Load("beer");
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+
   auto memory_tables =
       offline::QueryTables::Bind(index, sc.query(), sc.vocab());
+  auto disk_tables =
+      offline::QueryTables::Bind(loaded.value(), sc.query(), sc.vocab());
   ASSERT_TRUE(memory_tables.ok());
-
-  const std::string dir =
-      (fs::temp_directory_path() / "vaq_integration_paged").string();
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  storage::PageCache cache(128, 4096);
-  std::vector<std::unique_ptr<storage::PagedScoreTable>> paged;
-  offline::QueryTables disk_tables = *memory_tables;
-  for (size_t t = 0; t < memory_tables->tables.size(); ++t) {
-    const std::string path = dir + "/t" + std::to_string(t) + ".pgd";
-    ASSERT_TRUE(storage::WritePagedTable(
-                    *static_cast<const storage::ScoreTable*>(
-                        memory_tables->tables[t]),
-                    path)
-                    .ok());
-    auto opened = storage::PagedScoreTable::Open(path, &cache);
-    ASSERT_TRUE(opened.ok());
-    paged.push_back(std::move(opened).value());
-    disk_tables.tables[t] = paged.back().get();
-  }
+  ASSERT_TRUE(disk_tables.ok());
 
   offline::RvaqOptions options;
   options.k = 4;
   const offline::TopKResult expected =
       offline::Rvaq(&memory_tables.value(), &scoring, options).Run();
   const offline::TopKResult actual =
-      offline::Rvaq(&disk_tables, &scoring, options).Run();
+      offline::Rvaq(&disk_tables.value(), &scoring, options).Run();
+  ASSERT_FALSE(expected.top.empty());
   ASSERT_EQ(actual.top.size(), expected.top.size());
   for (size_t i = 0; i < actual.top.size(); ++i) {
     EXPECT_EQ(actual.top[i].clips, expected.top[i].clips);
-    EXPECT_DOUBLE_EQ(actual.top[i].exact_score, expected.top[i].exact_score);
+    EXPECT_EQ(actual.top[i].exact_score, expected.top[i].exact_score);
   }
-  EXPECT_GT(cache.fetches(), 0);
+  EXPECT_EQ(actual.pq, expected.pq);
+  EXPECT_EQ(actual.accesses.ToString(), expected.accesses.ToString());
 }
 
 TEST(IntegrationTest, SqlMatchesDirectEngineCalls) {

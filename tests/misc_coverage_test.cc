@@ -1,16 +1,13 @@
-// Edge-path coverage across modules: page-straddling reads, odd layouts,
-// CNF query corner configurations, catalog overwrite semantics.
+// Edge-path coverage across modules: odd layouts, CNF query corner
+// configurations, catalog overwrite semantics.
 #include <filesystem>
-#include <fstream>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "detect/models.h"
 #include "online/streaming.h"
 #include "online/svaqd.h"
 #include "storage/catalog.h"
-#include "storage/paged_table.h"
 #include "synth/generator.h"
 
 namespace vaq {
@@ -23,37 +20,6 @@ std::string TempDir(const char* name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir.string();
-}
-
-TEST(PagedTableEdgeTest, UnalignedPageSizeForcesStraddlingReads) {
-  // A 100-byte page never aligns with the 16-byte rows or the 4096-byte
-  // header, so every access path must stitch values across page
-  // boundaries.
-  const std::string dir = TempDir("vaq_misc_straddle");
-  Rng rng(1);
-  std::vector<storage::ScoreTable::Row> rows;
-  for (int64_t c = 0; c < 300; ++c) rows.push_back({c, rng.UniformDouble(0, 9)});
-  const storage::ScoreTable memory =
-      std::move(storage::ScoreTable::Build(std::move(rows))).value();
-  const std::string path = dir + "/t.pgd";
-  ASSERT_TRUE(storage::WritePagedTable(memory, path).ok());
-
-  storage::PageCache cache(16, /*page_size=*/100);
-  auto paged = std::move(storage::PagedScoreTable::Open(path, &cache)).value();
-  for (int64_t rank = 0; rank < 300; rank += 7) {
-    const storage::ScoreRow a = memory.SortedRow(rank);
-    const storage::ScoreRow b = paged->SortedRow(rank);
-    ASSERT_EQ(a.clip, b.clip) << rank;
-    ASSERT_DOUBLE_EQ(a.score, b.score) << rank;
-  }
-  for (ClipIndex cid = 0; cid < 300; cid += 11) {
-    ASSERT_DOUBLE_EQ(paged->RandomScore(cid), memory.PeekScore(cid));
-  }
-  std::vector<double> a;
-  std::vector<double> b;
-  memory.RangeScores(37, 222, &a);
-  paged->RangeScores(37, 222, &b);
-  EXPECT_EQ(a, b);
 }
 
 TEST(CatalogEdgeTest, SaveOverwritesExistingVideo) {
@@ -150,27 +116,6 @@ TEST(VocabularyEdgeTest, ObjectAndActionNamespacesAreSeparate) {
   EXPECT_EQ(obj, 0);
   EXPECT_EQ(act, 0);  // Same dense id in a different space: no clash.
   EXPECT_EQ(vocab.ObjectTypeName(obj), vocab.ActionTypeName(act));
-}
-
-TEST(PageCacheEdgeTest, EvictionKeepsCapacityBound) {
-  const std::string dir = TempDir("vaq_misc_evict");
-  Rng rng(2);
-  std::vector<storage::ScoreTable::Row> rows;
-  for (int64_t c = 0; c < 2000; ++c) rows.push_back({c, rng.UniformDouble()});
-  const storage::ScoreTable memory =
-      std::move(storage::ScoreTable::Build(std::move(rows))).value();
-  const std::string path = dir + "/t.pgd";
-  ASSERT_TRUE(storage::WritePagedTable(memory, path).ok());
-  storage::PageCache cache(2, 512);
-  auto paged = std::move(storage::PagedScoreTable::Open(path, &cache)).value();
-  // Ping-pong between two far-apart regions plus a third: constant
-  // eviction, correct values throughout.
-  for (int round = 0; round < 50; ++round) {
-    ASSERT_DOUBLE_EQ(paged->RandomScore(1), memory.PeekScore(1));
-    ASSERT_DOUBLE_EQ(paged->RandomScore(1000), memory.PeekScore(1000));
-    ASSERT_DOUBLE_EQ(paged->RandomScore(1999), memory.PeekScore(1999));
-  }
-  EXPECT_GT(cache.fetches(), 100);  // Thrashing, as designed.
 }
 
 }  // namespace

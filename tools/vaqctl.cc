@@ -1,7 +1,8 @@
 // vaqctl — command-line front end for VAQ video repositories.
 //
 //   vaqctl ingest --catalog DIR --name NAME --scenario SPEC [options]
-//       Generate a scenario, run the ingestion phase and persist it.
+//       Generate a scenario, run the ingestion phase and persist it as
+//       one checksummed file, DIR/NAME. NAME uses only [A-Za-z0-9._-].
 //       SPEC: youtube:<1..12> | coffee | ironman | starwars | titanic
 //             | file:<scenario-spec-path> (synth/spec_file.h format)
 //       options: --models maskrcnn|yolo|ideal   --seed N
@@ -10,7 +11,7 @@
 //       List ingested videos with their type inventories.
 //
 //   vaqctl rm --catalog DIR --name NAME
-//       Delete an ingested video and its table files.
+//       Delete an ingested video's file.
 //
 //   vaqctl topk --catalog DIR --action NAME [--objects a,b,...] [--k N]
 //       Repository-wide ranked retrieval (RVAQ per video, merged).
@@ -1234,7 +1235,7 @@ int Usage() {
       "subcommands:\n"
       "  ingest   generate a scenario, run the ingestion phase, persist it\n"
       "  ls       list ingested videos with their type inventories\n"
-      "  rm       delete an ingested video and its table files\n"
+      "  rm       delete an ingested video's file from the catalog\n"
       "  topk     repository-wide ranked retrieval (RVAQ per video)\n"
       "  sql      run an offline statement of the paper's dialect\n"
       "  metrics  seeded end-to-end pipeline, dump the metric snapshot\n"
