@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -94,18 +95,44 @@ Planner::Planner(const ProxySet* proxy, PlannerOptions options)
 StatusOr<CascadePlan> Planner::Plan(const std::string& action,
                                     const std::vector<std::string>& objects,
                                     double recall_target) const {
+  VAQ_ASSIGN_OR_RETURN(const std::shared_ptr<const PlannedQuery> planned,
+                       Lookup(action, objects, recall_target));
+  return planned->plan;
+}
+
+StatusOr<std::shared_ptr<const PlannedQuery>> Planner::Lookup(
+    const std::string& action, const std::vector<std::string>& objects,
+    double recall_target) const {
   if (!(recall_target > 0.0) || recall_target > 1.0) {
     return Status::InvalidArgument("recall target must be in (0, 1]");
   }
-  const std::vector<std::string> concepts = QueryConcepts(action, objects);
-  if (concepts.empty()) {
+  MemoKey key{QueryConcepts(action, objects), 0};
+  if (key.first.empty()) {
     return Status::InvalidArgument("cascade query names no concepts");
   }
+  static_assert(sizeof(key.second) == sizeof(recall_target),
+                "double is 64-bit");
+  std::memcpy(&key.second, &recall_target, sizeof(key.second));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = memo_.find(key);
+    if (it != memo_.end()) return it->second;
+  }
+  // Plan outside the lock; a racing miss on the same key plans the same
+  // bytes, and the first insert wins.
+  std::shared_ptr<const PlannedQuery> planned =
+      Build(key.first, objects.size(), !action.empty(), recall_target);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (memo_.size() >= kMemoCapacity && memo_.count(key) == 0) memo_.clear();
+  return memo_.try_emplace(std::move(key), std::move(planned)).first->second;
+}
 
-  CascadePlan plan;
+std::shared_ptr<const PlannedQuery> Planner::Build(
+    const std::vector<std::string>& concepts, size_t num_objects,
+    bool has_action, double recall_target) const {
+  auto planned = std::make_shared<PlannedQuery>();
+  CascadePlan& plan = planned->plan;
   plan.recall_target = recall_target;
-  const size_t num_objects = objects.size();
-  const bool has_action = !action.empty();
   for (const auto& [name, video] : *proxy_) {
     (void)name;
     plan.clips_total += video.num_clips;
@@ -116,7 +143,7 @@ StatusOr<CascadePlan> Planner::Plan(const std::string& action,
   plan.clips_surviving = plan.clips_total;
   plan.cascade_cost_ms = plan.full_cost_ms;
   if (recall_target >= 1.0 || proxy_->empty()) {
-    return plan;  // Exact: τ=1.0 admits no approximation.
+    return planned;  // Exact: τ=1.0 admits no approximation.
   }
 
   // Per-concept targets: the conjunction survives iff every concept
@@ -152,97 +179,71 @@ StatusOr<CascadePlan> Planner::Plan(const std::string& action,
     plan.predicted_recall *= t.heldout_recall;
   }
 
-  // Count survivors and bill the cascade: one proxy call per clip
+  // Bill the cascade from its surviving sets: one proxy call per clip
   // (already paid at ingest, charged here to keep the cost model
   // honest) plus the expensive tier on survivors only.
-  plan.clips_surviving = 0;
+  std::unique_ptr<const PlanFilters> filters(
+      new PlanFilters(proxy_, &plan.thresholds));
+  plan.clips_surviving = filters->clips_surviving();
   plan.cascade_cost_ms = 0.0;
   for (const auto& [name, video] : *proxy_) {
-    (void)name;
-    const double expensive =
-        ExpensiveClipMs(video, num_objects, has_action, options_);
+    const IntervalSet* surviving = filters->SurvivingClips(name);
+    const int64_t kept =
+        surviving == nullptr ? video.num_clips : surviving->TotalLength();
     plan.cascade_cost_ms +=
         static_cast<double>(video.num_clips) * options_.proxy.inference_ms;
-    std::vector<const ProxyColumn*> columns;
-    bool covered = true;
-    for (size_t i = 0; i < plan.thresholds.size(); ++i) {
-      const ProxyColumn* column =
-          video.Find(plan.thresholds[i].concept_name);
-      if (column == nullptr ||
-          static_cast<int64_t>(column->scores.size()) != video.num_clips) {
-        covered = false;
-        break;
-      }
-      columns.push_back(column);
-    }
-    if (!covered) {
-      // No proxy signal for some concept: the video stays unconstrained.
-      plan.clips_surviving += video.num_clips;
-      plan.cascade_cost_ms +=
-          static_cast<double>(video.num_clips) * expensive;
-      continue;
-    }
-    int64_t surviving = 0;
-    for (int64_t clip = 0; clip < video.num_clips; ++clip) {
-      bool keep = true;
-      for (size_t i = 0; i < columns.size(); ++i) {
-        if (columns[i]->scores[static_cast<size_t>(clip)] <
-            plan.thresholds[i].threshold) {
-          keep = false;
-          break;
-        }
-      }
-      if (keep) ++surviving;
-    }
-    plan.clips_surviving += surviving;
-    plan.cascade_cost_ms += static_cast<double>(surviving) * expensive;
+    plan.cascade_cost_ms +=
+        static_cast<double>(kept) *
+        ExpensiveClipMs(video, num_objects, has_action, options_);
   }
 
   // The cost-based decision proper: cascade only when it actually wins.
   plan.use_cascade = plan.cascade_cost_ms < plan.full_cost_ms;
-  if (!plan.use_cascade) {
+  if (plan.use_cascade) {
+    planned->filters = std::move(filters);
+  } else {
     plan.clips_surviving = plan.clips_total;
     plan.cascade_cost_ms = plan.full_cost_ms;
     plan.predicted_recall = 1.0;
   }
-  return plan;
+  return planned;
 }
 
-PlanFilters::PlanFilters(const ProxySet* proxy, const CascadePlan& plan) {
+PlanFilters::PlanFilters(const ProxySet* proxy, const CascadePlan& plan)
+    : PlanFilters(proxy, plan.use_cascade ? &plan.thresholds : nullptr) {}
+
+PlanFilters::PlanFilters(const ProxySet* proxy,
+                         const std::vector<ConceptThreshold>* thresholds) {
   VAQ_CHECK(proxy != nullptr);
+  std::vector<const ProxyColumn*> columns;
+  std::vector<bool> keep;
   for (const auto& [name, video] : *proxy) {
     clips_total_ += video.num_clips;
-    if (!plan.use_cascade) {
-      clips_surviving_ += video.num_clips;
-      continue;
-    }
-    std::vector<const ProxyColumn*> columns;
-    bool covered = true;
-    for (const ConceptThreshold& t : plan.thresholds) {
-      const ProxyColumn* column = video.Find(t.concept_name);
-      if (column == nullptr ||
-          static_cast<int64_t>(column->scores.size()) != video.num_clips) {
-        covered = false;
-        break;
+    columns.clear();
+    if (thresholds != nullptr) {
+      for (const ConceptThreshold& t : *thresholds) {
+        const ProxyColumn* column = video.Find(t.concept_name);
+        if (column == nullptr ||
+            static_cast<int64_t>(column->scores.size()) != video.num_clips) {
+          break;
+        }
+        columns.push_back(column);
       }
-      columns.push_back(column);
     }
-    if (!covered) {
+    if (thresholds == nullptr || columns.size() != thresholds->size()) {
       clips_surviving_ += video.num_clips;  // Unconstrained video.
       continue;
     }
-    std::vector<bool> keep(static_cast<size_t>(video.num_clips), true);
+    keep.assign(static_cast<size_t>(video.num_clips), true);
     for (size_t i = 0; i < columns.size(); ++i) {
-      const double threshold = plan.thresholds[i].threshold;
-      for (int64_t clip = 0; clip < video.num_clips; ++clip) {
-        if (columns[i]->scores[static_cast<size_t>(clip)] < threshold) {
-          keep[static_cast<size_t>(clip)] = false;
-        }
+      const double threshold = (*thresholds)[i].threshold;
+      for (size_t clip = 0; clip < keep.size(); ++clip) {
+        if (columns[i]->scores[clip] < threshold) keep[clip] = false;
       }
     }
     IntervalSet surviving = IntervalSet::FromIndicators(keep);
     clips_surviving_ += surviving.TotalLength();
-    surviving_.emplace(name, std::move(surviving));
+    surviving_.emplace_hint(surviving_.end(), name, std::move(surviving));
   }
 }
 

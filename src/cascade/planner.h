@@ -25,13 +25,17 @@
 //
 // Everything here is a pure function of (proxy index, query, τ):
 // plans, thresholds and surviving-clip sets are byte-identical across
-// shards, threads and re-runs.
+// shards, threads and re-runs — which is what lets a Planner memoize
+// them.
 #ifndef VAQ_CASCADE_PLANNER_H_
 #define VAQ_CASCADE_PLANNER_H_
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cascade/proxy_index.h"
@@ -80,26 +84,6 @@ struct PlannerOptions {
   detect::ModelProfile proxy = detect::ModelProfile::ProxyCnn();
 };
 
-class Planner {
- public:
-  // `proxy` must outlive the planner and any PlanFilters built from its
-  // plans.
-  explicit Planner(const ProxySet* proxy, PlannerOptions options = {});
-
-  // Plans one conjunctive query. kInvalidArgument when the query names
-  // no concepts or τ is outside (0, 1]. A τ of 1.0, or a proxy set with
-  // no coverage of the query, yields an exact plan.
-  StatusOr<CascadePlan> Plan(const std::string& action,
-                             const std::vector<std::string>& objects,
-                             double recall_target) const;
-
-  const ProxySet& proxy() const { return *proxy_; }
-
- private:
-  const ProxySet* proxy_;
-  PlannerOptions options_;
-};
-
 // The execution-side face of a plan: resolves, per video, the clips
 // whose proxy scores clear every concept threshold. Surviving sets are
 // materialized eagerly at construction (read-only afterwards, safe to
@@ -117,9 +101,66 @@ class PlanFilters : public offline::ClipFilterProvider {
   int64_t clips_surviving() const { return clips_surviving_; }
 
  private:
+  friend class Planner;
+  // The one survivor pass: the planner prices a candidate plan from the
+  // sets it builds, and the same sets execute the plan. A null
+  // `thresholds` (an exact plan) leaves every video unconstrained.
+  PlanFilters(const ProxySet* proxy,
+              const std::vector<ConceptThreshold>* thresholds);
+
   std::map<std::string, IntervalSet> surviving_;
   int64_t clips_total_ = 0;
   int64_t clips_surviving_ = 0;
+};
+
+// A plan together with the surviving sets that execute it. Immutable
+// and shared: a statement holding one stays valid after the planner's
+// memo has dropped it.
+struct PlannedQuery {
+  CascadePlan plan;
+  // Null unless plan.use_cascade.
+  std::unique_ptr<const PlanFilters> filters;
+};
+
+// A long-lived planner over one proxy set. A plan is a pure function of
+// (proxy set, concepts, τ), so each distinct (concepts, τ) is planned
+// once and later requests are a memo lookup. The memo holds at most
+// kMemoCapacity plans and is cleared when full. Thread-safe.
+class Planner {
+ public:
+  static constexpr size_t kMemoCapacity = 16;
+
+  // `proxy` must outlive the planner and any PlanFilters built from its
+  // plans, and must not change while the planner exists: memoized plans
+  // would describe the old set. Build a new planner after changing it.
+  explicit Planner(const ProxySet* proxy, PlannerOptions options = {});
+
+  // Plans one conjunctive query. kInvalidArgument when the query names
+  // no concepts or τ is outside (0, 1]. A τ of 1.0, or a proxy set with
+  // no coverage of the query, yields an exact plan.
+  StatusOr<CascadePlan> Plan(const std::string& action,
+                             const std::vector<std::string>& objects,
+                             double recall_target) const;
+
+  // Plan() without the copy, plus the plan's surviving sets. The memo
+  // key is the ordered concept list (duplicates kept) and the bit
+  // pattern of τ.
+  StatusOr<std::shared_ptr<const PlannedQuery>> Lookup(
+      const std::string& action, const std::vector<std::string>& objects,
+      double recall_target) const;
+
+ private:
+  using MemoKey = std::pair<std::vector<std::string>, uint64_t>;
+
+  // The planning proper, run on a memo miss.
+  std::shared_ptr<const PlannedQuery> Build(
+      const std::vector<std::string>& concepts, size_t num_objects,
+      bool has_action, double recall_target) const;
+
+  const ProxySet* proxy_;
+  PlannerOptions options_;
+  mutable std::mutex mu_;  // Guards memo_.
+  mutable std::map<MemoKey, std::shared_ptr<const PlannedQuery>> memo_;
 };
 
 }  // namespace cascade

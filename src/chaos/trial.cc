@@ -445,7 +445,7 @@ Status RunCluster(const TrialScenario& s, const Schedule& schedule,
   // index), so the merged-vs-reference and self-determinism oracles
   // cover the cascade path, failover re-runs included.
   cascade::ProxySet proxies;
-  std::unique_ptr<cascade::PlanFilters> filters;
+  std::shared_ptr<const cascade::PlannedQuery> planned;
   if (s.recall < 1.0) {
     for (int i = 0; i < s.num_videos; ++i) {
       const std::string name = "v" + std::to_string(i);
@@ -458,11 +458,9 @@ Status RunCluster(const TrialScenario& s, const Schedule& schedule,
       proxies.emplace(name, std::move(proxy_index));
     }
     const cascade::Planner planner(&proxies);
-    VAQ_ASSIGN_OR_RETURN(const cascade::CascadePlan plan,
-                         planner.Plan("running", {"dog"}, s.recall));
-    if (plan.use_cascade) {
-      filters = std::make_unique<cascade::PlanFilters>(&proxies, plan);
-      rvaq.prefilter = filters.get();
+    VAQ_ASSIGN_OR_RETURN(planned, planner.Lookup("running", {"dog"}, s.recall));
+    if (planned->plan.use_cascade) {
+      rvaq.prefilter = planned->filters.get();
       ++r->coverage["cascade.cluster_plans"];
     } else {
       ++r->coverage["cascade.cluster_exact_fallbacks"];

@@ -70,6 +70,9 @@ Coordinator::Coordinator(const offline::Repository* repository,
                          ClusterOptions options)
     : repository_(repository),
       options_(options),
+      planner_(options.proxy == nullptr
+                   ? nullptr
+                   : std::make_unique<const cascade::Planner>(options.proxy)),
       latency_(std::make_unique<obs::LatencyRecorder>("vaq_query_latency_ms",
                                                       "cluster")) {
   VAQ_CHECK_GT(options_.num_shards, 0);
@@ -578,26 +581,25 @@ StatusOr<query::QueryResult> Coordinator::ExecuteRanked(
   // scatter, so every shard prunes locally before binding tables. A
   // target of exactly 1.0 skips this block — no plan, no counters, no
   // extra wire bytes — keeping the exact path byte-identical.
-  cascade::CascadePlan plan;
-  std::unique_ptr<cascade::PlanFilters> filters;
+  std::shared_ptr<const cascade::PlannedQuery> planned;
   int64_t plan_wire_bytes = 0;
   query::QueryResult result;
   if (stmt.recall_target < 1.0) {
     const obs::QueryContext cascade_phase = ctx.Child("cascade");
-    if (options_.proxy != nullptr) {
-      cascade::Planner planner(options_.proxy);
-      VAQ_ASSIGN_OR_RETURN(
-          plan, planner.Plan(stmt.action, stmt.objects, stmt.recall_target));
-    } else {
-      plan.recall_target = stmt.recall_target;  // Exact fallback.
+    cascade::CascadePlan fallback;  // Exact, without a proxy tier.
+    fallback.recall_target = stmt.recall_target;
+    if (planner_ != nullptr) {
+      VAQ_ASSIGN_OR_RETURN(planned, planner_->Lookup(stmt.action, stmt.objects,
+                                                     stmt.recall_target));
     }
+    const cascade::CascadePlan& plan =
+        planned != nullptr ? planned->plan : fallback;
     cascade::CountPlan(plan);
     result.cascade_plan = plan.ToString();
     cascade_phase.AddStat("clips_total", plan.clips_total);
     cascade_phase.AddStat("clips_surviving", plan.clips_surviving);
     if (plan.use_cascade) {
-      filters.reset(new cascade::PlanFilters(options_.proxy, plan));
-      options.prefilter = filters.get();
+      options.prefilter = planned->filters.get();
       plan_wire_bytes = plan.WireBytes();
     }
   }

@@ -95,7 +95,10 @@ struct ClusterOptions {
   // shard prefilters locally. Not owned; null disables (approximate
   // statements then run the exact path). Keys are repository video
   // names; thresholds are layout-independent, so the surviving set
-  // never depends on the shard count.
+  // never depends on the shard count. The coordinator builds its
+  // planner over this set at construction and plans each
+  // (concepts, τ) once, so the set must not change while the
+  // coordinator lives: after changing it, construct a new coordinator.
   const cascade::ProxySet* proxy = nullptr;
 };
 
@@ -208,6 +211,8 @@ class Coordinator : public query::RankedBackend {
   const offline::Repository* repository_;
   ClusterOptions options_;
   offline::PaperScoring scoring_;
+  // Plans WITH RECALL statements over options_.proxy; null without one.
+  std::unique_ptr<const cascade::Planner> planner_;
   std::vector<std::vector<std::string>> shard_videos_;
   // Per-shard modeled scan ms of the current load window (Rebalance
   // resets it). Mutable: folded during the logically-const TopK.

@@ -241,21 +241,40 @@ LatencyRecorder::LatencyRecorder(const std::string& name,
 
 void LatencyRecorder::Record(double ms) {
   std::lock_guard<std::mutex> lock(mu_);
-  sorted_.insert(std::lower_bound(sorted_.begin(), sorted_.end(), ms), ms);
+  ++runs_[ms];
+  ++samples_;
   count_->Increment();
-  p50_->Set(PercentileNearestRank(sorted_, 0.5));
-  p99_->Set(PercentileNearestRank(sorted_, 0.99));
-  p999_->Set(PercentileNearestRank(sorted_, 0.999));
+  p50_->Set(PercentileLocked(0.5));
+  p99_->Set(PercentileLocked(0.99));
+  p999_->Set(PercentileLocked(0.999));
+}
+
+double LatencyRecorder::PercentileLocked(double quantile) const {
+  if (samples_ == 0) return 0.0;
+  const double rank = std::ceil(quantile * static_cast<double>(samples_));
+  const int64_t index =
+      rank < 1.0 ? 0 : std::min(samples_ - 1, static_cast<int64_t>(rank) - 1);
+  int64_t below = 0;
+  for (const auto& [value, count] : runs_) {
+    below += count;
+    if (index < below) return value;
+  }
+  return runs_.rbegin()->first;
 }
 
 int64_t LatencyRecorder::count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(sorted_.size());
+  return samples_;
 }
 
 std::vector<double> LatencyRecorder::sorted_samples() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return sorted_;
+  std::vector<double> sorted;
+  sorted.reserve(static_cast<size_t>(samples_));
+  for (const auto& [value, count] : runs_) {
+    sorted.insert(sorted.end(), static_cast<size_t>(count), value);
+  }
+  return sorted;
 }
 
 }  // namespace obs

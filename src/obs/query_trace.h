@@ -121,8 +121,10 @@ std::string ExportChromeTrace(const std::vector<const QueryTrace*>& traces);
 double PercentileNearestRank(const std::vector<double>& sorted,
                              double quantile);
 
-// Exact-sample latency percentile tracker. Every `Record` inserts into a
-// sorted sample vector and republishes p50/p99/p999 as
+// Exact-sample latency percentile tracker. Every `Record` adds its
+// sample to a sorted run-length multiset — one (value, count) run per
+// distinct value, so memory grows with the distinct values, not the
+// samples — and republishes nearest-rank p50/p99/p999 as
 //   <name>{path="<path>",quantile="0.5|0.99|0.999"}
 // gauges plus a <name>_count{path=...} counter in the global registry.
 // Because the gauges are a pure function of the sample *multiset*, the
@@ -140,11 +142,17 @@ class LatencyRecorder {
   void Record(double ms);
 
   int64_t count() const;
+  // Every sample recorded, ascending (the runs expanded).
   std::vector<double> sorted_samples() const;
 
  private:
+  // PercentileNearestRank over the expanded runs. Caller holds mu_.
+  double PercentileLocked(double quantile) const;
+
   mutable std::mutex mu_;
-  std::vector<double> sorted_;
+  // Sample value -> how many times it was recorded.
+  std::map<double, int64_t> runs_;
+  int64_t samples_ = 0;
   Gauge* p50_;
   Gauge* p99_;
   Gauge* p999_;

@@ -21,6 +21,9 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& input) {
   std::vector<Token> tokens;
   size_t i = 0;
   const size_t n = input.size();
+  // Every token but kEnd consumes at least one byte, so this one
+  // allocation holds them all.
+  tokens.reserve(n + 1);
   while (i < n) {
     const char c = input[i];
     if (std::isspace(static_cast<unsigned char>(c))) {

@@ -79,33 +79,32 @@ StatusOr<QueryResult> ExecuteRankedStatement(
     const offline::ScoringModel& scoring,
     const offline::ScoringModel& cnf_scoring,
     const obs::QueryContext& ctx,
-    const cascade::ProxySet* proxy) {
+    const cascade::Planner* planner) {
   VAQ_TRACE_SPAN("session/ranked_query");
   QueryResult result;
   // Cascade planning (WITH RECALL < 1.0). A target of exactly 1.0 skips
   // this block entirely — no plan, no counters, no extra phase node — so
   // exact-path results stay byte-identical to pre-cascade builds.
-  cascade::CascadePlan plan;
-  std::unique_ptr<cascade::PlanFilters> filters;
+  std::shared_ptr<const cascade::PlannedQuery> planned;
   const IntervalSet* surviving = nullptr;
   if (stmt.recall_target < 1.0) {
     const obs::QueryContext cascade_phase = ctx.Child("cascade");
-    if (proxy != nullptr && stmt.IsConjunctive()) {
-      cascade::Planner planner(proxy);
-      VAQ_ASSIGN_OR_RETURN(
-          plan, planner.Plan(stmt.action, stmt.objects, stmt.recall_target));
-    } else {
-      // No proxy tier registered, or a CNF statement the planner does not
-      // model: fall back to the exact path while honoring the clause.
-      plan.recall_target = stmt.recall_target;
+    // No proxy tier registered, or a CNF statement the planner does not
+    // model: fall back to the exact path while honoring the clause.
+    cascade::CascadePlan fallback;
+    fallback.recall_target = stmt.recall_target;
+    if (planner != nullptr && stmt.IsConjunctive()) {
+      VAQ_ASSIGN_OR_RETURN(planned, planner->Lookup(stmt.action, stmt.objects,
+                                                    stmt.recall_target));
     }
+    const cascade::CascadePlan& plan =
+        planned != nullptr ? planned->plan : fallback;
     cascade::CountPlan(plan);
     result.cascade_plan = plan.ToString();
     cascade_phase.AddStat("clips_total", plan.clips_total);
     cascade_phase.AddStat("clips_surviving", plan.clips_surviving);
     if (plan.use_cascade) {
-      filters.reset(new cascade::PlanFilters(proxy, plan));
-      surviving = filters->SurvivingClips(stmt.video);
+      surviving = planned->filters->SurvivingClips(stmt.video);
       if (surviving != nullptr && surviving->empty()) {
         // The proxy rules out the whole video: answer without binding.
         static obs::Counter* const videos_pruned =
@@ -234,6 +233,10 @@ void Session::RegisterRepository(const std::string& name,
   repositories_.insert_or_assign(name, std::move(index));
 }
 
+void Session::RegisterProxySet(const cascade::ProxySet* proxy) {
+  planner_.reset(proxy == nullptr ? nullptr : new cascade::Planner(proxy));
+}
+
 void Session::RegisterRankedBackend(const std::string& name,
                                     RankedBackend* backend) {
   backends_.insert_or_assign(name, backend);
@@ -274,7 +277,7 @@ StatusOr<QueryResult> Session::Execute(const QueryStatement& stmt,
                               "'");
     }
     return ExecuteRankedStatement(stmt, it->second, scoring_, cnf_scoring_,
-                                  ctx, proxy_);
+                                  ctx, planner_.get());
   }
 
   static obs::Counter* const online = obs::MetricRegistry::Global()

@@ -111,17 +111,17 @@ StatusOr<QueryResult> ExecuteOnlineStatement(
 // Runs a ranked (repository) statement against `index`. `scoring` serves
 // conjunctive statements, `cnf_scoring` general CNF ones; both are
 // stateless and may be shared across threads. `ctx` as above. When the
-// statement carries WITH RECALL < 1.0 and `proxy` covers the video, a
-// cascade is planned (src/cascade/) and the proxy pre-filter prunes
-// candidate sequences before RVAQ binds tables; otherwise the statement
-// falls back to the exact path. A recall target of exactly 1.0 never
-// consults the planner.
+// statement carries WITH RECALL < 1.0 and `planner`'s proxy set covers
+// the video, the cascade plan (src/cascade/) comes from `planner` and
+// the proxy pre-filter prunes candidate sequences before RVAQ binds
+// tables; otherwise the statement falls back to the exact path. A
+// recall target of exactly 1.0 never consults the planner.
 StatusOr<QueryResult> ExecuteRankedStatement(
     const QueryStatement& stmt, const storage::VideoIndex& index,
     const offline::ScoringModel& scoring,
     const offline::ScoringModel& cnf_scoring,
     const obs::QueryContext& ctx = {},
-    const cascade::ProxySet* proxy = nullptr);
+    const cascade::Planner* planner = nullptr);
 
 // A pluggable executor for ranked statements over a named source that is
 // not a locally-held VideoIndex. The cluster coordinator implements this
@@ -164,9 +164,12 @@ class Session {
 
   // Registers the ingest-time proxy tier consulted by WITH RECALL
   // statements over repository videos (keys must match the repository
-  // names). Not owned; nullptr unregisters. Without one, approximate
-  // statements fall back to the exact path.
-  void RegisterProxySet(const cascade::ProxySet* proxy) { proxy_ = proxy; }
+  // names) and builds the session's cascade planner over it, which
+  // plans each (concepts, τ) once. Not owned; nullptr unregisters.
+  // Without one, approximate statements fall back to the exact path.
+  // The set must not change while registered: after changing it,
+  // register it again, or statements keep the plans of the old set.
+  void RegisterProxySet(const cascade::ProxySet* proxy);
 
   // Parses and runs one statement. An EXPLAIN ANALYZE statement executes
   // normally and additionally fills QueryResult::profile_text with the
@@ -191,7 +194,7 @@ class Session {
   std::map<std::string, StreamSource> streams_;
   std::map<std::string, storage::VideoIndex> repositories_;
   std::map<std::string, RankedBackend*> backends_;
-  const cascade::ProxySet* proxy_ = nullptr;
+  std::unique_ptr<const cascade::Planner> planner_;
   offline::PaperScoring scoring_;
   offline::CnfScoring cnf_scoring_;
 };

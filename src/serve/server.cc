@@ -650,7 +650,7 @@ Status Server::AdmitStandingLocked(int64_t id, const std::string& sql,
 
 Status Server::PlanStandingCascadeLocked(StandingQuery* q,
                                          const StreamSource& source) {
-  cascade::CascadePlan plan;
+  std::shared_ptr<const cascade::PlannedQuery> planned;
   if (q->stmt.IsConjunctive()) {
     cascade::ProxySet& set = proxies_[q->source];
     if (set.find(q->source) == set.end()) {
@@ -665,18 +665,21 @@ Status Server::PlanStandingCascadeLocked(StandingQuery* q,
               detect::ModelProfile::ProxyCnn(), source.model_seed));
       set.emplace(q->source, std::move(index));
     }
-    cascade::Planner planner(&set);
-    VAQ_ASSIGN_OR_RETURN(plan, planner.Plan(q->stmt.action, q->stmt.objects,
-                                            q->stmt.recall_target));
-  } else {
-    // CNF statements are outside the planner's cost model: exact path.
-    plan.recall_target = q->stmt.recall_target;
+    const cascade::Planner planner(&set);
+    VAQ_ASSIGN_OR_RETURN(planned, planner.Lookup(q->stmt.action,
+                                                 q->stmt.objects,
+                                                 q->stmt.recall_target));
   }
+  // CNF statements are outside the planner's cost model: exact path.
+  cascade::CascadePlan fallback;
+  fallback.recall_target = q->stmt.recall_target;
+  const cascade::CascadePlan& plan =
+      planned != nullptr ? planned->plan : fallback;
   cascade::CountPlan(plan);
   q->cascade_plan = plan.ToString();
   if (plan.use_cascade) {
-    cascade::PlanFilters filters(&proxies_[q->source], plan);
-    const IntervalSet* surviving = filters.SurvivingClips(q->source);
+    const IntervalSet* surviving =
+        planned->filters->SurvivingClips(q->source);
     if (surviving != nullptr) {
       q->surviving = *surviving;
       q->cascade_active = true;

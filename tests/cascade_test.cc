@@ -11,6 +11,9 @@
 //  * the planner honors the recall math — predicted recall never falls
 //    below the target, the cost frontier is monotone, and τ = 1.0 plans
 //    exact — and PlanFilters agrees with the plan's accounting;
+//  * a memoized plan and its surviving sets equal a fresh planner's,
+//    before and after the memo clears, and a warm session renders
+//    EXPLAIN ANALYZE and the plan text exactly as pinned;
 //  * a WITH RECALL 1 statement is byte-identical to the same statement
 //    without the clause on every surface (results, access accounting,
 //    the full metric snapshot) — the exact path must not know the
@@ -20,6 +23,8 @@
 //    as an uninterrupted one, and the proxy index is persisted in the
 //    checkpoint store.
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,6 +43,7 @@
 #include "obs/trace.h"
 #include "offline/ingest.h"
 #include "offline/scoring.h"
+#include "query/parser.h"
 #include "query/session.h"
 #include "serve/server.h"
 #include "tools/pipeline_setup.h"
@@ -341,10 +347,8 @@ struct SessionRun {
   std::string cascade_plan;
 };
 
-SessionRun RunSessionStatement(const std::string& sql, bool with_proxy) {
-  obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
-  synth::Scenario scenario = tools::DemoScenario(0);
+// vid0 of the session tests: DemoScenario(0) ingested with seed 21.
+storage::VideoIndex IngestVid0(const synth::Scenario& scenario) {
   const detect::ModelBundle models =
       detect::ModelBundle::MaskRcnnI3d(scenario.truth(), 21);
   offline::PaperScoring scoring;
@@ -353,9 +357,15 @@ SessionRun RunSessionStatement(const std::string& sql, bool with_proxy) {
   StatusOr<storage::VideoIndex> index =
       ingestor.Ingest(scenario.truth(), models);
   EXPECT_TRUE(index.ok());
+  return std::move(index).value();
+}
 
+SessionRun RunSessionStatement(const std::string& sql, bool with_proxy) {
+  obs::MetricRegistry::Global().Reset();
+  obs::Tracer::Global().SetClock([] { return 0.0; });
+  synth::Scenario scenario = tools::DemoScenario(0);
   query::Session session;
-  session.RegisterRepository("vid0", std::move(index).value());
+  session.RegisterRepository("vid0", IngestVid0(scenario));
   ProxySet proxies;
   if (with_proxy) {
     proxies.emplace("vid0",
@@ -414,6 +424,195 @@ TEST(CascadeSessionTest, WithoutProxyTierFallsBackToExactResults) {
   EXPECT_NE(fallback.cascade_plan.find("exact"), std::string::npos);
   EXPECT_NE(fallback.metrics.find("vaq_cascade_plans_total"),
             std::string::npos);
+}
+
+// --- Memoized planning ---------------------------------------------------
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Every field of two plans, doubles bitwise.
+void ExpectSamePlan(const CascadePlan& got, const CascadePlan& want,
+                    const std::string& label) {
+  EXPECT_EQ(got.ToString(), want.ToString()) << label;
+  EXPECT_EQ(got.use_cascade, want.use_cascade) << label;
+  EXPECT_EQ(Bits(got.recall_target), Bits(want.recall_target)) << label;
+  EXPECT_EQ(Bits(got.predicted_recall), Bits(want.predicted_recall))
+      << label;
+  EXPECT_EQ(Bits(got.full_cost_ms), Bits(want.full_cost_ms)) << label;
+  EXPECT_EQ(Bits(got.cascade_cost_ms), Bits(want.cascade_cost_ms)) << label;
+  EXPECT_EQ(got.clips_total, want.clips_total) << label;
+  EXPECT_EQ(got.clips_surviving, want.clips_surviving) << label;
+  ASSERT_EQ(got.thresholds.size(), want.thresholds.size()) << label;
+  for (size_t i = 0; i < got.thresholds.size(); ++i) {
+    EXPECT_EQ(got.thresholds[i].concept_name,
+              want.thresholds[i].concept_name) << label;
+    EXPECT_EQ(Bits(got.thresholds[i].threshold),
+              Bits(want.thresholds[i].threshold)) << label;
+    EXPECT_EQ(Bits(got.thresholds[i].heldout_recall),
+              Bits(want.thresholds[i].heldout_recall)) << label;
+  }
+}
+
+// A memoized entry against a fresh planner's plan and a fresh
+// PlanFilters: the same plan, and the same surviving set for every video
+// (null: unconstrained).
+void ExpectMatchesFresh(const PlannedQuery& planned, const ProxySet& proxies,
+                        const std::vector<std::string>& objects, double tau,
+                        const std::string& label) {
+  const Planner fresh(&proxies);
+  const StatusOr<CascadePlan> plan = fresh.Plan("running", objects, tau);
+  ASSERT_TRUE(plan.ok()) << label;
+  ExpectSamePlan(planned.plan, plan.value(), label);
+  ASSERT_EQ(planned.filters != nullptr, plan.value().use_cascade) << label;
+  const PlanFilters filters(&proxies, plan.value());
+  for (const auto& entry : proxies) {
+    const IntervalSet* want = filters.SurvivingClips(entry.first);
+    const IntervalSet* got = planned.filters == nullptr
+                                 ? nullptr
+                                 : planned.filters->SurvivingClips(entry.first);
+    ASSERT_EQ(got != nullptr, want != nullptr) << label << " " << entry.first;
+    if (got != nullptr) {
+      EXPECT_EQ(*got, *want) << label << " " << entry.first;
+    }
+  }
+}
+
+TEST(CascadeMemoTest, WarmPlansMatchFreshPlansBeforeAndAfterAClear) {
+  ProxySet proxies = MakeDemoProxies(4, 21);
+  // v0 scores DemoScenario(0), which has no car track, so it has no
+  // obj:car column; v2's obj:dog column is one score short of its clip
+  // count. Both stay unconstrained under plans naming those concepts.
+  ASSERT_EQ(proxies.at("v0").Find("obj:car"), nullptr);
+  for (ProxyColumn& column : proxies.at("v2").columns) {
+    if (column.concept_name == "obj:dog") column.scores.pop_back();
+  }
+  const std::vector<double> taus = {0.5, 0.8, 0.9, 0.95, 0.99, 1.0};
+  const std::vector<std::vector<std::string>> object_sets = {
+      {"dog"}, {"dog", "car"}, {"dog", "dog"}};
+  ASSERT_GT(taus.size() * object_sets.size(), Planner::kMemoCapacity);
+
+  const Planner warm(&proxies);
+  std::vector<std::shared_ptr<const PlannedQuery>> held;
+  bool any_cascade = false;
+  for (const std::vector<std::string>& objects : object_sets) {
+    for (const double tau : taus) {
+      const std::string label = "running+" + std::to_string(objects.size()) +
+                                " objects tau=" + std::to_string(tau);
+      const auto first = warm.Lookup("running", objects, tau);
+      const auto second = warm.Lookup("running", objects, tau);
+      ASSERT_TRUE(first.ok() && second.ok()) << label;
+      EXPECT_EQ(first.value().get(), second.value().get())
+          << label << ": the second call must hit the memo";
+      ExpectMatchesFresh(*second.value(), proxies, objects, tau, label);
+      any_cascade = any_cascade || second.value()->plan.use_cascade;
+      held.push_back(second.value());
+    }
+  }
+  EXPECT_TRUE(any_cascade);
+
+  // Eighteen distinct keys forced a clear, so the first key plans anew.
+  // Entries handed out before the clear stay intact.
+  size_t i = 0;
+  for (const std::vector<std::string>& objects : object_sets) {
+    for (const double tau : taus) {
+      const std::string label = "after clear: running+" +
+                                std::to_string(objects.size()) +
+                                " objects tau=" + std::to_string(tau);
+      const auto again = warm.Lookup("running", objects, tau);
+      ASSERT_TRUE(again.ok()) << label;
+      if (i == 0) {
+        EXPECT_NE(again.value().get(), held[0].get()) << label;
+      }
+      ExpectMatchesFresh(*again.value(), proxies, objects, tau, label);
+      ExpectMatchesFresh(*held[i], proxies, objects, tau, label + " (held)");
+      ++i;
+    }
+  }
+}
+
+TEST(CascadeMemoTest, SpellingsOfOneTargetShareAnEntry) {
+  const ProxySet proxies = MakeDemoProxies(2, 21);
+  const Planner planner(&proxies);
+  const StatusOr<query::QueryStatement> short_form =
+      query::Parse(std::string(kRankedSql) + " WITH RECALL 0.9");
+  const StatusOr<query::QueryStatement> long_form =
+      query::Parse(std::string(kRankedSql) + " WITH RECALL 0.90");
+  ASSERT_TRUE(short_form.ok() && long_form.ok());
+  const auto a = planner.Lookup(short_form->action, short_form->objects,
+                                short_form->recall_target);
+  const auto b = planner.Lookup(long_form->action, long_form->objects,
+                                long_form->recall_target);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a.value().get(), b.value().get());
+}
+
+TEST(CascadeMemoTest, ReRegisteringAGrownSetReplans) {
+  const synth::Scenario scenario = tools::DemoScenario(0);
+  query::Session session;
+  session.RegisterRepository("vid0", IngestVid0(scenario));
+  ProxySet proxies;
+  proxies.emplace("vid0", BuildProxyIndex("vid0", scenario,
+                                          detect::ModelProfile::ProxyCnn(),
+                                          21));
+  const ProxySet before_set = proxies;
+  session.RegisterProxySet(&proxies);
+  const std::string sql = std::string(kRankedSql) + " WITH RECALL 0.9";
+  const StatusOr<query::QueryResult> before = session.Execute(sql);
+  ASSERT_TRUE(before.ok()) << before.status();
+
+  proxies.emplace("vid1", BuildProxyIndex("vid1", tools::DemoScenario(1),
+                                          detect::ModelProfile::ProxyCnn(),
+                                          22));
+  session.RegisterProxySet(&proxies);
+  const StatusOr<query::QueryResult> after = session.Execute(sql);
+  ASSERT_TRUE(after.ok()) << after.status();
+
+  const StatusOr<CascadePlan> old_plan =
+      Planner(&before_set).Plan("running", {"dog"}, 0.9);
+  const StatusOr<CascadePlan> new_plan =
+      Planner(&proxies).Plan("running", {"dog"}, 0.9);
+  ASSERT_TRUE(old_plan.ok() && new_plan.ok());
+  EXPECT_GT(new_plan->clips_total, old_plan->clips_total);
+  EXPECT_EQ(before->cascade_plan, old_plan->ToString());
+  EXPECT_EQ(after->cascade_plan, new_plan->ToString());
+}
+
+// The cascade plan and EXPLAIN ANALYZE profile of the session tests'
+// WITH RECALL 0.9 statement, as rendered by a build that re-planned
+// every statement. A warm session (a memo hit) must render them byte
+// for byte.
+constexpr char kPinnedPlan[] =
+    "cascade(recall_target=0.9 predicted_recall=1 clips=8/108 "
+    "cost_ms=1.1448e+06->85016 reduction=13.5x act:running>=0.610193 "
+    "obj:dog>=0.725999)";
+constexpr char kPinnedProfile[] =
+    "explain  self=0.000ms total=10.140ms\n"
+    "  cascade  self=0.000ms total=0.000ms clips_surviving=8 "
+    "clips_total=108\n"
+    "  ranked  self=10.140ms total=10.140ms results=1 seeks=2 "
+    "sequential_rows=14\n";
+
+TEST(CascadeMemoTest, WarmExplainAnalyzeMatchesThePinnedRendering) {
+  const synth::Scenario scenario = tools::DemoScenario(0);
+  query::Session session;
+  session.RegisterRepository("vid0", IngestVid0(scenario));
+  ProxySet proxies;
+  proxies.emplace("vid0", BuildProxyIndex("vid0", scenario,
+                                          detect::ModelProfile::ProxyCnn(),
+                                          21));
+  session.RegisterProxySet(&proxies);
+  const std::string sql =
+      "EXPLAIN ANALYZE " + std::string(kRankedSql) + " WITH RECALL 0.9";
+  for (const char* run : {"cold", "warm"}) {
+    const StatusOr<query::QueryResult> result = session.Execute(sql);
+    ASSERT_TRUE(result.ok()) << run << ": " << result.status();
+    EXPECT_EQ(result->cascade_plan, kPinnedPlan) << run;
+    EXPECT_EQ(result->profile_text, kPinnedProfile) << run;
+  }
 }
 
 // --- Standing-query (serving) wiring -----------------------------------

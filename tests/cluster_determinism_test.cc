@@ -6,9 +6,11 @@
 // matches a single server clip for clip, through failover and shipping
 // lag.
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -480,6 +482,73 @@ TEST(ClusterCascade, ApproximateStatementIsShardCountInvariant) {
     EXPECT_EQ(run.described, one.described) << shards;
     EXPECT_EQ(run.cascade_plan, one.cascade_plan) << shards;
     EXPECT_EQ(run.metrics, one.metrics) << shards;
+  }
+}
+
+// Everything a plan and its surviving sets determine, doubles in hex so
+// equal strings mean equal bits.
+std::string DescribePlanned(const cascade::PlannedQuery& planned) {
+  const cascade::CascadePlan& plan = planned.plan;
+  char buffer[160];
+  std::snprintf(buffer, sizeof(buffer), "%a %a %a %lld %lld|",
+                plan.predicted_recall, plan.full_cost_ms,
+                plan.cascade_cost_ms,
+                static_cast<long long>(plan.clips_total),
+                static_cast<long long>(plan.clips_surviving));
+  std::string out = plan.ToString() + "|" + buffer;
+  for (const cascade::ConceptThreshold& t : plan.thresholds) {
+    std::snprintf(buffer, sizeof(buffer), "%a %a|", t.threshold,
+                  t.heldout_recall);
+    out += t.concept_name + " " + buffer;
+  }
+  for (const auto& entry : DemoProxies()) {
+    const IntervalSet* surviving =
+        planned.filters == nullptr
+            ? nullptr
+            : planned.filters->SurvivingClips(entry.first);
+    out += entry.first + "=" +
+           (surviving == nullptr ? "all" : surviving->ToString()) + "|";
+  }
+  return out;
+}
+
+TEST(ClusterCascade, ConcurrentPlansMatchSingleThreadedPlans) {
+  // More keys than the memo holds, so clears race with hits and misses.
+  std::vector<double> taus;
+  for (int i = 0; i < 20; ++i) taus.push_back(0.8 + 0.01 * i);
+  ASSERT_GT(taus.size(), cascade::Planner::kMemoCapacity);
+  std::vector<std::string> reference;
+  for (const double tau : taus) {
+    const cascade::Planner fresh(&DemoProxies());
+    const auto planned = fresh.Lookup("running", {"dog"}, tau);
+    ASSERT_TRUE(planned.ok());
+    reference.push_back(DescribePlanned(*planned.value()));
+  }
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 3;
+  const cascade::Planner shared(&DemoProxies());
+  std::vector<std::vector<std::string>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the keys from its own offset.
+      for (size_t i = 0; i < kRounds * taus.size(); ++i) {
+        const size_t key = (i + 3 * static_cast<size_t>(t)) % taus.size();
+        const auto planned = shared.Lookup("running", {"dog"}, taus[key]);
+        seen[t].push_back(planned.ok() ? DescribePlanned(*planned.value())
+                                       : planned.status().ToString());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(seen[t].size(), kRounds * taus.size());
+    for (size_t i = 0; i < seen[t].size(); ++i) {
+      const size_t key = (i + 3 * static_cast<size_t>(t)) % taus.size();
+      EXPECT_EQ(seen[t][i], reference[key])
+          << "thread " << t << " tau=" << taus[key];
+    }
   }
 }
 

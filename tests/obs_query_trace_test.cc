@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,6 +174,41 @@ TEST(LatencyRecorderTest, PublishesExactPercentileGauges) {
   const std::vector<double> sorted = recorder.sorted_samples();
   ASSERT_EQ(sorted.size(), 100u);
   EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+}
+
+TEST(LatencyRecorderTest, RunsMatchNearestRankOverTheExpandedMultiset) {
+  // 10^5 samples over 10 distinct values, halving in frequency, so the
+  // three quantiles land in different runs; shuffled, so runs are both
+  // created and extended between checks.
+  std::vector<double> samples;
+  int64_t count = 50000;
+  for (int value = 0; value < 10; ++value) {
+    if (value == 9) count = 100000 - static_cast<int64_t>(samples.size());
+    samples.insert(samples.end(), static_cast<size_t>(count), 0.5 * value);
+    count /= 2;
+  }
+  ASSERT_EQ(samples.size(), 100000u);
+  std::mt19937_64 rng(17);
+  std::shuffle(samples.begin(), samples.end(), rng);
+
+  MetricRegistry& registry = MetricRegistry::Global();
+  LatencyRecorder recorder("vaq_test_runs_ms", "unit");
+  const auto gauge = [&](const char* q) {
+    return registry.GetGauge("vaq_test_runs_ms",
+                             {{"path", "unit"}, {"quantile", q}})->value();
+  };
+  std::vector<double> expanded;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    recorder.Record(samples[i]);
+    if ((i + 1) % 1000 != 0) continue;
+    expanded.assign(samples.begin(), samples.begin() + i + 1);
+    std::sort(expanded.begin(), expanded.end());
+    ASSERT_EQ(gauge("0.5"), PercentileNearestRank(expanded, 0.5)) << i;
+    ASSERT_EQ(gauge("0.99"), PercentileNearestRank(expanded, 0.99)) << i;
+    ASSERT_EQ(gauge("0.999"), PercentileNearestRank(expanded, 0.999)) << i;
+  }
+  EXPECT_EQ(recorder.count(), 100000);
+  EXPECT_EQ(recorder.sorted_samples(), expanded);
 }
 
 TEST(PromLintTest, AcceptsTheExportersOwnOutput) {

@@ -209,8 +209,10 @@ StatusOr<CascadeFrontierPoint> RunCascadeFrontierPoint(
   CascadeFrontierPoint point;
   point.recall_target = recall_target;
   const cascade::Planner planner(&demo.proxies);
-  VAQ_ASSIGN_OR_RETURN(const cascade::CascadePlan plan,
-                       planner.Plan("running", {"dog"}, recall_target));
+  VAQ_ASSIGN_OR_RETURN(
+      const std::shared_ptr<const cascade::PlannedQuery> planned_query,
+      planner.Lookup("running", {"dog"}, recall_target));
+  const cascade::CascadePlan& plan = planned_query->plan;
   point.use_cascade = plan.use_cascade;
   point.predicted_recall = plan.predicted_recall;
   point.full_cost_ms = plan.full_cost_ms;
@@ -228,8 +230,7 @@ StatusOr<CascadeFrontierPoint> RunCascadeFrontierPoint(
       demo.repository.TopK("running", {"dog"}, scoring, options));
   offline::RepositoryTopKResult planned = exact;
   if (plan.use_cascade) {
-    const cascade::PlanFilters filters(&demo.proxies, plan);
-    options.prefilter = &filters;
+    options.prefilter = planned_query->filters.get();
     VAQ_ASSIGN_OR_RETURN(
         planned, demo.repository.TopK("running", {"dog"}, scoring, options));
   }
