@@ -1,21 +1,23 @@
-// Micro-benchmarks (google-benchmark) of the library's hot kernels:
-// scan-statistic evaluation, critical-value search, interval algebra,
-// score-table access paths and the simulated detector.
+// Micro-benchmarks of the library's hot kernels: scan-statistic
+// evaluation, critical-value search, interval algebra, score-table
+// access and the simulated detector.
 //
-// After the google-benchmark tables, main() self-times the
-// scan-statistic kernel and writes BENCH_micro.json — the first slice
-// of the ROADMAP raw-speed item. The recorded ns/op is informational
-// (wall clock moves with the machine); the CI-gated fields are
-// generous-budget booleans that only flip on an order-of-magnitude
+// main() self-times each kernel as the fastest of several
+// multi-millisecond repeats and prints one table of ns/op, then runs the
+// scan-statistic kernel's wall-clock gate and writes BENCH_micro.json —
+// the first slice of the ROADMAP raw-speed item. The recorded ns/op is
+// informational (wall clock moves with the machine); the CI-gated fields
+// are generous-budget booleans that only flip on an order-of-magnitude
 // regression (an accidental algorithmic blowup), never on machine
 // speed.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/interval.h"
@@ -29,84 +31,103 @@
 namespace vaq {
 namespace {
 
-void BM_ScanTailProbability(benchmark::State& state) {
-  const int64_t w = state.range(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        scanstat::ScanStatisticTailProbability(w / 5, 0.02, w, 1000.0));
-  }
-}
-BENCHMARK(BM_ScanTailProbability)->Arg(10)->Arg(50)->Arg(200);
+// Keeps `value` observable so the compiler cannot drop the work that
+// produced it.
+template <typename T>
+void Sink(const T& value) { asm volatile("" : : "r"(&value) : "memory"); }
 
-void BM_CriticalValue(benchmark::State& state) {
-  scanstat::ScanConfig config;
-  config.window = state.range(0);
-  config.horizon = 100000;
-  config.alpha = 0.01;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scanstat::CriticalValue(0.02, config));
-  }
+// Self-timed ns per call of `op(i)`, i = 0, 1, ...: the iteration count
+// grows until one repeat runs >= 2 ms so the timer granularity is
+// negligible, then the fastest of 7 repeats is kept (min-of-repeats
+// suppresses scheduler noise).
+template <typename Op>
+double TimeNsPerOp(Op op) {
+  const auto run = [&](int64_t iters) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int64_t i = 0; i < iters; ++i) op(i);
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::nano>(t1 - t0).count();
+  };
+  int64_t iters = 1;
+  while (run(iters) < 2e6) iters *= 2;
+  double best = run(iters);
+  for (int rep = 1; rep < 7; ++rep) best = std::min(best, run(iters));
+  return best / static_cast<double>(iters);
 }
-BENCHMARK(BM_CriticalValue)->Arg(10)->Arg(100)->Arg(500);
 
-void BM_IntervalSetIntersect(benchmark::State& state) {
-  Rng rng(1);
-  std::vector<Interval> a;
-  std::vector<Interval> b;
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    const int64_t lo = i * 20 + static_cast<int64_t>(rng.UniformInt(8ul));
-    a.push_back(Interval(lo, lo + 6));
-    const int64_t lo2 = i * 20 + static_cast<int64_t>(rng.UniformInt(8ul));
-    b.push_back(Interval(lo2, lo2 + 9));
-  }
-  const IntervalSet sa = IntervalSet::FromIntervals(a);
-  const IntervalSet sb = IntervalSet::FromIntervals(b);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sa.Intersect(sb));
-  }
-}
-BENCHMARK(BM_IntervalSetIntersect)->Arg(100)->Arg(10000);
+// The ungated kernels, timed for information only.
+void PrintKernelTimings() {
+  bench::TablePrinter table("Micro-kernel wall clock",
+                            {"kernel", "arg", "ns_per_op"});
+  const auto add = [&table](const std::string& kernel, int64_t arg,
+                            double ns_per_op) {
+    table.AddRow({kernel, bench::Fmt(arg), bench::Fmt("%.1f", ns_per_op)});
+  };
 
-void BM_ScoreTableAccess(benchmark::State& state) {
-  Rng rng(2);
-  std::vector<storage::ScoreTable::Row> rows;
-  const int64_t n = 100000;
-  for (int64_t c = 0; c < n; ++c) {
-    rows.push_back({c, rng.UniformDouble(0, 100)});
+  for (const int64_t window : {10, 100, 500}) {
+    scanstat::ScanConfig config;
+    config.window = window;
+    config.horizon = 100000;
+    config.alpha = 0.01;
+    add("critical_value", window, TimeNsPerOp([&config](int64_t) {
+          Sink(scanstat::CriticalValue(0.02, config));
+        }));
   }
-  const storage::ScoreTable table =
-      std::move(storage::ScoreTable::Build(std::move(rows))).value();
-  int64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.RandomScore(i % n));
-    ++i;
-  }
-}
-BENCHMARK(BM_ScoreTableAccess);
 
-void BM_DetectorMaxScore(benchmark::State& state) {
-  synth::ScenarioSpec spec;
-  spec.minutes = 10;
-  spec.seed = 3;
-  synth::ActionTrackSpec action;
-  action.name = "a";
-  spec.actions.push_back(action);
-  synth::ObjectTrackSpec obj;
-  obj.name = "o";
-  obj.background_duty = 0.2;
-  spec.objects.push_back(obj);
-  static Vocabulary vocab;
-  static const synth::GroundTruth truth = synth::Generate(spec, vocab);
-  const detect::ObjectDetector detector(&truth,
-                                        detect::ModelProfile::MaskRcnn(), 7);
-  FrameIndex f = 0;
-  const int64_t frames = truth.layout().num_frames();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(detector.MaxScore(0, f));
-    f = (f + 1) % frames;
+  for (const int64_t n : {100, 10000}) {
+    Rng rng(1);
+    std::vector<Interval> a;
+    std::vector<Interval> b;
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t lo = i * 20 + static_cast<int64_t>(rng.UniformInt(8ul));
+      a.push_back(Interval(lo, lo + 6));
+      const int64_t lo2 = i * 20 + static_cast<int64_t>(rng.UniformInt(8ul));
+      b.push_back(Interval(lo2, lo2 + 9));
+    }
+    const IntervalSet sa = IntervalSet::FromIntervals(a);
+    const IntervalSet sb = IntervalSet::FromIntervals(b);
+    add("interval_intersect", n,
+        TimeNsPerOp([&sa, &sb](int64_t) { Sink(sa.Intersect(sb)); }));
   }
+
+  {
+    constexpr int64_t kClips = 100000;
+    Rng rng(2);
+    std::vector<storage::ScoreTable::Row> rows;
+    for (int64_t c = 0; c < kClips; ++c) {
+      rows.push_back({c, rng.UniformDouble(0, 100)});
+    }
+    const storage::ScoreTable scores =
+        std::move(storage::ScoreTable::Build(std::move(rows))).value();
+    add("score_table_random", kClips, TimeNsPerOp([&scores](int64_t i) {
+          Sink(scores.RandomScore(i % kClips));
+        }));
+  }
+
+  {
+    synth::ScenarioSpec spec;
+    spec.minutes = 10;
+    spec.seed = 3;
+    synth::ActionTrackSpec action;
+    action.name = "a";
+    spec.actions.push_back(action);
+    synth::ObjectTrackSpec obj;
+    obj.name = "o";
+    obj.background_duty = 0.2;
+    spec.objects.push_back(obj);
+    Vocabulary vocab;
+    const synth::GroundTruth truth = synth::Generate(spec, vocab);
+    const detect::ObjectDetector detector(
+        &truth, detect::ModelProfile::MaskRcnn(), 7);
+    const int64_t frames = truth.layout().num_frames();
+    add("detector_max_score", frames,
+        TimeNsPerOp([&detector, frames](int64_t i) {
+          Sink(detector.MaxScore(0, i % frames));
+        }));
+  }
+
+  table.Print();
 }
-BENCHMARK(BM_DetectorMaxScore);
 
 // --- Wall-clock regression gate -----------------------------------------
 // Self-timed ns/op for the scan-statistic tail-probability kernel — the
@@ -125,24 +146,10 @@ struct KernelTiming {
 };
 
 double TimeScanTailNs(int64_t window) {
-  const auto run = [&](int64_t iters) {
-    double sink = 0.0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int64_t i = 0; i < iters; ++i) {
-      sink += scanstat::ScanStatisticTailProbability(window / 5, 0.02, window,
-                                                     1000.0);
-    }
-    benchmark::DoNotOptimize(sink);
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::nano>(t1 - t0).count();
-  };
-  // Grow the iteration count until one repeat runs >= 2 ms so the timer
-  // granularity is negligible, then keep the fastest of 7 repeats.
-  int64_t iters = 1;
-  while (run(iters) < 2e6) iters *= 2;
-  double best = run(iters);
-  for (int rep = 1; rep < 7; ++rep) best = std::min(best, run(iters));
-  return best / static_cast<double>(iters);
+  return TimeNsPerOp([window](int64_t) {
+    Sink(scanstat::ScanStatisticTailProbability(window / 5, 0.02, window,
+                                                1000.0));
+  });
 }
 
 int RunWallClockGate() {
@@ -187,10 +194,7 @@ int RunWallClockGate() {
 }  // namespace
 }  // namespace vaq
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
+  vaq::PrintKernelTimings();
   return vaq::RunWallClockGate();
 }

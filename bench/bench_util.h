@@ -9,13 +9,12 @@
 #ifndef VAQ_BENCH_BENCH_UTIL_H_
 #define VAQ_BENCH_BENCH_UTIL_H_
 
-#include <cctype>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "obs/report.h"
 #include "storage/access_counter.h"
 
 // Git revision the binary was built from; the build system injects it
@@ -72,36 +71,9 @@ class TablePrinter {
       std::printf("csv,%s\n", Join(row).c_str());
     }
     std::fflush(stdout);
-
-    // Machine-readable sidecar (rows + the global metric registry
-    // snapshot), written only when VAQ_METRICS_SIDECAR names a directory
-    // — see obs/report.h. Interactive runs stay file-free.
-    obs::ReportCollector report(FileStem(title_));
-    report.AddField("title", title_);
-    report.SetColumns(columns_);
-    for (const auto& row : rows_) report.AddRow(row);
-    report.WriteFromEnv();
   }
 
  private:
-  // Collapses a table title into a filesystem-safe sidecar stem, e.g.
-  // "Resilience — F1 vs outage rate" -> "resilience_f1_vs_outage_rate".
-  static std::string FileStem(const std::string& title) {
-    std::string out;
-    bool pending_sep = false;
-    for (const char c : title) {
-      if (std::isalnum(static_cast<unsigned char>(c))) {
-        if (pending_sep && !out.empty()) out += '_';
-        pending_sep = false;
-        out += static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-      } else {
-        pending_sep = true;
-      }
-    }
-    return out.empty() ? "table" : out;
-  }
-
   static std::string Join(const std::vector<std::string>& cells) {
     std::string out;
     for (size_t i = 0; i < cells.size(); ++i) {

@@ -14,8 +14,6 @@ double SteadyNowMs() {
       .count();
 }
 
-thread_local int g_span_depth = 0;
-
 }  // namespace
 
 Tracer& Tracer::Global() {
@@ -37,27 +35,6 @@ double Tracer::NowMs() const {
   return SteadyNowMs();
 }
 
-void Tracer::SetRecording(bool on) {
-  std::lock_guard<std::mutex> lock(mu_);
-  recording_.store(on, std::memory_order_release);
-  if (!on) records_.clear();
-}
-
-std::vector<SpanRecord> Tracer::TakeRecords() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SpanRecord> out;
-  out.swap(records_);
-  return out;
-}
-
-void Tracer::RecordClosed(const char* name, int depth, double start_ms,
-                          double duration_ms) {
-  if (!recording()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!recording() || records_.size() >= kMaxRecords) return;
-  records_.push_back(SpanRecord{name, depth, start_ms, duration_ms});
-}
-
 void SpanSite::Record(double duration_ms) {
   std::call_once(resolved_, [this] {
     MetricRegistry& registry = MetricRegistry::Global();
@@ -70,17 +47,9 @@ void SpanSite::Record(double duration_ms) {
 }
 
 Span::Span(SpanSite* site)
-    : site_(site),
-      start_ms_(Tracer::Global().NowMs()),
-      depth_(g_span_depth++) {}
+    : site_(site), start_ms_(Tracer::Global().NowMs()) {}
 
-Span::~Span() {
-  --g_span_depth;
-  Tracer& tracer = Tracer::Global();
-  const double duration = tracer.NowMs() - start_ms_;
-  site_->Record(duration);
-  tracer.RecordClosed(site_->name(), depth_, start_ms_, duration);
-}
+Span::~Span() { site_->Record(Tracer::Global().NowMs() - start_ms_); }
 
 }  // namespace obs
 }  // namespace vaq

@@ -10,36 +10,23 @@
 // histogram plus `vaq_span_total{span="<name>"}` counter. Each
 // VAQ_TRACE_SPAN call site owns a static `SpanSite` that resolves those
 // two instruments when a span of the site first closes, so later closes
-// do no registry lookup. Spans nest: a thread-local depth counter tracks
-// containment, and when recording is enabled the tracer also keeps an
-// in-memory list of closed spans (name, depth, start, duration) for tests
-// and debugging.
+// do no registry lookup.
 //
 // The clock is pluggable so tracing composes with simulated time: tests
 // bind it to a `fault::SimClock` (span durations then reflect the
 // deterministic simulated timeline), and one-shot tools bind it to a
 // constant to keep metric exports byte-identical across runs. The
 // default is the real steady clock. Opening and closing a span takes the
-// tracer's mutex only while a clock is pinned or recording is on.
+// tracer's mutex only while a clock is pinned.
 #ifndef VAQ_OBS_TRACE_H_
 #define VAQ_OBS_TRACE_H_
 
 #include <atomic>
 #include <functional>
 #include <mutex>
-#include <string>
-#include <vector>
 
 namespace vaq {
 namespace obs {
-
-// One closed span, innermost-close order.
-struct SpanRecord {
-  std::string name;
-  int depth = 0;  // 0 = outermost on its thread.
-  double start_ms = 0.0;
-  double duration_ms = 0.0;
-};
 
 class Tracer {
  public:
@@ -52,29 +39,12 @@ class Tracer {
   void SetClock(ClockFn clock);
   double NowMs() const;
 
-  // When enabled, closed spans are appended to an internal buffer
-  // (bounded at `kMaxRecords`; older spans win).
-  void SetRecording(bool on);
-  bool recording() const {
-    return recording_.load(std::memory_order_acquire);
-  }
-  // Drains and returns the record buffer.
-  std::vector<SpanRecord> TakeRecords();
-
-  // Internal: called by Span.
-  void RecordClosed(const char* name, int depth, double start_ms,
-                    double duration_ms);
-
  private:
-  static constexpr size_t kMaxRecords = 4096;
-
-  // The span fast path reads these flags and locks mu_ only when one is
-  // set; each is written under mu_.
+  // The span fast path reads this flag and locks mu_ only when it is
+  // set; it is written under mu_.
   std::atomic<bool> clock_pinned_{false};
-  std::atomic<bool> recording_{false};
   mutable std::mutex mu_;
   ClockFn clock_;  // Null = steady clock.
-  std::vector<SpanRecord> records_;
 };
 
 class Counter;
@@ -92,7 +62,6 @@ class SpanSite {
   SpanSite(const SpanSite&) = delete;
   SpanSite& operator=(const SpanSite&) = delete;
 
-  const char* name() const { return name_; }
   // Records one closed span into vaq_span_total / vaq_span_ms.
   void Record(double duration_ms);
 
@@ -115,7 +84,6 @@ class Span {
  private:
   SpanSite* site_;
   double start_ms_;
-  int depth_;
 };
 
 }  // namespace obs

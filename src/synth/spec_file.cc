@@ -1,9 +1,13 @@
 #include "synth/spec_file.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
+
+#include "video/layout.h"
 
 namespace vaq {
 namespace synth {
@@ -21,15 +25,50 @@ std::string Trim(const std::string& s) {
   return s.substr(begin, end - begin);
 }
 
-Status ParseDouble(const std::string& value, int line, double* out) {
+// Every number in a spec is finite: NaN or infinity would reach the
+// generator's rate checks or an undefined conversion.
+Status ParseDouble(const std::string& key, const std::string& value, int line,
+                   double* out) {
   // strtod keeps the library exception-free.
   const char* begin = value.c_str();
   char* end = nullptr;
   *out = std::strtod(begin, &end);
-  if (value.empty() || end != begin + value.size()) {
-    return Status::InvalidArgument("line " + std::to_string(line) +
-                                   ": expected a number, got '" + value +
-                                   "'");
+  if (value.empty() || end != begin + value.size() || !std::isfinite(*out)) {
+    return Status::InvalidArgument("line " + std::to_string(line) + ": " +
+                                   key + " expects a finite number, got '" +
+                                   value + "'");
+  }
+  return Status::OK();
+}
+
+// An integer field: integral and in `Int`'s range, so the cast that
+// stores it is defined.
+template <typename Int>
+Status ParseInteger(const std::string& key, const std::string& value,
+                    int line, Int* out) {
+  double number = 0;
+  VAQ_RETURN_IF_ERROR(ParseDouble(key, value, line, &number));
+  // lo is 0 or -2^k and hi is 2^k, so both are exact doubles.
+  const double lo = static_cast<double>(std::numeric_limits<Int>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<Int>::digits);
+  if (!(number >= lo && number < hi && number == std::trunc(number))) {
+    return Status::InvalidArgument(
+        "line " + std::to_string(line) + ": " + key +
+        " must be an integer in [" +
+        std::to_string(std::numeric_limits<Int>::min()) + ", " +
+        std::to_string(std::numeric_limits<Int>::max()) + "], got '" + value +
+        "'");
+  }
+  *out = static_cast<Int>(number);
+  return Status::OK();
+}
+
+Status ParsePositive(const std::string& key, const std::string& value,
+                     int line, double* out) {
+  VAQ_RETURN_IF_ERROR(ParseDouble(key, value, line, out));
+  if (*out <= 0) {
+    return Status::InvalidArgument("line " + std::to_string(line) + ": " +
+                                   key + " must be > 0, got '" + value + "'");
   }
   return Status::OK();
 }
@@ -40,7 +79,7 @@ Status ParseDrift(const std::string& value, int line, DriftProfile* out) {
   std::string piece;
   while (std::getline(ss, piece, ',')) {
     double multiplier = 0;
-    VAQ_RETURN_IF_ERROR(ParseDouble(Trim(piece), line, &multiplier));
+    VAQ_RETURN_IF_ERROR(ParseDouble("drift", Trim(piece), line, &multiplier));
     out->multipliers.push_back(multiplier);
   }
   if (out->multipliers.empty()) {
@@ -88,30 +127,29 @@ StatusOr<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
     }
     const std::string key = Trim(line.substr(0, equals));
     const std::string value = Trim(line.substr(equals + 1));
-    double number = 0;
 
     switch (section) {
       case Section::kGlobal:
         if (key == "name") {
           spec.name = value;
         } else if (key == "minutes") {
-          VAQ_RETURN_IF_ERROR(ParseDouble(value, line_number, &number));
-          spec.minutes = number;
+          VAQ_RETURN_IF_ERROR(
+              ParsePositive(key, value, line_number, &spec.minutes));
         } else if (key == "fps") {
-          VAQ_RETURN_IF_ERROR(ParseDouble(value, line_number, &number));
-          spec.fps = number;
+          VAQ_RETURN_IF_ERROR(
+              ParsePositive(key, value, line_number, &spec.fps));
         } else if (key == "seed") {
-          VAQ_RETURN_IF_ERROR(ParseDouble(value, line_number, &number));
-          spec.seed = static_cast<uint64_t>(number);
+          VAQ_RETURN_IF_ERROR(
+              ParseInteger(key, value, line_number, &spec.seed));
         } else if (key == "video_id") {
-          VAQ_RETURN_IF_ERROR(ParseDouble(value, line_number, &number));
-          spec.video_id = static_cast<int64_t>(number);
+          VAQ_RETURN_IF_ERROR(
+              ParseInteger(key, value, line_number, &spec.video_id));
         } else if (key == "frames_per_shot") {
-          VAQ_RETURN_IF_ERROR(ParseDouble(value, line_number, &number));
-          spec.frames_per_shot = static_cast<int32_t>(number);
+          VAQ_RETURN_IF_ERROR(
+              ParseInteger(key, value, line_number, &spec.frames_per_shot));
         } else if (key == "shots_per_clip") {
-          VAQ_RETURN_IF_ERROR(ParseDouble(value, line_number, &number));
-          spec.shots_per_clip = static_cast<int32_t>(number);
+          VAQ_RETURN_IF_ERROR(
+              ParseInteger(key, value, line_number, &spec.shots_per_clip));
         } else {
           return Status::InvalidArgument(
               "line " + std::to_string(line_number) + ": unknown global key " +
@@ -123,11 +161,11 @@ StatusOr<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
         if (key == "name") {
           action.name = value;
         } else if (key == "duty") {
-          VAQ_RETURN_IF_ERROR(ParseDouble(value, line_number, &number));
-          action.duty = number;
+          VAQ_RETURN_IF_ERROR(
+              ParseDouble(key, value, line_number, &action.duty));
         } else if (key == "mean_len_frames") {
-          VAQ_RETURN_IF_ERROR(ParseDouble(value, line_number, &number));
-          action.mean_len_frames = number;
+          VAQ_RETURN_IF_ERROR(
+              ParseDouble(key, value, line_number, &action.mean_len_frames));
         } else if (key == "drift") {
           VAQ_RETURN_IF_ERROR(ParseDrift(value, line_number, &action.drift));
         } else {
@@ -142,19 +180,19 @@ StatusOr<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
         if (key == "name") {
           object.name = value;
         } else if (key == "background_duty") {
-          VAQ_RETURN_IF_ERROR(ParseDouble(value, line_number, &number));
-          object.background_duty = number;
+          VAQ_RETURN_IF_ERROR(
+              ParseDouble(key, value, line_number, &object.background_duty));
         } else if (key == "mean_len_frames") {
-          VAQ_RETURN_IF_ERROR(ParseDouble(value, line_number, &number));
-          object.mean_len_frames = number;
+          VAQ_RETURN_IF_ERROR(
+              ParseDouble(key, value, line_number, &object.mean_len_frames));
         } else if (key == "coupled_action") {
           object.coupled_action = value;
         } else if (key == "cover_action_prob") {
-          VAQ_RETURN_IF_ERROR(ParseDouble(value, line_number, &number));
-          object.cover_action_prob = number;
+          VAQ_RETURN_IF_ERROR(
+              ParseDouble(key, value, line_number, &object.cover_action_prob));
         } else if (key == "mean_instances") {
-          VAQ_RETURN_IF_ERROR(ParseDouble(value, line_number, &number));
-          object.mean_instances = number;
+          VAQ_RETURN_IF_ERROR(
+              ParseDouble(key, value, line_number, &object.mean_instances));
         } else if (key == "drift") {
           VAQ_RETURN_IF_ERROR(ParseDrift(value, line_number, &object.drift));
         } else {
@@ -166,7 +204,16 @@ StatusOr<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
       }
     }
   }
-  // Validation.
+  // Validation. NumFrames() casts minutes * 60 * fps to int64, so the
+  // product must fit first (2^63 is an exact double).
+  if (!(spec.minutes * 60.0 * spec.fps < std::ldexp(1.0, 63))) {
+    return Status::InvalidArgument(
+        "minutes * 60 * fps frames do not fit in int64");
+  }
+  VAQ_RETURN_IF_ERROR(VideoLayout::Make(spec.NumFrames(),
+                                        spec.frames_per_shot,
+                                        spec.shots_per_clip)
+                          .status());
   if (spec.NumFrames() <= 0) {
     return Status::InvalidArgument("scenario has no frames");
   }

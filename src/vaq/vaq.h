@@ -31,7 +31,6 @@
 #include "fault/sim_clock.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/report.h"
 #include "obs/trace.h"
 #include "offline/baselines.h"
 #include "offline/ingest.h"

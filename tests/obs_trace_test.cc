@@ -1,7 +1,7 @@
-// Span tracing under a simulated clock: nesting depths, deterministic
-// durations driven by fault::SimClock, the registry mirror every closed
-// span leaves behind, and cross-thread span parenting through
-// obs::QueryContext (the serve worker-pool contract).
+// Span tracing under a simulated clock: deterministic nested durations
+// driven by fault::SimClock, the registry mirror every closed span leaves
+// behind, and cross-thread span parenting through obs::QueryContext (the
+// serve worker-pool contract).
 #include <gtest/gtest.h>
 
 #include <latch>
@@ -23,36 +23,33 @@ class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Tracer::Global().SetClock([this] { return clock_.now_ms(); });
-    Tracer::Global().SetRecording(true);
   }
-  void TearDown() override {
-    Tracer::Global().SetRecording(false);
-    Tracer::Global().SetClock(nullptr);
-  }
+  void TearDown() override { Tracer::Global().SetClock(nullptr); }
   fault::SimClock clock_;
 };
 
+Histogram* SpanMs(const std::string& span) {
+  return MetricRegistry::Global().GetHistogram(
+      "vaq_span_ms", DefaultLatencyBucketsMs(), {{"span", span}});
+}
+
 TEST_F(TraceTest, NestedSpansRecordDepthAndSimulatedDurations) {
+  Histogram* outer_ms = SpanMs("trace_test/nested_outer");
+  Histogram* inner_ms = SpanMs("trace_test/nested_inner");
+  const double outer_before = outer_ms->sum();
+  const double inner_before = inner_ms->sum();
   {
-    VAQ_TRACE_SPAN("outer");
+    VAQ_TRACE_SPAN("trace_test/nested_outer");
     clock_.Advance(5.0);
     {
-      VAQ_TRACE_SPAN("inner");
+      VAQ_TRACE_SPAN("trace_test/nested_inner");
       clock_.Advance(2.0);
     }
     clock_.Advance(3.0);
   }
-  const std::vector<SpanRecord> records = Tracer::Global().TakeRecords();
-  ASSERT_EQ(records.size(), 2u);
-  // Innermost closes first.
-  EXPECT_EQ(records[0].name, "inner");
-  EXPECT_EQ(records[0].depth, 1);
-  EXPECT_DOUBLE_EQ(records[0].start_ms, 5.0);
-  EXPECT_DOUBLE_EQ(records[0].duration_ms, 2.0);
-  EXPECT_EQ(records[1].name, "outer");
-  EXPECT_EQ(records[1].depth, 0);
-  EXPECT_DOUBLE_EQ(records[1].start_ms, 0.0);
-  EXPECT_DOUBLE_EQ(records[1].duration_ms, 10.0);
+  // Each span measures its own extent on the simulated timeline.
+  EXPECT_DOUBLE_EQ(outer_ms->sum() - outer_before, 10.0);
+  EXPECT_DOUBLE_EQ(inner_ms->sum() - inner_before, 2.0);
 }
 
 TEST_F(TraceTest, ClosedSpansMirrorIntoTheGlobalRegistry) {
@@ -64,10 +61,7 @@ TEST_F(TraceTest, ClosedSpansMirrorIntoTheGlobalRegistry) {
     clock_.Advance(1.0);
   }
   EXPECT_EQ(total->value(), before + 1);
-  Histogram* ms = MetricRegistry::Global().GetHistogram(
-      "vaq_span_ms", DefaultLatencyBucketsMs(),
-      {{"span", "trace_test/mirror"}});
-  EXPECT_GE(ms->count(), 1);
+  EXPECT_GE(SpanMs("trace_test/mirror")->count(), 1);
 }
 
 TEST_F(TraceTest, SiteResolvesItsInstrumentsOnItsFirstCloseOnly) {
@@ -81,34 +75,17 @@ TEST_F(TraceTest, SiteResolvesItsInstrumentsOnItsFirstCloseOnly) {
   EXPECT_EQ(MetricRegistry::Global().lookups() - before, 2);
 }
 
-TEST_F(TraceTest, TakeRecordsDrains) {
-  { VAQ_TRACE_SPAN("once"); }
-  EXPECT_EQ(Tracer::Global().TakeRecords().size(), 1u);
-  EXPECT_TRUE(Tracer::Global().TakeRecords().empty());
-}
-
-TEST_F(TraceTest, SequentialSpansShareDepthZero) {
-  { VAQ_TRACE_SPAN("first"); }
-  { VAQ_TRACE_SPAN("second"); }
-  const std::vector<SpanRecord> records = Tracer::Global().TakeRecords();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].depth, 0);
-  EXPECT_EQ(records[1].depth, 0);
-}
-
 // Serve workers close spans concurrently, so a site's first close can
 // happen on several threads at once: its instruments must resolve
 // race-free (the TSan duplicate of this test checks that) and no close
-// may be lost. No clock is pinned and recording is off, so every close
-// takes the tracer's lock-free path.
+// may be lost. No clock is pinned, so every close takes the tracer's
+// lock-free path.
 TEST(SpanSiteTest, ConcurrentClosesAtOneFreshSiteAreAllCounted) {
   constexpr int kThreads = 8;
   constexpr int kClosesPerThread = 50;
   Counter* total = MetricRegistry::Global().GetCounter(
       "vaq_span_total", {{"span", "trace_test/concurrent"}});
-  Histogram* ms = MetricRegistry::Global().GetHistogram(
-      "vaq_span_ms", DefaultLatencyBucketsMs(),
-      {{"span", "trace_test/concurrent"}});
+  Histogram* ms = SpanMs("trace_test/concurrent");
   const int64_t total_before = total->value();
   const int64_t ms_before = ms->count();
   std::latch start(kThreads);

@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +87,31 @@ TEST(SpecFileTest, ParseErrors) {
                    .ok());
   EXPECT_FALSE(ParseScenarioSpec("minutes = 0").ok());  // No frames.
   EXPECT_FALSE(ParseScenarioSpec("[action]\nname = a\ndrift = ").ok());
+}
+
+// A spec file is untrusted input: every number is finite, and every field
+// that reaches a cast or the layout is checked first, so a bad value is
+// InvalidArgument naming the field, never an abort or an undefined
+// conversion.
+TEST(SpecFileTest, OutOfRangeFieldsAreInvalidArgument) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"frames_per_shot = 0", "frames_per_shot"},
+      {"shots_per_clip = -3", "shots_per_clip"},
+      {"frames_per_shot = 1e12", "frames_per_shot"},
+      {"fps = nan", "fps"},
+      {"minutes = 1e300", "minutes"},
+      {"seed = -1", "seed"},
+      {"[action]\nname = a\nmean_len_frames = nan", "mean_len_frames"},
+      {"[object]\nname = o\nbackground_duty = inf", "background_duty"},
+      {"[action]\nname = a\ndrift = 1, nan", "drift"},
+  };
+  for (const auto& [text, field] : cases) {
+    const auto spec = ParseScenarioSpec(text);
+    ASSERT_FALSE(spec.ok()) << text;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(spec.status().message().find(field), std::string::npos)
+        << spec.status();
+  }
 }
 
 TEST(SpecFileTest, LoadFromDisk) {
