@@ -1,11 +1,9 @@
 #include "cluster/coordinator.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <utility>
 
 #include "bai/sequence_arms.h"
@@ -69,6 +67,7 @@ struct ShardState {
 Coordinator::Coordinator(const offline::Repository* repository,
                          ClusterOptions options)
     : repository_(repository),
+      generation_(repository->generation()),
       options_(options),
       planner_(options.proxy == nullptr
                    ? nullptr
@@ -85,20 +84,40 @@ Coordinator::Coordinator(const offline::Repository* repository,
 }
 
 void Coordinator::RebuildNodes() {
+  // Resolve every shard's videos once per layout: index and name rank.
+  const std::vector<std::string> names = repository_->VideoNames();
+  std::vector<std::vector<ShardVideo>> resolved;
+  for (const std::vector<std::string>& videos : shard_videos_) {
+    std::vector<ShardVideo>& shard = resolved.emplace_back();
+    for (const std::string& name : videos) {
+      const storage::VideoIndex* index = repository_->Find(name);
+      VAQ_CHECK(index != nullptr);
+      const auto rank = std::lower_bound(names.begin(), names.end(), name);
+      shard.push_back(ShardVideo{name, index,
+                                 static_cast<int>(rank - names.begin())});
+    }
+  }
   nodes_.clear();
   const int shards = num_shards();
   for (int s = 0; s < shards; ++s) {
-    nodes_.push_back(std::make_unique<Node>(s, repository_, shard_videos_[s]));
+    nodes_.push_back(std::make_unique<Node>(s, resolved[s]));
   }
   for (int s = 0; s < shards; ++s) {
     for (int r = 0; r < options_.num_replicas; ++r) {
-      nodes_.push_back(std::make_unique<Node>(ReplicaHost(s, r), repository_,
-                                              shard_videos_[s]));
+      nodes_.push_back(std::make_unique<Node>(ReplicaHost(s, r), resolved[s]));
     }
   }
 }
 
+Status Coordinator::CheckRepository() const {
+  if (repository_->generation() == generation_) return Status::OK();
+  return Status::FailedPrecondition(
+      "the repository changed after this coordinator resolved its shards; "
+      "construct a new coordinator");
+}
+
 Status Coordinator::SplitShard(int shard) {
+  VAQ_RETURN_IF_ERROR(CheckRepository());
   if (shard < 0 || shard >= num_shards()) {
     return Status::InvalidArgument("no such shard " + std::to_string(shard));
   }
@@ -131,6 +150,7 @@ Status Coordinator::SplitShard(int shard) {
 }
 
 Status Coordinator::MergeShards(int left) {
+  VAQ_RETURN_IF_ERROR(CheckRepository());
   if (left < 0 || left + 1 >= num_shards()) {
     return Status::InvalidArgument(
         "no adjacent shard pair at " + std::to_string(left));
@@ -227,10 +247,8 @@ int Coordinator::ReplicaHost(int shard, int replica) const {
 }
 
 Node* Coordinator::HostNode(int host) const {
-  for (const std::unique_ptr<Node>& node : nodes_) {
-    if (node->id() == host) return node.get();
-  }
-  return nullptr;
+  VAQ_CHECK(host >= 0 && static_cast<size_t>(host) < nodes_.size());
+  return nodes_[static_cast<size_t>(host)].get();
 }
 
 bool Coordinator::HostDown(int host, double at_ms) const {
@@ -243,16 +261,18 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
     const std::string& action, const std::vector<std::string>& objects,
     const offline::ScoringModel& scoring, offline::RvaqOptions rvaq,
     const obs::QueryContext& ctx, int64_t plan_wire_bytes) const {
-  // The query id that rides every simulated wire message of this query
-  // (a no-op "-" when untraced). Appending it to the payload leaves the
-  // modeled byte counts — and therefore every delivery time — unchanged.
-  const std::string qid =
-      ctx.active() ? ctx.trace->root_name() : std::string("-");
   const obs::QueryContext phase = ctx.Child("scatter_gather");
   if (repository_->num_videos() == 0) {
     RankedQueries(/*ok=*/false)->Increment();
     return Status::FailedPrecondition("repository holds no videos");
   }
+  if (Status current = CheckRepository(); !current.ok()) {
+    RankedQueries(/*ok=*/false)->Increment();
+    return current;
+  }
+  // The statement's serial rides every request and is echoed by every
+  // batch, which provably belongs to this statement.
+  const uint64_t query = ++statements_;
   for (const std::unique_ptr<Node>& node : nodes_) node->ResetRun();
   // The statement's per-video RVAQ runner, shared by every node it
   // reaches (one workspace per statement).
@@ -262,16 +282,21 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
   // split/merge may have changed it since construction.
   const int num_shards = static_cast<int>(shard_videos_.size());
   Net net(options_.net, options_.fault_plan);
+  // A request and its reply per shard, each possibly duplicated.
+  net.Reserve(4 * static_cast<size_t>(num_shards));
   fault::SimClock clock;
   ClusterTopKResult result;
   std::vector<ShardState> shards(static_cast<size_t>(num_shards));
-  std::vector<double> host_ready;  // Virtual time a host's run is served.
+  // Virtual time each host's run is served.
+  std::vector<double> host_ready(nodes_.size(), -1.0);
+  // The global merge over the consumed entries, which stay in the shard
+  // runs until the next query resets the nodes.
+  offline::RankedMerge<const ShardEntry*> merge(rvaq.k);
 
-  const auto host_ready_at = [&](int host) -> double& {
-    if (host_ready.size() <= static_cast<size_t>(host)) {
-      host_ready.resize(static_cast<size_t>(host) + 1, -1.0);
-    }
-    return host_ready[static_cast<size_t>(host)];
+  // A shard's trace node, built only when the statement is traced.
+  const auto shard_context = [&](int shard) {
+    return phase.active() ? phase.Child("shard" + std::to_string(shard))
+                          : obs::QueryContext();
   };
 
   // Scatter: the query goes to every shard primary at t = 0. A planned
@@ -284,14 +309,8 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
     shards[static_cast<size_t>(s)].expected = 0;
     shards[static_cast<size_t>(s)].deadline = options_.failover_timeout_ms;
     net.Send(kCoordinatorHost, s, kTagQuery, "query",
-             std::to_string(s) + ",0," + qid, query_wire_bytes, 0.0);
+             Message{.query = query, .shard = s}, query_wire_bytes, 0.0);
   }
-
-  // The consumed candidate pool — entries of the shard runs, which stay
-  // put until the next query resets the nodes — and the global top-k
-  // heap over it.
-  std::vector<const ShardEntry*> consumed;
-  std::priority_queue<double, std::vector<double>, std::greater<double>> heap;
 
   const auto remaining_bound = [&]() {
     double bound = -kInf;
@@ -347,8 +366,7 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
             obs::MetricRegistry::Global().GetCounter(
                 "vaq_cluster_failovers_total", {{"mode", "ranked"}});
         failovers->Increment();
-        phase.Child("shard" + std::to_string(timer_shard))
-            .AddStat("failovers", 1);
+        shard_context(timer_shard).AddStat("failovers", 1);
         if (state.replicas_used >= options_.num_replicas) {
           failure = Status::Unavailable(
               "shard " + std::to_string(timer_shard) +
@@ -359,8 +377,9 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
         ++state.replicas_used;
       }
       net.Send(kCoordinatorHost, state.active_host, kTagFetch, "fetch",
-               std::to_string(timer_shard) + "," +
-                   std::to_string(state.expected) + "," + qid,
+               Message{.query = query,
+                       .shard = timer_shard,
+                       .index = state.expected},
                16, clock.now_ms());
       state.deadline = clock.now_ms() + options_.failover_timeout_ms;
       continue;
@@ -382,11 +401,8 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
         lost_outage->Increment();
         continue;  // Lost; the coordinator's timer recovers.
       }
-      const size_t comma = delivery.payload.find(',');
-      const int shard = std::atoi(delivery.payload.substr(0, comma).c_str());
-      const int index = std::atoi(delivery.payload.substr(comma + 1).c_str());
       Node* node = HostNode(delivery.to);
-      VAQ_CHECK(node != nullptr);
+      double& ready_ms = host_ready[static_cast<size_t>(delivery.to)];
       double send_ms;
       if (!node->has_run()) {
         auto run_or = node->RunRanked(&scan);
@@ -394,24 +410,22 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
           failure = run_or.status();
           break;
         }
-        host_ready_at(delivery.to) = now + (*run_or)->modeled_ms;
-        send_ms = host_ready_at(delivery.to);
+        ready_ms = now + (*run_or)->modeled_ms;
+        send_ms = ready_ms;
       } else {
-        send_ms = std::max(now, host_ready_at(delivery.to)) + kBatchServeMs;
+        send_ms = std::max(now, ready_ms) + kBatchServeMs;
       }
-      const ShardBatch batch = node->Batch(shard, index, options_.batch_size);
-      net.Send(delivery.to, kCoordinatorHost, kTagBatch, "batch",
-               delivery.payload, batch.wire_bytes, send_ms);
+      const Message batch = node->Batch(delivery.message, options_.batch_size);
+      net.Send(delivery.to, kCoordinatorHost, kTagBatch, "batch", batch,
+               node->WireBytes(batch), send_ms);
       continue;
     }
 
     // A batch arrives at the coordinator.
     VAQ_CHECK_EQ(delivery.tag, kTagBatch);
-    const size_t comma = delivery.payload.find(',');
-    const int shard = std::atoi(delivery.payload.substr(0, comma).c_str());
-    const int index = std::atoi(delivery.payload.substr(comma + 1).c_str());
-    ShardState& state = shards[static_cast<size_t>(shard)];
-    if (state.expected != index) {
+    const Message& batch = delivery.message;
+    ShardState& state = shards[static_cast<size_t>(batch.shard)];
+    if (state.expected != batch.index) {
       // Stale: a slow primary's batch landing after failover already
       // served this index, or a batch past an already-satisfied stream.
       static obs::Counter* const stale_batches =
@@ -420,15 +434,11 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
       stale_batches->Increment();
       continue;
     }
-    Node* sender = HostNode(delivery.from);
-    VAQ_CHECK(sender != nullptr && sender->has_run());
-    // The node echoed the request payload back, query id included — the
-    // batch provably belongs to this query's context.
-    VAQ_CHECK(delivery.payload.substr(delivery.payload.rfind(',') + 1) == qid);
-    const ShardBatch batch = sender->Batch(shard, index, options_.batch_size);
+    VAQ_CHECK_EQ(batch.query, query) << "a batch of another statement";
+    const Node* sender = HostNode(delivery.from);
+    VAQ_CHECK(sender->has_run());
     const ShardRun* run = sender->run();
-    const obs::QueryContext shard_ctx =
-        phase.Child("shard" + std::to_string(shard));
+    const obs::QueryContext shard_ctx = shard_context(batch.shard);
     if (!state.folded) {
       // Shard accounting folds exactly once, replica re-runs included.
       result.merged += *run;
@@ -437,34 +447,42 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
       state.folded = true;
       // Load window for elastic rebalancing (replica re-runs count: a
       // failing-over shard really did cost that much scan time).
-      shard_load_ms_[static_cast<size_t>(shard)] += run->modeled_ms;
-      ShardLoadGauge(shard)->Set(shard_load_ms_[static_cast<size_t>(shard)]);
-      shard_ctx.AddMs(run->modeled_ms);
-      shard_ctx.AddStat("videos_queried", run->videos_queried);
-      shard_ctx.AddStat("videos_skipped", run->videos_skipped);
-      if (run->videos_pruned > 0) {
-        shard_ctx.AddStat("videos_pruned", run->videos_pruned);
-      }
-      if (run->candidates_pruned > 0) {
-        shard_ctx.AddStat("candidates_pruned", run->candidates_pruned);
-      }
-      if (run->bai_pulls > 0) {
-        shard_ctx.AddStat("bai_pulls", run->bai_pulls);
-        shard_ctx.AddStat("bai_arms_eliminated", run->bai_arms_eliminated);
+      double& load_ms = shard_load_ms_[static_cast<size_t>(batch.shard)];
+      load_ms += run->modeled_ms;
+      ShardLoadGauge(batch.shard)->Set(load_ms);
+      if (shard_ctx.active()) {
+        shard_ctx.AddMs(run->modeled_ms);
+        shard_ctx.AddStat("videos_queried", run->videos_queried);
+        shard_ctx.AddStat("videos_skipped", run->videos_skipped);
+        if (run->videos_pruned > 0) {
+          shard_ctx.AddStat("videos_pruned", run->videos_pruned);
+        }
+        if (run->candidates_pruned > 0) {
+          shard_ctx.AddStat("candidates_pruned", run->candidates_pruned);
+        }
+        if (run->bai_pulls > 0) {
+          shard_ctx.AddStat("bai_pulls", run->bai_pulls);
+          shard_ctx.AddStat("bai_arms_eliminated", run->bai_arms_eliminated);
+        }
       }
     }
     ++state.consumed_batches;
     ++result.batches_consumed;
     const int64_t entries = static_cast<int64_t>(batch.end - batch.begin);
     result.entries_consumed += entries;
-    shard_ctx.AddStat("batches", 1);
-    shard_ctx.AddStat("entries", entries);
-    shard_ctx.AddStat("net_bytes", batch.wire_bytes);
+    if (shard_ctx.active()) {
+      shard_ctx.AddStat("batches", 1);
+      shard_ctx.AddStat("entries", entries);
+      shard_ctx.AddStat("net_bytes", delivery.wire_bytes);
+    }
+    // Each entry enters the merge at its single-node position: video
+    // rank (the name order), then rank in the video.
     for (size_t i = batch.begin; i < batch.end; ++i) {
       const ShardEntry& entry = run->entries[i];
-      heap.push(entry.merge_score);
-      if (heap.size() > static_cast<size_t>(rvaq.k)) heap.pop();
-      consumed.push_back(&entry);
+      const uint64_t position =
+          static_cast<uint64_t>(entry.video->rank) << 32 |
+          static_cast<uint32_t>(entry.rank_in_video);
+      merge.Offer(entry.merge_score, position, [&] { return &entry; });
     }
     state.bound = batch.next_bound;
     state.expected = -1;
@@ -475,17 +493,17 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
     // beats anything any shard could still send. Strict, so an unseen
     // candidate tied with the k-th score (which the single-node stable
     // merge might prefer) is never pruned.
-    if (heap.size() == static_cast<size_t>(rvaq.k) &&
-        heap.top() > remaining_bound()) {
+    if (merge.full() && merge.worst_score() > remaining_bound()) {
       stopped = true;
       break;
     }
     if (batch.more) {
+      state.expected = batch.index + 1;
       net.Send(kCoordinatorHost, state.active_host, kTagFetch, "fetch",
-               std::to_string(shard) + "," + std::to_string(index + 1) + "," +
-                   qid,
+               Message{.query = query,
+                       .shard = batch.shard,
+                       .index = state.expected},
                16, now);
-      state.expected = index + 1;
       state.deadline = now + options_.failover_timeout_ms;
     }
   }
@@ -502,12 +520,10 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
   for (int s = 0; s < num_shards; ++s) {
     const ShardState& state = shards[static_cast<size_t>(s)];
     const Node* node = HostNode(s);
-    for (int r = 0; (node == nullptr || !node->has_run()) &&
-                    r < options_.num_replicas;
-         ++r) {
+    for (int r = 0; !node->has_run() && r < options_.num_replicas; ++r) {
       node = HostNode(ReplicaHost(s, r));
     }
-    VAQ_CHECK(node != nullptr && node->has_run());
+    VAQ_CHECK(node->has_run());
     const int total = node->NumBatches(options_.batch_size);
     result.batches_pruned += std::max(0, total - static_cast<int>(
                                                      state.consumed_batches));
@@ -515,20 +531,13 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
         static_cast<int64_t>(node->run()->entries.size());
   }
 
-  // Merge, byte-identical to Repository::TopK: assemble the consumed
-  // candidates in (video name, per-video rank) order — the order the
-  // single-node loop appends them — then the shared stable merge.
-  std::sort(consumed.begin(), consumed.end(),
-            [](const ShardEntry* a, const ShardEntry* b) {
-              if (a->video != b->video) return a->video < b->video;
-              return a->rank_in_video < b->rank_in_video;
-            });
-  result.merged.top.reserve(consumed.size());
-  for (const ShardEntry* entry : consumed) {
+  // Only the k winners are copied out of the shard runs.
+  const std::vector<const ShardEntry*> winners = merge.Take();
+  result.merged.top.reserve(winners.size());
+  for (const ShardEntry* entry : winners) {
     result.merged.top.push_back(
-        offline::RepositoryRankedSequence{entry->video, entry->sequence});
+        offline::RepositoryRankedSequence{entry->video->name, entry->sequence});
   }
-  offline::MergeRankedCandidates(&result.merged.top, rvaq.k);
   result.answer_ms = clock.now_ms();
   result.merged.wall_ms = result.answer_ms;  // Virtual, not wall, time.
   result.net = net.stats();

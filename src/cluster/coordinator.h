@@ -21,9 +21,10 @@
 //      batches are pruned; the result is provably complete.
 //
 // The merged result is byte-identical to Repository::TopK by
-// construction: consumed candidates are re-assembled in (video name,
-// per-video rank) order — exactly the order the single-node loop emits —
-// then passed through the same offline::MergeRankedCandidates. And
+// construction: each consumed candidate enters the same
+// offline::RankedMerge at its single-node position — (video name,
+// per-video rank), as integer ranks — so the merge keeps the winners the
+// single-node loop keeps, and only those are copied out. And
 // because a clean run executes each per-video RVAQ exactly once across
 // the whole cluster, every logical vaq_* metric lands on the single-node
 // value too; only the vaq_cluster_* transport families differ by layout.
@@ -135,7 +136,10 @@ struct ClusterTopKResult {
 
 class Coordinator : public query::RankedBackend {
  public:
-  // `repository` is not owned and must outlive the coordinator.
+  // `repository` is not owned and must outlive the coordinator. Nodes
+  // resolve its videos at construction, so it must not change while the
+  // coordinator is in use: TopK, SplitShard and MergeShards return
+  // kFailedPrecondition after an Add or Remove.
   Coordinator(const offline::Repository* repository, ClusterOptions options);
 
   const ClusterOptions& options() const { return options_; }
@@ -146,8 +150,8 @@ class Coordinator : public query::RankedBackend {
 
   // --- Elastic rebalancing ----------------------------------------------
   // The shard layout only affects transport (vaq_cluster_* batch/net
-  // accounting, host ids, answer_ms): merged results are re-assembled in
-  // (video, per-video rank) order and every per-video scan runs exactly
+  // accounting, host ids, answer_ms): merged results are merged by
+  // (video, per-video rank) position and every per-video scan runs exactly
   // once per clean query, so results and engine-level metrics are
   // byte-identical before, during and after any rebalance
   // (LayoutInvariantMetricPrefixes below; the elastic determinism test
@@ -175,15 +179,16 @@ class Coordinator : public query::RankedBackend {
   // window (also exported as vaq_cluster_shard_load_ms{shard=...}).
   double ShardLoadMs(int shard) const;
 
-  // Global top-K for a conjunctive query, scatter–gathered. `ctx`
-  // (optional) attributes the scatter–gather to a per-query trace: the
-  // query id rides the simulated wire with every query/fetch message
-  // (appended to the payload; the modeled byte counts are unchanged, so
-  // timing is too), and each shard's scan, batches, bytes and failovers
-  // land on a per-shard child node. When `rvaq.prefilter` is set (a
-  // planned cascade), `plan_wire_bytes` models the thresholds riding the
-  // scatter message to every shard; 0 on the exact path keeps the wire
-  // byte-identical to pre-cascade builds.
+  // Global top-K for a conjunctive query, scatter–gathered. Every
+  // message is a typed cluster::Message; the statement's serial rides
+  // each query and fetch and each batch echoes it, which is checked on
+  // arrival. `ctx` (optional) attributes the scatter–gather to a
+  // per-query trace: each shard's scan, batches, bytes and failovers
+  // land on a per-shard child node, built only when `ctx` is active.
+  // When `rvaq.prefilter` is set (a planned cascade), `plan_wire_bytes`
+  // models the thresholds riding the scatter message to every shard; 0
+  // on the exact path keeps the wire byte-identical to pre-cascade
+  // builds.
   StatusOr<ClusterTopKResult> TopK(const std::string& action,
                                    const std::vector<std::string>& objects,
                                    const offline::ScoringModel& scoring,
@@ -200,15 +205,24 @@ class Coordinator : public query::RankedBackend {
   // Primary host of shard s is s; replica r of shard s is
   // num_shards + s * num_replicas + r (under the live shard count).
   int ReplicaHost(int shard, int replica) const;
+  // Host ids index nodes_.
   Node* HostNode(int host) const;
   bool HostDown(int host, double at_ms) const;
   // Recreates every node from the current shard_videos_ layout (host
-  // ids are layout-relative, so a rebalance re-derives all of them).
+  // ids are layout-relative, so a rebalance re-derives all of them),
+  // resolving each video's index and name rank once.
   void RebuildNodes();
+  // kFailedPrecondition once the repository has changed since
+  // construction: the nodes' resolved videos may be stale.
+  Status CheckRepository() const;
   // vaq_cluster_shard_load_ms{shard=<shard>}, resolved on first use.
   obs::Gauge* ShardLoadGauge(int shard) const;
 
   const offline::Repository* repository_;
+  // The repository's generation the nodes were resolved against.
+  uint64_t generation_;
+  // Serial of the last ranked statement; TopK is logically const.
+  mutable uint64_t statements_ = 0;
   ClusterOptions options_;
   offline::PaperScoring scoring_;
   // Plans WITH RECALL statements over options_.proxy; null without one.

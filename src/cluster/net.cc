@@ -4,7 +4,6 @@
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -60,7 +59,7 @@ Net::Net(NetOptions options, const fault::FaultPlan* plan)
     : options_(options), plan_(plan), seed_(plan ? plan->seed() : 0) {}
 
 void Net::Send(int from, int to, uint32_t tag, const char* tag_name,
-               std::string payload, int64_t wire_bytes, double send_ms) {
+               const Message& message, int64_t wire_bytes, double send_ms) {
   const int64_t link = LinkOf(from, to);
   const int64_t seq = next_seq_++;
   ++stats_.messages;
@@ -106,6 +105,8 @@ void Net::Send(int from, int to, uint32_t tag, const char* tag_name,
   delivery.from = from;
   delivery.to = to;
   delivery.tag = tag;
+  delivery.message = message;
+  delivery.wire_bytes = wire_bytes;
   delivery.seq = seq;
   delivery.sent_ms = send_ms;
   delivery.attempts = attempts;
@@ -124,26 +125,25 @@ void Net::Send(int from, int to, uint32_t tag, const char* tag_name,
     copy.delivered_ms = copy.delivery.delivered_ms;
     copy.duplicate = true;
     copy.order = next_order_++;
-    Push(std::move(copy));
+    Push(copy);
   }
-  delivery.payload = std::move(payload);
   Pending pending;
   pending.delivered_ms = delivery.delivered_ms;
-  pending.delivery = std::move(delivery);
+  pending.delivery = delivery;
   pending.duplicate = false;
   pending.order = next_order_++;
-  Push(std::move(pending));
+  Push(pending);
 }
 
-void Net::Push(Pending pending) {
-  queue_.push_back(std::move(pending));
+void Net::Push(const Pending& pending) {
+  queue_.push_back(pending);
   std::push_heap(queue_.begin(), queue_.end(), std::greater<Pending>());
 }
 
 bool Net::NextDelivery(Delivery* out) {
   while (!queue_.empty()) {
     std::pop_heap(queue_.begin(), queue_.end(), std::greater<Pending>());
-    Pending pending = std::move(queue_.back());
+    const Pending pending = queue_.back();
     queue_.pop_back();
     if (pending.duplicate) {
       ++stats_.duplicates_suppressed;
@@ -153,7 +153,7 @@ bool Net::NextDelivery(Delivery* out) {
       continue;
     }
     ++stats_.deliveries;
-    *out = std::move(pending.delivery);
+    *out = pending.delivery;
     return true;
   }
   return false;

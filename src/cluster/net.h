@@ -25,8 +25,9 @@
 #ifndef VAQ_CLUSTER_NET_H_
 #define VAQ_CLUSTER_NET_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -42,12 +43,32 @@ struct NetOptions {
   int max_attempts = 16;         // Last attempt always goes through.
 };
 
+// What a message says, as a value: the simulation hands the logical
+// content across, and Send's `wire_bytes` prices what a real
+// serialization would ship. A query or fetch names a batch by
+// (shard, index); a batch reply carries the batch itself. A ship
+// message carries nothing.
+struct Message {
+  uint64_t query = 0;  // The statement's serial; a reply echoes it.
+  int shard = 0;
+  int index = 0;  // Batch number within the shard's stream.
+  // A batch reply's slice of the shard run, [begin, end); the highest
+  // merge score still unsent after it (the shard's remaining upper
+  // bound, -infinity when the stream is exhausted); whether more follow.
+  size_t begin = 0;
+  size_t end = 0;
+  double next_bound = 0.0;
+  bool more = false;
+};
+static_assert(std::is_trivially_copyable_v<Message>);
+
 // One message arrival, handed to the receiver in delivery-time order.
 struct Delivery {
   int from = 0;
   int to = 0;
   uint32_t tag = 0;
-  std::string payload;
+  Message message;
+  int64_t wire_bytes = 0;
   int64_t seq = 0;       // Net-wide send order.
   double sent_ms = 0.0;
   double delivered_ms = 0.0;
@@ -71,13 +92,13 @@ class Net {
 
   // Queues a message sent at virtual time `send_ms`. `tag_name` labels
   // the vaq_cluster_net_messages_total counter and is one of "query",
-  // "fetch", "batch" or "ship".
-  // `wire_bytes` is the modeled on-the-wire size (the in-process
-  // `payload` is just the logical content, e.g. a batch coordinate, so
-  // transfer time is charged for the bytes a real serialization would
-  // ship, not the simulation's bookkeeping string).
+  // "fetch", "batch" or "ship". `wire_bytes` is the modeled on-the-wire
+  // size, which transfer time is charged for.
   void Send(int from, int to, uint32_t tag, const char* tag_name,
-            std::string payload, int64_t wire_bytes, double send_ms);
+            const Message& message, int64_t wire_bytes, double send_ms);
+
+  // Room for `pending` copies in flight without growing the queue.
+  void Reserve(size_t pending) { queue_.reserve(pending); }
 
   // Pops the earliest pending delivery (ties broken by send order).
   // Duplicate copies are suppressed here. False when idle.
@@ -105,7 +126,7 @@ class Net {
     }
   };
 
-  void Push(Pending pending);
+  void Push(const Pending& pending);
 
   NetOptions options_;
   const fault::FaultPlan* plan_;
@@ -113,8 +134,7 @@ class Net {
   int64_t next_seq_ = 0;
   int64_t next_order_ = 0;
   // Min-heap on (delivered_ms, order) under std::greater: the earliest
-  // copy is at the front. A plain vector heap rather than a
-  // priority_queue, so a popped delivery is moved out, not copied.
+  // copy is at the front.
   std::vector<Pending> queue_;
   NetStats stats_;
 };

@@ -1,6 +1,7 @@
 #include "cluster/node.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -10,66 +11,67 @@ namespace cluster {
 
 int64_t EntryWireBytes(const ShardEntry& entry) {
   // Name + interval endpoints + three bounds + rank + framing.
-  return static_cast<int64_t>(entry.video.size()) + 48;
+  return static_cast<int64_t>(entry.video->name.size()) + 48;
 }
 
-Node::Node(int id, const offline::Repository* repository,
-           std::vector<std::string> videos)
-    : id_(id), repository_(repository), videos_(std::move(videos)) {}
+Node::Node(int id, std::vector<ShardVideo> videos)
+    : id_(id), videos_(std::move(videos)) {}
 
 StatusOr<const ShardRun*> Node::RunRanked(offline::RankedScan* scan) {
   if (has_run_) return &run_;
-  run_ = ShardRun();
-  for (const std::string& name : videos_) {
-    const storage::VideoIndex* index = repository_->Find(name);
-    VAQ_CHECK(index != nullptr);
+  // A fresh run that keeps the entries' storage.
+  run_.entries.clear();
+  run_ = ShardRun{{}, std::move(run_.entries), 0.0};
+  for (const ShardVideo& video : videos_) {
     VAQ_ASSIGN_OR_RETURN(const std::vector<offline::RankedSequence>* top,
-                         scan->Video(name, *index, &run_));
+                         scan->Video(video.name, *video.index, &run_));
     for (size_t rank = 0; rank < top->size(); ++rank) {
-      ShardEntry entry;
-      entry.video = name;
-      entry.rank_in_video = static_cast<int>(rank);
-      entry.sequence = (*top)[rank];
-      entry.merge_score = offline::RankedMergeScore(entry.sequence);
-      run_.entries.push_back(std::move(entry));
+      const offline::RankedSequence& sequence = (*top)[rank];
+      run_.entries.push_back(ShardEntry{&video, static_cast<int>(rank),
+                                        sequence,
+                                        offline::RankedMergeScore(sequence)});
     }
   }
   run_.modeled_ms = run_.accesses.ModeledMs(kShardSeekMs, kShardRowMs);
   // The gather stream: descending merge score. The tie order does not
-  // affect the merged result (the coordinator re-sorts consumed entries
-  // into single-node order), but (video, rank) keeps it deterministic —
-  // and, being unique per entry, makes this order total.
+  // affect the merged result (the coordinator merges by single-node
+  // position), but (video rank, rank) keeps it deterministic — and,
+  // being unique per entry, makes this order total. Video ranks follow
+  // the name order, so this is the (video name, rank) order.
   std::sort(run_.entries.begin(), run_.entries.end(),
             [](const ShardEntry& a, const ShardEntry& b) {
               if (a.merge_score != b.merge_score) {
                 return a.merge_score > b.merge_score;
               }
-              if (a.video != b.video) return a.video < b.video;
+              if (a.video->rank != b.video->rank) {
+                return a.video->rank < b.video->rank;
+              }
               return a.rank_in_video < b.rank_in_video;
             });
   has_run_ = true;
   return &run_;
 }
 
-ShardBatch Node::Batch(int shard, int index, int batch_size) const {
+Message Node::Batch(const Message& request, int batch_size) const {
   VAQ_CHECK(has_run_);
   VAQ_CHECK_GT(batch_size, 0);
-  ShardBatch batch;
-  batch.shard = shard;
-  batch.index = index;
+  Message batch = request;
   const size_t size = run_.entries.size();
-  batch.begin = std::min(size, static_cast<size_t>(index) *
+  batch.begin = std::min(size, static_cast<size_t>(request.index) *
                                    static_cast<size_t>(batch_size));
   batch.end = std::min(size, batch.begin + static_cast<size_t>(batch_size));
-  for (size_t i = batch.begin; i < batch.end; ++i) {
-    batch.wire_bytes += EntryWireBytes(run_.entries[i]);
-  }
-  batch.wire_bytes += 32;  // Header: shard, index, bound, count.
-  if (batch.end < size) {
-    batch.more = true;
-    batch.next_bound = run_.entries[batch.end].merge_score;
-  }
+  batch.more = batch.end < size;
+  batch.next_bound = batch.more ? run_.entries[batch.end].merge_score
+                                : -std::numeric_limits<double>::infinity();
   return batch;
+}
+
+int64_t Node::WireBytes(const Message& batch) const {
+  int64_t bytes = 32;  // Header: shard, index, bound, count.
+  for (size_t i = batch.begin; i < batch.end; ++i) {
+    bytes += EntryWireBytes(run_.entries[i]);
+  }
+  return bytes;
 }
 
 int Node::NumBatches(int batch_size) const {
@@ -80,10 +82,7 @@ int Node::NumBatches(int batch_size) const {
                           static_cast<size_t>(batch_size));
 }
 
-void Node::ResetRun() {
-  has_run_ = false;
-  run_ = ShardRun();
-}
+void Node::ResetRun() { has_run_ = false; }
 
 }  // namespace cluster
 }  // namespace vaq

@@ -1,6 +1,6 @@
 // One cluster node's shard-local ranked execution.
 //
-// A `Node` owns a list of video names (its shard of the repository) and
+// A `Node` holds its shard of the repository as resolved videos and
 // answers a conjunctive ranked query by running per-video RVAQ — the
 // exact single-node code path (offline::RankedScan) over the exact
 // single-node per-video K, in video-name order — and sorting the union
@@ -22,10 +22,10 @@
 #define VAQ_CLUSTER_NODE_H_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
+#include "cluster/net.h"
 #include "common/status.h"
 #include "offline/repository.h"
 
@@ -37,9 +37,16 @@ namespace cluster {
 inline constexpr double kShardSeekMs = 5.0;
 inline constexpr double kShardRowMs = 0.01;
 
+// One video of a shard, resolved once per layout.
+struct ShardVideo {
+  std::string name;
+  const storage::VideoIndex* index = nullptr;
+  int rank = 0;  // Position in the repository's sorted name list.
+};
+
 // One candidate on the wire.
 struct ShardEntry {
-  std::string video;
+  const ShardVideo* video = nullptr;  // The node's; outlives the run.
   int rank_in_video = 0;  // Position in the per-video RVAQ top list.
   offline::RankedSequence sequence;
   double merge_score = 0.0;  // offline::RankedMergeScore(sequence).
@@ -54,32 +61,18 @@ int64_t EntryWireBytes(const ShardEntry& entry);
 // contents — a replica's run reports identical numbers, so failover
 // cannot skew the gathered totals or the adaptive-sampling certificate.
 struct ShardRun : offline::RankedScanTotals {
-  std::vector<ShardEntry> entries;  // merge_score desc, ties (video, rank).
+  // merge_score desc, ties (video rank, rank in video).
+  std::vector<ShardEntry> entries;
   double modeled_ms = 0.0;  // Modeled sequential disk time of the scan.
-};
-
-// One gather batch: a slice of the shard run, named by index range.
-struct ShardBatch {
-  int shard = 0;
-  int index = 0;     // Batch number within the stream.
-  size_t begin = 0;  // ShardRun::entries [begin, end): up to batch_size.
-  size_t end = 0;
-  // Highest merge score still unsent after this batch — the shard's
-  // remaining upper bound. -infinity when the stream is exhausted.
-  double next_bound = -std::numeric_limits<double>::infinity();
-  bool more = false;
-  int64_t wire_bytes = 0;
 };
 
 class Node {
  public:
-  // `repository` is not owned and must outlive the node. `videos` is
-  // this node's shard (sorted by PartitionNames).
-  Node(int id, const offline::Repository* repository,
-       std::vector<std::string> videos);
+  // `videos` is this node's shard in name order; their indexes are not
+  // owned and must outlive the node.
+  Node(int id, std::vector<ShardVideo> videos);
 
   int id() const { return id_; }
-  const std::vector<std::string>& videos() const { return videos_; }
 
   // Runs the shard-local scan of a conjunctive query, one scan->Video()
   // per shard video, at most once: a repeat call returns the cached run.
@@ -94,20 +87,25 @@ class Node {
   // The cached run; valid only when has_run().
   const ShardRun* run() const { return &run_; }
 
-  // Batch `index` of the cached run (RunRanked first). Its entries stay
-  // in the run, which outlives every batch of the query.
-  ShardBatch Batch(int shard, int index, int batch_size) const;
+  // The reply to `request`, a query or fetch of batch `request.index`,
+  // from the cached run (RunRanked first): the request's coordinates
+  // with the batch's slice, bound and continuation. Its entries stay in
+  // the run, which outlives every batch of the query.
+  Message Batch(const Message& request, int batch_size) const;
+
+  // Modeled wire size of a batch reply: its entries plus a header.
+  int64_t WireBytes(const Message& batch) const;
 
   // Total batches of the cached run under `batch_size`.
   int NumBatches(int batch_size) const;
 
-  // Drops the cached run (the node is reused for the next query).
+  // Drops the cached run (the node is reused for the next query); the
+  // next run reuses its storage.
   void ResetRun();
 
  private:
   int id_;
-  const offline::Repository* repository_;
-  std::vector<std::string> videos_;
+  std::vector<ShardVideo> videos_;
   bool has_run_ = false;
   ShardRun run_;
 };

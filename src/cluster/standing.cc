@@ -115,8 +115,8 @@ Status StandingCluster::Ship(int node) {
   if (bytes == 0) return Status::OK();
   shipped_bytes_ += bytes;
   // The follower of node i lives on host num_nodes + i.
-  net_->Send(node, options_.num_nodes + node, kTagShip, "ship", "", bytes,
-             clock_.now_ms());
+  net_->Send(node, options_.num_nodes + node, kTagShip, "ship", Message{},
+             bytes, clock_.now_ms());
   static obs::Counter* const ship_bytes =
       obs::MetricRegistry::Global().GetCounter("vaq_cluster_ship_bytes_total");
   ship_bytes->Increment(bytes);

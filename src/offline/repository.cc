@@ -61,20 +61,6 @@ double RankedMergeScore(const RankedSequence& sequence) {
   return sequence.has_exact ? sequence.exact_score : sequence.lower_bound;
 }
 
-void MergeRankedCandidates(std::vector<RepositoryRankedSequence>* candidates,
-                           int64_t k) {
-  // Merge: sort by exact score when available, lower bound otherwise.
-  std::stable_sort(candidates->begin(), candidates->end(),
-                   [](const RepositoryRankedSequence& a,
-                      const RepositoryRankedSequence& b) {
-                     return RankedMergeScore(a.sequence) >
-                            RankedMergeScore(b.sequence);
-                   });
-  if (static_cast<int64_t>(candidates->size()) > k) {
-    candidates->resize(static_cast<size_t>(k));
-  }
-}
-
 StatusOr<TopKResult> QueryVideoTopK(const storage::VideoIndex& index,
                                     const std::string& action,
                                     const std::vector<std::string>& objects,
@@ -149,6 +135,7 @@ StatusOr<const std::vector<RankedSequence>*> RankedScan::Video(
 
 void Repository::Add(const std::string& name, storage::VideoIndex index) {
   videos_.insert_or_assign(name, std::move(index));
+  ++generation_;
 }
 
 Status Repository::AddFromCatalog(const storage::Catalog& catalog) {
@@ -160,7 +147,9 @@ Status Repository::AddFromCatalog(const storage::Catalog& catalog) {
 }
 
 bool Repository::Remove(const std::string& name) {
-  return videos_.erase(name) > 0;
+  if (videos_.erase(name) == 0) return false;
+  ++generation_;
+  return true;
 }
 
 std::vector<std::string> Repository::VideoNames() const {
@@ -184,14 +173,20 @@ StatusOr<RepositoryTopKResult> Repository::TopK(
   }
   RepositoryTopKResult result;
   RankedScan scan(action, objects, scoring, options);
+  // Candidates are offered in append order, so a running count is their
+  // position; only the k winners are copied out of the per-video lists.
+  RankedMerge<RepositoryRankedSequence> merge(options.k);
+  uint64_t position = 0;
   for (const auto& [name, index] : videos_) {
     VAQ_ASSIGN_OR_RETURN(const std::vector<RankedSequence>* top,
                          scan.Video(name, index, &result));
     for (const RankedSequence& seq : *top) {
-      result.top.push_back(RepositoryRankedSequence{name, seq});
+      merge.Offer(RankedMergeScore(seq), position++, [&] {
+        return RepositoryRankedSequence{name, seq};
+      });
     }
   }
-  MergeRankedCandidates(&result.top, options.k);
+  result.top = merge.Take();
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();

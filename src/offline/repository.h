@@ -11,8 +11,11 @@
 #ifndef VAQ_OFFLINE_REPOSITORY_H_
 #define VAQ_OFFLINE_REPOSITORY_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "offline/rvaq.h"
@@ -41,12 +44,72 @@ struct RepositoryRankedSequence {
 // one, the lower bound otherwise.
 double RankedMergeScore(const RankedSequence& sequence);
 
-// The global merge step of Repository::TopK, exposed so the cluster
-// coordinator reproduces single-node results *by construction*: callers
-// assemble candidates in (video name, per-video rank) order, and this
-// stable-sorts by RankedMergeScore descending and truncates to `k`.
-void MergeRankedCandidates(std::vector<RepositoryRankedSequence>* candidates,
-                           int64_t k);
+// The global merge of a ranked statement, shared by Repository::TopK and
+// the cluster gather so both keep the same winners by construction. A
+// candidate's position is any integer that orders it as the single-node
+// loop appends candidates — video name, then per-video rank — and the
+// merge keeps the k best by (RankedMergeScore descending, position
+// ascending): exactly what a stable sort of the appended candidates by
+// descending score, truncated to k, keeps. Candidates may be offered in
+// any order; a candidate's value is built only when it enters.
+template <typename T>
+class RankedMerge {
+ public:
+  explicit RankedMerge(int64_t k) : k_(k > 0 ? static_cast<size_t>(k) : 0) {
+    // Room for common LIMITs up front; a larger k grows as winners enter.
+    kept_.reserve(std::min<size_t>(k_, 64));
+  }
+
+  // Offers a candidate. `make()` builds its value only when it is among
+  // the k best so far; it then evicts the worst kept one when k are kept.
+  template <typename Make>
+  void Offer(double score, uint64_t position, Make make) {
+    const Key key{score, position};
+    if (kept_.size() < k_) {
+      kept_.push_back(Kept{key, make()});
+      std::push_heap(kept_.begin(), kept_.end(), HeapOrder);
+    } else if (k_ > 0 && Better(key, kept_.front().key)) {
+      std::pop_heap(kept_.begin(), kept_.end(), HeapOrder);
+      kept_.back() = Kept{key, make()};
+      std::push_heap(kept_.begin(), kept_.end(), HeapOrder);
+    }
+  }
+
+  bool full() const { return k_ > 0 && kept_.size() == k_; }
+  // The lowest score kept (the k-th best so far); valid when full().
+  double worst_score() const { return kept_.front().key.score; }
+
+  // The kept values, best first. Ends the merge.
+  std::vector<T> Take() {
+    std::sort_heap(kept_.begin(), kept_.end(), HeapOrder);
+    std::vector<T> out;
+    out.reserve(kept_.size());
+    for (Kept& kept : kept_) out.push_back(std::move(kept.value));
+    kept_.clear();
+    return out;
+  }
+
+ private:
+  struct Key {
+    double score;
+    uint64_t position;
+  };
+  struct Kept {
+    Key key;
+    T value;
+  };
+  static bool Better(const Key& a, const Key& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.position < b.position;
+  }
+  // A max-heap under this order holds the worst kept candidate in front.
+  static bool HeapOrder(const Kept& a, const Kept& b) {
+    return Better(a.key, b.key);
+  }
+
+  size_t k_;
+  std::vector<Kept> kept_;
+};
 
 // One video's contribution to a repository query: binds the conjunctive
 // query by type names and runs RVAQ. kNotFound means the video did not
@@ -126,6 +189,11 @@ class Repository {
   // Drops a video from the repository; false when absent.
   bool Remove(const std::string& name);
 
+  // Bumped by every Add and by every Remove that drops a video, so a
+  // holder of resolved videos (cluster::Coordinator) can tell that they
+  // may be stale.
+  uint64_t generation() const { return generation_; }
+
   size_t num_videos() const { return videos_.size(); }
   std::vector<std::string> VideoNames() const;
   const storage::VideoIndex* Find(const std::string& name) const;
@@ -140,6 +208,7 @@ class Repository {
 
  private:
   std::map<std::string, storage::VideoIndex> videos_;
+  uint64_t generation_ = 0;
 };
 
 }  // namespace offline

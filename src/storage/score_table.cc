@@ -1,6 +1,7 @@
 #include "storage/score_table.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/logging.h"
@@ -9,6 +10,10 @@ namespace vaq {
 namespace storage {
 
 StatusOr<ScoreTable> ScoreTable::Build(std::vector<Row> rows) {
+  if (rows.size() > static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
+    return Status::InvalidArgument("score table holds more than INT32_MAX "
+                                   "rows: " + std::to_string(rows.size()));
+  }
   ScoreTable table;
   table.by_clip_.assign(rows.size(), 0.0);
   std::vector<bool> seen(rows.size(), false);
@@ -30,7 +35,10 @@ StatusOr<ScoreTable> ScoreTable::Build(std::vector<Row> rows) {
     if (a.score != b.score) return a.score > b.score;
     return a.clip < b.clip;
   });
-  table.by_rank_ = std::move(rows);
+  table.by_rank_.reserve(rows.size());
+  for (const Row& row : rows) {
+    table.by_rank_.push_back(static_cast<int32_t>(row.clip));
+  }
   return table;
 }
 
@@ -38,14 +46,14 @@ ScoreTable::Row ScoreTable::SortedRow(int64_t rank) const {
   VAQ_CHECK_GE(rank, 0);
   VAQ_CHECK_LT(rank, num_rows());
   ++counter_.sorted_accesses;
-  return by_rank_[static_cast<size_t>(rank)];
+  return RowAt(by_rank_[static_cast<size_t>(rank)]);
 }
 
 ScoreTable::Row ScoreTable::ReverseRow(int64_t rank) const {
   VAQ_CHECK_GE(rank, 0);
   VAQ_CHECK_LT(rank, num_rows());
   ++counter_.reverse_accesses;
-  return by_rank_[static_cast<size_t>(num_rows() - 1 - rank)];
+  return RowAt(by_rank_[static_cast<size_t>(num_rows() - 1 - rank)]);
 }
 
 double ScoreTable::RandomScore(ClipIndex cid) const {

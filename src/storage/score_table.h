@@ -40,10 +40,11 @@ class ScoreTable {
 
   // Builds a table from one row per clip. Clip ids must be exactly
   // 0..rows.size()-1 (every clip of the video has a score; §4.2 stores a
-  // row even for zero scores so sorted access can reach every clip).
+  // row even for zero scores so sorted access can reach every clip), and
+  // there are at most INT32_MAX rows.
   static StatusOr<ScoreTable> Build(std::vector<Row> rows);
 
-  int64_t num_rows() const { return static_cast<int64_t>(by_rank_.size()); }
+  int64_t num_rows() const { return static_cast<int64_t>(by_clip_.size()); }
   // Sorted access: the row with the `rank`-th highest score (0-based).
   Row SortedRow(int64_t rank) const;
   // Reverse access: the row with the `rank`-th lowest score (0-based).
@@ -64,8 +65,14 @@ class ScoreTable {
   void ResetCounter() const { counter_.Reset(); }
 
  private:
-  std::vector<Row> by_rank_;      // Sorted by score descending.
-  std::vector<double> by_clip_;   // Dense score array indexed by clip id.
+  Row RowAt(int32_t clip) const {
+    return Row{clip, by_clip_[static_cast<size_t>(clip)]};
+  }
+
+  // The sorted order as clip ids (score descending, ties by clip id); a
+  // row's score is read from by_clip_, so each clip costs 12 bytes.
+  std::vector<int32_t> by_rank_;
+  std::vector<double> by_clip_;  // Dense score array indexed by clip id.
   mutable AccessCounter counter_;
 };
 

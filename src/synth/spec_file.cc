@@ -1,6 +1,7 @@
 #include "synth/spec_file.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -41,17 +42,14 @@ Status ParseDouble(const std::string& key, const std::string& value, int line,
   return Status::OK();
 }
 
-// An integer field: integral and in `Int`'s range, so the cast that
-// stores it is defined.
+// An integer field: decimal digits (a minus sign for signed fields) in
+// `Int`'s range, parsed straight into `Int` so no digit is lost.
 template <typename Int>
 Status ParseInteger(const std::string& key, const std::string& value,
                     int line, Int* out) {
-  double number = 0;
-  VAQ_RETURN_IF_ERROR(ParseDouble(key, value, line, &number));
-  // lo is 0 or -2^k and hi is 2^k, so both are exact doubles.
-  const double lo = static_cast<double>(std::numeric_limits<Int>::min());
-  const double hi = std::ldexp(1.0, std::numeric_limits<Int>::digits);
-  if (!(number >= lo && number < hi && number == std::trunc(number))) {
+  const char* end = value.data() + value.size();
+  const auto [ptr, error] = std::from_chars(value.data(), end, *out);
+  if (value.empty() || error != std::errc() || ptr != end) {
     return Status::InvalidArgument(
         "line " + std::to_string(line) + ": " + key +
         " must be an integer in [" +
@@ -59,7 +57,6 @@ Status ParseInteger(const std::string& key, const std::string& value,
         std::to_string(std::numeric_limits<Int>::max()) + "], got '" + value +
         "'");
   }
-  *out = static_cast<Int>(number);
   return Status::OK();
 }
 
@@ -69,6 +66,18 @@ Status ParsePositive(const std::string& key, const std::string& value,
   if (*out <= 0) {
     return Status::InvalidArgument("line " + std::to_string(line) + ": " +
                                    key + " must be > 0, got '" + value + "'");
+  }
+  return Status::OK();
+}
+
+// A duty or probability: a finite number in [0, 1].
+Status ParseFraction(const std::string& key, const std::string& value,
+                     int line, double* out) {
+  VAQ_RETURN_IF_ERROR(ParseDouble(key, value, line, out));
+  if (*out < 0 || *out > 1) {
+    return Status::InvalidArgument("line " + std::to_string(line) + ": " +
+                                   key + " must lie in [0, 1], got '" +
+                                   value + "'");
   }
   return Status::OK();
 }
@@ -162,10 +171,10 @@ StatusOr<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
           action.name = value;
         } else if (key == "duty") {
           VAQ_RETURN_IF_ERROR(
-              ParseDouble(key, value, line_number, &action.duty));
+              ParseFraction(key, value, line_number, &action.duty));
         } else if (key == "mean_len_frames") {
-          VAQ_RETURN_IF_ERROR(
-              ParseDouble(key, value, line_number, &action.mean_len_frames));
+          VAQ_RETURN_IF_ERROR(ParsePositive(key, value, line_number,
+                                            &action.mean_len_frames));
         } else if (key == "drift") {
           VAQ_RETURN_IF_ERROR(ParseDrift(value, line_number, &action.drift));
         } else {
@@ -180,19 +189,19 @@ StatusOr<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
         if (key == "name") {
           object.name = value;
         } else if (key == "background_duty") {
-          VAQ_RETURN_IF_ERROR(
-              ParseDouble(key, value, line_number, &object.background_duty));
+          VAQ_RETURN_IF_ERROR(ParseFraction(key, value, line_number,
+                                            &object.background_duty));
         } else if (key == "mean_len_frames") {
-          VAQ_RETURN_IF_ERROR(
-              ParseDouble(key, value, line_number, &object.mean_len_frames));
+          VAQ_RETURN_IF_ERROR(ParsePositive(key, value, line_number,
+                                            &object.mean_len_frames));
         } else if (key == "coupled_action") {
           object.coupled_action = value;
         } else if (key == "cover_action_prob") {
-          VAQ_RETURN_IF_ERROR(
-              ParseDouble(key, value, line_number, &object.cover_action_prob));
+          VAQ_RETURN_IF_ERROR(ParseFraction(key, value, line_number,
+                                            &object.cover_action_prob));
         } else if (key == "mean_instances") {
-          VAQ_RETURN_IF_ERROR(
-              ParseDouble(key, value, line_number, &object.mean_instances));
+          VAQ_RETURN_IF_ERROR(ParsePositive(key, value, line_number,
+                                            &object.mean_instances));
         } else if (key == "drift") {
           VAQ_RETURN_IF_ERROR(ParseDrift(value, line_number, &object.drift));
         } else {

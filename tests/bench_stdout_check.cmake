@@ -1,13 +1,15 @@
-# Tier-1 check that a paper bench's stdout is unchanged: reruns the bench
-# and compares what it prints with the committed baseline under
-# bench/baselines/stdout/. The benches are deterministic apart from their
-# wall-clock columns, so any other difference is a behaviour change.
+# Tier-1 check that a bench's (or a vaqctl command's) stdout is unchanged:
+# reruns the binary and compares what it prints with a committed baseline
+# (bench/baselines/stdout/, tests/golden/). The benches are deterministic
+# apart from their wall-clock columns, so any other difference is a
+# behaviour change.
 #
 # Invoked as:
-#   cmake -DBENCH=<binary> -DBASELINE=<file> [-DCSV_DROP=<col>,<col>...]
-#         [-DUPDATE=1] -P bench_stdout_check.cmake
+#   cmake -DBENCH=<binary> [-DARGS="<arg> <arg>..."] -DBASELINE=<file>
+#         [-DCSV_DROP=<col>,<col>...] [-DUPDATE=1] -P bench_stdout_check.cmake
 #
-# Without CSV_DROP the full stdout is compared. With it, only the bench's
+# ARGS is split like a shell command line. Without CSV_DROP the full
+# stdout is compared. With it, only the bench's
 # "csv," lines are, minus the named (wall-clock) columns, which the first
 # csv line names. UPDATE=1 rewrites the baseline instead of comparing; use
 # it only alongside an intended, documented output change.
@@ -16,8 +18,9 @@ if(NOT DEFINED BENCH OR NOT DEFINED BASELINE)
   message(FATAL_ERROR "pass -DBENCH=<bench binary> -DBASELINE=<file>")
 endif()
 
+separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(
-  COMMAND ${BENCH}
+  COMMAND ${BENCH} ${args}
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
   RESULT_VARIABLE rc)

@@ -180,6 +180,44 @@ TEST(ClusterElastic, SplitGuardsItsPreconditions) {
             StatusCode::kInvalidArgument);  // No right neighbour.
 }
 
+// Nodes resolve their videos once per layout, so a repository that
+// changes under a live coordinator is a FailedPrecondition: neither a
+// stale index nor a silently ignored video.
+TEST(ClusterElastic, RepositoryChangeNeedsANewCoordinator) {
+  offline::PaperScoring scoring;
+  offline::RvaqOptions rvaq;
+  rvaq.k = kK;
+  ClusterOptions options;
+  options.num_shards = 2;
+  options.scheme = PartitionScheme::kRange;
+  for (const bool add : {true, false}) {
+    SCOPED_TRACE(add ? "Add" : "Remove");
+    offline::Repository repository;
+    for (int i = 0; i < kVideos; ++i) {
+      const std::string name = "vid" + std::to_string(i);
+      repository.Add(name, *DemoRepository().Find(name));
+    }
+    Coordinator coordinator(&repository, options);
+    EXPECT_FALSE(repository.Remove("absent"));  // Changes nothing.
+    ASSERT_TRUE(coordinator.TopK("running", {"dog"}, scoring, rvaq).ok());
+    if (add) {
+      repository.Add("vid9", *DemoRepository().Find("vid0"));
+    } else {
+      ASSERT_TRUE(repository.Remove("vid1"));
+    }
+    EXPECT_EQ(coordinator.TopK("running", {"dog"}, scoring, rvaq)
+                  .status()
+                  .code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(coordinator.SplitShard(0).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(coordinator.MergeShards(0).code(),
+              StatusCode::kFailedPrecondition);
+    const Coordinator fresh(&repository, options);
+    EXPECT_TRUE(fresh.TopK("running", {"dog"}, scoring, rvaq).ok());
+  }
+}
+
 TEST(ClusterElastic, RebalanceOpsAreCounted) {
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   registry.Reset();

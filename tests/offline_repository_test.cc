@@ -1,9 +1,13 @@
 #include "offline/repository.h"
 
+#include <algorithm>
 #include <filesystem>
+#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "detect/models.h"
 #include "offline/baselines.h"
 #include "offline/ingest.h"
@@ -147,12 +151,58 @@ TEST(RepositoryTest, RemoveExcludesVideoFromQueries) {
   options.k = 50;
   auto both = repo.TopK("smoking", {"cup"}, f.scoring, options);
   ASSERT_TRUE(both.ok());
+  const uint64_t generation = repo.generation();
   EXPECT_TRUE(repo.Remove("y"));
+  EXPECT_EQ(repo.generation(), generation + 1);
   EXPECT_FALSE(repo.Remove("y"));
+  EXPECT_EQ(repo.generation(), generation + 1);  // Nothing was dropped.
   auto one = repo.TopK("smoking", {"cup"}, f.scoring, options);
   ASSERT_TRUE(one.ok());
   EXPECT_LT(one->candidate_sequences, both->candidate_sequences);
   for (const auto& entry : one->top) EXPECT_EQ(entry.video, "x");
+}
+
+// The k-winner merge keeps exactly what a stable sort by descending
+// score, truncated to k, keeps — whatever order the candidates are
+// offered in, with heavy ties.
+TEST(RankedMergeTest, KeepsWhatStableSortThenTruncateKeeps) {
+  Rng rng(20261018);
+  for (int trial = 0; trial < 500; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(0, 60));
+    const int64_t k = rng.UniformInt(0, 12);
+    std::vector<double> scores;
+    for (int i = 0; i < n; ++i) {
+      scores.push_back(trial % 2 == 0
+                           ? static_cast<double>(rng.UniformInt(0, 3))
+                           : rng.UniformDouble(0, 1));
+    }
+    std::vector<int> expected(static_cast<size_t>(n));
+    std::iota(expected.begin(), expected.end(), 0);
+    std::stable_sort(expected.begin(), expected.end(), [&](int a, int b) {
+      return scores[static_cast<size_t>(a)] > scores[static_cast<size_t>(b)];
+    });
+    if (static_cast<int64_t>(expected.size()) > k) {
+      expected.resize(static_cast<size_t>(k));
+    }
+
+    std::vector<int> offers(static_cast<size_t>(n));
+    std::iota(offers.begin(), offers.end(), 0);
+    for (size_t i = offers.size(); i > 1; --i) {
+      std::swap(offers[i - 1],
+                offers[static_cast<size_t>(rng.UniformInt(0, i - 1))]);
+    }
+    RankedMerge<int> merge(k);
+    for (const int position : offers) {
+      merge.Offer(scores[static_cast<size_t>(position)],
+                  static_cast<uint64_t>(position), [&] { return position; });
+    }
+    EXPECT_EQ(merge.full(), k > 0 && n >= k) << "trial " << trial;
+    if (merge.full()) {
+      EXPECT_EQ(merge.worst_score(),
+                scores[static_cast<size_t>(expected.back())]);
+    }
+    EXPECT_EQ(merge.Take(), expected) << "trial " << trial;
+  }
 }
 
 TEST(RepositoryTest, EmptyRepositoryFails) {

@@ -104,6 +104,16 @@ TEST(SpecFileTest, OutOfRangeFieldsAreInvalidArgument) {
       {"[action]\nname = a\nmean_len_frames = nan", "mean_len_frames"},
       {"[object]\nname = o\nbackground_duty = inf", "background_duty"},
       {"[action]\nname = a\ndrift = 1, nan", "drift"},
+      {"seed = 18446744073709551616", "seed"},
+      {"frames_per_shot = 10.5", "frames_per_shot"},
+      // Track values outside their meaning: duties and probabilities lie
+      // in [0, 1], lengths and instance counts are positive.
+      {"[action]\nname = a\nduty = 5", "duty"},
+      {"[action]\nname = a\nduty = -1", "duty"},
+      {"[action]\nname = a\nmean_len_frames = -5", "mean_len_frames"},
+      {"[object]\nname = o\nbackground_duty = 3", "background_duty"},
+      {"[object]\nname = o\nmean_instances = -2", "mean_instances"},
+      {"[object]\nname = o\ncover_action_prob = 1.5", "cover_action_prob"},
   };
   for (const auto& [text, field] : cases) {
     const auto spec = ParseScenarioSpec(text);
@@ -112,6 +122,20 @@ TEST(SpecFileTest, OutOfRangeFieldsAreInvalidArgument) {
     EXPECT_NE(spec.status().message().find(field), std::string::npos)
         << spec.status();
   }
+}
+
+// Integer fields parse as integers: a seed above 2^53 reads back exactly
+// and formats to the same text.
+TEST(SpecFileTest, SeedAboveTwoToThe53RoundTrips) {
+  const auto spec = ParseScenarioSpec("seed = 9007199254740993");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  EXPECT_EQ(spec->seed, uint64_t{9007199254740993u});
+  const std::string text = FormatScenarioSpec(*spec);
+  EXPECT_NE(text.find("seed = 9007199254740993\n"), std::string::npos)
+      << text;
+  const auto again = ParseScenarioSpec(text);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->seed, spec->seed);
 }
 
 TEST(SpecFileTest, LoadFromDisk) {
