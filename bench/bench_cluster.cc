@@ -23,7 +23,6 @@
 #include "bench/bench_util.h"
 #include "cluster/coordinator.h"
 #include "detect/models.h"
-#include "obs/trace.h"
 #include "offline/ingest.h"
 #include "offline/repository.h"
 #include "offline/scoring.h"
@@ -65,7 +64,6 @@ std::string DescribeTop(
 }
 
 int Run() {
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   offline::PaperScoring scoring;
   offline::Repository repository;
   for (int i = 0; i < kVideos; ++i) {
@@ -136,7 +134,6 @@ int Run() {
     }
   }
   table.Print();
-  obs::Tracer::Global().SetClock(nullptr);
 
   bool all_identical = true;
   double speedup_8 = 0.0;

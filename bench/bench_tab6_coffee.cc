@@ -3,7 +3,7 @@
 //
 // For each algorithm the bench reports the number of random (seek-like)
 // accesses — the paper's primary metric — plus the modeled disk runtime
-// under the bench_util.h cost model and the measured in-memory wall time.
+// under the bench_util.h cost model.
 //
 // Paper shape: FA worst; RVAQ-noSkip in between; Pq-Traverse constant in
 // K; RVAQ cheapest and growing with K.

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <cstdio>
+#include <limits>
 #include <set>
 
 #include "common/rng.h"
@@ -80,22 +82,21 @@ class MiniJson {
     return value;
   }
 
-  // Integers are parsed from the token, not through double, so 64-bit
-  // seeds round-trip exactly.
-  StatusOr<int64_t> ParseI64() {
+  // Integers are parsed from the token straight into their own type
+  // (not through double, so 64-bit seeds round-trip exactly); a sign the
+  // type cannot hold, or a value outside its range, is an error.
+  template <typename Int>
+  StatusOr<Int> ParseInt() {
     VAQ_ASSIGN_OR_RETURN(std::string token, NumberToken());
-    char* end = nullptr;
-    const long long value = std::strtoll(token.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return Err("malformed integer");
-    return static_cast<int64_t>(value);
-  }
-
-  StatusOr<uint64_t> ParseU64() {
-    VAQ_ASSIGN_OR_RETURN(std::string token, NumberToken());
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return Err("malformed integer");
-    return static_cast<uint64_t>(value);
+    Int value = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, error] = std::from_chars(token.data(), end, value);
+    if (error != std::errc() || ptr != end) {
+      return Err("'" + token + "' is not an integer in [" +
+                 std::to_string(std::numeric_limits<Int>::min()) + ", " +
+                 std::to_string(std::numeric_limits<Int>::max()) + "]");
+    }
+    return value;
   }
 
   StatusOr<bool> ParseBool() {
@@ -148,9 +149,14 @@ StatusOr<ChaosEvent> ParseEvent(MiniJson& in) {
       VAQ_ASSIGN_OR_RETURN(event.kind, EventKindFromName(name));
       have_kind = true;
     } else if (key == "at_advance") {
-      VAQ_ASSIGN_OR_RETURN(event.at_advance, in.ParseI64());
+      VAQ_ASSIGN_OR_RETURN(event.at_advance, in.ParseInt<int64_t>());
+      if (event.at_advance < 0) {
+        return Status::InvalidArgument(
+            "chaos replay JSON: at_advance must be >= 0, got " +
+            std::to_string(event.at_advance));
+      }
     } else if (key == "host") {
-      VAQ_ASSIGN_OR_RETURN(event.host, in.ParseI64());
+      VAQ_ASSIGN_OR_RETURN(event.host, in.ParseInt<int64_t>());
     } else if (key == "from_ms") {
       VAQ_ASSIGN_OR_RETURN(event.from_ms, in.ParseNumber());
     } else if (key == "to_ms") {
@@ -321,9 +327,9 @@ StatusOr<ReplaySpec> ReplayFromJson(const std::string& json) {
       }
       have_version = true;
     } else if (key == "seed") {
-      VAQ_ASSIGN_OR_RETURN(spec.seed, in.ParseU64());
+      VAQ_ASSIGN_OR_RETURN(spec.seed, in.ParseInt<uint64_t>());
     } else if (key == "trial") {
-      VAQ_ASSIGN_OR_RETURN(spec.trial, in.ParseI64());
+      VAQ_ASSIGN_OR_RETURN(spec.trial, in.ParseInt<int64_t>());
     } else if (key == "canary") {
       VAQ_ASSIGN_OR_RETURN(spec.canary, in.ParseBool());
     } else if (key == "events") {

@@ -15,7 +15,6 @@
 #include "detect/models.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "offline/ingest.h"
 #include "offline/repository.h"
 #include "offline/scoring.h"
@@ -83,14 +82,6 @@ std::string StripBaiCertificates(std::string s) {
   }
   return s;
 }
-
-// RAII pin of the tracer clock to virtual zero, so span timestamps can
-// never leak wall-clock nondeterminism into any exported surface.
-class TracerPin {
- public:
-  TracerPin() { obs::Tracer::Global().SetClock([] { return 0.0; }); }
-  ~TracerPin() { obs::Tracer::Global().SetClock(nullptr); }
-};
 
 std::unique_ptr<serve::Server> MakeStandingServer(const TrialScenario& s,
                                                   IndexCache* cache,
@@ -336,10 +327,12 @@ Status RunStandingChaos(const TrialScenario& s, const Schedule& schedule,
           break;
         }
         VAQ_ASSIGN_OR_RETURN(const std::string bytes, store.Get(snaps.back()));
-        const int64_t index =
-            12 + (e.at_advance * 37) %
-                     std::max<int64_t>(1, static_cast<int64_t>(bytes.size()) -
-                                              12);
+        // at_advance is any int64_t >= 0 (a replay may carry INT64_MAX):
+        // reducing it before the product picks the same byte as
+        // (at_advance * 37) % span, without that product's overflow.
+        const int64_t span =
+            std::max<int64_t>(1, static_cast<int64_t>(bytes.size()) - 12);
+        const int64_t index = 12 + (e.at_advance % span) * 37 % span;
         const uint8_t mask =
             static_cast<uint8_t>(1u << (e.at_advance % 7)) | 1u;
         VAQ_RETURN_IF_ERROR(
@@ -734,7 +727,6 @@ StatusOr<TrialResult> RunTrial(const TrialScenario& scenario,
   TrialResult result;
   result.trial = scenario.trial;
   result.phase = scenario.phase;
-  const TracerPin pin;
   switch (scenario.phase) {
     case Phase::kStanding:
       VAQ_RETURN_IF_ERROR(

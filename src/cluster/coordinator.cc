@@ -539,7 +539,6 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
         offline::RepositoryRankedSequence{entry->video->name, entry->sequence});
   }
   result.answer_ms = clock.now_ms();
-  result.merged.wall_ms = result.answer_ms;  // Virtual, not wall, time.
   result.net = net.stats();
 
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();

@@ -120,8 +120,7 @@ struct RebalanceOptions {
 };
 
 struct ClusterTopKResult {
-  // Byte-identical to the single-node Repository::TopK outcome (the
-  // wall_ms field aside, which is real time there and virtual here).
+  // Byte-identical to the single-node Repository::TopK outcome.
   offline::RepositoryTopKResult merged;
   double answer_ms = 0.0;       // Virtual time the query completed.
   double single_node_ms = 0.0;  // Modeled sequential (1-node) scan time.

@@ -234,8 +234,48 @@ int64_t MetricRegistry::lookups() const {
   return lookups_;
 }
 
-void RestoreSnapshot(const Snapshot& snap) {
+Status RestoreSnapshot(const Snapshot& snap) {
   MetricRegistry& registry = MetricRegistry::Global();
+  {
+    // Every entry must fit the instrument it lands in — one registered
+    // already, or one an earlier entry creates — before any is written:
+    // the Get* calls below abort on a mismatch.
+    std::lock_guard<std::mutex> lock(registry.mu_);
+    std::map<std::pair<std::string, std::string>, const Snapshot::Entry*>
+        created;
+    for (const Snapshot::Entry& entry : snap.entries) {
+      const std::pair<std::string, std::string> key(
+          entry.name, CanonicalLabels(entry.labels));
+      const auto refuse = [&key](const char* why) {
+        return Status::FailedPrecondition("snapshot metric '" + key.first +
+                                          "{" + key.second + "}' " + why);
+      };
+      const bool histogram = entry.kind == Snapshot::Kind::kHistogram;
+      if (histogram &&
+          (entry.bucket_counts.size() != entry.bounds.size() + 1 ||
+           std::adjacent_find(entry.bounds.begin(), entry.bounds.end(),
+                              [](double a, double b) { return !(a < b); }) !=
+               entry.bounds.end())) {
+        return refuse("has malformed buckets");
+      }
+      const auto registered = registry.instruments_.find(key);
+      if (registered != registry.instruments_.end()) {
+        if (registered->second.kind != entry.kind) {
+          return refuse("is of another kind than the registered one");
+        }
+        if (histogram &&
+            registered->second.histogram->bounds() != entry.bounds) {
+          return refuse("has other buckets than the registered one");
+        }
+        continue;
+      }
+      const auto [first, fresh] = created.emplace(key, &entry);
+      if (!fresh && (first->second->kind != entry.kind ||
+                     (histogram && first->second->bounds != entry.bounds))) {
+        return refuse("disagrees with an earlier entry for it");
+      }
+    }
+  }
   for (const Snapshot::Entry& entry : snap.entries) {
     switch (entry.kind) {
       case Snapshot::Kind::kCounter: {
@@ -254,6 +294,11 @@ void RestoreSnapshot(const Snapshot& snap) {
         break;
     }
   }
+  return Status::OK();
+}
+
+bool IsWallFamily(const std::string& name) {
+  return name.rfind("vaq_wall_", 0) == 0;
 }
 
 Snapshot FilterSnapshot(const Snapshot& in,
@@ -274,7 +319,7 @@ Snapshot ExcludeSnapshot(const Snapshot& in,
                          const std::vector<std::string>& prefixes) {
   Snapshot out;
   for (const Snapshot::Entry& entry : in.entries) {
-    bool excluded = false;
+    bool excluded = IsWallFamily(entry.name);
     for (const std::string& prefix : prefixes) {
       if (entry.name.rfind(prefix, 0) == 0) {
         excluded = true;

@@ -35,10 +35,12 @@
 // process, never in their constructors.
 //
 // Determinism: every engine records *logical* quantities (event counts,
-// simulated milliseconds) rather than wall time, and snapshots iterate
-// families in sorted (name, labels) order, so a seeded run exports a
-// byte-identical snapshot every time (the tier-1 `vaqctl metrics` check
-// and tests/obs_integration_test.cc both assert this).
+// simulated milliseconds), and snapshots iterate families in sorted
+// (name, labels) order, so a seeded run exports a byte-identical
+// snapshot every time (the tier-1 `vaqctl metrics` check and
+// tests/obs_integration_test.cc both assert this). Wall time lives only
+// in `vaq_wall_*` families (`IsWallFamily`), which span closes fill;
+// `ExcludeSnapshot` and checkpoints leave them out.
 #ifndef VAQ_OBS_METRICS_H_
 #define VAQ_OBS_METRICS_H_
 
@@ -51,6 +53,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/status.h"
 
 namespace vaq {
 namespace obs {
@@ -188,6 +192,8 @@ class MetricRegistry {
   int64_t lookups() const;
 
  private:
+  friend Status RestoreSnapshot(const Snapshot& snap);
+
   struct Instrument {
     Snapshot::Kind kind;
     Labels labels;  // Canonical order, for snapshots.
@@ -211,21 +217,31 @@ std::string CanonicalLabels(Labels labels);
 // demand (histograms with the snapshot's bounds) and overwritten with the
 // recorded values. Instruments registered but absent from `snap` are left
 // untouched — recovery paths Reset() first when they need a clean slate.
-void RestoreSnapshot(const Snapshot& snap);
+// Every entry is checked first: one whose kind or histogram bounds
+// disagree with the instrument it would overwrite (or with an earlier
+// entry for the same instrument), or whose histogram payload is
+// malformed, fails the call with kFailedPrecondition and nothing is
+// overwritten.
+Status RestoreSnapshot(const Snapshot& snap);
+
+// True for the families that hold wall-clock time (the `vaq_wall_`
+// prefix). They are local to one process and one run: never compared,
+// never checkpointed.
+bool IsWallFamily(const std::string& name);
 
 // Subset of `in` whose family names start with any of `prefixes`, order
 // preserved. Tools and tests use this to export or compare only the
 // *logical* families of a run (event counts, simulated milliseconds) and
-// leave out timing-dependent ones such as wall-time span histograms or
-// queue-depth gauges.
+// leave out timing-dependent ones such as queue-depth gauges.
 Snapshot FilterSnapshot(const Snapshot& in,
                         const std::vector<std::string>& prefixes);
 
 // The complement: every entry whose family name starts with none of
-// `prefixes`. The cluster determinism suite compares a distributed run
-// against the single-node reference after excluding the cluster's own
-// `vaq_cluster_*` transport accounting — everything that remains must
-// match byte-for-byte.
+// `prefixes` and is not a wall family. Identity checks compare this:
+// `ExcludeSnapshot(snap, {})` is every logical family. The cluster
+// determinism suite compares a distributed run against the single-node
+// reference after excluding the cluster's own `vaq_cluster_*` transport
+// accounting — everything that remains must match byte-for-byte.
 Snapshot ExcludeSnapshot(const Snapshot& in,
                          const std::vector<std::string>& prefixes);
 

@@ -1,51 +1,29 @@
-// Span-based tracing with a pluggable clock.
+// Span-based wall-time tracing: the library's only clock.
 //
 //   StatusOr<VideoIndex> Ingestor::Ingest(...) const {
 //     VAQ_TRACE_SPAN("ingest/total");
 //     ...
 //   }
 //
-// A span measures the wall time between its construction and destruction
-// and records it into the global registry's `vaq_span_ms{span="<name>"}`
-// histogram plus `vaq_span_total{span="<name>"}` counter. Each
-// VAQ_TRACE_SPAN call site owns a static `SpanSite` that resolves those
-// two instruments when a span of the site first closes, so later closes
-// do no registry lookup.
+// A span measures the steady-clock time between its construction and
+// destruction and records it into the global registry's
+// `vaq_wall_span_ms{span="<name>"}` histogram plus
+// `vaq_span_total{span="<name>"}` counter. Each VAQ_TRACE_SPAN call site
+// owns a static `SpanSite` that resolves those two instruments when a
+// span of the site first closes, so later closes do no registry lookup.
 //
-// The clock is pluggable so tracing composes with simulated time: tests
-// bind it to a `fault::SimClock` (span durations then reflect the
-// deterministic simulated timeline), and one-shot tools bind it to a
-// constant to keep metric exports byte-identical across runs. The
-// default is the real steady clock. Opening and closing a span takes the
-// tracer's mutex only while a clock is pinned.
+// The counter counts events, so it is logical and deterministic. The
+// histogram is a wall family (`IsWallFamily`): identity checks compare
+// `ExcludeSnapshot` output, which leaves it out, and checkpoints do not
+// carry it. No clock is ever pinned.
 #ifndef VAQ_OBS_TRACE_H_
 #define VAQ_OBS_TRACE_H_
 
-#include <atomic>
-#include <functional>
+#include <chrono>
 #include <mutex>
 
 namespace vaq {
 namespace obs {
-
-class Tracer {
- public:
-  using ClockFn = std::function<double()>;  // Milliseconds, monotone.
-
-  static Tracer& Global();
-
-  // Replaces the time source; nullptr restores the real steady clock.
-  // Typical test binding: tracer.SetClock([&sim] { return sim.now_ms(); }).
-  void SetClock(ClockFn clock);
-  double NowMs() const;
-
- private:
-  // The span fast path reads this flag and locks mu_ only when it is
-  // set; it is written under mu_.
-  std::atomic<bool> clock_pinned_{false};
-  mutable std::mutex mu_;
-  ClockFn clock_;  // Null = steady clock.
-};
 
 class Counter;
 class Histogram;
@@ -62,7 +40,7 @@ class SpanSite {
   SpanSite(const SpanSite&) = delete;
   SpanSite& operator=(const SpanSite&) = delete;
 
-  // Records one closed span into vaq_span_total / vaq_span_ms.
+  // Records one closed span into vaq_span_total / vaq_wall_span_ms.
   void Record(double duration_ms);
 
  private:
@@ -83,7 +61,7 @@ class Span {
 
  private:
   SpanSite* site_;
-  double start_ms_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace obs

@@ -1,7 +1,6 @@
 #include "offline/baselines.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/logging.h"
 
@@ -56,7 +55,6 @@ std::vector<RankedSequence> RankSequences(const IntervalSet& pq,
 
 TopKResult FaTopK(const QueryTables& tables, const ScoringModel& scoring,
                   int64_t k) {
-  const auto start = std::chrono::steady_clock::now();
   ResetCounters(tables);
   TopKResult result;
   result.pq = tables.ComputePq();
@@ -90,15 +88,11 @@ TopKResult FaTopK(const QueryTables& tables, const ScoringModel& scoring,
 
   result.top = RankSequences(result.pq, scoring, source, k);
   result.accesses = CollectCounters(tables);
-  result.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
   return result;
 }
 
 TopKResult PqTraverse(const QueryTables& tables, const ScoringModel& scoring,
                       int64_t k) {
-  const auto start = std::chrono::steady_clock::now();
   ResetCounters(tables);
   TopKResult result;
   result.pq = tables.ComputePq();
@@ -125,9 +119,6 @@ TopKResult PqTraverse(const QueryTables& tables, const ScoringModel& scoring,
   }
   result.top = std::move(ranked);
   result.accesses = CollectCounters(tables);
-  result.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
   return result;
 }
 

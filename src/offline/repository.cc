@@ -1,7 +1,6 @@
 #include "offline/repository.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/logging.h"
@@ -167,7 +166,6 @@ const storage::VideoIndex* Repository::Find(const std::string& name) const {
 StatusOr<RepositoryTopKResult> Repository::TopK(
     const std::string& action, const std::vector<std::string>& objects,
     const ScoringModel& scoring, RvaqOptions options) const {
-  const auto start = std::chrono::steady_clock::now();
   if (videos_.empty()) {
     return Status::FailedPrecondition("repository holds no videos");
   }
@@ -187,9 +185,6 @@ StatusOr<RepositoryTopKResult> Repository::TopK(
     }
   }
   result.top = merge.Take();
-  result.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
   return result;
 }
 

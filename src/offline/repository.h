@@ -172,7 +172,6 @@ class RankedScan {
 
 struct RepositoryTopKResult : RankedScanTotals {
   std::vector<RepositoryRankedSequence> top;  // Best first.
-  double wall_ms = 0.0;
 };
 
 // A named collection of ingested videos.

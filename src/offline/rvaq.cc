@@ -1,7 +1,6 @@
 #include "offline/rvaq.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
 #include "common/logging.h"
@@ -72,7 +71,6 @@ TopKResult Rvaq::Run() const {
 const TopKResult& Rvaq::Run(RvaqWorkspace* workspace) const {
   using SeqState = RvaqWorkspace::SeqState;
   VAQ_TRACE_SPAN("rvaq/run");
-  const auto start = std::chrono::steady_clock::now();
   ResetCounters(*tables_);
 
   TopKResult& result = workspace->result_;
@@ -235,9 +233,6 @@ const TopKResult& Rvaq::Run(RvaqWorkspace* workspace) const {
         obs::MetricRegistry::Global().GetCounter("vaq_rvaq_iterations_total");
     accesses.Add(result.accesses);
     iterations->Increment(result.iterations);
-    result.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
     return result;
   };
 

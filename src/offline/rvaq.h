@@ -147,7 +147,6 @@ struct TopKResult {
   int64_t bai_arms_eliminated = 0;
   bool bai_stopped = false;
   double bai_stopping_statistic = 0.0;
-  double wall_ms = 0.0;
 };
 
 // The buffers of RVAQ runs, owned by one ranked statement. A statement

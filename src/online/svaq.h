@@ -55,9 +55,6 @@ struct OnlineResult {
   // with at least one missing observation, and clips lost wholesale.
   int64_t degraded_clips = 0;
   int64_t dropped_clips = 0;
-  // Wall-clock time spent in the algorithm itself (excludes the simulated
-  // inference cost, which is detector_stats/recognizer_stats.simulated_ms).
-  double algorithm_wall_ms = 0.0;
 };
 
 // SVAQ: static critical values from the initial background probabilities

@@ -1,7 +1,5 @@
 #include "online/svaqd.h"
 
-#include <chrono>
-
 #include "common/logging.h"
 #include "obs/trace.h"
 #include "online/streaming.h"
@@ -22,7 +20,6 @@ OnlineResult Svaqd::Run(detect::ObjectDetector* detector,
   static constinit obs::SpanSite svaqd_site("svaqd/run");
   static constinit obs::SpanSite svaq_site("svaq/run");
   const obs::Span span(options_.adaptive ? &svaqd_site : &svaq_site);
-  const auto start = std::chrono::steady_clock::now();
   const detect::ModelStats detector_stats_before =
       detector != nullptr ? detector->stats() : detect::ModelStats();
   const detect::ModelStats recognizer_stats_before =
@@ -61,10 +58,6 @@ OnlineResult Svaqd::Run(detect::ObjectDetector* detector,
   if (recognizer != nullptr) {
     result.recognizer_stats = recognizer->stats() - recognizer_stats_before;
   }
-  result.algorithm_wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
   return result;
 }
 

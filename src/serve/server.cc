@@ -972,12 +972,14 @@ Status Server::CheckpointLocked() {
   // Every registry instrument except the checkpoint subsystem's own
   // families: restoring those would mask the corruption/recovery counts
   // the *recovering* process accumulates while reading this very blob.
+  // Wall families are not state: their time belongs to this process.
   // Skipped entirely when the registry is shared beyond this server
   // (ServeOptions::snapshot_metrics == false).
   if (options_.snapshot_metrics) {
     const obs::Snapshot metrics = obs::MetricRegistry::Global().TakeSnapshot();
     for (const obs::Snapshot::Entry& entry : metrics.entries) {
       if (entry.name.rfind("vaq_ckpt_", 0) == 0) continue;
+      if (obs::IsWallFamily(entry.name)) continue;
       ckpt::Payload p;
       ckpt::EncodeMetricEntry(entry, &p);
       snap.Append(kSnapMetric, p);
@@ -1054,6 +1056,7 @@ StatusOr<ckpt::RecoveryReport> Server::Recover() {
 
 Status Server::RestoreBlobLocked(uint32_t /*version*/,
                                  const std::vector<ckpt::Record>& records) {
+  obs::Snapshot metrics;
   for (const ckpt::Record& record : records) {
     ckpt::PayloadReader in(record.payload);
     switch (record.tag) {
@@ -1172,16 +1175,17 @@ Status Server::RestoreBlobLocked(uint32_t /*version*/,
       case kSnapMetric: {
         obs::Snapshot::Entry entry;
         VAQ_RETURN_IF_ERROR(ckpt::DecodeMetricEntry(&in, &entry));
-        obs::Snapshot one;
-        one.entries.push_back(std::move(entry));
-        obs::RestoreSnapshot(one);
+        metrics.entries.push_back(std::move(entry));
         break;
       }
       default:
         break;  // A newer writer's record type: skip (forward compat).
     }
   }
-  return Status::OK();
+  // The metric records are the blob's last and are restored as one
+  // snapshot: one whose kind or buckets disagree with this build's
+  // registry fails recovery before any instrument is overwritten.
+  return obs::RestoreSnapshot(metrics);
 }
 
 Status Server::ReplayWalLocked(const ckpt::Record& record) {

@@ -36,7 +36,6 @@
 #include "detect/models.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "offline/ingest.h"
 #include "offline/scoring.h"
 #include "query/session.h"
@@ -223,7 +222,7 @@ std::string DescribeRanked(const query::QueryResult& result) {
 
 struct SessionRun {
   std::string described;
-  std::string metrics;  // The FULL registry snapshot, not a subset.
+  std::string metrics;  // Every logical family: ExcludeSnapshot(..., {}).
   std::string certificate;
   int64_t pulls = 0;
   std::vector<std::string> top_clips;
@@ -233,7 +232,6 @@ struct SessionRun {
 SessionRun RunSessionStatement(const std::string& sql,
                                bool with_proxy = false) {
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   synth::Scenario scenario = tools::BaiDemoScenario(0);
   const detect::ModelBundle models =
       detect::ModelBundle::MaskRcnnI3d(scenario.truth(), 21);
@@ -266,9 +264,8 @@ SessionRun RunSessionStatement(const std::string& sql,
       run.top_clips.push_back(s.clips.ToString());
     }
   }
-  run.metrics =
-      obs::ExportPrometheus(obs::MetricRegistry::Global().TakeSnapshot());
-  obs::Tracer::Global().SetClock(nullptr);
+  run.metrics = obs::ExportPrometheus(
+      obs::ExcludeSnapshot(obs::MetricRegistry::Global().TakeSnapshot(), {}));
   return run;
 }
 

@@ -40,7 +40,6 @@
 #include "detect/models.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "offline/ingest.h"
 #include "offline/scoring.h"
 #include "query/parser.h"
@@ -343,7 +342,7 @@ std::string DescribeRanked(const query::QueryResult& result) {
 
 struct SessionRun {
   std::string described;
-  std::string metrics;  // The FULL registry snapshot, not a subset.
+  std::string metrics;  // Every logical family: ExcludeSnapshot(..., {}).
   std::string cascade_plan;
 };
 
@@ -362,7 +361,6 @@ storage::VideoIndex IngestVid0(const synth::Scenario& scenario) {
 
 SessionRun RunSessionStatement(const std::string& sql, bool with_proxy) {
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   synth::Scenario scenario = tools::DemoScenario(0);
   query::Session session;
   session.RegisterRepository("vid0", IngestVid0(scenario));
@@ -380,9 +378,8 @@ SessionRun RunSessionStatement(const std::string& sql, bool with_proxy) {
     run.described = DescribeRanked(result.value());
     run.cascade_plan = result.value().cascade_plan;
   }
-  run.metrics =
-      obs::ExportPrometheus(obs::MetricRegistry::Global().TakeSnapshot());
-  obs::Tracer::Global().SetClock(nullptr);
+  run.metrics = obs::ExportPrometheus(
+      obs::ExcludeSnapshot(obs::MetricRegistry::Global().TakeSnapshot(), {}));
   return run;
 }
 

@@ -66,6 +66,40 @@ TEST(ChaosReplayJson, RejectsMalformedDocuments) {
                               "[{\"kind\": \"no_such_kind\"}]}")
                    .ok());
   EXPECT_TRUE(ReplayFromJson("{\"chaos_replay\": 1}").ok());
+  // Integers parse exactly into their own type: a negative advance, a
+  // value past int64_t and a signed seed are all InvalidArgument.
+  for (const char* event :
+       {"{\"kind\": \"corrupt_snapshot\", \"at_advance\": -1}",
+        "{\"kind\": \"corrupt_snapshot\", "
+        "\"at_advance\": 99999999999999999999}"}) {
+    const auto parsed = ReplayFromJson(
+        std::string("{\"chaos_replay\": 1, \"events\": [") + event + "]}");
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << event;
+  }
+  EXPECT_EQ(ReplayFromJson("{\"chaos_replay\": 1, \"seed\": -1}")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// The largest advance the parser accepts still picks a byte to corrupt
+// without overflow (san.chaos_engine_test runs this under UBSan): the
+// trial's two forced checkpoints leave a fallback, and recovery from it
+// holds every oracle.
+TEST(ChaosReplayJson, CorruptSnapshotAtTheLargestAdvanceRunsClean) {
+  const auto spec = ReplayFromJson(
+      "{\"chaos_replay\": 1, \"seed\": 20261017, \"trial\": 158, "
+      "\"events\": [{\"kind\": \"force_checkpoint\", \"at_advance\": 8}, "
+      "{\"kind\": \"force_checkpoint\", \"at_advance\": 10}, "
+      "{\"kind\": \"corrupt_snapshot\", "
+      "\"at_advance\": 9223372036854775807}]}");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  EXPECT_EQ(spec->events.back().at_advance, INT64_MAX);
+  const auto report = RunReplay(*spec, ChaosOptions());
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->coverage.contains("event.corrupt_snapshot"))
+      << "the corruption was skipped, not applied";
+  EXPECT_FALSE(report->failed()) << report->failure.front();
 }
 
 TEST(ChaosScenarioGen, PureFunctionOfSeedAndTrial) {

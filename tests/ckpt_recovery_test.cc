@@ -17,12 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/metrics_io.h"
 #include "ckpt/recovery.h"
 #include "ckpt/serializer.h"
 #include "ckpt/store.h"
 #include "fault/fault_plan.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/server.h"
 #include "tools/pipeline_setup.h"
 
@@ -53,21 +55,15 @@ tools::StandingDemoSpec DemoSpec(ckpt::Store* store,
 
 struct RunResult {
   std::vector<std::string> described;
-  std::string metrics;  // Prometheus text, every family except vaq_ckpt_*.
+  std::string metrics;  // Prometheus text, every logical family but vaq_ckpt_*.
 };
 
 // Everything except the durability subsystem's own counters must match
 // byte for byte; vaq_ckpt_* legitimately differs (the recovered process
 // has recoveries/corruption counts the uninterrupted one does not).
 std::string NonCkptMetrics() {
-  const obs::Snapshot snap = obs::MetricRegistry::Global().TakeSnapshot();
-  obs::Snapshot filtered;
-  for (const obs::Snapshot::Entry& entry : snap.entries) {
-    if (entry.name.rfind("vaq_ckpt_", 0) != 0) {
-      filtered.entries.push_back(entry);
-    }
-  }
-  return obs::ExportPrometheus(filtered);
+  return obs::ExportPrometheus(obs::ExcludeSnapshot(
+      obs::MetricRegistry::Global().TakeSnapshot(), {"vaq_ckpt_"}));
 }
 
 RunResult Collect(Server* server) {
@@ -415,6 +411,70 @@ TEST(CkptRecoveryTest, RetiredEngineBlobLayoutsAreRejected) {
               std::string::npos)
         << report.status();
   }
+}
+
+TEST(CkptRecoveryTest, CheckpointsCarrySpanCountsButNoWallTime) {
+  // Wall time belongs to the process that measured it: a checkpoint
+  // taken after a span closed holds the span's count, not its duration.
+  obs::MetricRegistry::Global().Reset();
+  { VAQ_TRACE_SPAN("ckpt_test/before_checkpoint"); }
+  ckpt::MemStore store;
+  const tools::StandingDemoSpec spec = DemoSpec(&store, nullptr, true);
+  auto server = tools::MakeStandingDemoServer(spec);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(tools::AdmitStandingDemoWorkload(server.value().get(), spec)
+                  .ok());
+  ASSERT_TRUE(server.value()->Checkpoint().ok());
+  const auto blob = store.Get(ckpt::SnapshotName(0));
+  ASSERT_TRUE(blob.ok()) << blob.status();
+  EXPECT_NE(blob.value().find("ckpt_test/before_checkpoint"),
+            std::string::npos);
+  EXPECT_EQ(blob.value().find("vaq_wall_"), std::string::npos);
+}
+
+TEST(CkptRecoveryTest, MetricOfAnotherShapeFailsRecoveryWithoutAbort) {
+  // A checkpoint written by a build whose family had other buckets: the
+  // recovery fails with a Status, and no instrument is overwritten —
+  // not even one the snapshot lists before the mismatch.
+  obs::MetricRegistry::Global().Reset();
+  obs::Counter* counter =
+      obs::MetricRegistry::Global().GetCounter("vaq_ckpt_test_total");
+  counter->Increment(5);
+  obs::Histogram* histogram = obs::MetricRegistry::Global().GetHistogram(
+      "vaq_ckpt_test_ms", obs::DefaultLatencyBucketsMs());
+  histogram->Observe(3.0);
+
+  obs::Snapshot::Entry restorable;
+  restorable.name = "vaq_ckpt_test_total";
+  restorable.counter_value = 9;
+  obs::Snapshot::Entry reshaped;
+  reshaped.name = "vaq_ckpt_test_ms";
+  reshaped.kind = obs::Snapshot::Kind::kHistogram;
+  reshaped.bounds = {1, 2};
+  reshaped.bucket_counts = {0, 1, 0};
+  reshaped.hist_count = 1;
+  reshaped.hist_sum = 1.5;
+  ckpt::Serializer snapshot;
+  for (const obs::Snapshot::Entry* entry : {&restorable, &reshaped}) {
+    ckpt::Payload metric;
+    ckpt::EncodeMetricEntry(*entry, &metric);
+    snapshot.Append(/*kSnapMetric=*/6, metric);
+  }
+  ckpt::MemStore store;
+  ASSERT_TRUE(store.Put(ckpt::SnapshotName(0), snapshot.blob()).ok());
+
+  auto server =
+      tools::MakeStandingDemoServer(DemoSpec(&store, nullptr, true));
+  ASSERT_TRUE(server.ok());
+  const auto report = server.value()->Recover();
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(report.status().message().find("vaq_ckpt_test_ms"),
+            std::string::npos)
+      << report.status();
+  EXPECT_EQ(counter->value(), 5);
+  EXPECT_EQ(histogram->count(), 1);
+  EXPECT_EQ(histogram->sum(), 3.0);
 }
 
 TEST(CkptRecoveryTest, EmptyStoreRecoversToColdStartAndRunsNormally) {

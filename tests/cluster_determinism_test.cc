@@ -22,7 +22,6 @@
 #include "detect/models.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "offline/ingest.h"
 #include "offline/repository.h"
 #include "offline/scoring.h"
@@ -97,7 +96,6 @@ RankedOutput SingleNodeReference(
     int64_t k = kK, const offline::ClipFilterProvider* prefilter = nullptr) {
   DemoRepository();  // Ingest before the reset: only query metrics count.
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   offline::PaperScoring scoring;
   offline::RvaqOptions options;
   options.k = k;
@@ -117,7 +115,6 @@ RankedOutput SingleNodeReference(
   out.logical_metrics = obs::ExportPrometheus(obs::ExcludeSnapshot(
       obs::MetricRegistry::Global().TakeSnapshot(),
       {"vaq_cluster_", "vaq_query_latency_ms", "vaq_log_"}));
-  obs::Tracer::Global().SetClock(nullptr);
   return out;
 }
 
@@ -131,7 +128,6 @@ ClusterRun RunCluster(ClusterOptions options, int64_t k = kK,
                       const offline::ClipFilterProvider* prefilter = nullptr,
                       int64_t plan_wire_bytes = 0) {
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   offline::PaperScoring scoring;
   offline::RvaqOptions rvaq;
   rvaq.k = k;
@@ -152,7 +148,6 @@ ClusterRun RunCluster(ClusterOptions options, int64_t k = kK,
         obs::MetricRegistry::Global().TakeSnapshot(),
         {"vaq_cluster_", "vaq_query_latency_ms", "vaq_log_"}));
   }
-  obs::Tracer::Global().SetClock(nullptr);
   return run;
 }
 
@@ -399,7 +394,6 @@ BackendRun RunThroughBackend(const std::string& sql, int shards,
   DemoRepository();
   DemoProxies();
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   ClusterOptions options;
   options.num_shards = shards;
   options.proxy = &DemoProxies();
@@ -421,7 +415,6 @@ BackendRun RunThroughBackend(const std::string& sql, int shards,
   }
   run.metrics = obs::ExportPrometheus(obs::ExcludeSnapshot(
       obs::MetricRegistry::Global().TakeSnapshot(), exclude));
-  obs::Tracer::Global().SetClock(nullptr);
   return run;
 }
 

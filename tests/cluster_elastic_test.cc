@@ -15,7 +15,6 @@
 #include "detect/models.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "offline/ingest.h"
 #include "offline/repository.h"
 #include "offline/scoring.h"
@@ -79,7 +78,6 @@ struct QueryOut {
 QueryOut QueryOnce(const Coordinator& coordinator) {
   DemoRepository();  // Ingest outside the measured epoch.
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   offline::PaperScoring scoring;
   offline::RvaqOptions rvaq;
   rvaq.k = kK;
@@ -90,7 +88,6 @@ QueryOut QueryOnce(const Coordinator& coordinator) {
   out.invariant_metrics = obs::ExportPrometheus(
       obs::FilterSnapshot(obs::MetricRegistry::Global().TakeSnapshot(),
                           LayoutInvariantMetricPrefixes()));
-  obs::Tracer::Global().SetClock(nullptr);
   return out;
 }
 

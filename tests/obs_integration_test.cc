@@ -1,7 +1,8 @@
 // End-to-end observability: a seeded SVAQD run with fault injection must
 // mirror its ModelStats / OnlineResult accounting into the global metric
 // registry exactly, and two identical runs must export byte-identical
-// Prometheus and JSON snapshots.
+// Prometheus and JSON snapshots of every logical family, while the wall
+// span histogram records real time next to them.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,7 +11,6 @@
 #include "fault/fault_plan.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "online/svaqd.h"
 #include "synth/scenario.h"
 
@@ -134,24 +134,32 @@ TEST(ObsIntegrationTest, RegistryMirrorsEngineAndModelAccounting) {
 }
 
 TEST(ObsIntegrationTest, SeededRunsExportByteIdenticalSnapshots) {
-  // Pin the tracer so span histograms observe constants, not wall time.
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   RunSeeded();
-  const obs::Snapshot s1 = obs::MetricRegistry::Global().TakeSnapshot();
+  const obs::Snapshot raw = obs::MetricRegistry::Global().TakeSnapshot();
+  // The raw snapshot carries the run's wall time: the svaqd/run span.
+  int64_t wall_spans = 0;
+  for (const obs::Snapshot::Entry& entry : raw.entries) {
+    if (entry.name == "vaq_wall_span_ms") wall_spans += entry.hist_count;
+  }
+  EXPECT_GT(wall_spans, 0);
+  const obs::Snapshot s1 = obs::ExcludeSnapshot(raw, {});
   const std::string prom1 = obs::ExportPrometheus(s1);
   const std::string json1 = obs::ExportJson(s1);
 
   RunSeeded();
-  const obs::Snapshot s2 = obs::MetricRegistry::Global().TakeSnapshot();
+  const obs::Snapshot s2 =
+      obs::ExcludeSnapshot(obs::MetricRegistry::Global().TakeSnapshot(), {});
   EXPECT_EQ(prom1, obs::ExportPrometheus(s2));
   EXPECT_EQ(json1, obs::ExportJson(s2));
-  obs::Tracer::Global().SetClock(nullptr);
 
   EXPECT_EQ(obs::JsonLintError(json1), "") << json1;
   EXPECT_NE(prom1.find("vaq_detector_inferences_total"), std::string::npos);
   EXPECT_NE(prom1.find("vaq_model_calls_total"), std::string::npos);
   EXPECT_NE(prom1.find("vaq_clip_eval_simulated_ms_bucket"),
             std::string::npos);
+  EXPECT_NE(prom1.find("vaq_span_total{span=\"svaqd/run\"} 1"),
+            std::string::npos);
+  EXPECT_EQ(prom1.find("vaq_wall_"), std::string::npos);
 }
 
 }  // namespace

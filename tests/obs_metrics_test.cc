@@ -1,6 +1,7 @@
 // MetricRegistry semantics: labeled families, concurrent counter updates,
-// histogram bucket boundaries, and the two exporters (Prometheus text and
-// JSON, including the built-in JSON linter).
+// histogram bucket boundaries, the two exporters (Prometheus text and
+// JSON, including the built-in JSON linter), and RestoreSnapshot's refusal
+// of a snapshot that does not fit the registry.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -150,6 +151,54 @@ TEST(ExportTest, SnapshotOrderIsDeterministic) {
   EXPECT_EQ(snapshot.entries[0].labels[0].second, "1");
   EXPECT_EQ(snapshot.entries[1].labels[0].second, "2");
   EXPECT_EQ(snapshot.entries[2].name, "z_metric");
+}
+
+Snapshot::Entry HistogramEntry(const std::string& name,
+                               std::vector<double> bounds) {
+  Snapshot::Entry entry;
+  entry.name = name;
+  entry.kind = Snapshot::Kind::kHistogram;
+  entry.bucket_counts.assign(bounds.size() + 1, 0);
+  entry.bucket_counts[0] = 1;
+  entry.hist_count = 1;
+  entry.hist_sum = 0.5;
+  entry.bounds = std::move(bounds);
+  return entry;
+}
+
+// A snapshot written by a build whose family changed kind or buckets is
+// refused with a Status before any instrument is written: the entry that
+// would have restored cleanly, listed first, is left alone too.
+TEST(RestoreSnapshotTest, ShapeMismatchIsAStatusAndWritesNothing) {
+  MetricRegistry& registry = MetricRegistry::Global();
+  Counter* counter = registry.GetCounter("vaq_restore_a_total");
+  counter->Reset();
+  counter->Increment(5);
+  Histogram* histogram =
+      registry.GetHistogram("vaq_x_ms", DefaultLatencyBucketsMs());
+  Snapshot::Entry fine;
+  fine.name = "vaq_restore_a_total";
+  fine.counter_value = 9;
+  Snapshot::Entry as_counter;
+  as_counter.name = "vaq_x_ms";
+  const std::vector<Snapshot> refused = {
+      {{fine, HistogramEntry("vaq_x_ms", {1, 2})}},  // Other buckets.
+      {{fine, as_counter}},                          // Other kind.
+      {{fine, HistogramEntry("vaq_restore_new_ms", {2, 1})}},  // Unsorted.
+      // Two entries disagreeing over one instrument nobody registered.
+      {{fine, HistogramEntry("vaq_restore_new_ms", {1}),
+        HistogramEntry("vaq_restore_new_ms", {1, 2})}},
+  };
+  for (size_t i = 0; i < refused.size(); ++i) {
+    const int64_t histogram_count = histogram->count();
+    const Status status = RestoreSnapshot(refused[i]);
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << i;
+    EXPECT_EQ(counter->value(), 5) << i;
+    EXPECT_EQ(histogram->count(), histogram_count) << i;
+  }
+  for (const Snapshot::Entry& entry : registry.TakeSnapshot().entries) {
+    EXPECT_NE(entry.name, "vaq_restore_new_ms");
+  }
 }
 
 }  // namespace

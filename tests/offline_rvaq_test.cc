@@ -323,7 +323,7 @@ bool SameBits(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
-// Every field of two results but wall_ms, doubles compared bit for bit.
+// Every field of two results, doubles compared bit for bit.
 void ExpectBitIdentical(const TopKResult& got, const TopKResult& want) {
   ASSERT_EQ(got.top.size(), want.top.size());
   for (size_t i = 0; i < got.top.size(); ++i) {

@@ -19,7 +19,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/query_trace.h"
-#include "obs/trace.h"
 #include "offline/ingest.h"
 #include "offline/repository.h"
 #include "offline/scoring.h"
@@ -120,7 +119,6 @@ int64_t SumModelCallCounter() {
 
 ServeTraceRun RunServeTraced(int threads) {
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   const fault::FaultPlan plan(tools::DemoFaultSpec(), kSeed);
   serve::ServeOptions options;
   options.threads = threads;
@@ -137,7 +135,6 @@ ServeTraceRun RunServeTraced(int threads) {
     VAQ_CHECK_OK(server.Submit(sql).status());
   }
   const std::vector<serve::ServedQuery> results = server.Drain();
-  obs::Tracer::Global().SetClock(nullptr);
 
   ServeTraceRun run;
   run.model_call_registry_delta = SumModelCallCounter() - calls_before;
@@ -218,7 +215,6 @@ struct ClusterTraceRun {
 
 ClusterTraceRun RunClusterTraced(int shards) {
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   offline::PaperScoring scoring;
   offline::RvaqOptions rvaq;
   rvaq.k = 3;
@@ -228,7 +224,6 @@ ClusterTraceRun RunClusterTraced(int shards) {
   obs::QueryTrace trace("cluster_q");
   auto result = coordinator.TopK("running", {"dog"}, scoring, rvaq,
                                  obs::QueryContext{&trace, 0});
-  obs::Tracer::Global().SetClock(nullptr);
   VAQ_CHECK_OK(result.status());
   ClusterTraceRun run;
   run.profile = trace.RenderProfile();

@@ -11,7 +11,6 @@
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "serve/server.h"
 #include "tools/pipeline_setup.h"
 
@@ -39,7 +38,6 @@ struct RunOutput {
 // conjunctive / CNF / ranked workload, shared detection cache.
 RunOutput RunWorkload(int threads) {
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   const fault::FaultPlan plan(tools::DemoFaultSpec(), kSeed);
   ServeOptions options;
   options.threads = threads;
@@ -70,7 +68,6 @@ RunOutput RunWorkload(int threads) {
   out.failed = stats.failed;
   out.cache_bundles_created = stats.cache_bundles_created;
   out.cache_bundle_reuses = stats.cache_bundle_reuses;
-  obs::Tracer::Global().SetClock(nullptr);
   return out;
 }
 

@@ -24,12 +24,13 @@
 //       Run a seeded end-to-end pipeline (faulty SVAQD stream + ingest +
 //       RVAQ top-K) and dump the resulting metric-registry snapshot in
 //       Prometheus text and/or JSON form. The output is a pure function
-//       of (--scenario, --seed): the tracer clock is pinned and only
-//       logical quantities are recorded, so two runs with the same flags
-//       emit byte-identical snapshots. Both export formats are always
-//       self-checked with the built-in linters (JSON shape + promlint
-//       rules); lint failures exit 1. --selfcheck runs the pipeline and
-//       the linters but prints only the verdict — the CI entry point.
+//       of (--scenario, --seed): it holds the logical families only (the
+//       wall-time `vaq_wall_*` families are left out), so two runs with
+//       the same flags emit byte-identical snapshots. Both export formats
+//       are always self-checked with the built-in linters (JSON shape +
+//       promlint rules); lint failures exit 1. --selfcheck runs the
+//       pipeline and the linters but prints only the verdict — the CI
+//       entry point.
 //
 //   vaqctl serve [--threads N] [--queries M] [--streams K] [--seed S]
 //                [--cache on|off] [--capacity C] [--format text|prom|both]
@@ -386,10 +387,9 @@ int CmdMetrics(const Args& args) {
     return 2;
   }
 
-  // Determinism: scope the snapshot to this run and pin the tracer clock,
-  // so span histograms observe zero-duration spans instead of wall time.
+  // Determinism: scope the snapshot to this run; the export leaves out
+  // the wall families.
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
 
   synth::Scenario scenario = [&] {
     const std::string spec = args.Get("scenario");
@@ -435,11 +435,10 @@ int CmdMetrics(const Args& args) {
   const offline::TopKResult topk =
       offline::Rvaq(&*tables_or, &scoring, rvaq_options).Run();
 
-  obs::Tracer::Global().SetClock(nullptr);
-
   // Export. Both forms are always linted, even when only one is
   // printed: a malformed snapshot must fail loudly.
-  const obs::Snapshot snapshot = obs::MetricRegistry::Global().TakeSnapshot();
+  const obs::Snapshot snapshot =
+      obs::ExcludeSnapshot(obs::MetricRegistry::Global().TakeSnapshot(), {});
   const std::string json = obs::ExportJson(snapshot);
   const std::string lint = obs::JsonLintError(json);
   if (!lint.empty()) {
@@ -529,7 +528,6 @@ StatusOr<tools::StandingDemoSpec> ReadServeConfig(const ckpt::Store& store) {
 // tail shared by a completed durable serve and a recovery.
 int FinishDurableSession(serve::Server* server, const std::string& format) {
   const std::vector<serve::ServedQuery> results = server->FinishStanding();
-  obs::Tracer::Global().SetClock(nullptr);
   if (format == "text" || format == "both") {
     for (const serve::ServedQuery& q : results) {
       std::printf("%s\n", serve::DescribeServedQuery(q).c_str());
@@ -558,7 +556,6 @@ int CmdServeDurable(const Args& args) {
   }
 
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
 
   tools::StandingDemoSpec spec;
   spec.num_streams = std::atoi(args.Get("streams", "2").c_str());
@@ -605,7 +602,6 @@ int CmdServeDurable(const Args& args) {
   if (target < total) {
     // Staged crash: abandon the session mid-stream. Everything durable is
     // already in the store; `vaqctl recover` picks it up from here.
-    obs::Tracer::Global().SetClock(nullptr);
     std::printf("crashed after %lld of %lld clip advances; resume with:\n"
                 "  vaqctl recover --checkpoint-dir %s\n",
                 static_cast<long long>(target),
@@ -628,7 +624,6 @@ int CmdRecover(const Args& args) {
   }
 
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
 
   ckpt::DirStore store(dir);
   auto config = ReadServeConfig(store);
@@ -696,9 +691,8 @@ int CmdServe(const Args& args) {
   }
 
   // Same determinism regime as `vaqctl metrics`: scope the registry to
-  // this run and pin the tracer clock.
+  // this run.
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
 
   const fault::FaultPlan plan(tools::DemoFaultSpec(), seed);
   serve::ServeOptions options;
@@ -722,7 +716,6 @@ int CmdServe(const Args& args) {
     if (!server.Submit(sql).ok()) ++rejected;
   }
   const std::vector<serve::ServedQuery> results = server.Drain();
-  obs::Tracer::Global().SetClock(nullptr);
 
   if (format == "text" || format == "both") {
     std::printf("submitted %d queries (%d rejected) over %d streams + "
@@ -770,7 +763,6 @@ int CmdTrace(const Args& args) {
   }
 
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
 
   const fault::FaultPlan plan(tools::DemoFaultSpec(), seed);
   serve::ServeOptions options;
@@ -792,7 +784,6 @@ int CmdTrace(const Args& args) {
     (void)server.Submit(sql);
   }
   std::vector<serve::ServedQuery> results = server.Drain();
-  obs::Tracer::Global().SetClock(nullptr);
 
   std::sort(results.begin(), results.end(),
             [](const serve::ServedQuery& a, const serve::ServedQuery& b) {
@@ -861,7 +852,6 @@ int CmdCluster(const Args& args) {
   }
 
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   offline::PaperScoring scoring;
   offline::Repository repository;
   for (int i = 0; i < videos; ++i) {
@@ -895,7 +885,6 @@ int CmdCluster(const Args& args) {
   options.kill_at_ms = kill_at;
   cluster::Coordinator coordinator(&repository, options);
   auto clustered = coordinator.TopK(action, objects, scoring, rvaq);
-  obs::Tracer::Global().SetClock(nullptr);
   if (!clustered.ok()) {
     std::fprintf(stderr, "%s\n", clustered.status().ToString().c_str());
     return 1;
