@@ -11,10 +11,9 @@
 // Expectation (ISSUE acceptance criteria): the frontier is monotone —
 // loosening the recall target never raises the modeled cost — and the
 // cascade at tau = 0.9 cuts the modeled cost by >= 3x on the demo
-// workload. Both are asserted here and recorded in BENCH_cascade.json;
-// the process exits nonzero if either fails. The tau = 1.0 point must
-// plan exact (no cascade) and return the exact results verbatim.
-#include <cinttypes>
+// workload. Both are asserted here; the process exits nonzero if either
+// fails. The tau = 1.0 point must plan exact (no cascade) and return the
+// exact results verbatim.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -85,47 +84,6 @@ int Run() {
   const bool exact_identical =
       !points.empty() && !points.front().use_cascade &&
       points.front().achieved_recall == 1.0;
-
-  FILE* json = std::fopen("BENCH_cascade.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_cascade.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  bench::WriteJsonMeta(
-      json, kSeed,
-      "cascade frontier: tau {1.0,0.99,0.95,0.9,0.8,0.7}, " +
-          std::to_string(kVideos) + " videos, k=" + std::to_string(kK));
-  std::fprintf(json, "  \"videos\": %d,\n  \"k\": %" PRId64 ",\n", kVideos,
-               kK);
-  std::fprintf(json, "  \"points\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const tools::CascadeFrontierPoint& p = points[i];
-    std::fprintf(json,
-                 "    {\"recall_target\": %.4f, \"use_cascade\": %s"
-                 ", \"full_cost_ms\": %.3f, \"cascade_cost_ms\": %.3f"
-                 ", \"cost_reduction\": %.4f, \"clips_surviving\": %" PRId64
-                 ", \"clips_total\": %" PRId64
-                 ", \"predicted_recall\": %.4f, \"achieved_recall\": %.4f"
-                 ", \"videos_pruned\": %" PRId64
-                 ", \"candidates_pruned\": %" PRId64 "}%s\n",
-                 p.recall_target, p.use_cascade ? "true" : "false",
-                 p.full_cost_ms, p.cascade_cost_ms, p.cost_reduction,
-                 p.clips_surviving, p.clips_total, p.predicted_recall,
-                 p.achieved_recall, p.videos_pruned, p.candidates_pruned,
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"cost_reduction_tau90\": %.4f,\n", reduction_tau90);
-  std::fprintf(json, "  \"monotone_ok\": %s,\n",
-               monotone_ok ? "true" : "false");
-  std::fprintf(json, "  \"reduction_ok\": %s,\n",
-               reduction_ok ? "true" : "false");
-  std::fprintf(json, "  \"recall_ok\": %s,\n", recall_ok ? "true" : "false");
-  std::fprintf(json, "  \"exact_identical\": %s\n",
-               exact_identical ? "true" : "false");
-  std::fprintf(json, "}\n");
-  std::fclose(json);
 
   std::printf("frontier monotone (cost never rises as tau loosens): %s\n",
               monotone_ok ? "ok" : "FAIL");

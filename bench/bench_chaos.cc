@@ -14,7 +14,7 @@
 // from the simulated network). Two assertions gate the exit code: the
 // sweep must pass every oracle, and every domain must register at least
 // one event — a silent-zero domain means the generator or the plumbing
-// regressed. Results land in BENCH_chaos.json.
+// regressed.
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -86,52 +86,6 @@ int Run() {
   for (const char* domain : {"env", "event", "net", "cluster"}) {
     if (domain_totals[domain] <= 0) domains_covered = false;
   }
-
-  FILE* json = std::fopen("BENCH_chaos.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_chaos.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  bench::WriteJsonMeta(json, kSeed,
-                       "chaos sweep: " + std::to_string(kTrials) +
-                           " whole-stack trials, reference vs faulted");
-  std::fprintf(json, "  \"trials\": %" PRId64 ",\n", report->trials_run);
-  std::fprintf(json, "  \"wall_seconds\": %.3f,\n", wall_s);
-  std::fprintf(json, "  \"trials_per_sec\": %.3f,\n", trials_per_s);
-  std::fprintf(json, "  \"phases\": {");
-  {
-    size_t i = 0;
-    for (const auto& [phase, count] : report->trials_per_phase) {
-      std::fprintf(json, "%s\"%s\": %" PRId64,
-                   i++ > 0 ? ", " : "", phase.c_str(), count);
-    }
-  }
-  std::fprintf(json, "},\n");
-  std::fprintf(json, "  \"coverage\": {\n");
-  {
-    size_t i = 0;
-    for (const auto& [key, count] : report->coverage) {
-      std::fprintf(json, "    \"%s\": %" PRId64 "%s\n", key.c_str(), count,
-                   ++i < report->coverage.size() ? "," : "");
-    }
-  }
-  std::fprintf(json, "  },\n");
-  std::fprintf(json, "  \"domain_totals\": {");
-  {
-    size_t i = 0;
-    for (const auto& [domain, total] : domain_totals) {
-      std::fprintf(json, "%s\"%s\": %" PRId64,
-                   i++ > 0 ? ", " : "", domain.c_str(), total);
-    }
-  }
-  std::fprintf(json, "},\n");
-  std::fprintf(json, "  \"all_oracles_held\": %s,\n",
-               oracles_held ? "true" : "false");
-  std::fprintf(json, "  \"all_domains_covered\": %s\n",
-               domains_covered ? "true" : "false");
-  std::fprintf(json, "}\n");
-  std::fclose(json);
 
   std::printf("all oracles held across %" PRId64 " trials: %s\n",
               report->trials_run, oracles_held ? "ok" : "FAIL");

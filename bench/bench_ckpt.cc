@@ -9,10 +9,8 @@
 // total against the session's simulated model time. Logical results must
 // be byte-identical across intervals — checkpointing is pure overhead,
 // never a behavior change — and at the default interval the overhead
-// must stay under 10% (ISSUE acceptance criterion). Both are asserted;
-// the process exits nonzero on violation. Results land in
-// BENCH_ckpt.json.
-#include <cinttypes>
+// must stay under 10%. Both are asserted; the process exits nonzero on
+// violation.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -112,14 +110,12 @@ int main() {
       "Checkpoint — snapshot overhead vs interval and stream length",
       {"interval_clips", "stream_clips", "snapshots", "snapshot_bytes",
        "wal_records", "snapshot_ms", "session_ms", "overhead_pct"});
-  std::vector<ConfigResult> rows;
   bool identical = true;
   bool default_overhead_ok = true;
   for (const int64_t length : kStreamLengths) {
     std::vector<std::string> baseline;
     for (const int64_t interval : kIntervals) {
-      rows.push_back(RunConfig(interval, length));
-      const ConfigResult& r = rows.back();
+      const ConfigResult r = RunConfig(interval, length);
       if (baseline.empty()) {
         baseline = r.described;
       } else if (r.described != baseline) {
@@ -138,43 +134,6 @@ int main() {
     }
   }
   table.Print();
-
-  FILE* json = std::fopen("BENCH_ckpt.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_ckpt.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  bench::WriteJsonMeta(json, kSeed,
-                       "checkpoint sweep: snapshot interval x stream "
-                       "length, " +
-                           std::to_string(kStreams) + " streams, " +
-                           std::to_string(kQueries) + " queries");
-  std::fprintf(json, "  \"streams\": %d,\n  \"queries\": %d,\n", kStreams,
-               kQueries);
-  std::fprintf(json, "  \"configs\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ConfigResult& r = rows[i];
-    std::fprintf(
-        json,
-        "    {\"interval_clips\": %" PRId64 ", \"stream_clips\": %" PRId64
-        ", \"snapshots\": %" PRId64 ", \"snapshot_bytes\": %" PRId64
-        ", \"wal_records\": %" PRId64
-        ", \"snapshot_modeled_ms\": %.3f, \"session_simulated_ms\": %.3f"
-        ", \"overhead\": %.6f}%s\n",
-        r.interval, r.length, r.snapshots, r.snapshot_bytes, r.wal_records,
-        r.snapshot_ms, r.simulated_ms, r.overhead,
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"default_interval_clips\": %lld,\n",
-               static_cast<long long>(serve::kDefaultSnapshotEveryClips));
-  std::fprintf(json, "  \"results_identical_across_intervals\": %s,\n",
-               identical ? "true" : "false");
-  std::fprintf(json, "  \"default_overhead_ok\": %s\n",
-               default_overhead_ok ? "true" : "false");
-  std::fprintf(json, "}\n");
-  std::fclose(json);
 
   std::printf("results identical across snapshot intervals: %s\n",
               identical ? "ok" : "FAIL");

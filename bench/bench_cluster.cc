@@ -11,10 +11,8 @@
 //
 // Expectation (ISSUE acceptance criteria): the merged top-k is identical
 // to single-node RVAQ for every configuration, and the modeled
-// scatter–gather speedup at 8 shards is >= 3x. Both are asserted here
-// and recorded in BENCH_cluster.json; the process exits nonzero if
-// either fails.
-#include <cinttypes>
+// scatter–gather speedup at 8 shards is >= 3x. Both are asserted here;
+// the process exits nonzero if either fails.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -47,7 +45,6 @@ struct ConfigResult {
   int64_t batches_pruned = 0;
   int64_t failovers = 0;
   int64_t net_messages = 0;
-  int64_t net_bytes = 0;
 };
 
 std::string DescribeTop(
@@ -120,7 +117,6 @@ int Run() {
       row.batches_pruned = r.batches_pruned;
       row.failovers = r.failovers;
       row.net_messages = r.net.messages;
-      row.net_bytes = r.net.bytes;
       rows.push_back(row);
       table.AddRow({bench::Fmt(static_cast<int64_t>(shards)),
                     bench::Fmt(static_cast<int64_t>(replicas)),
@@ -142,40 +138,6 @@ int Run() {
     if (r.shards == 8 && r.replicas == 0) speedup_8 = r.speedup;
   }
   const bool speedup_ok = speedup_8 >= 3.0;
-
-  FILE* json = std::fopen("BENCH_cluster.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_cluster.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  bench::WriteJsonMeta(json, kSeed,
-                       "cluster sweep: shards {1,2,4,8} x replicas {0,1}, " +
-                           std::to_string(kVideos) + " videos, k=" +
-                           std::to_string(kK));
-  std::fprintf(json, "  \"videos\": %d,\n  \"k\": %" PRId64 ",\n", kVideos,
-               kK);
-  std::fprintf(json, "  \"configs\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ConfigResult& r = rows[i];
-    std::fprintf(json,
-                 "    {\"shards\": %d, \"replicas\": %d, \"identical\": %s"
-                 ", \"answer_ms\": %.3f, \"single_node_ms\": %.3f"
-                 ", \"speedup\": %.4f, \"batches_consumed\": %" PRId64
-                 ", \"batches_pruned\": %" PRId64 ", \"net_messages\": %" PRId64
-                 ", \"net_bytes\": %" PRId64 "}%s\n",
-                 r.shards, r.replicas, r.identical ? "true" : "false",
-                 r.answer_ms, r.single_node_ms, r.speedup, r.batches_consumed,
-                 r.batches_pruned, r.net_messages, r.net_bytes,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"speedup_8_shards\": %.4f,\n", speedup_8);
-  std::fprintf(json, "  \"speedup_ok\": %s,\n", speedup_ok ? "true" : "false");
-  std::fprintf(json, "  \"all_identical\": %s\n",
-               all_identical ? "true" : "false");
-  std::fprintf(json, "}\n");
-  std::fclose(json);
 
   std::printf("top-k identical to single-node RVAQ in every config: %s\n",
               all_identical ? "ok" : "FAIL");

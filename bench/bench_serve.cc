@@ -14,8 +14,7 @@
 // Expectation (ISSUE acceptance criteria): >= 3x throughput at 8 threads
 // vs 1 thread, and the shared cache strictly reduces total model
 // invocations when several standing queries touch the same stream. Both
-// are asserted here and recorded in BENCH_serve.json; the process exits
-// nonzero if either fails.
+// are asserted here; the process exits nonzero if either fails.
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -140,7 +139,6 @@ int main() {
   double makespan_1 = 0.0, makespan_8 = 0.0;
   int64_t inferences_on = 0, inferences_off = 0, reuses_on = 0;
   int64_t completed = 0, failed = 0;
-  double p50 = 0.0, p99 = 0.0, p999 = 0.0;
   for (const ConfigResult& r : rows) {
     completed += r.completed;
     failed += r.failed;
@@ -149,9 +147,6 @@ int main() {
       makespan_8 = r.makespan_ms;
       inferences_on = r.inferences;
       reuses_on = r.bundle_reuses;
-      p50 = r.p50_ms;
-      p99 = r.p99_ms;
-      p999 = r.p999_ms;
     }
     if (!r.cache && r.threads == 8) inferences_off = r.inferences;
   }
@@ -166,43 +161,6 @@ int main() {
   const bool all_completed = failed == 0 &&
                              completed == static_cast<int64_t>(rows.size()) *
                                               kQueries;
-
-  FILE* json = std::fopen("BENCH_serve.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_serve.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  bench::WriteJsonMeta(json, kSeed,
-                       "serve sweep: threads {1,2,4,8} x cache {on,off}, " +
-                           std::to_string(kStreams) + " streams, " +
-                           std::to_string(kQueries) + " queries");
-  std::fprintf(json, "  \"streams\": %d,\n  \"queries\": %d,\n",
-               kStreams, kQueries);
-  std::fprintf(json, "  \"configs\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ConfigResult& r = rows[i];
-    std::fprintf(json,
-                 "    {\"threads\": %d, \"cache\": %s, \"completed\": %" PRId64
-                 ", \"inferences\": %" PRId64 ", \"bundle_reuses\": %" PRId64
-                 ", \"modeled_makespan_ms\": %.3f, \"latency_p50_ms\": %.3f"
-                 ", \"latency_p99_ms\": %.3f, \"latency_p999_ms\": %.3f}%s\n",
-                 r.threads, r.cache ? "true" : "false", r.completed,
-                 r.inferences, r.bundle_reuses, r.makespan_ms, r.p50_ms,
-                 r.p99_ms, r.p999_ms, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"latency_p50_ms\": %.3f,\n", p50);
-  std::fprintf(json, "  \"latency_p99_ms\": %.3f,\n", p99);
-  std::fprintf(json, "  \"latency_p999_ms\": %.3f,\n", p999);
-  std::fprintf(json, "  \"speedup_8_threads\": %.4f,\n", speedup);
-  std::fprintf(json, "  \"cache_invocation_reduction\": %.4f,\n", reduction);
-  std::fprintf(json, "  \"speedup_ok\": %s,\n", speedup_ok ? "true" : "false");
-  std::fprintf(json, "  \"cache_ok\": %s,\n", cache_ok ? "true" : "false");
-  std::fprintf(json, "  \"all_completed\": %s\n",
-               all_completed ? "true" : "false");
-  std::fprintf(json, "}\n");
-  std::fclose(json);
 
   std::printf("speedup @8 threads (cache on): %.2fx (require >= 3.00x): %s\n",
               speedup, speedup_ok ? "ok" : "FAIL");

@@ -7,8 +7,7 @@
 // costs, so the numbers are a pure function of the seeds and reproduce
 // bit-for-bit on any machine.
 //
-// Expectations (asserted, recorded in BENCH_traffic.json, nonzero exit
-// on failure):
+// Expectations (asserted, nonzero exit on failure):
 //   * isolation_ok  — with one tenant offering 10x its rate, every
 //     other tenant's p99 stays within 10% of the no-abuse baseline;
 //   * shed_ok       — the abusive tenant is actually shed, both at the
@@ -61,22 +60,12 @@ tools::TrafficDemoSpec IsolationSpec(int abusive_tenant) {
   return spec;
 }
 
-struct SweepPoint {
-  int tenants = 0;
-  double sustained_qps = 0.0;
-  double mean_p99_ms = 0.0;
-  double max_p99_ms = 0.0;
-  int64_t completed = 0;
-  int64_t shed = 0;
-};
-
 int Run() {
   // --- Throughput / p99 vs tenant count ---------------------------------
   bench::TablePrinter table(
       "Front door: sustained QPS and per-tenant p99 vs tenant count",
       {"tenants", "offered", "completed", "shed", "qps", "mean_p99_ms",
        "max_p99_ms"});
-  std::vector<SweepPoint> points;
   for (const int tenants : {2, 4, 8}) {
     const StatusOr<tools::TrafficDemoResult> r =
         tools::RunTrafficDemo(SweepSpec(tenants));
@@ -85,23 +74,19 @@ int Run() {
                    r.status().ToString().c_str());
       return 1;
     }
-    SweepPoint point;
-    point.tenants = tenants;
-    point.sustained_qps = r->report.sustained_qps;
-    point.completed = r->report.completed;
-    point.shed = r->report.shed;
+    double mean_p99_ms = 0.0;
+    double max_p99_ms = 0.0;
     for (const traffic::TenantReport& t : r->report.tenants) {
-      point.mean_p99_ms += t.p99_ms;
-      point.max_p99_ms = std::max(point.max_p99_ms, t.p99_ms);
+      mean_p99_ms += t.p99_ms;
+      max_p99_ms = std::max(max_p99_ms, t.p99_ms);
     }
-    point.mean_p99_ms /= static_cast<double>(tenants);
-    points.push_back(point);
+    mean_p99_ms /= static_cast<double>(tenants);
     table.AddRow({bench::Fmt(static_cast<int64_t>(tenants)),
                   bench::Fmt(r->report.offered),
-                  bench::Fmt(point.completed), bench::Fmt(point.shed),
-                  bench::Fmt("%.2f", point.sustained_qps),
-                  bench::Fmt("%.3f", point.mean_p99_ms),
-                  bench::Fmt("%.3f", point.max_p99_ms)});
+                  bench::Fmt(r->report.completed), bench::Fmt(r->report.shed),
+                  bench::Fmt("%.2f", r->report.sustained_qps),
+                  bench::Fmt("%.3f", mean_p99_ms),
+                  bench::Fmt("%.3f", max_p99_ms)});
   }
   table.Print();
 
@@ -166,45 +151,6 @@ int Run() {
   const bool deterministic_ok =
       abuse->report.ToString() == abuse2->report.ToString() &&
       abuse->tenant_results == abuse2->tenant_results;
-
-  FILE* json = std::fopen("BENCH_traffic.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_traffic.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  bench::WriteJsonMeta(
-      json, kSeed,
-      "front door: tenant sweep {2,4,8} @20qps, simulated day, isolation "
-      "@10x abuse");
-  std::fprintf(json, "  \"points\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    std::fprintf(json,
-                 "    {\"tenants\": %d, \"sustained_qps\": %.4f"
-                 ", \"mean_p99_ms\": %.4f, \"max_p99_ms\": %.4f"
-                 ", \"completed\": %" PRId64 ", \"shed\": %" PRId64 "}%s\n",
-                 p.tenants, p.sustained_qps, p.mean_p99_ms, p.max_p99_ms,
-                 p.completed, p.shed, i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"sessions_day\": %" PRId64 ",\n",
-               day_r->report.offered);
-  std::fprintf(json, "  \"qps_day\": %.4f,\n", day_r->report.sustained_qps);
-  std::fprintf(json, "  \"abusive_front_door_shed\": %" PRId64 ",\n",
-               abusive_shed);
-  std::fprintf(json, "  \"abusive_serve_sheds\": %" PRId64 ",\n",
-               abuse->tenant_quota_sheds);
-  std::fprintf(json, "  \"p99_delta_max_pct\": %.4f,\n", p99_delta_max_pct);
-  std::fprintf(json, "  \"isolation_ok\": %s,\n",
-               isolation_ok ? "true" : "false");
-  std::fprintf(json, "  \"shed_ok\": %s,\n", shed_ok ? "true" : "false");
-  std::fprintf(json, "  \"bytes_identical\": %s,\n",
-               bytes_identical ? "true" : "false");
-  std::fprintf(json, "  \"deterministic_ok\": %s\n",
-               deterministic_ok ? "true" : "false");
-  std::fprintf(json, "}\n");
-  std::fclose(json);
 
   std::printf("abusive tenant shed (front door %" PRId64
               ", serve kResourceExhausted %" PRId64 "): %s\n",

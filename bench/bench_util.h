@@ -17,12 +17,6 @@
 
 #include "storage/access_counter.h"
 
-// Git revision the binary was built from; the build system injects it
-// (see bench/CMakeLists.txt), tarball builds fall back to "unknown".
-#ifndef VAQ_GIT_REV
-#define VAQ_GIT_REV "unknown"
-#endif
-
 namespace vaq {
 namespace bench {
 
@@ -95,21 +89,6 @@ class TablePrinter {
   std::vector<std::string> columns_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-// Shared metadata header for BENCH_*.json artifacts. Every file opens
-// with the same "meta" object — the seed that drove the run, the git
-// revision of the build, and a one-line config summary — so artifacts
-// from different binaries (and different checkouts) are traceable to the
-// exact build and inputs that produced them. Call immediately after
-// printing the opening '{'.
-inline void WriteJsonMeta(std::FILE* json, uint64_t seed,
-                          const std::string& config) {
-  std::fprintf(json,
-               "  \"meta\": {\"seed\": %llu, \"git_rev\": \"%s\", "
-               "\"config\": \"%s\"},\n",
-               static_cast<unsigned long long>(seed), VAQ_GIT_REV,
-               config.c_str());
-}
 
 inline std::string Fmt(const char* format, double value) {
   char buffer[64];

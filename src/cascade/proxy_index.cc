@@ -27,7 +27,7 @@ constexpr double kNegativeExponent = 2.5;
 constexpr uint64_t kScoreDerivationVersion = 1;
 
 uint64_t HashConcept(const std::string& concept_name) {
-  return ckpt::Fnv1a64(concept_name.data(), concept_name.size());
+  return HashBytes(concept_name);
 }
 
 // Clip-level presence of a concept: any truth frame inside the clip.
@@ -90,7 +90,7 @@ uint64_t ProxyFingerprint(const detect::ModelProfile& profile,
                           uint64_t seed) {
   uint64_t fp = MixSeed(kScoreDerivationVersion,
                         static_cast<uint64_t>(ckpt::kFormatVersion));
-  fp = MixSeed(fp, ckpt::Fnv1a64(profile.name.data(), profile.name.size()));
+  fp = MixSeed(fp, HashBytes(profile.name));
   // The profile fields that shape scores or costs, as exact bits.
   for (const double field : {profile.tpr, profile.fpr, profile.threshold,
                              profile.inference_ms}) {

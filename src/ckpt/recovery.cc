@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/rng.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
 
@@ -69,8 +70,7 @@ StatusOr<std::string> RecoveryDriver::ReadEntry(
   if (!bytes.ok()) return bytes;
   std::string blob = std::move(bytes).value();
   if (plan_ != nullptr && !blob.empty()) {
-    const int64_t entry = static_cast<int64_t>(
-        Fnv1a64(name.data(), name.size()) >> 1);
+    const int64_t entry = static_cast<int64_t>(HashBytes(name) >> 1);
     if (plan_->CheckpointCorrupts(entry)) {
       const double pos = plan_->CheckpointCorruptPosition(entry);
       const size_t bit =

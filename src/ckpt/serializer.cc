@@ -2,7 +2,10 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace vaq {
 namespace ckpt {
@@ -38,15 +41,6 @@ uint64_t GetLe64(const char* p) {
 }
 
 }  // namespace
-
-uint64_t Fnv1a64(const char* data, size_t size) {
-  uint64_t hash = 14695981039346656037ULL;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
 
 void Payload::PutU32(uint32_t v) { PutLe32(&data_, v); }
 void Payload::PutU64(uint64_t v) { PutLe64(&data_, v); }
@@ -145,8 +139,7 @@ void AppendRecord(std::string* out, uint32_t tag, std::string_view payload) {
   PutLe32(out, tag);
   PutLe32(out, static_cast<uint32_t>(payload.size()));
   out->append(payload.data(), payload.size());
-  const uint64_t crc = Fnv1a64(out->data() + frame_start,
-                               out->size() - frame_start);
+  const uint64_t crc = HashBytes(std::string_view(*out).substr(frame_start));
   PutLe64(out, crc);
 }
 
@@ -160,7 +153,7 @@ Status ReadRecord(std::string_view bytes, size_t* offset, Record* out) {
     return Status::IoError("torn record body");
   }
   const uint64_t want = GetLe64(bytes.data() + start + 8 + length);
-  const uint64_t got = Fnv1a64(bytes.data() + start, 8 + length);
+  const uint64_t got = HashBytes(bytes.substr(start, 8 + length));
   if (want != got) return Status::Corruption("record checksum mismatch");
   out->tag = tag;
   out->payload.assign(bytes.data() + start + 8, length);

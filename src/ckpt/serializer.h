@@ -7,12 +7,12 @@
 //   blob   := magic:u64 version:u32 record*
 //   record := tag:u32 length:u32 payload:length crc:u64
 //
-// where crc is the FNV-1a 64-bit hash of tag||length||payload. All
-// integers are little-endian regardless of host, so blobs are portable
-// and the golden-file test (tests/ckpt_golden_test.cc) pins the byte
-// layout. Engine snapshots, WAL segments, metric snapshots, proxy
-// indexes (cascade/store) and the ingested-video catalog
-// (storage/catalog) all share this framing.
+// where crc is HashBytes (common/rng.h, FNV-1a 64-bit) of
+// tag||length||payload. All integers are little-endian regardless of
+// host, so blobs are portable and the golden-file test
+// (tests/ckpt_golden_test.cc) pins the byte layout. Engine snapshots,
+// WAL segments, metric snapshots, proxy indexes (cascade/store) and the
+// ingested-video catalog (storage/catalog) all share this framing.
 //
 // Forward compatibility: readers skip records whose tag they do not
 // recognise (the checksum is still verified), so a newer writer may add
@@ -43,9 +43,6 @@ inline constexpr uint32_t kFormatVersion = 1;
 
 // "VAQCKPT\x01" little-endian.
 inline constexpr uint64_t kBlobMagic = 0x0154504b43514156ULL;
-
-// FNV-1a 64-bit: the record checksum.
-uint64_t Fnv1a64(const char* data, size_t size);
 
 // Field-level payload writer: fixed-width little-endian scalars plus
 // length-prefixed strings. Payloads carry no per-field tags; each record

@@ -25,11 +25,9 @@ StatusOr<PartitionScheme> ParsePartitionScheme(const std::string& name) {
                                  "' (want hash|range)");
 }
 
-uint64_t StableHash(std::string_view bytes) { return HashBytes(bytes); }
-
 int HashShardOf(std::string_view name, int num_shards) {
   VAQ_CHECK_GT(num_shards, 0);
-  return static_cast<int>(StableHash(name) %
+  return static_cast<int>(HashBytes(name) %
                           static_cast<uint64_t>(num_shards));
 }
 

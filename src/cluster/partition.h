@@ -31,11 +31,9 @@ enum class PartitionScheme {
 const char* PartitionSchemeName(PartitionScheme scheme);
 StatusOr<PartitionScheme> ParsePartitionScheme(const std::string& name);
 
-// 64-bit FNV-1a. Independent of the process, platform and run — part of
-// the cluster's on-the-wire contract.
-uint64_t StableHash(std::string_view bytes);
-
-// Hash-scheme owner of `name` among `num_shards` shards.
+// Hash-scheme owner of `name` among `num_shards` shards: HashBytes
+// (common/rng.h) modulo the shard count, independent of the process,
+// platform and run — part of the cluster's on-the-wire contract.
 int HashShardOf(std::string_view name, int num_shards);
 
 // Splits `names` into `num_shards` shards under `scheme`. The outer

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <mutex>
 
+#include "common/json.h"
+
 namespace vaq {
 namespace internal_logging {
 namespace {
@@ -40,39 +42,6 @@ LogLevel ParseLevel(const char* value, LogLevel fallback) {
   if (std::strcmp(value, "error") == 0) return LogLevel::kError;
   if (std::strcmp(value, "fatal") == 0) return LogLevel::kFatal;
   return fallback;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 // Process-wide sink configuration. Env vars are read once, lazily, so
@@ -147,9 +116,9 @@ void EmitLogLine(LogLevel level, const char* file, int line,
       if (config.json) {
         formatted = "{\"seq\":" + std::to_string(config.sequence++) +
                     ",\"level\":\"" + LevelName(level) + "\",\"file\":\"" +
-                    JsonEscape(Basename(file)) +
+                    EscapeJson(Basename(file)) +
                     "\",\"line\":" + std::to_string(line) + ",\"msg\":\"" +
-                    JsonEscape(message) + "\"}";
+                    EscapeJson(message) + "\"}";
       } else {
         ++config.sequence;
         formatted = std::string("[") + LevelName(level) + " " +

@@ -32,10 +32,11 @@ inline uint64_t MixSeed(uint64_t a, uint64_t b) {
   return SplitMix64(s);
 }
 
-// FNV-1a over bytes: the platform-stable string hash used wherever a name
-// (video id, tenant, shard key) must map to the same 64-bit value on every
-// build — cluster partitioning and per-video RNG stream salts both ride on
-// it, so the constant must never change.
+// FNV-1a over bytes: the platform-stable hash used wherever bytes must
+// map to the same 64-bit value on every build — cluster partitioning,
+// per-video RNG stream salts, proxy-index fingerprints and the checkpoint
+// record checksum (pinned by tests/golden/ckpt_format_v1.hex) all ride
+// on it, so the constants must never change.
 inline uint64_t HashBytes(std::string_view bytes) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : bytes) {

@@ -9,44 +9,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
+
 namespace vaq {
 namespace obs {
 namespace {
-
-// JSON string escaping (also valid for Prometheus label values, which use
-// the same backslash conventions for the characters we emit).
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string LabelBlock(const Labels& labels) {
   if (labels.empty()) return "";

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace vaq {
@@ -14,39 +15,6 @@ std::string FormatMs(double ms) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", ms);
   return buf;
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 thread_local QueryContext g_current_context;

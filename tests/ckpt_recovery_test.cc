@@ -21,6 +21,7 @@
 #include "ckpt/recovery.h"
 #include "ckpt/serializer.h"
 #include "ckpt/store.h"
+#include "common/rng.h"
 #include "fault/fault_plan.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -269,8 +270,7 @@ TEST(CkptRecoveryTest, TornWalTailIsDroppedAndRecoveryStillExact) {
 // --- Snapshot corruption (satellite: fault::FaultPlan checkpoint hooks) --
 
 bool PlanCorrupts(const fault::FaultPlan& plan, const std::string& name) {
-  const int64_t entry = static_cast<int64_t>(
-      ckpt::Fnv1a64(name.data(), name.size()) >> 1);
+  const int64_t entry = static_cast<int64_t>(HashBytes(name) >> 1);
   return plan.CheckpointCorrupts(entry);
 }
 
@@ -280,8 +280,7 @@ bool PlanCorrupts(const fault::FaultPlan& plan, const std::string& name) {
 // KBs, so > 5% of the blob is comfortably past byte 12.
 bool CorruptsBody(const fault::FaultPlan& plan, const std::string& name) {
   if (!PlanCorrupts(plan, name)) return false;
-  const int64_t entry = static_cast<int64_t>(
-      ckpt::Fnv1a64(name.data(), name.size()) >> 1);
+  const int64_t entry = static_cast<int64_t>(HashBytes(name) >> 1);
   return plan.CheckpointCorruptPosition(entry) > 0.05;
 }
 

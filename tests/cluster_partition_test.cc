@@ -131,12 +131,13 @@ TEST(ClusterPartition, HashIsStableUnderRepositoryGrowth) {
 }
 
 TEST(ClusterPartition, StableHashIsPartOfTheWireContract) {
-  // FNV-1a is pinned: these values may never change without a protocol
-  // version bump (every process derives placement from them).
-  EXPECT_EQ(StableHash(""), 14695981039346656037ULL);
-  EXPECT_EQ(StableHash("a"), 12638187200555641996ULL);
-  EXPECT_EQ(StableHash("v0"), StableHash(std::string("v0")));
-  EXPECT_NE(StableHash("v0"), StableHash("v1"));
+  // HashShardOf places names by HashBytes (FNV-1a), which is pinned:
+  // these values may never change without a protocol version bump
+  // (every process derives placement from them).
+  EXPECT_EQ(HashBytes(""), 14695981039346656037ULL);
+  EXPECT_EQ(HashBytes("a"), 12638187200555641996ULL);
+  EXPECT_EQ(HashBytes("v0"), HashBytes(std::string("v0")));
+  EXPECT_NE(HashBytes("v0"), HashBytes("v1"));
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // MetricRegistry semantics: labeled families, concurrent counter updates,
 // histogram bucket boundaries, the two exporters (Prometheus text and
-// JSON, including the built-in JSON linter), and RestoreSnapshot's refusal
-// of a snapshot that does not fit the registry.
+// JSON, including the built-in JSON linter and the shared string escape),
+// and RestoreSnapshot's refusal of a snapshot that does not fit the
+// registry.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 
@@ -127,6 +129,32 @@ TEST(ExportTest, LinterRejectsMalformedDocuments) {
   EXPECT_NE(JsonLintError("[1 2]"), "");
   EXPECT_NE(JsonLintError("{\"a\":1} trailing"), "");
   EXPECT_NE(JsonLintError("\"unterminated"), "");
+}
+
+TEST(ExportTest, EscapeJsonPinsEveryEscapeClass) {
+  // The one escape behind the metrics JSON export, the Chrome trace
+  // export and JSON log lines.
+  struct Case {
+    std::string in;
+    std::string want;
+  };
+  const std::vector<Case> cases = {
+      {"say \"hi\"", "say \\\"hi\\\""},
+      {"a\\b", "a\\\\b"},
+      {"line\nnext", "line\\nnext"},
+      {"col\tcol", "col\\tcol"},
+      {"cr\r", "cr\\r"},
+      {"\x01", "\\u0001"},
+      {"\x1f", "\\u001f"},
+      // UTF-8 multibyte sequences pass through byte for byte.
+      {"caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x8e\xac",
+       "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x8e\xac"},
+  };
+  for (const Case& c : cases) {
+    const std::string escaped = EscapeJson(c.in);
+    EXPECT_EQ(escaped, c.want) << c.in;
+    EXPECT_EQ(JsonLintError("\"" + escaped + "\""), "") << escaped;
+  }
 }
 
 TEST(ExportTest, ResetZeroesValuesButKeepsFamilies) {

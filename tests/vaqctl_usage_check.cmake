@@ -1,13 +1,15 @@
 # Tier-1 regression check for vaqctl's command-line surface: an unknown
 # subcommand must exit 2 with the usage text on stderr, and the usage
 # must list every public subcommand — `traffic` included, so the front
-# door demo cannot silently fall out of the CLI.
+# door demo cannot silently fall out of the CLI. A malformed numeric flag
+# or --scenario index must exit 2 too, naming the flag, before any work.
 #
 # Invoked as:
-#   cmake -DVAQCTL=<path-to-vaqctl> -P vaqctl_usage_check.cmake
+#   cmake -DVAQCTL=<path-to-vaqctl> -DWORKDIR=<work dir>
+#         -P vaqctl_usage_check.cmake
 
-if(NOT DEFINED VAQCTL)
-  message(FATAL_ERROR "pass -DVAQCTL=<path to vaqctl>")
+if(NOT DEFINED VAQCTL OR NOT DEFINED WORKDIR)
+  message(FATAL_ERROR "pass -DVAQCTL=<path to vaqctl> -DWORKDIR=<dir>")
 endif()
 
 execute_process(
@@ -34,4 +36,44 @@ foreach(subcommand ingest ls rm topk sql metrics serve trace recover
   endif()
 endforeach()
 
-message(STATUS "vaqctl usage: exit 2 on unknown subcommand, all subcommands listed")
+# Each case is "<flag>|<command line>": the command must exit 2 with
+# <flag> named on stderr. Every value is one the parse rejects — garbage,
+# trailing characters, a sign on an unsigned field, a value out of the
+# field's range. None is a valid huge --threads, --workers or --nodes,
+# which would start that many threads.
+file(REMOVE_RECURSE "${WORKDIR}")
+set(bad_flag_cases
+  "--seed|chaos --trials 1 --seed abc"
+  "--seed|chaos --trials 1 --seed -1"
+  "--seed|chaos --trials 1 --seed 18446744073709551616"
+  "--seed|metrics --seed 7x"
+  "--qps|traffic --duration-min 0.1 --qps 2x"
+  "--videos|cascade --videos 4294967297"
+  "--scenario|ingest --catalog ${WORKDIR} --name q --scenario youtube:3x")
+foreach(case IN LISTS bad_flag_cases)
+  string(FIND "${case}" "|" bar)
+  string(SUBSTRING "${case}" 0 ${bar} flag)
+  math(EXPR rest "${bar} + 1")
+  string(SUBSTRING "${case}" ${rest} -1 command_line)
+  separate_arguments(command_args UNIX_COMMAND "${command_line}")
+  execute_process(
+    COMMAND ${VAQCTL} ${command_args}
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR
+      "vaqctl ${command_line} exited ${rc}, expected 2\n${err}")
+  endif()
+  string(FIND "${err}" "${flag}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR
+      "vaqctl ${command_line}: stderr does not name ${flag}: ${err}")
+  endif()
+endforeach()
+if(EXISTS "${WORKDIR}")
+  message(FATAL_ERROR "a rejected ingest wrote ${WORKDIR}")
+endif()
+
+message(STATUS "vaqctl usage: exit 2 on unknown subcommand and on "
+               "malformed flags, all subcommands listed")

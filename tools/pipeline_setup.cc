@@ -1,9 +1,10 @@
 #include "tools/pipeline_setup.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <memory>
 #include <set>
+#include <system_error>
 #include <utility>
 
 #include "bai/sequence_arms.h"
@@ -32,8 +33,11 @@ StatusOr<synth::Scenario> ScenarioFromFlag(const std::string& spec,
                                      objects);
   }
   if (spec.rfind("youtube:", 0) == 0) {
-    const int index = std::atoi(spec.c_str() + 8);
-    if (index < 1 || index > 12) {
+    // The whole index, parsed exactly: "youtube:3x" is not q3.
+    int index = 0;
+    const char* end = spec.data() + spec.size();
+    const auto [ptr, error] = std::from_chars(spec.data() + 8, end, index);
+    if (error != std::errc() || ptr != end || index < 1 || index > 12) {
       return Status::InvalidArgument("youtube index must be 1..12");
     }
     return synth::Scenario::YouTube(index, seed);

@@ -124,11 +124,16 @@
 //       --canary on arms a deliberate double-apply bug to prove the
 //       harness catches, shrinks and replays real failures.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "bai/sequence_arms.h"
@@ -169,6 +174,34 @@ struct Args {
     return it == flags.end() ? fallback : it->second;
   }
 
+  // The numeric --flag `name` as a T, or `fallback` when it is absent.
+  // The whole value is parsed with std::from_chars straight into T, so
+  // garbage, trailing characters, a sign on an unsigned T, a value
+  // outside T's range and, for a floating T, a non-finite value all
+  // print a message naming the flag and exit 2. Commands read their
+  // flags before they start any work.
+  template <typename T>
+  T Number(const std::string& name, T fallback) const {
+    const auto it = flags.find(name);
+    if (it == flags.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, error] = std::from_chars(text.data(), end, value);
+    bool ok = error == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+    if (ok) return value;
+    std::string want = "a finite number";
+    if constexpr (std::is_integral_v<T>) {
+      want = "an integer in [" +
+             std::to_string(std::numeric_limits<T>::min()) + ", " +
+             std::to_string(std::numeric_limits<T>::max()) + "]";
+    }
+    std::fprintf(stderr, "vaqctl: --%s must be %s, got '%s'\n", name.c_str(),
+                 want.c_str(), text.c_str());
+    std::exit(2);
+  }
+
   // Presence test for valueless flags (e.g. --selfcheck). The parser
   // above pairs "--flag value"; a trailing bare flag lands in
   // positional, so accept either spelling.
@@ -197,10 +230,16 @@ std::vector<std::string> SplitCommas(const std::string& s) {
 
 // Scenario parsing and the seeded demo pipeline live in
 // tools/pipeline_setup.h so `vaqctl metrics`, `vaqctl serve` and
-// bench_serve cannot drift apart.
-StatusOr<synth::Scenario> MakeScenario(const std::string& spec,
+// bench_serve cannot drift apart. A --scenario it rejects is a usage
+// error, like a malformed number: it names the flag and exits 2.
+StatusOr<synth::Scenario> ScenarioFlag(const std::string& spec,
                                        uint64_t seed) {
-  return tools::ScenarioFromFlag(spec, seed);
+  StatusOr<synth::Scenario> scenario = tools::ScenarioFromFlag(spec, seed);
+  if (!scenario.ok()) {
+    std::fprintf(stderr, "vaqctl: --scenario '%s': %s\n", spec.c_str(),
+                 scenario.status().ToString().c_str());
+  }
+  return scenario;
 }
 
 int CmdIngest(const Args& args) {
@@ -212,13 +251,9 @@ int CmdIngest(const Args& args) {
                  "ingest requires --catalog, --name and --scenario\n");
     return 2;
   }
-  const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(args.Get("seed", "7").c_str()));
-  auto scenario = MakeScenario(spec, seed);
-  if (!scenario.ok()) {
-    std::fprintf(stderr, "%s\n", scenario.status().ToString().c_str());
-    return 1;
-  }
+  const uint64_t seed = args.Number<uint64_t>("seed", 7);
+  auto scenario = ScenarioFlag(spec, seed);
+  if (!scenario.ok()) return 2;
   const std::string models = args.Get("models", "maskrcnn");
   detect::ModelBundle bundle =
       models == "yolo" ? detect::ModelBundle::YoloI3d(scenario->truth(), seed)
@@ -314,7 +349,7 @@ int CmdTopK(const Args& args) {
   }
   offline::PaperScoring scoring;
   offline::RvaqOptions options;
-  options.k = std::atoll(args.Get("k", "5").c_str());
+  options.k = args.Number<int64_t>("k", 5);
   auto result = repository.TopK(action, SplitCommas(args.Get("objects")),
                                 scoring, options);
   if (result.ok() && result->videos_queried == 0 &&
@@ -379,8 +414,7 @@ int CmdSql(const Args& args) {
 }
 
 int CmdMetrics(const Args& args) {
-  const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(args.Get("seed", "7").c_str()));
+  const uint64_t seed = args.Number<uint64_t>("seed", 7);
   const std::string format = args.Get("format", "both");
   if (format != "prom" && format != "json" && format != "both") {
     std::fprintf(stderr, "--format must be prom, json or both\n");
@@ -391,13 +425,11 @@ int CmdMetrics(const Args& args) {
   // the wall families.
   obs::MetricRegistry::Global().Reset();
 
-  synth::Scenario scenario = [&] {
-    const std::string spec = args.Get("scenario");
-    if (spec.empty()) return tools::DemoScenario(0);
-    auto made = MakeScenario(spec, seed);
-    VAQ_CHECK_OK(made.status());
-    return std::move(*made);
-  }();
+  const std::string spec = args.Get("scenario");
+  StatusOr<synth::Scenario> made =
+      spec.empty() ? tools::DemoScenario(0) : ScenarioFlag(spec, seed);
+  if (!made.ok()) return 2;
+  synth::Scenario scenario = std::move(made).value();
 
   // Phase 1: the online engine over a faulty stream. The rates are high
   // enough that timeouts, outages, garbage scores, retries, breaker trips
@@ -548,30 +580,26 @@ int CmdServeDurable(const Args& args) {
   const std::string dir = args.Get("checkpoint-dir");
   const std::string cache = args.Get("cache", "on");
   const std::string format = args.Get("format", "text");
-  const int64_t crash_after =
-      std::atoll(args.Get("crash-after", "-1").c_str());
+  const int64_t crash_after = args.Number<int64_t>("crash-after", -1);
   if (format != "text" && format != "prom" && format != "both") {
     std::fprintf(stderr, "--format must be text, prom or both\n");
     return 2;
   }
-
-  obs::MetricRegistry::Global().Reset();
-
   tools::StandingDemoSpec spec;
-  spec.num_streams = std::atoi(args.Get("streams", "2").c_str());
-  spec.num_queries = std::atoi(args.Get("queries", "4").c_str());
-  spec.seed = static_cast<uint64_t>(std::atoll(args.Get("seed", "7").c_str()));
+  spec.num_streams = args.Number<int>("streams", 2);
+  spec.num_queries = args.Number<int>("queries", 4);
+  spec.seed = args.Number<uint64_t>("seed", 7);
   spec.share_detection_cache = cache == "on";
-  spec.snapshot_every_clips = std::atoll(
-      args.Get("snapshot-every",
-               std::to_string(serve::kDefaultSnapshotEveryClips))
-          .c_str());
+  spec.snapshot_every_clips = args.Number<int64_t>(
+      "snapshot-every", serve::kDefaultSnapshotEveryClips);
   if (spec.num_streams < 1 || spec.num_queries < 1 ||
       spec.snapshot_every_clips < 1) {
     std::fprintf(stderr,
                  "--streams/--queries/--snapshot-every must be >= 1\n");
     return 2;
   }
+
+  obs::MetricRegistry::Global().Reset();
 
   const fault::FaultPlan plan(tools::DemoFaultSpec(), spec.seed);
   spec.fault_plan = &plan;
@@ -670,11 +698,11 @@ int CmdRecover(const Args& args) {
 
 int CmdServe(const Args& args) {
   if (!args.Get("checkpoint-dir").empty()) return CmdServeDurable(args);
-  const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(args.Get("seed", "7").c_str()));
-  const int threads = std::atoi(args.Get("threads", "4").c_str());
-  const int queries = std::atoi(args.Get("queries", "24").c_str());
-  const int streams = std::atoi(args.Get("streams", "4").c_str());
+  const uint64_t seed = args.Number<uint64_t>("seed", 7);
+  const int threads = args.Number<int>("threads", 4);
+  const int queries = args.Number<int>("queries", 24);
+  const int streams = args.Number<int>("streams", 4);
+  const int capacity = args.Number<int>("capacity", queries);
   const std::string cache = args.Get("cache", "on");
   const std::string format = args.Get("format", "text");
   if (cache != "on" && cache != "off") {
@@ -697,8 +725,7 @@ int CmdServe(const Args& args) {
   const fault::FaultPlan plan(tools::DemoFaultSpec(), seed);
   serve::ServeOptions options;
   options.threads = threads;
-  options.queue_capacity =
-      std::atoi(args.Get("capacity", std::to_string(queries)).c_str());
+  options.queue_capacity = capacity;
   options.share_detection_cache = cache == "on";
   options.fault_plan = &plan;
   serve::Server server(options);
@@ -751,11 +778,10 @@ int CmdServe(const Args& args) {
 // --streams): timestamps come from modeled milliseconds, not wall
 // time, so --threads only changes real duration, never the bytes.
 int CmdTrace(const Args& args) {
-  const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(args.Get("seed", "7").c_str()));
-  const int threads = std::atoi(args.Get("threads", "4").c_str());
-  const int queries = std::atoi(args.Get("queries", "24").c_str());
-  const int streams = std::atoi(args.Get("streams", "4").c_str());
+  const uint64_t seed = args.Number<uint64_t>("seed", 7);
+  const int threads = args.Number<int>("threads", 4);
+  const int queries = args.Number<int>("queries", 24);
+  const int streams = args.Number<int>("streams", 4);
   const std::string out_path = args.Get("out");
   if (queries < 1 || streams < 1 || threads < 0) {
     std::fprintf(stderr, "--queries/--streams must be >= 1, --threads >= 0\n");
@@ -826,16 +852,14 @@ int CmdTrace(const Args& args) {
 // vaqctl cluster: scatter–gather ranked retrieval over an in-process
 // sharded cluster, checked against the single-node reference.
 int CmdCluster(const Args& args) {
-  const int nodes = std::atoi(args.Get("nodes", "4").c_str());
-  const int replicas = std::atoi(args.Get("replicas", "1").c_str());
-  const int videos = std::atoi(args.Get("videos", "8").c_str());
-  const int batch = std::atoi(args.Get("batch", "4").c_str());
-  const int kill_node = std::atoi(args.Get("kill-node", "-1").c_str());
-  const double kill_at = std::atof(args.Get("kill-at", "0").c_str());
-  const int64_t k =
-      static_cast<int64_t>(std::atoll(args.Get("k", "5").c_str()));
-  const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(args.Get("seed", "7").c_str()));
+  const int nodes = args.Number<int>("nodes", 4);
+  const int replicas = args.Number<int>("replicas", 1);
+  const int videos = args.Number<int>("videos", 8);
+  const int batch = args.Number<int>("batch", 4);
+  const int kill_node = args.Number<int>("kill-node", -1);
+  const double kill_at = args.Number<double>("kill-at", 0.0);
+  const int64_t k = args.Number<int64_t>("k", 5);
+  const uint64_t seed = args.Number<uint64_t>("seed", 7);
   const std::string action = args.Get("action", "running");
   const std::vector<std::string> objects =
       SplitCommas(args.Get("objects", "dog"));
@@ -946,10 +970,8 @@ void ChaosProgress(const chaos::TrialResult& r) {
 
 int CmdChaos(const Args& args) {
   chaos::ChaosOptions options;
-  options.trials =
-      static_cast<int64_t>(std::atoll(args.Get("trials", "20").c_str()));
-  options.seed =
-      static_cast<uint64_t>(std::atoll(args.Get("seed", "1").c_str()));
+  options.trials = args.Number<int64_t>("trials", 20);
+  options.seed = args.Number<uint64_t>("seed", 1);
   options.canary = args.Get("canary", "off") == "on";
   options.shrink = args.Get("shrink", "on") != "off";
   options.progress = &ChaosProgress;
@@ -1036,12 +1058,10 @@ int CmdChaos(const Args& args) {
 // vaqctl cascade: plan and execute a proxy-prefiltered top-k over the
 // seeded demo corpus, reporting modeled cost and achieved recall.
 int CmdCascade(const Args& args) {
-  const double recall = std::atof(args.Get("recall", "0.9").c_str());
-  const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(args.Get("seed", "7").c_str()));
-  const int videos = std::atoi(args.Get("videos", "4").c_str());
-  const int64_t k =
-      static_cast<int64_t>(std::atoll(args.Get("k", "5").c_str()));
+  const double recall = args.Number<double>("recall", 0.9);
+  const uint64_t seed = args.Number<uint64_t>("seed", 7);
+  const int videos = args.Number<int>("videos", 4);
+  const int64_t k = args.Number<int64_t>("k", 5);
   if (!(recall > 0.0) || recall > 1.0 || videos <= 0 || k <= 0) {
     std::fprintf(
         stderr,
@@ -1089,12 +1109,10 @@ int CmdCascade(const Args& args) {
 // at --delta, re-rank the survivors exactly, and report the
 // model-invocation savings and certificate versus the exact run.
 int CmdBai(const Args& args) {
-  const double delta = std::atof(args.Get("delta", "0.05").c_str());
-  const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(args.Get("seed", "7").c_str()));
-  const int videos = std::atoi(args.Get("videos", "4").c_str());
-  const int64_t k =
-      static_cast<int64_t>(std::atoll(args.Get("k", "5").c_str()));
+  const double delta = args.Number<double>("delta", 0.05);
+  const uint64_t seed = args.Number<uint64_t>("seed", 7);
+  const int videos = args.Number<int>("videos", 4);
+  const int64_t k = args.Number<int64_t>("k", 5);
   if (!(delta > 0.0) || delta > 1.0 || videos <= 0 || k <= 0) {
     std::fprintf(stderr,
                  "bai requires --delta in (0, 1] and positive --videos/--k\n");
@@ -1137,15 +1155,14 @@ int CmdBai(const Args& args) {
 // baseline and its serve-path result bytes identical; violations exit 1.
 int CmdTraffic(const Args& args) {
   tools::TrafficDemoSpec spec;
-  spec.num_tenants = std::atoi(args.Get("tenants", "4").c_str());
-  spec.duration_min = std::atof(args.Get("duration-min", "1").c_str());
-  spec.seed =
-      static_cast<uint64_t>(std::atoll(args.Get("seed", "21").c_str()));
-  spec.num_workers = std::atoi(args.Get("workers", "8").c_str());
-  spec.base_qps = std::atof(args.Get("qps", "2").c_str());
-  spec.queue_quota = std::atoi(args.Get("quota", "4").c_str());
-  spec.slo_ms = std::atof(args.Get("slo-ms", "250").c_str());
-  const int abusive = std::atoi(args.Get("abusive", "-1").c_str());
+  spec.num_tenants = args.Number<int>("tenants", 4);
+  spec.duration_min = args.Number<double>("duration-min", 1.0);
+  spec.seed = args.Number<uint64_t>("seed", 21);
+  spec.num_workers = args.Number<int>("workers", 8);
+  spec.base_qps = args.Number<double>("qps", 2.0);
+  spec.queue_quota = args.Number<int>("quota", 4);
+  spec.slo_ms = args.Number<double>("slo-ms", 250.0);
+  const int abusive = args.Number<int>("abusive", -1);
   if (spec.num_tenants <= 0 || spec.duration_min <= 0.0 ||
       spec.num_workers <= 0 || spec.base_qps <= 0.0 ||
       spec.queue_quota <= 0 || abusive >= spec.num_tenants) {
