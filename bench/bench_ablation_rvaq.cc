@@ -57,7 +57,7 @@ int main() {
                   bench::Fmt(result.accesses.seeks()),
                   bench::Fmt(result.accesses.sequential_rows()),
                   bench::Fmt("%.2f",
-                             bench::ModeledRuntimeMs(result.accesses) /
+                             result.accesses.ModeledMs() /
                                  1000.0)});
   }
   table.Print();

@@ -4,7 +4,7 @@
 // Each configuration runs the clip-lockstep serving loop against a
 // MemStore, snapshotting every N clips, and prices durability on the
 // same simulated timeline the serving bench uses: a snapshot costs one
-// seek (bench_util.h kSeekMs) plus a per-byte write cost, observed into
+// seek (storage::kModeledSeekMs) plus a per-byte write cost, observed into
 // vaq_ckpt_snapshot_modeled_ms by the server. The overhead ratio is that
 // total against the session's simulated model time. Logical results must
 // be byte-identical across intervals — checkpointing is pure overhead,

@@ -27,7 +27,7 @@ int main() {
       {"method", "K=1", "K=5", "K=9", "K=11", "K=13", "K=15"});
 
   auto cell = [](const offline::TopKResult& result) {
-    return bench::Fmt("%.2f", bench::ModeledRuntimeMs(result.accesses) /
+    return bench::Fmt("%.2f", result.accesses.ModeledMs() /
                                   1000.0) +
            "; " + bench::Fmt("%.3f",
                              static_cast<double>(result.accesses.seeks()) /

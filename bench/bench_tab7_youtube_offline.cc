@@ -13,7 +13,7 @@ int main() {
       "seeks x1000",
       {"query", "FA", "RVAQ-noSkip", "Pq-Traverse", "RVAQ"});
   auto cell = [](const offline::TopKResult& result) {
-    return bench::Fmt("%.2f", bench::ModeledRuntimeMs(result.accesses) /
+    return bench::Fmt("%.2f", result.accesses.ModeledMs() /
                                   1000.0) +
            "; " + bench::Fmt("%.3f",
                              static_cast<double>(result.accesses.seeks()) /

@@ -29,10 +29,10 @@ int main() {
     std::vector<std::string> row = {synth::MovieName(id)};
     for (int64_t k : {1L, 3L, 5L, 7L, 9L, 11L, max_k}) {
       k = std::min(k, max_k);
-      const double traverse_ms = bench::ModeledRuntimeMs(
-          offline::PqTraverse(fixture.tables, fixture.scoring, k).accesses);
-      const double rvaq_ms =
-          bench::ModeledRuntimeMs(fixture.RunRvaq(k).accesses);
+      const double traverse_ms =
+          offline::PqTraverse(fixture.tables, fixture.scoring, k)
+              .accesses.ModeledMs();
+      const double rvaq_ms = fixture.RunRvaq(k).accesses.ModeledMs();
       row.push_back(bench::Fmt("%.2fx", traverse_ms / rvaq_ms));
     }
     row.push_back(bench::Fmt(max_k));

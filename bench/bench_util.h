@@ -15,23 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "storage/access_counter.h"
-
 namespace vaq {
 namespace bench {
-
-// Disk cost model used to put the offline algorithms on the paper's
-// runtime scale (Tables 6-8): a seek-incurring access (random lookup or
-// the start of a range scan) costs kSeekMs; a sequentially streamed row
-// costs kRowMs. The 500:1 ratio reflects magnetic storage, which the
-// paper's runtime ordering (random-access-bound FA slowest, sequential
-// Pq-Traverse fast despite touching every clip) presupposes.
-inline constexpr double kSeekMs = 5.0;
-inline constexpr double kRowMs = 0.01;
-
-inline double ModeledRuntimeMs(const storage::AccessCounter& accesses) {
-  return accesses.ModeledMs(kSeekMs, kRowMs);
-}
 
 // Simple fixed-width table printer with a trailing CSV block.
 class TablePrinter {

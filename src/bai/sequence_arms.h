@@ -23,11 +23,10 @@
 namespace vaq {
 namespace bai {
 
-// Base seed for WITH CONFIDENCE statements that carry no explicit seed
-// (the session and the cluster coordinator both derive per-video stream
-// seeds from it via offline::PerVideoIdentifierSeed, so single-node and
-// sharded execution pull identical streams for the same video). Part of
-// the determinism contract.
+// Base seed of every WITH CONFIDENCE statement (query::RankedStatement
+// sets it; offline::ScopeToVideo derives each video's stream seed from
+// it, so single-node and sharded execution pull identical streams for the
+// same video). Part of the determinism contract.
 inline constexpr uint64_t kQueryBaseSeed = 0x51e8c7b9325fa60dULL;
 
 // Deterministic rendering of the certificate summary surfaced in

@@ -582,72 +582,30 @@ StatusOr<query::QueryResult> Coordinator::ExecuteRanked(
         "cluster ranked execution supports conjunctive statements only "
         "(general CNF ranking is single-node; see DESIGN.md §11)");
   }
-  offline::RvaqOptions options;
-  options.k = stmt.limit > 0 ? stmt.limit : 5;
-  // Cascade planning (WITH RECALL < 1.0), mirroring the single-node
-  // session: the plan is made once here and its thresholds ship with the
-  // scatter, so every shard prunes locally before binding tables. A
-  // target of exactly 1.0 skips this block — no plan, no counters, no
-  // extra wire bytes — keeping the exact path byte-identical.
-  std::shared_ptr<const cascade::PlannedQuery> planned;
-  int64_t plan_wire_bytes = 0;
-  query::QueryResult result;
-  if (stmt.recall_target < 1.0) {
-    const obs::QueryContext cascade_phase = ctx.Child("cascade");
-    cascade::CascadePlan fallback;  // Exact, without a proxy tier.
-    fallback.recall_target = stmt.recall_target;
-    if (planner_ != nullptr) {
-      VAQ_ASSIGN_OR_RETURN(planned, planner_->Lookup(stmt.action, stmt.objects,
-                                                     stmt.recall_target));
-    }
-    const cascade::CascadePlan& plan =
-        planned != nullptr ? planned->plan : fallback;
-    cascade::CountPlan(plan);
-    result.cascade_plan = plan.ToString();
-    cascade_phase.AddStat("clips_total", plan.clips_total);
-    cascade_phase.AddStat("clips_surviving", plan.clips_surviving);
-    if (plan.use_cascade) {
-      options.prefilter = planned->filters.get();
-      plan_wire_bytes = plan.WireBytes();
-    }
+  // The plan's thresholds and the identifier ship with the scatter: each
+  // shard prunes and identifies locally.
+  VAQ_ASSIGN_OR_RETURN(query::RankedStatement ranked,
+                       query::RankedStatement::Plan(stmt, planner_.get(), ctx));
+  ranked.OpenSamplingPhase();
+  VAQ_ASSIGN_OR_RETURN(
+      const ClusterTopKResult cluster,
+      TopK(stmt.action, stmt.objects, ranked.scoring(), ranked.options(), ctx,
+           ranked.plan_wire_bytes()));
+  const offline::RepositoryTopKResult& merged = cluster.merged;
+  std::vector<offline::RankedSequence> rows;
+  rows.reserve(merged.top.size());
+  for (const offline::RepositoryRankedSequence& entry : merged.top) {
+    rows.push_back(entry.sequence);
   }
-  // Adaptive sampling (WITH CONFIDENCE δ > 0), mirroring the single-node
-  // session: each shard identifies locally with per-video seeds derived
-  // from the shared base, so the gather only ever sees batches built from
-  // surviving arms — eliminated arms never become wire entries. δ absent
-  // or 0 skips the block, keeping the exact path byte-identical.
-  std::unique_ptr<bai::SequenceArms> identifier;
-  obs::QueryContext bai_phase;
-  if (stmt.confidence_delta > 0.0) {
-    bai_phase = ctx.Child("bai");
-    identifier.reset(new bai::SequenceArms(
-        bai::SequenceArms::AtConfidence(stmt.confidence_delta)));
-    options.identifier = identifier.get();
-    options.identifier_seed = bai::kQueryBaseSeed;  // Nodes derive per video.
-  }
-  VAQ_ASSIGN_OR_RETURN(ClusterTopKResult cluster,
-                       TopK(stmt.action, stmt.objects, scoring_, options, ctx,
-                            plan_wire_bytes));
-  if (stmt.confidence_delta > 0.0) {
-    bai_phase.AddStat("pulls", cluster.merged.bai_pulls);
-    bai_phase.AddStat("arms_eliminated", cluster.merged.bai_arms_eliminated);
-    bai_phase.AddStat("stops", cluster.merged.bai_stops);
-    result.bai_pulls = cluster.merged.bai_pulls;
-    result.bai_arms_eliminated = cluster.merged.bai_arms_eliminated;
-    result.bai_certificate = bai::RenderAggregateCertificate(
-        stmt.confidence_delta, cluster.merged.bai_pulls,
-        cluster.merged.bai_arms_eliminated, cluster.merged.bai_stops);
-  }
-  result.online = false;
-  result.accesses = cluster.merged.accesses;
-  result.ranked.reserve(cluster.merged.top.size());
-  IntervalSet merged;
-  for (const offline::RepositoryRankedSequence& entry : cluster.merged.top) {
-    result.ranked.push_back(entry.sequence);
-    merged.Add(entry.sequence.clips);
-  }
-  result.sequences = std::move(merged);
-  return result;
+  return std::move(ranked).Finish(
+      std::move(rows), merged.accesses, merged.bai_pulls,
+      merged.bai_arms_eliminated,
+      [&merged](double delta, const obs::QueryContext& bai_phase) {
+        bai_phase.AddStat("stops", merged.bai_stops);
+        return bai::RenderAggregateCertificate(delta, merged.bai_pulls,
+                                               merged.bai_arms_eliminated,
+                                               merged.bai_stops);
+      });
 }
 
 const std::vector<std::string>& LayoutInvariantMetricPrefixes() {

@@ -195,8 +195,10 @@ class Coordinator : public query::RankedBackend {
                                    const obs::QueryContext& ctx = {},
                                    int64_t plan_wire_bytes = 0) const;
 
-  // query::RankedBackend: routes a parsed ranked statement (conjunctive
-  // form) through TopK with the coordinator's own PaperScoring.
+  // query::RankedBackend: plans a parsed conjunctive statement through
+  // the ranked-statement front end (query::RankedStatement, over the
+  // coordinator's planner) and runs it as one TopK. Only that execution
+  // step and the aggregate certificate are the coordinator's own.
   StatusOr<query::QueryResult> ExecuteRanked(
       const query::QueryStatement& stmt, const obs::QueryContext& ctx) override;
 
@@ -223,7 +225,6 @@ class Coordinator : public query::RankedBackend {
   // Serial of the last ranked statement; TopK is logically const.
   mutable uint64_t statements_ = 0;
   ClusterOptions options_;
-  offline::PaperScoring scoring_;
   // Plans WITH RECALL statements over options_.proxy; null without one.
   std::unique_ptr<const cascade::Planner> planner_;
   std::vector<std::vector<std::string>> shard_videos_;

@@ -32,7 +32,7 @@ StatusOr<const ShardRun*> Node::RunRanked(offline::RankedScan* scan) {
                                         offline::RankedMergeScore(sequence)});
     }
   }
-  run_.modeled_ms = run_.accesses.ModeledMs(kShardSeekMs, kShardRowMs);
+  run_.modeled_ms = run_.accesses.ModeledMs();
   // The gather stream: descending merge score. The tie order does not
   // affect the merged result (the coordinator merges by single-node
   // position), but (video rank, rank) keeps it deterministic — and,

@@ -32,11 +32,6 @@
 namespace vaq {
 namespace cluster {
 
-// Modeled disk cost of a shard scan, matching the serving layer's model
-// (serve::Server) so single-node and per-shard timings are comparable.
-inline constexpr double kShardSeekMs = 5.0;
-inline constexpr double kShardRowMs = 0.01;
-
 // One video of a shard, resolved once per layout.
 struct ShardVideo {
   std::string name;

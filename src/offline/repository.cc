@@ -83,6 +83,25 @@ RankedScanTotals& RankedScanTotals::operator+=(const RankedScanTotals& other) {
   return *this;
 }
 
+bool ScopeToVideo(const std::string& name, RvaqOptions* options) {
+  if (options->prefilter != nullptr) {
+    const IntervalSet* surviving = options->prefilter->SurvivingClips(name);
+    if (surviving != nullptr && surviving->empty()) {
+      static obs::Counter* const videos_pruned =
+          obs::MetricRegistry::Global().GetCounter(
+              "vaq_cascade_videos_pruned_total");
+      videos_pruned->Increment();
+      return false;
+    }
+    options->clip_filter = surviving;  // nullptr: unconstrained video.
+  }
+  if (options->identifier != nullptr) {
+    options->identifier_seed =
+        PerVideoIdentifierSeed(options->identifier_seed, name);
+  }
+  return true;
+}
+
 RankedScan::RankedScan(std::string action, std::vector<std::string> objects,
                        const ScoringModel& scoring, RvaqOptions options)
     : action_(std::move(action)),
@@ -94,22 +113,9 @@ StatusOr<const std::vector<RankedSequence>*> RankedScan::Video(
     const std::string& name, const storage::VideoIndex& index,
     RankedScanTotals* totals) {
   RvaqOptions options = options_;
-  if (options.prefilter != nullptr) {
-    const IntervalSet* surviving = options.prefilter->SurvivingClips(name);
-    if (surviving != nullptr && surviving->empty()) {
-      // The proxy ruled out every clip: no table is even bound.
-      ++totals->videos_pruned;
-      static obs::Counter* const videos_pruned =
-          obs::MetricRegistry::Global().GetCounter(
-              "vaq_cascade_videos_pruned_total");
-      videos_pruned->Increment(1);
-      return &none_;
-    }
-    options.clip_filter = surviving;  // nullptr: unconstrained video.
-  }
-  if (options.identifier != nullptr) {
-    options.identifier_seed =
-        PerVideoIdentifierSeed(options_.identifier_seed, name);
+  if (!ScopeToVideo(name, &options)) {
+    ++totals->videos_pruned;  // No table is even bound.
+    return &none_;
   }
   const Status bound =
       BindByName(index, action_, objects_, workspace_.tables());

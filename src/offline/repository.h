@@ -120,6 +120,14 @@ StatusOr<TopKResult> QueryVideoTopK(const storage::VideoIndex& index,
                                     const ScoringModel& scoring,
                                     RvaqOptions options);
 
+// The per-video step of every ranked statement (RankedScan::Video and
+// query::ExecuteRankedStatement): narrows `options` to video `name`. The
+// prefilter's surviving clips become `clip_filter`, and the identifier's
+// base seed the video's own (PerVideoIdentifierSeed). Returns false,
+// counting vaq_cascade_videos_pruned_total, when the prefilter rules out
+// every clip: the video is answered without binding a table.
+bool ScopeToVideo(const std::string& name, RvaqOptions* options);
+
 // The accounting of a ranked statement over some videos, summed per video.
 struct RankedScanTotals {
   storage::AccessCounter accesses;
@@ -146,9 +154,8 @@ struct RankedScanTotals {
 class RankedScan {
  public:
   // `scoring` and the hooks in `options` must outlive the scan.
-  // `options.identifier_seed` is the statement's base seed; each video's
-  // seed derives from its NAME, so visit order and shard layout cannot
-  // move a video's pull streams.
+  // `options` are the statement's; each video runs them narrowed by
+  // ScopeToVideo.
   RankedScan(std::string action, std::vector<std::string> objects,
              const ScoringModel& scoring, RvaqOptions options);
 

@@ -66,11 +66,11 @@ class SequenceIdentifier {
                                    ClipScoreSource* source) const = 0;
 };
 
-// Per-video seed for RvaqOptions::identifier_seed. Every caller that fans
-// a ranked query out across videos (Repository::TopK, cluster::Node,
-// query::Session) derives the seed from the video NAME, never from loop
-// position — so shard layout, visit order and thread count cannot move
-// any video's pull streams.
+// Per-video seed for RvaqOptions::identifier_seed, derived from the
+// video NAME, never from loop position — so shard layout, visit order
+// and thread count cannot move any video's pull streams. Its one caller
+// under src/ is offline::ScopeToVideo (repository.h), the per-video step
+// every ranked statement runs, on one video or fanned out.
 inline uint64_t PerVideoIdentifierSeed(uint64_t base,
                                        std::string_view video) {
   return MixSeed(base, HashBytes(video));
@@ -103,9 +103,9 @@ struct RvaqOptions {
   //    any access is charged. Retained sequences keep their full
   //    extent, so their scores and bounds are byte-identical to an
   //    unfiltered run.
-  //  * `prefilter` is the repository/cluster-scope resolver consulted
-  //    by Repository::TopK and cluster::Node per video; it is how one
-  //    plan ships across shards (each node resolves locally).
+  //  * `prefilter` is the statement-scope resolver ScopeToVideo
+  //    consults per video; it is how one plan ships across shards (each
+  //    node resolves locally).
   const IntervalSet* clip_filter = nullptr;
   const ClipFilterProvider* prefilter = nullptr;
   // Adaptive-sampling hook (WITH CONFIDENCE δ, src/bai/). nullptr on the
@@ -116,8 +116,8 @@ struct RvaqOptions {
   // and runs the exact bound loop on the survivors only.
   const SequenceIdentifier* identifier = nullptr;
   // Per-video stream seed for `identifier` (see PerVideoIdentifierSeed).
-  // Fan-out callers (Repository::TopK, cluster::Node) treat the value they
-  // receive as the query-level base and re-derive per video.
+  // A statement's options carry the query-level base; ScopeToVideo
+  // re-derives it per video.
   uint64_t identifier_seed = 0;
 };
 

@@ -74,106 +74,103 @@ detect::ModelBundle MakeStatementModels(const std::vector<std::string>& names,
   return detect::ModelBundle::MaskRcnnI3d(truth, seed);
 }
 
+StatusOr<std::shared_ptr<const cascade::PlannedQuery>> PlanRecall(
+    const QueryStatement& stmt, const cascade::Planner* planner,
+    const obs::QueryContext& ctx, std::string* plan_text) {
+  std::shared_ptr<const cascade::PlannedQuery> planned;
+  if (stmt.recall_target >= 1.0) return planned;
+  const obs::QueryContext phase = ctx.Child("cascade");
+  cascade::CascadePlan fallback;
+  fallback.recall_target = stmt.recall_target;
+  if (planner != nullptr && stmt.IsConjunctive()) {
+    VAQ_ASSIGN_OR_RETURN(planned, planner->Lookup(stmt.action, stmt.objects,
+                                                  stmt.recall_target));
+  }
+  const cascade::CascadePlan& plan =
+      planned != nullptr ? planned->plan : fallback;
+  cascade::CountPlan(plan);
+  *plan_text = plan.ToString();
+  phase.AddStat("clips_total", plan.clips_total);
+  phase.AddStat("clips_surviving", plan.clips_surviving);
+  if (!plan.use_cascade) planned.reset();
+  return planned;
+}
+
+StatusOr<RankedStatement> RankedStatement::Plan(
+    const QueryStatement& stmt, const cascade::Planner* planner,
+    const obs::QueryContext& ctx) {
+  // Both scorings are stateless, so every statement shares one of each.
+  static const offline::PaperScoring paper_scoring;
+  static const offline::CnfScoring cnf_scoring;
+  RankedStatement out;
+  out.ctx_ = ctx;
+  out.scoring_ = &paper_scoring;
+  if (!stmt.IsConjunctive()) out.scoring_ = &cnf_scoring;
+  out.options_.k = stmt.limit > 0 ? stmt.limit : 5;
+  VAQ_ASSIGN_OR_RETURN(
+      out.planned_,
+      PlanRecall(stmt, planner, ctx, &out.result_.cascade_plan));
+  if (out.planned_ != nullptr) {
+    out.options_.prefilter = out.planned_->filters.get();
+    out.plan_wire_bytes_ = out.planned_->plan.WireBytes();
+  }
+  // WITH CONFIDENCE δ > 0. Without it no identifier, "bai" node, metric
+  // or certificate exists, keeping the exact path byte-identical to a
+  // build without src/bai/. Rvaq::Run prefilters before it samples.
+  if (stmt.confidence_delta > 0.0) {
+    out.delta_ = stmt.confidence_delta;
+    out.identifier_ = std::make_unique<const bai::SequenceArms>(
+        bai::SequenceArms::AtConfidence(stmt.confidence_delta));
+    out.options_.identifier = out.identifier_.get();
+    out.options_.identifier_seed = bai::kQueryBaseSeed;
+  }
+  return out;
+}
+
+void RankedStatement::OpenSamplingPhase() {
+  if (identifier_ != nullptr && !sampling_phase_.active()) {
+    sampling_phase_ = ctx_.Child("bai");
+  }
+}
+
 StatusOr<QueryResult> ExecuteRankedStatement(
     const QueryStatement& stmt, const storage::VideoIndex& index,
-    const offline::ScoringModel& scoring,
-    const offline::ScoringModel& cnf_scoring,
-    const obs::QueryContext& ctx,
-    const cascade::Planner* planner) {
+    const obs::QueryContext& ctx, const cascade::Planner* planner) {
   VAQ_TRACE_SPAN("session/ranked_query");
-  QueryResult result;
-  // Cascade planning (WITH RECALL < 1.0). A target of exactly 1.0 skips
-  // this block entirely — no plan, no counters, no extra phase node — so
-  // exact-path results stay byte-identical to pre-cascade builds.
-  std::shared_ptr<const cascade::PlannedQuery> planned;
-  const IntervalSet* surviving = nullptr;
-  if (stmt.recall_target < 1.0) {
-    const obs::QueryContext cascade_phase = ctx.Child("cascade");
-    // No proxy tier registered, or a CNF statement the planner does not
-    // model: fall back to the exact path while honoring the clause.
-    cascade::CascadePlan fallback;
-    fallback.recall_target = stmt.recall_target;
-    if (planner != nullptr && stmt.IsConjunctive()) {
-      VAQ_ASSIGN_OR_RETURN(planned, planner->Lookup(stmt.action, stmt.objects,
-                                                    stmt.recall_target));
-    }
-    const cascade::CascadePlan& plan =
-        planned != nullptr ? planned->plan : fallback;
-    cascade::CountPlan(plan);
-    result.cascade_plan = plan.ToString();
-    cascade_phase.AddStat("clips_total", plan.clips_total);
-    cascade_phase.AddStat("clips_surviving", plan.clips_surviving);
-    if (plan.use_cascade) {
-      surviving = planned->filters->SurvivingClips(stmt.video);
-      if (surviving != nullptr && surviving->empty()) {
-        // The proxy rules out the whole video: answer without binding.
-        static obs::Counter* const videos_pruned =
-            obs::MetricRegistry::Global().GetCounter(
-                "vaq_cascade_videos_pruned_total");
-        videos_pruned->Increment();
-        result.online = false;
-        return result;
-      }
-    }
+  VAQ_ASSIGN_OR_RETURN(RankedStatement ranked,
+                       RankedStatement::Plan(stmt, planner, ctx));
+  offline::RvaqOptions options = ranked.options();
+  if (!offline::ScopeToVideo(stmt.video, &options)) {
+    return std::move(ranked).Pruned();
   }
   const obs::QueryContext phase = ctx.Child("ranked");
   obs::ScopedQueryContext scoped(phase);
   offline::QueryTables tables;
-  const offline::ScoringModel* bound_scoring = &scoring;
   if (stmt.IsConjunctive()) {
     VAQ_ASSIGN_OR_RETURN(
         tables, offline::BindByName(index, stmt.action, stmt.objects));
   } else {
     VAQ_ASSIGN_OR_RETURN(tables, BindCnfByName(index, stmt.cnf_clauses));
-    bound_scoring = &cnf_scoring;
   }
-  offline::RvaqOptions options;
-  options.k = stmt.limit > 0 ? stmt.limit : 5;
-  options.clip_filter = surviving;
-  // Adaptive sampling (WITH CONFIDENCE δ > 0). δ absent or exactly 0
-  // skips this block entirely — no identifier, no "bai" phase node, no
-  // metric — so exact-path results and metric snapshots stay
-  // byte-identical to a build without src/bai/. With both clauses
-  // present the cascade's clip filter prunes first, then sampling runs
-  // on the survivors (Rvaq::Run orders the two hooks).
-  std::unique_ptr<bai::SequenceArms> identifier;
-  obs::QueryContext bai_phase;
-  if (stmt.confidence_delta > 0.0) {
-    bai_phase = ctx.Child("bai");
-    identifier.reset(new bai::SequenceArms(
-        bai::SequenceArms::AtConfidence(stmt.confidence_delta)));
-    options.identifier = identifier.get();
-    options.identifier_seed = offline::PerVideoIdentifierSeed(
-        bai::kQueryBaseSeed, stmt.video);
-  }
-  offline::Rvaq rvaq(&tables, bound_scoring, options);
-  offline::TopKResult topk = rvaq.Run();
+  offline::TopKResult topk =
+      offline::Rvaq(&tables, &ranked.scoring(), options).Run();
   if (topk.candidates_pruned > 0) {
     phase.AddStat("candidates_pruned", topk.candidates_pruned);
   }
-  if (stmt.confidence_delta > 0.0) {
-    bai_phase.AddStat("pulls", topk.bai_pulls);
-    bai_phase.AddStat("arms_eliminated", topk.bai_arms_eliminated);
-    bai_phase.AddStat("stopped", topk.bai_stopped ? 1 : 0);
-    result.bai_pulls = topk.bai_pulls;
-    result.bai_arms_eliminated = topk.bai_arms_eliminated;
-    result.bai_certificate = bai::RenderCertificate(
-        stmt.confidence_delta, topk.bai_pulls, topk.bai_arms_eliminated,
-        topk.bai_stopped, topk.bai_stopping_statistic);
-  }
-  result.online = false;
-  result.ranked = std::move(topk.top);
-  result.accesses = topk.accesses;
-  IntervalSet merged;
-  for (const offline::RankedSequence& seq : result.ranked) {
-    merged.Add(seq.clips);
-  }
-  result.sequences = std::move(merged);
-  phase.AddMs(result.accesses.ModeledMs(kModeledSeekMs, kModeledRowMs));
-  phase.AddStat("seeks", result.accesses.seeks());
-  phase.AddStat("sequential_rows", result.accesses.sequential_rows());
-  phase.AddStat("results", static_cast<int64_t>(result.ranked.size()));
-  return result;
+  phase.AddMs(topk.accesses.ModeledMs());
+  phase.AddStat("seeks", topk.accesses.seeks());
+  phase.AddStat("sequential_rows", topk.accesses.sequential_rows());
+  phase.AddStat("results", static_cast<int64_t>(topk.top.size()));
+  return std::move(ranked).Finish(
+      std::move(topk.top), topk.accesses, topk.bai_pulls,
+      topk.bai_arms_eliminated,
+      [&topk](double delta, const obs::QueryContext& bai_phase) {
+        bai_phase.AddStat("stopped", topk.bai_stopped ? 1 : 0);
+        return bai::RenderCertificate(delta, topk.bai_pulls,
+                                      topk.bai_arms_eliminated,
+                                      topk.bai_stopped,
+                                      topk.bai_stopping_statistic);
+      });
 }
 
 StatusOr<CnfQuery> OnlineStatementQuery(const QueryStatement& stmt,
@@ -276,8 +273,7 @@ StatusOr<QueryResult> Session::Execute(const QueryStatement& stmt,
       return Status::NotFound("no repository video named '" + stmt.video +
                               "'");
     }
-    return ExecuteRankedStatement(stmt, it->second, scoring_, cnf_scoring_,
-                                  ctx, planner_.get());
+    return ExecuteRankedStatement(stmt, it->second, ctx, planner_.get());
   }
 
   static obs::Counter* const online = obs::MetricRegistry::Global()

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cascade/planner.h"
@@ -29,13 +30,6 @@
 
 namespace vaq {
 namespace query {
-
-// Modeled disk cost of the offline access path: every seek-like access
-// costs kModeledSeekMs, every sequentially streamed row kModeledRowMs.
-// One definition shared by EXPLAIN ANALYZE profiles, the serving layer's
-// per-query accounting and the benches, so the numbers reconcile.
-inline constexpr double kModeledSeekMs = 5.0;
-inline constexpr double kModeledRowMs = 0.01;
 
 // Uniform result of a statement.
 struct QueryResult {
@@ -108,18 +102,88 @@ StatusOr<QueryResult> ExecuteOnlineStatement(
     const online::SvaqdOptions& options, detect::ModelBundle* models,
     const obs::QueryContext& ctx = {});
 
-// Runs a ranked (repository) statement against `index`. `scoring` serves
-// conjunctive statements, `cnf_scoring` general CNF ones; both are
-// stateless and may be shared across threads. `ctx` as above. When the
-// statement carries WITH RECALL < 1.0 and `planner`'s proxy set covers
-// the video, the cascade plan (src/cascade/) comes from `planner` and
-// the proxy pre-filter prunes candidate sequences before RVAQ binds
-// tables; otherwise the statement falls back to the exact path. A
-// recall target of exactly 1.0 never consults the planner.
+// The WITH RECALL step, shared by RankedStatement and serve::Server's
+// standing admission. τ = 1.0 does nothing (no plan, counter or profile
+// node), keeping the exact path byte-identical to a build without
+// src/cascade/. Otherwise `planner` plans the statement; without one, or
+// for a CNF statement (outside its cost model), an exact plan honors the
+// clause. The plan is counted (cascade::CountPlan), rendered into
+// `*plan_text` and reported on a "cascade" child of `ctx`. Returns the
+// planned query when it cascades, null on the exact path.
+StatusOr<std::shared_ptr<const cascade::PlannedQuery>> PlanRecall(
+    const QueryStatement& stmt, const cascade::Planner* planner,
+    const obs::QueryContext& ctx, std::string* plan_text);
+
+// The ranked-statement front end: every executor (ExecuteRankedStatement
+// on one video, cluster::Coordinator::ExecuteRanked on the corpus) plans
+// its statement here and keeps only its execution step, which runs
+// offline::ScopeToVideo per video, and its certificate renderer.
+// options() holds k, the WITH RECALL prefilter and the WITH CONFIDENCE
+// identifier at δ on bai::kQueryBaseSeed; scoring() is PaperScoring for a
+// conjunction, CnfScoring for CNF.
+class RankedStatement {
+ public:
+  static StatusOr<RankedStatement> Plan(const QueryStatement& stmt,
+                                        const cascade::Planner* planner,
+                                        const obs::QueryContext& ctx);
+
+  const offline::ScoringModel& scoring() const { return *scoring_; }
+  const offline::RvaqOptions& options() const { return options_; }
+  // Modeled wire size of the prefilter's thresholds; 0 on the exact path.
+  int64_t plan_wire_bytes() const { return plan_wire_bytes_; }
+
+  // Creates a sampling statement's "bai" profile node now, ahead of the
+  // executor's own phase nodes; Finish creates it after them otherwise.
+  void OpenSamplingPhase();
+
+  // The answer when the prefilter rules out the statement's one video:
+  // the plan alone.
+  QueryResult Pruned() && { return std::move(result_); }
+
+  // The answer of a run: rows best first, their merged sequences and the
+  // accesses. A sampling statement also gets its pull and elimination
+  // counts, on the result and on the "bai" node, and the certificate the
+  // executor's `certificate(delta, bai_node)` renders.
+  template <typename Certificate>
+  QueryResult Finish(std::vector<offline::RankedSequence> ranked,
+                     const storage::AccessCounter& accesses,
+                     int64_t bai_pulls, int64_t bai_arms_eliminated,
+                     Certificate certificate) && {
+    result_.ranked = std::move(ranked);
+    result_.accesses = accesses;
+    for (const offline::RankedSequence& seq : result_.ranked) {
+      result_.sequences.Add(seq.clips);
+    }
+    if (identifier_ != nullptr) {
+      OpenSamplingPhase();
+      sampling_phase_.AddStat("pulls", bai_pulls);
+      sampling_phase_.AddStat("arms_eliminated", bai_arms_eliminated);
+      result_.bai_pulls = bai_pulls;
+      result_.bai_arms_eliminated = bai_arms_eliminated;
+      result_.bai_certificate = certificate(delta_, sampling_phase_);
+    }
+    return std::move(result_);
+  }
+
+ private:
+  RankedStatement() = default;
+
+  obs::QueryContext ctx_;
+  obs::QueryContext sampling_phase_;
+  const offline::ScoringModel* scoring_ = nullptr;
+  offline::RvaqOptions options_;
+  std::shared_ptr<const cascade::PlannedQuery> planned_;  // Null if exact.
+  int64_t plan_wire_bytes_ = 0;
+  std::unique_ptr<const offline::SequenceIdentifier> identifier_;
+  double delta_ = 0.0;
+  QueryResult result_;  // Holds the rendered plan until answered.
+};
+
+// Runs a ranked (repository) statement against `index`: the front end
+// above with `planner`, then one RVAQ run over the bound tables. `ctx` as
+// above.
 StatusOr<QueryResult> ExecuteRankedStatement(
     const QueryStatement& stmt, const storage::VideoIndex& index,
-    const offline::ScoringModel& scoring,
-    const offline::ScoringModel& cnf_scoring,
     const obs::QueryContext& ctx = {},
     const cascade::Planner* planner = nullptr);
 
@@ -195,8 +259,6 @@ class Session {
   std::map<std::string, storage::VideoIndex> repositories_;
   std::map<std::string, RankedBackend*> backends_;
   std::unique_ptr<const cascade::Planner> planner_;
-  offline::PaperScoring scoring_;
-  offline::CnfScoring cnf_scoring_;
 };
 
 }  // namespace query

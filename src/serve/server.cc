@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "cascade/store.h"
@@ -17,13 +18,9 @@ namespace vaq {
 namespace serve {
 namespace {
 
-// The repo-wide disk cost model (query/session.h; bench/bench_util.h uses
-// the same scale): a seek-like operation costs 5 ms, a sequentially
-// streamed row 0.01 ms.
-constexpr double kSeekMs = query::kModeledSeekMs;
-constexpr double kRowMs = query::kModeledRowMs;
 // Modeled cost of writing one snapshot byte (sequential, row-rate scaled
-// down to bytes); a snapshot charges one seek plus this per byte.
+// down to bytes); a snapshot charges one seek (storage::kModeledSeekMs)
+// plus this per byte.
 constexpr double kSnapshotByteMs = 1e-5;
 
 // Snapshot blob record tags (ckpt::Serializer framing). Append-only
@@ -48,24 +45,6 @@ std::string FormatMs(double ms) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", ms);
   return buf;
-}
-
-// Per-advance stat delta over a (possibly shared) bundle's cumulative
-// counters. Field-by-field subtraction keeps simulated_ms exact: the
-// cumulative values on both sides are bit-identical across a recovery,
-// so the differences are too.
-detect::ModelStats StatsDelta(const detect::ModelStats& after,
-                              const detect::ModelStats& before) {
-  detect::ModelStats d;
-  d.inferences = after.inferences - before.inferences;
-  d.type_queries = after.type_queries - before.type_queries;
-  d.simulated_ms = after.simulated_ms - before.simulated_ms;
-  d.faults_injected = after.faults_injected - before.faults_injected;
-  d.retries = after.retries - before.retries;
-  d.failures = after.failures - before.failures;
-  d.fallbacks = after.fallbacks - before.fallbacks;
-  d.breaker_trips = after.breaker_trips - before.breaker_trips;
-  return d;
 }
 
 void EncodeModelStats(const detect::ModelStats& s, ckpt::Payload* out) {
@@ -407,6 +386,27 @@ void Server::WorkerLoop(WorkerState* state) {
   }
 }
 
+detect::ModelBundle* Server::AcquireModels(const std::string& name,
+                                           const StreamSource& source,
+                                           const query::QueryStatement& stmt,
+                                           detect::ModelBundle* owned,
+                                           const obs::QueryContext& ctx) {
+  const auto make = [&] {
+    return query::MakeStatementModels(stmt.models, source.scenario.truth(),
+                                      source.model_seed);
+  };
+  if (!options_.share_detection_cache) {
+    *owned = make();
+    return owned;
+  }
+  bool created = false;
+  detect::ModelBundle* models = cache_.Acquire(
+      name, query::StatementModelStack(stmt.models), make, &created);
+  (created ? cache_misses_bundle_ : cache_hits_bundle_)->Increment();
+  ctx.AddStat(created ? "cache_bundle_misses" : "cache_bundle_hits", 1);
+  return models;
+}
+
 ServedQuery Server::RunQuery(const PendingQuery& pending, WorkerState* state) {
   ServedQuery out;
   out.id = pending.id;
@@ -426,39 +426,21 @@ ServedQuery Server::RunQuery(const PendingQuery& pending, WorkerState* state) {
   obs::ScopedQueryContext scoped(exec);
   if (pending.ranked) {
     const storage::VideoIndex& index = repositories_.at(pending.source);
-    auto run =
-        query::ExecuteRankedStatement(pending.stmt, index, scoring_,
-                                      cnf_scoring_, exec);
+    auto run = query::ExecuteRankedStatement(pending.stmt, index, exec);
     if (!run.ok()) {
       out.status = run.status();
     } else {
       out.result = std::move(run).value();
-      out.simulated_ms = out.result.accesses.ModeledMs(kSeekMs, kRowMs);
+      out.simulated_ms = out.result.accesses.ModeledMs();
       state->accesses.Merge(out.result.accesses);
     }
     query_ms_ranked_->Observe(out.simulated_ms);
   } else {
     const StreamSource& source = streams_.at(pending.source);
-    const std::string stack = query::StatementModelStack(pending.stmt.models);
     detect::ModelBundle local_models;
-    detect::ModelBundle* models = nullptr;
-    if (options_.share_detection_cache) {
-      bool created = false;
-      models = cache_.Acquire(
-          pending.source, stack,
-          [&] {
-            return query::MakeStatementModels(pending.stmt.models,
-                                              source.scenario.truth(),
-                                              source.model_seed);
-          },
-          &created);
-      (created ? cache_misses_bundle_ : cache_hits_bundle_)->Increment();
-      exec.AddStat(created ? "cache_bundle_misses" : "cache_bundle_hits", 1);
-    } else {
-      local_models = query::MakeStatementModels(
-          pending.stmt.models, source.scenario.truth(), source.model_seed);
-      models = &local_models;
-    }
+    detect::ModelBundle* models = AcquireModels(pending.source, source,
+                                                pending.stmt, &local_models,
+                                                exec);
     auto run = query::ExecuteOnlineStatement(pending.stmt, source.scenario,
                                              source.options, models, exec);
     if (!run.ok()) {
@@ -607,28 +589,12 @@ Status Server::AdmitStandingLocked(int64_t id, const std::string& sql,
   q.id = id;
   q.sql = sql;
   q.source = stmt.video;
-  q.stack = query::StatementModelStack(stmt.models);
   if (options_.trace_queries) {
     q.trace = std::make_shared<obs::QueryTrace>("q" + std::to_string(id));
   }
   q.stmt = std::move(stmt);
   const StreamSource& source = streams_.at(q.source);
-  if (options_.share_detection_cache) {
-    bool created = false;
-    q.models = cache_.Acquire(
-        q.source, q.stack,
-        [&] {
-          return query::MakeStatementModels(q.stmt.models,
-                                            source.scenario.truth(),
-                                            source.model_seed);
-        },
-        &created);
-    (created ? cache_misses_bundle_ : cache_hits_bundle_)->Increment();
-  } else {
-    q.owned_models = query::MakeStatementModels(
-        q.stmt.models, source.scenario.truth(), source.model_seed);
-    q.models = &q.owned_models;
-  }
+  q.models = AcquireModels(q.source, source, q.stmt, &q.owned_models, {});
   auto cnf = query::OnlineStatementQuery(q.stmt, source.scenario.vocab());
   if (!cnf.ok()) {
     q.status = cnf.status();
@@ -650,7 +616,9 @@ Status Server::AdmitStandingLocked(int64_t id, const std::string& sql,
 
 Status Server::PlanStandingCascadeLocked(StandingQuery* q,
                                          const StreamSource& source) {
-  std::shared_ptr<const cascade::PlannedQuery> planned;
+  // The planner models conjunctions only: a CNF statement loads no proxy
+  // index and PlanRecall falls back to the exact path.
+  std::optional<cascade::Planner> planner;
   if (q->stmt.IsConjunctive()) {
     cascade::ProxySet& set = proxies_[q->source];
     if (set.find(q->source) == set.end()) {
@@ -665,19 +633,13 @@ Status Server::PlanStandingCascadeLocked(StandingQuery* q,
               detect::ModelProfile::ProxyCnn(), source.model_seed));
       set.emplace(q->source, std::move(index));
     }
-    const cascade::Planner planner(&set);
-    VAQ_ASSIGN_OR_RETURN(planned, planner.Lookup(q->stmt.action,
-                                                 q->stmt.objects,
-                                                 q->stmt.recall_target));
+    planner.emplace(&set);
   }
-  // CNF statements are outside the planner's cost model: exact path.
-  cascade::CascadePlan fallback;
-  fallback.recall_target = q->stmt.recall_target;
-  const cascade::CascadePlan& plan =
-      planned != nullptr ? planned->plan : fallback;
-  cascade::CountPlan(plan);
-  q->cascade_plan = plan.ToString();
-  if (plan.use_cascade) {
+  VAQ_ASSIGN_OR_RETURN(
+      const std::shared_ptr<const cascade::PlannedQuery> planned,
+      query::PlanRecall(q->stmt, planner ? &*planner : nullptr, {},
+                        &q->cascade_plan));
+  if (planned != nullptr) {
     const IntervalSet* surviving =
         planned->filters->SurvivingClips(q->source);
     if (surviving != nullptr) {
@@ -699,6 +661,11 @@ Status Server::WalTornAdvance(const std::string& source) {
     return Status::FailedPrecondition(
         "torn advance needs a checkpoint store");
   }
+  VAQ_ASSIGN_OR_RETURN(const int64_t pos, NextClipLocked(source));
+  return LogClipLocked(source, pos);
+}
+
+StatusOr<int64_t> Server::NextClipLocked(const std::string& source) const {
   if (standing_finished_) {
     return Status::FailedPrecondition("standing queries already finished");
   }
@@ -713,6 +680,10 @@ Status Server::WalTornAdvance(const std::string& source) {
     return Status::OutOfRange("stream '" + source + "' is exhausted (" +
                               std::to_string(num_clips) + " clips)");
   }
+  return pos;
+}
+
+Status Server::LogClipLocked(const std::string& source, int64_t pos) {
   ckpt::Payload wal;
   wal.PutString(source);
   wal.PutI64(pos);
@@ -720,27 +691,11 @@ Status Server::WalTornAdvance(const std::string& source) {
 }
 
 Status Server::AdvanceStreamLocked(const std::string& source) {
-  if (standing_finished_) {
-    return Status::FailedPrecondition("standing queries already finished");
-  }
-  auto it = streams_.find(source);
-  if (it == streams_.end()) {
-    return Status::NotFound("no stream named '" + source + "'");
-  }
-  auto pos_it = stream_pos_.find(source);
-  const int64_t pos = pos_it == stream_pos_.end() ? 0 : pos_it->second;
-  const int64_t num_clips = it->second.scenario.layout().NumClips();
-  if (pos >= num_clips) {
-    return Status::OutOfRange("stream '" + source + "' is exhausted (" +
-                              std::to_string(num_clips) + " clips)");
-  }
+  VAQ_ASSIGN_OR_RETURN(const int64_t pos, NextClipLocked(source));
   if (options_.checkpoint_store != nullptr && !replaying_) {
     // Log-before-apply, clip granularity: after a crash the replay
     // re-runs this advance on engines restored to exactly this position.
-    ckpt::Payload wal;
-    wal.PutString(source);
-    wal.PutI64(pos);
-    VAQ_RETURN_IF_ERROR(AppendWalLocked(kWalClip, wal));
+    VAQ_RETURN_IF_ERROR(LogClipLocked(source, pos));
   }
   double advance_ms = 0.0;
   for (const std::unique_ptr<StandingQuery>& owner : standing_) {
@@ -775,11 +730,11 @@ Status Server::AdvanceStreamLocked(const std::string& source) {
     }
     const detect::ModelStats det_delta =
         q.models->detector != nullptr
-            ? StatsDelta(q.models->detector->stats(), det_before)
+            ? q.models->detector->stats() - det_before
             : detect::ModelStats();
     const detect::ModelStats rec_delta =
         q.models->recognizer != nullptr
-            ? StatsDelta(q.models->recognizer->stats(), rec_before)
+            ? q.models->recognizer->stats() - rec_before
             : detect::ModelStats();
     q.det_acc += det_delta;
     q.rec_acc += rec_delta;
@@ -1006,12 +961,13 @@ Status Server::CheckpointLocked() {
   }
   ckpt_snapshots_->Increment();
   ckpt_snapshot_bytes_->Increment(static_cast<int64_t>(blob.size()));
-  ckpt_snapshot_ms_->Observe(kSeekMs +
-                             static_cast<double>(blob.size()) * kSnapshotByteMs);
+  const double snapshot_ms = storage::kModeledSeekMs +
+                             static_cast<double>(blob.size()) * kSnapshotByteMs;
+  ckpt_snapshot_ms_->Observe(snapshot_ms);
   if (session_trace_ != nullptr) {
     const obs::QueryContext snap_ctx =
         obs::QueryContext{session_trace_.get(), 0}.Child("snapshot");
-    snap_ctx.AddMs(kSeekMs + static_cast<double>(blob.size()) * kSnapshotByteMs);
+    snap_ctx.AddMs(snapshot_ms);
     snap_ctx.AddStat("snapshots", 1);
     snap_ctx.AddStat("bytes", static_cast<int64_t>(blob.size()));
   }

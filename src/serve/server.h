@@ -83,7 +83,6 @@
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
 #include "obs/query_trace.h"
-#include "offline/scoring.h"
 #include "online/streaming.h"
 #include "query/session.h"
 #include "serve/detection_cache.h"
@@ -323,7 +322,6 @@ class Server {
     int64_t id = 0;
     std::string sql;
     std::string source;  // Registered stream name.
-    std::string stack;   // Model stack (shared-cache key).
     query::QueryStatement stmt;
     std::unique_ptr<online::StreamingSvaqd> engine;
     detect::ModelBundle owned_models;  // Backing store when cache is off.
@@ -349,6 +347,13 @@ class Server {
   // Claims the head of the first idle non-empty shard in name order.
   bool ClaimNextLocked(PendingQuery* out, Shard** shard);
   ServedQuery RunQuery(const PendingQuery& pending, WorkerState* state);
+  // A statement's model bundle over stream `name`: the shared cache's,
+  // counted as a hit or miss (also on `ctx`), else a fresh `*owned`.
+  detect::ModelBundle* AcquireModels(const std::string& name,
+                                     const StreamSource& source,
+                                     const query::QueryStatement& stmt,
+                                     detect::ModelBundle* owned,
+                                     const obs::QueryContext& ctx);
   void MergeWorkerStatsLocked();
 
   // Standing-mode internals; callers hold mu_. Admit/Advance are shared
@@ -356,16 +361,20 @@ class Server {
   // the snapshot policy via replaying_).
   Status AdmitStandingLocked(int64_t id, const std::string& sql,
                              query::QueryStatement stmt);
-  // Plans the proxy cascade for a freshly admitted standing query whose
-  // statement carries WITH RECALL < 1.0: loads (or builds and persists,
-  // via the checkpoint store) the stream's proxy index, calibrates
-  // thresholds, and fills the query's surviving-clip set. CNF statements
-  // fall back to the exact path. Shared by live admission, snapshot
-  // restore and WAL replay, so a recovered session prunes the exact same
-  // clips the crashed one would have.
+  // Plans a freshly admitted standing query's WITH RECALL < 1.0 clause
+  // (query::PlanRecall) with a one-shot planner over the stream's proxy
+  // index, loaded or built and persisted via the checkpoint store, and
+  // fills the query's surviving-clip set. Shared by live admission,
+  // snapshot restore and WAL replay, so a recovered session prunes the
+  // exact same clips the crashed one would have.
   Status PlanStandingCascadeLocked(StandingQuery* q,
                                    const StreamSource& source);
   Status AdvanceStreamLocked(const std::string& source);
+  // The clip the next advance of `source` pushes, or why it cannot
+  // advance (finished, unregistered, exhausted).
+  StatusOr<int64_t> NextClipLocked(const std::string& source) const;
+  // WAL-logs the advance of `source` over clip `pos`.
+  Status LogClipLocked(const std::string& source, int64_t pos);
   Status CheckpointLocked();
   Status AppendWalLocked(uint32_t tag, const ckpt::Payload& payload);
   Status RestoreBlobLocked(uint32_t version,
@@ -377,8 +386,6 @@ class Server {
   // Immutable after the first Submit.
   std::map<std::string, StreamSource> streams_;
   std::map<std::string, storage::VideoIndex> repositories_;
-  const offline::PaperScoring scoring_;
-  const offline::CnfScoring cnf_scoring_;
 
   SharedDetectionCache cache_;
 

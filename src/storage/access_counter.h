@@ -19,6 +19,14 @@
 namespace vaq {
 namespace storage {
 
+// The repo's one modeled disk cost (profiles, shard scans, serving,
+// benches): a seek-like access costs kModeledSeekMs, a sequentially
+// streamed row kModeledRowMs. The 500:1 ratio reflects magnetic storage,
+// which the paper's runtime ordering (random-access-bound FA slowest,
+// sequential Pq-Traverse fast) presupposes.
+inline constexpr double kModeledSeekMs = 5.0;
+inline constexpr double kModeledRowMs = 0.01;
+
 struct AccessCounter {
   int64_t sorted_accesses = 0;   // Rows read in score order (sequential).
   int64_t reverse_accesses = 0;  // Rows read from the bottom (sequential).
@@ -39,12 +47,11 @@ struct AccessCounter {
   }
   void Reset() { *this = AccessCounter(); }
 
-  // Modeled disk time: every seek costs `seek_ms`, every sequentially
-  // streamed row costs `row_ms`. Used by the benchmark harness to put the
-  // four offline algorithms on the paper's runtime scale.
-  double ModeledMs(double seek_ms, double row_ms) const {
-    return static_cast<double>(seeks()) * seek_ms +
-           static_cast<double>(sequential_rows()) * row_ms;
+  // Modeled disk time: puts the offline algorithms on the paper's
+  // runtime scale (Tables 6-8).
+  double ModeledMs() const {
+    return static_cast<double>(seeks()) * kModeledSeekMs +
+           static_cast<double>(sequential_rows()) * kModeledRowMs;
   }
 
   AccessCounter& operator+=(const AccessCounter& other) {

@@ -303,18 +303,28 @@ TEST(NamesTest, SequenceNamesSortAndParse) {
   EXPECT_TRUE(ValidEntryName(WalName(3)));
 }
 
+// A directory of this suite under the test temp dir. The san.* duplicate
+// of this suite runs beside it under ctest -j, so it keeps its own.
+std::filesystem::path SuiteDir(const std::string& name) {
+#ifdef VAQ_UNDER_SANITIZER
+  return std::filesystem::path(::testing::TempDir()) / (name + "_san");
+#else
+  return std::filesystem::path(::testing::TempDir()) / name;
+#endif
+}
+
 // The Store contract, run against both implementations.
 class StoreContractTest : public ::testing::TestWithParam<bool> {
  protected:
   StoreContractTest() {
     if (GetParam()) {
-      dir_ = std::filesystem::path(::testing::TempDir()) /
-             ("ckpt_store_test_" +
-              std::to_string(::testing::UnitTest::GetInstance()
-                                 ->random_seed()) +
-              "_" + ::testing::UnitTest::GetInstance()
-                        ->current_test_info()
-                        ->name());
+      dir_ = SuiteDir("ckpt_store_test_" +
+                      std::to_string(::testing::UnitTest::GetInstance()
+                                         ->random_seed()) +
+                      "_" +
+                      ::testing::UnitTest::GetInstance()
+                          ->current_test_info()
+                          ->name());
       std::filesystem::remove_all(dir_);
       store_ = std::make_unique<DirStore>(dir_.string());
     } else {
@@ -380,8 +390,7 @@ INSTANTIATE_TEST_SUITE_P(MemAndDir, StoreContractTest,
                          });
 
 TEST(DirStoreTest, SurvivesReopenAndIgnoresTempLeftovers) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "ckpt_dirstore_reopen";
+  const std::filesystem::path dir = SuiteDir("ckpt_dirstore_reopen");
   std::filesystem::remove_all(dir);
   {
     DirStore store(dir.string());

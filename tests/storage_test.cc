@@ -28,7 +28,13 @@ ScoreTable MakeTable(std::vector<double> scores) {
 }
 
 std::string TempDir(const char* name) {
-  const fs::path dir = fs::temp_directory_path() / name;
+  std::string leaf = name;
+#ifdef VAQ_UNDER_SANITIZER
+  // The san.* duplicate of this suite runs beside it under ctest -j, so
+  // it keeps its own directories.
+  leaf += "_san";
+#endif
+  const fs::path dir = fs::temp_directory_path() / leaf;
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir.string();

@@ -2,7 +2,8 @@
 # subcommand must exit 2 with the usage text on stderr, and the usage
 # must list every public subcommand — `traffic` included, so the front
 # door demo cannot silently fall out of the CLI. A malformed numeric flag
-# or --scenario index must exit 2 too, naming the flag, before any work.
+# or --scenario index, a flag the subcommand does not read and a value
+# flag with no value must exit 2 too, naming the flag, before any work.
 #
 # Invoked as:
 #   cmake -DVAQCTL=<path-to-vaqctl> -DWORKDIR=<work dir>
@@ -39,7 +40,10 @@ endforeach()
 # Each case is "<flag>|<command line>": the command must exit 2 with
 # <flag> named on stderr. Every value is one the parse rejects — garbage,
 # trailing characters, a sign on an unsigned field, a value out of the
-# field's range. None is a valid huge --threads, --workers or --nodes,
+# field's range — or the flag is one the subcommand (or its mode: durable
+# or in-memory serve, chaos sweep or replay) does not read, or a value
+# flag is last with no value (--selfcheck is the one flag that takes
+# none). None is a valid huge --threads, --workers or --nodes,
 # which would start that many threads.
 file(REMOVE_RECURSE "${WORKDIR}")
 set(bad_flag_cases
@@ -49,7 +53,14 @@ set(bad_flag_cases
   "--seed|metrics --seed 7x"
   "--qps|traffic --duration-min 0.1 --qps 2x"
   "--videos|cascade --videos 4294967297"
-  "--scenario|ingest --catalog ${WORKDIR} --name q --scenario youtube:3x")
+  "--scenario|ingest --catalog ${WORKDIR} --name q --scenario youtube:3x"
+  "--recal|cascade --recal 0.5"
+  "--sed|metrics --seed 7 --sed 3 --selfcheck"
+  "--seed|metrics --selfcheck --seed"
+  "--name|ingest --catalog ${WORKDIR} --scenario youtube:3 --name"
+  "--crash-after|serve --queries 1 --streams 1 --crash-after 5"
+  "--threads|serve --checkpoint-dir ${WORKDIR} --threads 2"
+  "--seed|chaos --replay ${WORKDIR}/repro.json --seed 3")
 foreach(case IN LISTS bad_flag_cases)
   string(FIND "${case}" "|" bar)
   string(SUBSTRING "${case}" 0 ${bar} flag)
@@ -72,8 +83,9 @@ foreach(case IN LISTS bad_flag_cases)
   endif()
 endforeach()
 if(EXISTS "${WORKDIR}")
-  message(FATAL_ERROR "a rejected ingest wrote ${WORKDIR}")
+  message(FATAL_ERROR "a rejected command wrote ${WORKDIR}")
 endif()
 
 message(STATUS "vaqctl usage: exit 2 on unknown subcommand and on "
-               "malformed flags, all subcommands listed")
+               "malformed, unknown or valueless flags, all subcommands "
+               "listed")

@@ -129,6 +129,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <string>
@@ -151,25 +152,50 @@ namespace vaq {
 namespace {
 
 // Minimal --flag value parser: flags precede or follow positionals.
+// Every flag takes the next argument as its value, except --selfcheck,
+// which takes none. A flag the subcommand does not read, or a value flag
+// with no value left, prints a message naming the flag and exits 2
+// before any work, so a mistyped flag is never silently ignored.
 struct Args {
+  std::vector<std::string> known;  // The subcommand's flags.
   std::map<std::string, std::string> flags;
-  std::vector<std::string> positional;
+  std::vector<std::string> positional;  // positional[0] is the subcommand.
 
-  static Args Parse(int argc, char** argv) {
+  static Args Parse(int argc, char** argv, std::vector<std::string> known) {
     Args args;
+    args.known = std::move(known);
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0 && i + 1 < argc) {
-        args.flags[arg.substr(2)] = argv[++i];
-      } else {
+      if (arg.rfind("--", 0) != 0) {
         args.positional.push_back(arg);
+        continue;
+      }
+      const std::string name = arg.substr(2);
+      if (!args.Knows(name)) {
+        std::fprintf(stderr, "vaqctl %s: unknown flag --%s\n", argv[1],
+                     name.c_str());
+        std::exit(2);
+      }
+      if (name == "selfcheck") {
+        args.flags[name];
+      } else if (i + 1 < argc) {
+        args.flags[name] = argv[++i];
+      } else {
+        std::fprintf(stderr, "vaqctl %s: --%s needs a value\n", argv[1],
+                     name.c_str());
+        std::exit(2);
       }
     }
     return args;
   }
 
+  bool Knows(const std::string& name) const {
+    return std::find(known.begin(), known.end(), name) != known.end();
+  }
+
   std::string Get(const std::string& name,
                   const std::string& fallback = "") const {
+    VAQ_CHECK(Knows(name)) << "--" << name << " is not a declared flag";
     auto it = flags.find(name);
     return it == flags.end() ? fallback : it->second;
   }
@@ -182,6 +208,7 @@ struct Args {
   // flags before they start any work.
   template <typename T>
   T Number(const std::string& name, T fallback) const {
+    VAQ_CHECK(Knows(name)) << "--" << name << " is not a declared flag";
     const auto it = flags.find(name);
     if (it == flags.end()) return fallback;
     const std::string& text = it->second;
@@ -202,15 +229,22 @@ struct Args {
     std::exit(2);
   }
 
-  // Presence test for valueless flags (e.g. --selfcheck). The parser
-  // above pairs "--flag value"; a trailing bare flag lands in
-  // positional, so accept either spelling.
+  // Presence test for the valueless --selfcheck.
   bool Has(const std::string& name) const {
-    if (flags.count(name) != 0) return true;
-    for (const std::string& p : positional) {
-      if (p == "--" + name) return true;
+    VAQ_CHECK(Knows(name)) << "--" << name << " is not a declared flag";
+    return flags.count(name) != 0;
+  }
+
+  // For a subcommand with two modes: exits 2 naming the first of `names`
+  // given, flags the chosen mode (`mode`) does not read.
+  void RejectUnread(std::initializer_list<const char*> names,
+                    const char* mode) const {
+    for (const char* name : names) {
+      if (flags.count(name) == 0) continue;
+      std::fprintf(stderr, "vaqctl %s: --%s is not read %s\n",
+                   positional[0].c_str(), name, mode);
+      std::exit(2);
     }
-    return false;
   }
 };
 
@@ -697,7 +731,12 @@ int CmdRecover(const Args& args) {
 }
 
 int CmdServe(const Args& args) {
-  if (!args.Get("checkpoint-dir").empty()) return CmdServeDurable(args);
+  if (!args.Get("checkpoint-dir").empty()) {
+    args.RejectUnread({"threads", "capacity"}, "with --checkpoint-dir");
+    return CmdServeDurable(args);
+  }
+  args.RejectUnread({"crash-after", "snapshot-every"},
+                    "without --checkpoint-dir");
   const uint64_t seed = args.Number<uint64_t>("seed", 7);
   const int threads = args.Number<int>("threads", 4);
   const int queries = args.Number<int>("queries", 24);
@@ -977,6 +1016,10 @@ int CmdChaos(const Args& args) {
   options.progress = &ChaosProgress;
   const std::string replay_path = args.Get("replay");
   const std::string out_path = args.Get("out", "chaos_repro.json");
+  if (!replay_path.empty()) {
+    // A replay runs the trial the file describes, canary included.
+    args.RejectUnread({"trials", "seed", "canary", "shrink"}, "with --replay");
+  }
   if (options.trials <= 0 && replay_path.empty()) {
     std::fprintf(stderr, "chaos requires positive --trials\n");
     return 2;
@@ -1275,22 +1318,47 @@ int Usage() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return vaq::Usage();
-  const vaq::Args args = vaq::Args::Parse(argc, argv);
+  // Each subcommand with every flag it reads.
+  struct Subcommand {
+    int (*run)(const vaq::Args&);
+    std::vector<std::string> flags;
+  };
+  const std::map<std::string, Subcommand> subcommands = {
+      {"ingest",
+       {vaq::CmdIngest, {"catalog", "name", "scenario", "models", "seed"}}},
+      {"ls", {vaq::CmdLs, {"catalog"}}},
+      {"rm", {vaq::CmdRm, {"catalog", "name"}}},
+      {"topk", {vaq::CmdTopK, {"catalog", "action", "objects", "k"}}},
+      {"sql", {vaq::CmdSql, {"catalog"}}},
+      {"metrics",
+       {vaq::CmdMetrics, {"seed", "format", "scenario", "selfcheck"}}},
+      {"serve",
+       {vaq::CmdServe,
+        {"checkpoint-dir", "snapshot-every", "crash-after", "threads",
+         "queries", "streams", "seed", "cache", "capacity", "format"}}},
+      {"trace",
+       {vaq::CmdTrace, {"threads", "queries", "streams", "seed", "out"}}},
+      {"recover", {vaq::CmdRecover, {"checkpoint-dir", "format"}}},
+      {"cluster",
+       {vaq::CmdCluster,
+        {"nodes", "replicas", "scheme", "videos", "k", "batch", "seed",
+         "kill-node", "kill-at", "action", "objects"}}},
+      {"cascade", {vaq::CmdCascade, {"recall", "seed", "videos", "k"}}},
+      {"bai", {vaq::CmdBai, {"delta", "k", "seed", "videos"}}},
+      {"traffic",
+       {vaq::CmdTraffic,
+        {"tenants", "duration-min", "seed", "workers", "qps", "quota",
+         "slo-ms", "abusive"}}},
+      {"chaos",
+       {vaq::CmdChaos,
+        {"trials", "seed", "canary", "replay", "out", "shrink"}}},
+  };
   const std::string command = argv[1];
-  if (command == "ingest") return vaq::CmdIngest(args);
-  if (command == "ls") return vaq::CmdLs(args);
-  if (command == "rm") return vaq::CmdRm(args);
-  if (command == "topk") return vaq::CmdTopK(args);
-  if (command == "sql") return vaq::CmdSql(args);
-  if (command == "metrics") return vaq::CmdMetrics(args);
-  if (command == "serve") return vaq::CmdServe(args);
-  if (command == "trace") return vaq::CmdTrace(args);
-  if (command == "recover") return vaq::CmdRecover(args);
-  if (command == "cluster") return vaq::CmdCluster(args);
-  if (command == "cascade") return vaq::CmdCascade(args);
-  if (command == "bai") return vaq::CmdBai(args);
-  if (command == "traffic") return vaq::CmdTraffic(args);
-  if (command == "chaos") return vaq::CmdChaos(args);
-  std::fprintf(stderr, "vaqctl: unknown subcommand '%s'\n", command.c_str());
-  return vaq::Usage();
+  const auto it = subcommands.find(command);
+  if (it == subcommands.end()) {
+    std::fprintf(stderr, "vaqctl: unknown subcommand '%s'\n",
+                 command.c_str());
+    return vaq::Usage();
+  }
+  return it->second.run(vaq::Args::Parse(argc, argv, it->second.flags));
 }
