@@ -12,15 +12,20 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Round-robin warmup pulls per arm before the tracking rule engages
+// (2, so every arm has a variance estimate).
+constexpr int64_t kInitPullsPerArm = 2;
+// Floor on the pooled standard deviation, guarding the GLR statistic
+// against degenerate (constant-pull) arms.
+constexpr double kMinStddev = 1e-3;
+
 }  // namespace
 
 TopKIdentifier::TopKIdentifier(IdentifyOptions options) : options_(options) {
   VAQ_CHECK_GE(options_.k, 1);
   VAQ_CHECK_GT(options_.delta, 0.0);
   VAQ_CHECK_LE(options_.delta, 1.0);
-  VAQ_CHECK_GE(options_.init_pulls_per_arm, 2);
-  VAQ_CHECK_GE(options_.max_pulls_per_arm, options_.init_pulls_per_arm);
-  VAQ_CHECK_GT(options_.min_stddev, 0.0);
+  VAQ_CHECK_GE(options_.max_pulls_per_arm, kInitPullsPerArm);
 }
 
 TopKOutcome TopKIdentifier::Identify(
@@ -60,7 +65,7 @@ TopKOutcome TopKIdentifier::Identify(
   };
 
   // Round-robin warmup so every arm has a mean and a variance estimate.
-  for (int64_t round = 0; round < options_.init_pulls_per_arm; ++round) {
+  for (int64_t round = 0; round < kInitPullsPerArm; ++round) {
     for (int64_t arm = 0; arm < num_arms; ++arm) {
       if (!frozen(arm)) pull(arm);
     }
@@ -89,8 +94,7 @@ TopKOutcome TopKIdentifier::Identify(
     threshold = std::log(static_cast<double>(num_arms) / options_.delta) +
                 std::log(1.0 + std::log(t));
     const double sigma2 =
-        std::max(rvs.PooledVariance(),
-                 options_.min_stddev * options_.min_stddev);
+        std::max(rvs.PooledVariance(), kMinStddev * kMinStddev);
 
     // Eliminations never go below the k survivors, so active == k means
     // every other arm is already confidently out.

@@ -48,16 +48,11 @@ struct IdentifyOptions {
   // probability >= 1 - delta (under the sub-Gaussian pull model). Must be
   // in (0, 1).
   double delta = 0.05;
-  // Round-robin warmup pulls per arm before the tracking rule engages
-  // (>= 2 so every arm has a variance estimate).
-  int64_t init_pulls_per_arm = 2;
   // Budget backstop: identification never draws more than
-  // max_pulls_per_arm * num_arms pulls in total. Exhaustion is reported
-  // via Certificate::stopped == false and keeps all non-eliminated arms.
+  // max_pulls_per_arm * num_arms pulls in total; at least 2, the
+  // round-robin warm-up every arm gets. Exhaustion is reported via
+  // Certificate::stopped == false and keeps all non-eliminated arms.
   int64_t max_pulls_per_arm = 64;
-  // Floor on the pooled standard deviation, guarding the GLR statistic
-  // against degenerate (constant-pull) arms.
-  double min_stddev = 1e-3;
 };
 
 // The auditable record of one identification run.

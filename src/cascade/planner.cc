@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "detect/model_profile.h"
 #include "obs/metrics.h"
 
 namespace vaq {
@@ -23,15 +24,16 @@ std::vector<std::string> QueryConcepts(
 }
 
 // The modeled expensive-tier bill for one clip of `video`: every object
-// concept pays the detector per frame, the action pays the recognizer
-// per shot (the same occurrence-unit accounting as detect::ModelStats).
+// concept pays Mask R-CNN per frame, the action pays I3D per shot (the
+// same occurrence-unit accounting as detect::ModelStats).
 double ExpensiveClipMs(const ProxyVideoIndex& video, size_t num_objects,
-                       bool has_action, const PlannerOptions& options) {
-  double ms = static_cast<double>(num_objects) * video.frames_per_clip *
-              options.detector.inference_ms;
-  if (has_action) {
-    ms += video.shots_per_clip * options.recognizer.inference_ms;
-  }
+                       bool has_action) {
+  static const double detector_ms =
+      detect::ModelProfile::MaskRcnn().inference_ms;
+  static const double recognizer_ms = detect::ModelProfile::I3d().inference_ms;
+  double ms =
+      static_cast<double>(num_objects) * video.frames_per_clip * detector_ms;
+  if (has_action) ms += video.shots_per_clip * recognizer_ms;
   return ms;
 }
 
@@ -87,8 +89,7 @@ void CountPlan(const CascadePlan& plan) {
   }
 }
 
-Planner::Planner(const ProxySet* proxy, PlannerOptions options)
-    : proxy_(proxy), options_(options) {
+Planner::Planner(const ProxySet* proxy) : proxy_(proxy) {
   VAQ_CHECK(proxy != nullptr);
 }
 
@@ -138,7 +139,7 @@ std::shared_ptr<const PlannedQuery> Planner::Build(
     plan.clips_total += video.num_clips;
     plan.full_cost_ms +=
         static_cast<double>(video.num_clips) *
-        ExpensiveClipMs(video, num_objects, has_action, options_);
+        ExpensiveClipMs(video, num_objects, has_action);
   }
   plan.clips_surviving = plan.clips_total;
   plan.cascade_cost_ms = plan.full_cost_ms;
@@ -186,15 +187,15 @@ std::shared_ptr<const PlannedQuery> Planner::Build(
       new PlanFilters(proxy_, &plan.thresholds));
   plan.clips_surviving = filters->clips_surviving();
   plan.cascade_cost_ms = 0.0;
+  const double proxy_ms = detect::ModelProfile::ProxyCnn().inference_ms;
   for (const auto& [name, video] : *proxy_) {
     const IntervalSet* surviving = filters->SurvivingClips(name);
     const int64_t kept =
         surviving == nullptr ? video.num_clips : surviving->TotalLength();
-    plan.cascade_cost_ms +=
-        static_cast<double>(video.num_clips) * options_.proxy.inference_ms;
+    plan.cascade_cost_ms += static_cast<double>(video.num_clips) * proxy_ms;
     plan.cascade_cost_ms +=
         static_cast<double>(kept) *
-        ExpensiveClipMs(video, num_objects, has_action, options_);
+        ExpensiveClipMs(video, num_objects, has_action);
   }
 
   // The cost-based decision proper: cascade only when it actually wins.

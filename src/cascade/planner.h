@@ -18,10 +18,11 @@
 // the score at quantile (1 − r) — so a fraction r of known positives
 // survives by construction; `predicted_recall` is the product of the
 // per-concept held-out survival fractions. Modeled costs use the same
-// ModelProfile::inference_ms accounting as the rest of the repo: the
-// exact plan pays every clip's frames × detector ms (per object) plus
-// shots × recognizer ms; the cascade pays one proxy call per clip plus
-// the expensive bill on surviving clips only.
+// ModelProfile::inference_ms accounting as the rest of the repo, priced
+// with the paper's stack: the exact plan pays every clip's frames ×
+// MaskRcnn() ms (per object) plus shots × I3d() ms; the cascade pays one
+// ProxyCnn() call per clip plus the expensive bill on surviving clips
+// only.
 //
 // Everything here is a pure function of (proxy index, query, τ):
 // plans, thresholds and surviving-clip sets are byte-identical across
@@ -77,13 +78,6 @@ struct CascadePlan {
 // ("cascade" or "exact"). Each mode resolves its counter on first use.
 void CountPlan(const CascadePlan& plan);
 
-// Cost model knobs: which expensive models the cascade is fronting.
-struct PlannerOptions {
-  detect::ModelProfile detector = detect::ModelProfile::MaskRcnn();
-  detect::ModelProfile recognizer = detect::ModelProfile::I3d();
-  detect::ModelProfile proxy = detect::ModelProfile::ProxyCnn();
-};
-
 // The execution-side face of a plan: resolves, per video, the clips
 // whose proxy scores clear every concept threshold. Surviving sets are
 // materialized eagerly at construction (read-only afterwards, safe to
@@ -133,7 +127,7 @@ class Planner {
   // `proxy` must outlive the planner and any PlanFilters built from its
   // plans, and must not change while the planner exists: memoized plans
   // would describe the old set. Build a new planner after changing it.
-  explicit Planner(const ProxySet* proxy, PlannerOptions options = {});
+  explicit Planner(const ProxySet* proxy);
 
   // Plans one conjunctive query. kInvalidArgument when the query names
   // no concepts or τ is outside (0, 1]. A τ of 1.0, or a proxy set with
@@ -158,7 +152,6 @@ class Planner {
       bool has_action, double recall_target) const;
 
   const ProxySet* proxy_;
-  PlannerOptions options_;
   mutable std::mutex mu_;  // Guards memo_.
   mutable std::map<MemoKey, std::shared_ptr<const PlannedQuery>> memo_;
 };

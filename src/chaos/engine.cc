@@ -14,19 +14,12 @@ void MergeCoverage(const TrialResult& trial, ChaosReport* report) {
   }
 }
 
-TrialOptions MakeTrialOptions(const ChaosOptions& options) {
-  TrialOptions t;
-  t.canary = options.canary;
-  t.cluster_max_steps = options.cluster_max_steps;
-  return t;
-}
-
 }  // namespace
 
 StatusOr<ChaosReport> RunChaos(const ChaosOptions& options) {
   ChaosReport report;
   IndexCache cache;
-  const TrialOptions trial_options = MakeTrialOptions(options);
+  const TrialOptions trial_options{.canary = options.canary};
 
   for (int64_t trial = 0; trial < options.trials; ++trial) {
     const TrialScenario scenario = MakeTrialScenario(options.seed, trial);
@@ -94,8 +87,7 @@ StatusOr<ChaosReport> RunReplay(const ReplaySpec& spec,
                                 const ChaosOptions& options) {
   ChaosReport report;
   IndexCache cache;
-  TrialOptions trial_options = MakeTrialOptions(options);
-  trial_options.canary = spec.canary;
+  const TrialOptions trial_options{.canary = spec.canary};
 
   const TrialScenario scenario = MakeTrialScenario(spec.seed, spec.trial);
   VAQ_ASSIGN_OR_RETURN(const TrialResult result,

@@ -40,7 +40,6 @@ struct ChaosOptions {
   // Shrink a failing schedule before reporting (disable to see the raw
   // draw).
   bool shrink = true;
-  int64_t cluster_max_steps = 200000;
   // Progress callback for CLI output; null = silent.
   void (*progress)(const TrialResult&) = nullptr;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstdio>
 #include <limits>
@@ -79,6 +80,8 @@ class MiniJson {
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') return Err("malformed number");
+    // strtod reads an overflowing literal such as 1e999 as infinity.
+    if (!std::isfinite(value)) return Err("'" + token + "' is not finite");
     return value;
   }
 

@@ -24,6 +24,10 @@ namespace vaq {
 namespace chaos {
 namespace {
 
+// Cluster watchdog budget (ClusterOptions::max_steps): scheduler events
+// before a gather counts as livelocked and fails the trial.
+constexpr int64_t kClusterMaxSteps = 200000;
+
 std::string SourceName(int64_t i) { return "s" + std::to_string(i); }
 
 std::string Fmt(double v) {
@@ -405,8 +409,7 @@ Status RunStanding(const TrialScenario& s, const Schedule& schedule,
 // --- Cluster phase ------------------------------------------------------
 
 Status RunCluster(const TrialScenario& s, const Schedule& schedule,
-                  const TrialOptions& options, IndexCache* cache,
-                  TrialResult* r) {
+                  IndexCache* cache, TrialResult* r) {
   offline::Repository repo;
   for (int i = 0; i < s.num_videos; ++i) {
     VAQ_ASSIGN_OR_RETURN(
@@ -494,7 +497,7 @@ Status RunCluster(const TrialScenario& s, const Schedule& schedule,
   co.scheme = s.scheme;
   co.batch_size = s.batch_size;
   co.fault_plan = &plan;
-  co.max_steps = options.cluster_max_steps;
+  co.max_steps = kClusterMaxSteps;
   cluster::Coordinator coordinator(&repo, co);
   if (s.rebalance > 0) {
     // Elastic churn before the chaos queries: split the first shard that
@@ -644,9 +647,7 @@ StatusOr<ServeOut> RunServeOnce(const TrialScenario& s, IndexCache* cache,
   return out;
 }
 
-Status RunServe(const TrialScenario& s, const TrialOptions& options,
-                IndexCache* cache, TrialResult* r) {
-  (void)options;
+Status RunServe(const TrialScenario& s, IndexCache* cache, TrialResult* r) {
   const storage::VideoIndex* repository = nullptr;
   if (s.with_repository) {
     VAQ_ASSIGN_OR_RETURN(repository, cache->Index(0, s.minutes, s.model_seed));
@@ -733,11 +734,10 @@ StatusOr<TrialResult> RunTrial(const TrialScenario& scenario,
           RunStanding(scenario, schedule, options, cache, &result));
       break;
     case Phase::kCluster:
-      VAQ_RETURN_IF_ERROR(
-          RunCluster(scenario, schedule, options, cache, &result));
+      VAQ_RETURN_IF_ERROR(RunCluster(scenario, schedule, cache, &result));
       break;
     case Phase::kServe:
-      VAQ_RETURN_IF_ERROR(RunServe(scenario, options, cache, &result));
+      VAQ_RETURN_IF_ERROR(RunServe(scenario, cache, &result));
       break;
   }
   return result;

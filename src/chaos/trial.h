@@ -54,8 +54,6 @@ struct TrialOptions {
   // byte-identity and progress oracles must catch it, and shrinking
   // must reduce any schedule that triggers it to a single crash event.
   bool canary = false;
-  // Cluster watchdog budget (ClusterOptions::max_steps).
-  int64_t cluster_max_steps = 200000;
 };
 
 struct TrialResult {

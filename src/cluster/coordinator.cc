@@ -26,6 +26,10 @@ constexpr uint32_t kTagBatch = 3;  // node -> coordinator: one gather batch.
 // serialization time; the first batch is charged the full shard scan.
 constexpr double kBatchServeMs = 0.05;
 
+// Virtual ms without the expected batch before the coordinator fails
+// over to the next replica.
+constexpr double kFailoverTimeoutMs = 50.0;
+
 const std::vector<double>& AnswerMsBounds() {
   static const std::vector<double> bounds = {1,   5,    10,   50,  100,
                                              500, 1000, 5000, 20000};
@@ -281,7 +285,7 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
   // The *live* layout, not ClusterOptions::num_shards — elastic
   // split/merge may have changed it since construction.
   const int num_shards = static_cast<int>(shard_videos_.size());
-  Net net(options_.net, options_.fault_plan);
+  Net net(NetOptions(), options_.fault_plan);
   // A request and its reply per shard, each possibly duplicated.
   net.Reserve(4 * static_cast<size_t>(num_shards));
   fault::SimClock clock;
@@ -307,7 +311,7 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
   for (int s = 0; s < num_shards; ++s) {
     shards[static_cast<size_t>(s)].active_host = s;
     shards[static_cast<size_t>(s)].expected = 0;
-    shards[static_cast<size_t>(s)].deadline = options_.failover_timeout_ms;
+    shards[static_cast<size_t>(s)].deadline = kFailoverTimeoutMs;
     net.Send(kCoordinatorHost, s, kTagQuery, "query",
              Message{.query = query, .shard = s}, query_wire_bytes, 0.0);
   }
@@ -381,7 +385,7 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
                        .shard = timer_shard,
                        .index = state.expected},
                16, clock.now_ms());
-      state.deadline = clock.now_ms() + options_.failover_timeout_ms;
+      state.deadline = clock.now_ms() + kFailoverTimeoutMs;
       continue;
     }
 
@@ -504,7 +508,7 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
                        .shard = batch.shard,
                        .index = state.expected},
                16, now);
-      state.deadline = now + options_.failover_timeout_ms;
+      state.deadline = now + kFailoverTimeoutMs;
     }
   }
 

@@ -29,8 +29,8 @@
 // the whole cluster, every logical vaq_* metric lands on the single-node
 // value too; only the vaq_cluster_* transport families differ by layout.
 //
-// Failover: if an expected batch does not arrive within
-// `failover_timeout_ms` of virtual time (the shard's host is inside a
+// Failover: if an expected batch does not arrive within 50 ms of
+// virtual time (`kFailoverTimeoutMs`; the shard's host is inside a
 // fault-plan outage window, or was killed explicitly), the coordinator
 // re-points the fetch at the next follower replica. Batches are a pure
 // function of (shard, batch index), so the replica resumes mid-stream
@@ -71,13 +71,9 @@ struct ClusterOptions {
   int num_replicas = 0;  // Follower replicas per shard.
   PartitionScheme scheme = PartitionScheme::kHash;
   int batch_size = 4;    // Candidates per gather batch.
-  NetOptions net;
   // Drives node outages (FaultSpec::node_outage_rate) and network
   // faults. Not owned; may be null (no faults).
   const fault::FaultPlan* fault_plan = nullptr;
-  // Virtual ms without the expected batch before the coordinator fails
-  // over to the next replica.
-  double failover_timeout_ms = 50.0;
   // Staged outage for tests and `vaqctl cluster --kill-node`: host
   // `kill_node` is down from `kill_at_ms` onward (in addition to any
   // fault-plan windows). -1 disables.

@@ -80,7 +80,7 @@ void Net::Send(int from, int to, uint32_t tag, const char* tag_name,
       static obs::Counter* const drops =
           obs::MetricRegistry::Global().GetCounter("vaq_cluster_net_drops_total");
       drops->Increment();
-      depart_ms += options_.rto_ms;
+      depart_ms += kRtoMs;
       ++attempts;
     }
     // Scheduled partition windows lose every copy transmitted inside
@@ -94,7 +94,7 @@ void Net::Send(int from, int to, uint32_t tag, const char* tag_name,
           obs::MetricRegistry::Global().GetCounter("vaq_cluster_net_partition_drops_total");
       partition_drops->Increment();
       if (attempts < options_.max_attempts) {
-        depart_ms += options_.rto_ms;
+        depart_ms += kRtoMs;
         ++attempts;
       } else {
         depart_ms = plan_->PartitionClearMs(depart_ms);
@@ -111,8 +111,8 @@ void Net::Send(int from, int to, uint32_t tag, const char* tag_name,
   delivery.sent_ms = send_ms;
   delivery.attempts = attempts;
   delivery.delivered_ms =
-      depart_ms + options_.base_latency_ms +
-      static_cast<double>(wire_bytes) * options_.per_byte_ms +
+      depart_ms + kBaseLatencyMs +
+      static_cast<double>(wire_bytes) * kPerByteMs +
       options_.jitter_ms * JitterUniform(seed_, link, seq);
   const bool duplicated = plan_ != nullptr && plan_->NetDuplicates(link, seq);
   if (duplicated) {
@@ -121,7 +121,7 @@ void Net::Send(int from, int to, uint32_t tag, const char* tag_name,
     Pending copy;
     copy.delivery = delivery;
     copy.delivery.delivered_ms +=
-        options_.rto_ms * JitterUniform(seed_, link, ~seq);
+        kRtoMs * JitterUniform(seed_, link, ~seq);
     copy.delivered_ms = copy.delivery.delivered_ms;
     copy.duplicate = true;
     copy.order = next_order_++;

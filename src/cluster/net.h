@@ -6,13 +6,13 @@
 // number), so a run replays identically regardless of host machine or
 // wall-clock behaviour:
 //
-//   deliver = send + base_latency + bytes * per_byte + jitter(link, seq)
+//   deliver = send + kBaseLatencyMs + bytes * kPerByteMs + jitter(link, seq)
 //
 // The bounded jitter term is what "reordering within allowed bounds"
 // means: two messages on different links (or back-to-back on one link)
 // may swap delivery order, but never by more than `jitter_ms`. Drops and
 // duplicates come from the seeded fault plan (FaultSpec::net_drop_rate /
-// net_dup_rate): a dropped copy is retransmitted after `rto_ms` (each
+// net_dup_rate): a dropped copy is retransmitted after `kRtoMs` (each
 // attempt draws a fresh fault decision), and a duplicated message's
 // second copy is suppressed at the receiver by (link, seq) dedup. Both
 // only delay or inflate traffic — they never change what is delivered,
@@ -35,11 +35,12 @@
 namespace vaq {
 namespace cluster {
 
+inline constexpr double kBaseLatencyMs = 0.2;  // Per-hop fixed latency.
+inline constexpr double kPerByteMs = 1e-5;  // Transfer cost per payload byte.
+inline constexpr double kRtoMs = 5.0;  // Retransmission delay after a drop.
+
 struct NetOptions {
-  double base_latency_ms = 0.2;  // Per-hop fixed latency.
-  double per_byte_ms = 1e-5;     // Transfer cost per payload byte.
   double jitter_ms = 0.05;       // Bounded reordering window.
-  double rto_ms = 5.0;           // Retransmission delay after a drop.
   int max_attempts = 16;         // Last attempt always goes through.
 };
 

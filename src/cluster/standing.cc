@@ -20,7 +20,7 @@ StandingCluster::StandingCluster(StandingClusterOptions options,
     : options_(options), register_streams_(std::move(register_streams)) {
   VAQ_CHECK_GT(options_.num_nodes, 0);
   VAQ_CHECK_GT(options_.ship_every_advances, 0);
-  net_ = std::make_unique<Net>(options_.net, options_.cluster_fault_plan);
+  net_ = std::make_unique<Net>(NetOptions(), options_.cluster_fault_plan);
 }
 
 StandingCluster::~StandingCluster() = default;
@@ -42,10 +42,9 @@ StatusOr<std::unique_ptr<serve::Server>> StandingCluster::MakeServer(
     ckpt::Store* store) {
   serve::ServeOptions options;
   options.threads = 0;  // Standing mode is clip-lockstep, inline.
-  options.share_detection_cache = options_.share_detection_cache;
   options.fault_plan = options_.engine_fault_plan;
   options.checkpoint_store = store;
-  options.snapshot_every_clips = options_.snapshot_every_clips;
+  options.snapshot_every_clips = serve::kDefaultSnapshotEveryClips;
   options.snapshot_metrics = false;  // Registry is shared cluster-wide.
   auto server = std::make_unique<serve::Server>(options);
   VAQ_RETURN_IF_ERROR(register_streams_(server.get()));
@@ -81,7 +80,7 @@ StatusOr<int64_t> StandingCluster::AddStandingQuery(const std::string& sql) {
 
 Status StandingCluster::AdvanceStream(const std::string& source) {
   VAQ_CHECK(initialized_);
-  clock_.Advance(options_.advance_tick_ms);
+  clock_.Advance(kAdvanceTickMs);
   const int owner = OwnerOf(source);
   NodeState& state = nodes_[static_cast<size_t>(owner)];
   if (!state.failed && NodeIsDown(owner, clock_.now_ms())) {

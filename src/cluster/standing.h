@@ -20,9 +20,11 @@
 // re-executed clips produce byte-identical logical results — the
 // recovery invariant of DESIGN.md §10 lifted to the cluster.
 //
-// Node servers run with ServeOptions::snapshot_metrics = false: the
-// process-wide metric registry spans every simulated node, and restoring
-// one node's snapshot must not clobber the others' live families.
+// Node servers share their detection cache, snapshot every
+// serve::kDefaultSnapshotEveryClips clips, and run with
+// ServeOptions::snapshot_metrics = false: the process-wide metric
+// registry spans every simulated node, and restoring one node's snapshot
+// must not clobber the others' live families.
 #ifndef VAQ_CLUSTER_STANDING_H_
 #define VAQ_CLUSTER_STANDING_H_
 
@@ -43,23 +45,21 @@
 namespace vaq {
 namespace cluster {
 
+// Virtual milliseconds charged per clip advance — the timeline node
+// outage windows are evaluated against.
+inline constexpr double kAdvanceTickMs = 10.0;
+
 struct StandingClusterOptions {
   int num_nodes = 2;
-  bool share_detection_cache = true;
   // Faults injected inside the perception engines (every node gets the
   // same plan, preserving per-stream determinism vs. a single server).
   const fault::FaultPlan* engine_fault_plan = nullptr;
   // Drives node outages and network faults at the cluster layer.
   const fault::FaultPlan* cluster_fault_plan = nullptr;
-  int64_t snapshot_every_clips = 8;
   // Replica sync cadence in logged advances. 1 = synchronous shipping
   // (failover loses nothing); larger values leave a shipping lag the
   // failover path must re-execute.
   int ship_every_advances = 1;
-  NetOptions net;
-  // Virtual milliseconds charged per clip advance — the timeline node
-  // outage windows are evaluated against.
-  double advance_tick_ms = 10.0;
   // Staged outage: node `kill_node` is down from `kill_at_ms` onward
   // (in addition to any fault-plan windows). -1 disables.
   int kill_node = -1;

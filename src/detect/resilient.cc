@@ -23,10 +23,9 @@ const char* DomainName(fault::FaultDomain domain) {
 }  // namespace
 
 ResilientCore::ResilientCore(const fault::FaultPlan* plan,
-                             fault::FaultDomain domain,
-                             ResilienceOptions options, fault::SimClock* clock,
+                             fault::FaultDomain domain, fault::SimClock* clock,
                              const std::string& model_name)
-    : plan_(plan), domain_(domain), options_(options), clock_(clock) {
+    : plan_(plan), domain_(domain), clock_(clock) {
   if (plan_ == nullptr) return;  // Pass-through: no registry families.
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   const std::string domain_name = DomainName(domain_);
@@ -82,11 +81,10 @@ double ResilientCore::Pow(double base, int64_t exp) {
 
 ResilientObjectDetector::ResilientObjectDetector(ObjectDetector* inner,
                                                  const fault::FaultPlan* plan,
-                                                 ResilienceOptions options,
                                                  fault::SimClock* clock)
     : inner_(inner),
       plan_(plan),
-      core_(plan, fault::FaultDomain::kDetector, options, clock,
+      core_(plan, fault::FaultDomain::kDetector, clock,
             inner->profile().name) {}
 
 StatusOr<double> ResilientObjectDetector::MaxScore(ObjectTypeId type,
@@ -98,10 +96,10 @@ StatusOr<double> ResilientObjectDetector::MaxScore(ObjectTypeId type,
 
 ResilientActionRecognizer::ResilientActionRecognizer(
     ActionRecognizer* inner, const fault::FaultPlan* plan,
-    ResilienceOptions options, fault::SimClock* clock)
+    fault::SimClock* clock)
     : inner_(inner),
       plan_(plan),
-      core_(plan, fault::FaultDomain::kRecognizer, options, clock,
+      core_(plan, fault::FaultDomain::kRecognizer, clock,
             inner->profile().name) {}
 
 StatusOr<double> ResilientActionRecognizer::Score(ActionTypeId type,

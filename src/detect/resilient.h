@@ -5,15 +5,15 @@
 // wrap a simulated model with the production-grade failure handling a
 // remote GPU service needs:
 //
-//  * a per-call deadline budget — a timed-out attempt costs `deadline_ms`
+//  * a per-call deadline budget — a timed-out attempt costs `kDeadlineMs`
 //    on the simulated clock and counts as a failure;
 //  * bounded retries with exponential backoff (on the same simulated
 //    clock), with score *validation* between attempts: NaN or
 //    out-of-range scores injected by the fault plan are detected and
 //    retried rather than silently corrupting downstream statistics;
 //  * a circuit breaker that marks the model unhealthy after
-//    `breaker_threshold` consecutive abandoned calls; while open, calls
-//    fail fast (no inner invocations) until `breaker_open_ms` has passed,
+//    `kBreakerThreshold` consecutive abandoned calls; while open, calls
+//    fail fast (no inner invocations) until `kBreakerOpenMs` has passed,
 //    then a half-open probe decides whether to close it again.
 //
 // Failed observations surface as `Status` (kUnavailable /
@@ -40,26 +40,27 @@
 namespace vaq {
 namespace detect {
 
-struct ResilienceOptions {
-  // Per-attempt deadline budget; a timed-out attempt burns this much
-  // simulated time.
-  double deadline_ms = 40.0;
-  // Extra attempts after the first failed one.
-  int64_t max_retries = 2;
-  // Backoff before retry r (0-based): backoff_base_ms * multiplier^r.
-  double backoff_base_ms = 5.0;
-  double backoff_multiplier = 2.0;
-  // Consecutive abandoned calls before the breaker opens.
-  int64_t breaker_threshold = 4;
-  // Cool-down before a half-open probe is allowed.
-  double breaker_open_ms = 2000.0;
-  // Stream time that elapses between clip arrivals: the engines advance
-  // the simulated clock by this before each clip, so an open breaker's
-  // cool-down expires with the stream (one ~3.3 s clip at the default
-  // 100-frame / 30 fps layout outlasts `breaker_open_ms`) instead of
-  // extending an outage far past its injected window.
-  double clip_interval_ms = 3333.0;
-};
+// The retry/breaker policy. No workload varies it, so it is fixed here
+// rather than carried as options.
+//
+// Per-attempt deadline budget; a timed-out attempt burns this much
+// simulated time.
+inline constexpr double kDeadlineMs = 40.0;
+// Extra attempts after the first failed one.
+inline constexpr int64_t kMaxRetries = 2;
+// Backoff before retry r (0-based): kBackoffBaseMs * kBackoffMultiplier^r.
+inline constexpr double kBackoffBaseMs = 5.0;
+inline constexpr double kBackoffMultiplier = 2.0;
+// Consecutive abandoned calls before the breaker opens.
+inline constexpr int64_t kBreakerThreshold = 4;
+// Cool-down before a half-open probe is allowed.
+inline constexpr double kBreakerOpenMs = 2000.0;
+// Stream time that elapses between clip arrivals: the engines advance
+// the simulated clock by this before each clip, so an open breaker's
+// cool-down expires with the stream (one ~3.3 s clip at the default
+// 100-frame / 30 fps layout outlasts kBreakerOpenMs) instead of
+// extending an outage far past its injected window.
+inline constexpr double kClipIntervalMs = 3333.0;
 
 namespace internal_detect {
 
@@ -75,8 +76,7 @@ class ResilientCore {
   // vaq_breaker_transitions_total). No metrics are registered for a null
   // plan: the pass-through path stays zero-overhead.
   ResilientCore(const fault::FaultPlan* plan, fault::FaultDomain domain,
-                ResilienceOptions options, fault::SimClock* clock,
-                const std::string& model_name);
+                fault::SimClock* clock, const std::string& model_name);
 
   // Runs the attempt loop for the observation at `unit`; `score_fn()`
   // performs one real inner call and `inference_ms` prices it on the
@@ -94,12 +94,11 @@ class ResilientCore {
       // probe: success closes the breaker, failure re-arms it.)
     }
     Status last_error;
-    for (int64_t attempt = 0; attempt <= options_.max_retries; ++attempt) {
+    for (int64_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
       if (attempt > 0) {
         ++stats->retries;
         retries_->Increment();
-        clock_->Advance(options_.backoff_base_ms *
-                        Pow(options_.backoff_multiplier, attempt - 1));
+        clock_->Advance(kBackoffBaseMs * Pow(kBackoffMultiplier, attempt - 1));
       }
       const fault::FaultKind kind =
           plan_->ProbeCall(domain_, unit, attempt_nonce_++);
@@ -115,7 +114,7 @@ class ResilientCore {
       if (kind == fault::FaultKind::kTimeout) {
         ++stats->faults_injected;
         CountCall(calls_timeout_, "timeout");
-        clock_->Advance(options_.deadline_ms);  // The deadline budget burned.
+        clock_->Advance(kDeadlineMs);  // The deadline budget burned.
         last_error = Status::DeadlineExceeded("model call timed out");
         continue;
       }
@@ -138,13 +137,13 @@ class ResilientCore {
     }
     ++stats->failures;
     CountCall(calls_failed_, "abandoned");
-    if (++consecutive_failures_ >= options_.breaker_threshold) {
+    if (++consecutive_failures_ >= kBreakerThreshold) {
       if (!breaker_open_) {
         ++stats->breaker_trips;
         breaker_opened_->Increment();
       }
       breaker_open_ = true;
-      breaker_reopen_ms_ = clock_->now_ms() + options_.breaker_open_ms;
+      breaker_reopen_ms_ = clock_->now_ms() + kBreakerOpenMs;
     }
     return last_error;
   }
@@ -185,7 +184,6 @@ class ResilientCore {
 
   const fault::FaultPlan* plan_;
   fault::FaultDomain domain_;
-  ResilienceOptions options_;
   fault::SimClock* clock_;
   int64_t attempt_nonce_ = 0;
   int64_t consecutive_failures_ = 0;
@@ -213,7 +211,7 @@ class ResilientCore {
 class ResilientObjectDetector {
  public:
   ResilientObjectDetector(ObjectDetector* inner, const fault::FaultPlan* plan,
-                          ResilienceOptions options, fault::SimClock* clock);
+                          fault::SimClock* clock);
 
   // MaxScore with failure handling; kUnavailable / kDeadlineExceeded when
   // the observation was abandoned.
@@ -249,7 +247,7 @@ class ResilientActionRecognizer {
  public:
   ResilientActionRecognizer(ActionRecognizer* inner,
                             const fault::FaultPlan* plan,
-                            ResilienceOptions options, fault::SimClock* clock);
+                            fault::SimClock* clock);
 
   StatusOr<double> Score(ActionTypeId type, ShotIndex shot);
 

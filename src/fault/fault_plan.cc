@@ -1,5 +1,6 @@
 #include "fault/fault_plan.h"
 
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -62,10 +63,11 @@ Status ValidateFaultSpec(const FaultSpec& spec) {
   }
   for (size_t i = 0; i < spec.windows.size(); ++i) {
     const ScheduledWindow& w = spec.windows[i];
-    if (!(w.from_ms >= 0.0) || !(w.to_ms >= w.from_ms)) {
+    if (!(w.from_ms >= 0.0) || !(w.to_ms >= w.from_ms) ||
+        !std::isfinite(w.to_ms)) {
       return Status::InvalidArgument(
           "fault spec: window " + std::to_string(i) +
-          " must satisfy 0 <= from_ms <= to_ms");
+          " must satisfy 0 <= from_ms <= to_ms < infinity");
     }
   }
   return Status::OK();

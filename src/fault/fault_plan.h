@@ -122,7 +122,8 @@ struct FaultSpec {
 };
 
 // Validates a spec: every rate must lie in [0, 1], every length must be
-// positive, every window must be a well-formed non-negative interval.
+// positive, every window must be a well-formed, finite, non-negative
+// interval.
 // kInvalidArgument (naming the offending field) otherwise. A rate of 1.1
 // or a negative latency silently *changes* the schedule semantics — 1.1
 // faults every coordinate, a negative length divides by it — so the

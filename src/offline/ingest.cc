@@ -64,10 +64,8 @@ StatusOr<storage::VideoIndex> Ingestor::Ingest(
   index.video_id = truth.video_id();
   index.num_clips = num_clips;
 
-  online::SvaqdOptions indicator_options = options_.indicator_options;
-  if (options_.fault_plan != nullptr) {
-    indicator_options.fault_plan = options_.fault_plan;
-  }
+  online::SvaqdOptions indicator_options;
+  indicator_options.fault_plan = options_.fault_plan;
   int64_t table_ordinal = 0;
 
   // --- Object types: tracker-scored tables + SVAQD individual sequences.
@@ -88,9 +86,7 @@ StatusOr<storage::VideoIndex> Ingestor::Ingest(
                                   &detections);
       scores.clear();
       for (const auto& [frame, det] : detections) {
-        if (!options_.threshold_object_scores || det.score >= threshold) {
-          scores.push_back(det.score);
-        }
+        if (det.score >= threshold) scores.push_back(det.score);
       }
       rows[static_cast<size_t>(c)] = {c,
                                       scoring_->AggregateTypeScores(scores)};

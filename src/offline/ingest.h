@@ -28,12 +28,11 @@
 namespace vaq {
 namespace offline {
 
+// The per-type SVAQD runs that produce individual sequences use default
+// SvaqdOptions, and only tracker detections scoring at least the tracker
+// threshold enter the object tables (standard detector post-filtering,
+// §2).
 struct IngestOptions {
-  // Options of the per-type SVAQD runs that produce individual sequences.
-  online::SvaqdOptions indicator_options;
-  // Only tracker detections scoring at least the tracker threshold enter
-  // the object tables (standard detector post-filtering, §2).
-  bool threshold_object_scores = true;
   // Fault injection (see src/fault/). When non-null, the per-type SVAQD
   // runs inherit this plan (model faults degrade individual sequences
   // gracefully) and the materialization of each score table goes through

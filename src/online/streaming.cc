@@ -17,6 +17,14 @@ using internal_online::PredicateState;
 
 namespace {
 
+// Kernel bandwidth u of the SVAQD background estimators (Eq. 6): for
+// object predicates in frames, for the action predicate in shots.
+constexpr double kBandwidthFrames = 12000;
+constexpr double kBandwidthShots = 600;
+// Critical values are re-derived when an estimate moves by more than
+// this relative amount since they were last computed.
+constexpr double kRecomputeRelTol = 0.02;
+
 // One literal's observation of the current clip.
 struct Observation {
   bool evaluated = false;  // False when the clip short-circuited it away.
@@ -182,13 +190,13 @@ StreamingSvaqd::StreamingSvaqd(CnfQuery query, VideoLayout layout,
   for (const Literal& literal : literals) {
     if (literal.kind == Literal::Kind::kObject) {
       s.needs_detector = true;
-      s.literals.emplace_back(literal, options_.bandwidth_frames,
+      s.literals.emplace_back(literal, kBandwidthFrames,
                               base.p0_object, options_.prior_weight,
                               ObjectScanConfig(layout_, base),
                               options_.burst_aware, options_.adaptive);
     } else {
       s.needs_recognizer = true;
-      s.literals.emplace_back(literal, options_.bandwidth_shots,
+      s.literals.emplace_back(literal, kBandwidthShots,
                               base.p0_action, options_.prior_weight,
                               ActionScanConfig(layout_, base),
                               options_.burst_aware, options_.adaptive);
@@ -269,10 +277,10 @@ StatusOr<bool> StreamingSvaqd::PushClip(detect::ObjectDetector* detector,
   const ClipIndex clip = next_clip_++;
   const fault::FaultPlan* plan = options_.fault_plan;
   if (plan != nullptr) {
-    s.clock.Advance(options_.resilience.clip_interval_ms);
+    s.clock.Advance(detect::kClipIntervalMs);
     if (detector != nullptr && s.rdetector == nullptr) {
       s.rdetector = std::make_unique<detect::ResilientObjectDetector>(
-          detector, plan, options_.resilience, &s.clock);
+          detector, plan, &s.clock);
       if (s.has_pending_det_core) {
         s.rdetector->set_core_state(s.pending_det_core);
         s.has_pending_det_core = false;
@@ -280,7 +288,7 @@ StatusOr<bool> StreamingSvaqd::PushClip(detect::ObjectDetector* detector,
     }
     if (recognizer != nullptr && s.rrecognizer == nullptr) {
       s.rrecognizer = std::make_unique<detect::ResilientActionRecognizer>(
-          recognizer, plan, options_.resilience, &s.clock);
+          recognizer, plan, &s.clock);
       if (s.has_pending_rec_core) {
         s.rrecognizer->set_core_state(s.pending_rec_core);
         s.has_pending_rec_core = false;
@@ -436,7 +444,7 @@ void StreamingSvaqd::UpdateAdaptiveState(bool positive) {
     }
     p.estimator.ObserveBatch(observed, o.positive);
     p.ObserveCount(o.positive, observed);
-    p.MaybeRecompute(options_.recompute_rel_tol);
+    p.MaybeRecompute(kRecomputeRelTol);
   }
 }
 
@@ -457,7 +465,7 @@ StatusOr<bool> StreamingSvaqd::PushPrunedClip() {
   if (options_.fault_plan != nullptr) {
     // Keep virtual time on the clip cadence so the resilience wrappers'
     // breaker/backoff windows line up with the clips that DO run models.
-    state_->clock.Advance(options_.resilience.clip_interval_ms);
+    state_->clock.Advance(detect::kClipIntervalMs);
   }
   CloseOpenRun(clip - 1, clip);
   return false;

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 
-#include "detect/resilient.h"
 #include "fault/fault_plan.h"
 #include "online/svaq.h"
 #include "video/cnf_query.h"
@@ -71,20 +70,12 @@ struct SvaqdOptions {
   // The switch between the two algorithms. true: SVAQD, the critical
   // values follow each predicate's kernel background estimate. false:
   // SVAQ, each predicate keeps the static critical value of its p0 for the
-  // whole stream; the estimators never update (update_policy, burst_aware,
-  // recompute_rel_tol and probe_period have no effect) and no clip is
-  // probed.
+  // whole stream; the estimators never update (update_policy, burst_aware
+  // and probe_period have no effect) and no clip is probed.
   bool adaptive = true;
-  // Kernel bandwidth u for object predicates, in frames.
-  double bandwidth_frames = 12000;
-  // Kernel bandwidth u for the action predicate, in shots.
-  double bandwidth_shots = 600;
   // Pseudo-observation weight of the initial probability (the prior washes
   // out as real observations accumulate).
   double prior_weight = 30;
-  // Critical values are re-derived when an estimate moves by more than
-  // this relative amount since they were last computed (0 = every clip).
-  double recompute_rel_tol = 0.02;
   UpdatePolicy update_policy = UpdatePolicy::kSelfExcluding;
   // Calibrate critical values for Markov-dependent (bursty) prediction
   // noise instead of iid trials (§3.2 footnote 7). The burstiness is
@@ -105,12 +96,12 @@ struct SvaqdOptions {
 
   // --- Fault injection & graceful degradation (see src/fault/) ----------
   // When non-null, every model call is routed through a detect::Resilient*
-  // wrapper driven by this plan (deadlines, retries, circuit breaker) and
-  // failed observations are filled by `missing_policy`. Not owned; must
-  // outlive the engine. Null (the default) keeps the original zero-
-  // overhead path — outputs are bit-identical to a fault-free build.
+  // wrapper driven by this plan (deadlines, retries, circuit breaker; the
+  // detect::k* constants in detect/resilient.h) and failed observations
+  // are filled by `missing_policy`. Not owned; must outlive the engine.
+  // Null (the default) keeps the original zero-overhead path — outputs
+  // are bit-identical to a fault-free build.
   const fault::FaultPlan* fault_plan = nullptr;
-  detect::ResilienceOptions resilience;
   MissingObsPolicy missing_policy = MissingObsPolicy::kBackgroundPrior;
 };
 

@@ -206,6 +206,15 @@ class RankedBackend {
                                               const obs::QueryContext& ctx) = 0;
 };
 
+// A registered streaming source: the scenario's video, the seed of the
+// model bundle built over it, and the engine options every query against
+// it runs with. Session and serve::Server hold their streams as these.
+struct StreamSource {
+  synth::Scenario scenario;
+  uint64_t model_seed = 1;
+  online::SvaqdOptions options;
+};
+
 class Session {
  public:
   Session() = default;
@@ -249,12 +258,6 @@ class Session {
                                 const obs::QueryContext& ctx);
 
  private:
-  struct StreamSource {
-    synth::Scenario scenario;
-    uint64_t model_seed;
-    online::SvaqdOptions options;
-  };
-
   std::map<std::string, StreamSource> streams_;
   std::map<std::string, storage::VideoIndex> repositories_;
   std::map<std::string, RankedBackend*> backends_;

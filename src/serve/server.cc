@@ -216,8 +216,8 @@ void Server::RegisterStream(const std::string& name, synth::Scenario scenario,
     svaqd_options.fault_plan = options_.fault_plan;
   }
   streams_.insert_or_assign(
-      name,
-      StreamSource{std::move(scenario), model_seed, std::move(svaqd_options)});
+      name, query::StreamSource{std::move(scenario), model_seed,
+                                std::move(svaqd_options)});
 }
 
 void Server::RegisterRepository(const std::string& name,
@@ -361,6 +361,14 @@ bool Server::ClaimNextLocked(PendingQuery* out, Shard** shard) {
   return false;
 }
 
+void Server::CompleteQueryLocked(Shard* shard, ServedQuery done) {
+  shard->busy = false;
+  --pending_;
+  if (!done.tenant.empty()) --tenant_pending_[done.tenant];
+  queue_depth_->Set(static_cast<double>(pending_));
+  finished_.push_back(std::move(done));
+}
+
 void Server::WorkerLoop(WorkerState* state) {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
@@ -370,11 +378,7 @@ void Server::WorkerLoop(WorkerState* state) {
       lock.unlock();
       ServedQuery done = RunQuery(pending, state);
       lock.lock();
-      shard->busy = false;
-      --pending_;
-      if (!done.tenant.empty()) --tenant_pending_[done.tenant];
-      queue_depth_->Set(static_cast<double>(pending_));
-      finished_.push_back(std::move(done));
+      CompleteQueryLocked(shard, std::move(done));
       // The freed shard may have more queued work for an idle peer, and
       // Drain may be waiting for quiescence.
       work_cv_.notify_all();
@@ -387,7 +391,7 @@ void Server::WorkerLoop(WorkerState* state) {
 }
 
 detect::ModelBundle* Server::AcquireModels(const std::string& name,
-                                           const StreamSource& source,
+                                           const query::StreamSource& source,
                                            const query::QueryStatement& stmt,
                                            detect::ModelBundle* owned,
                                            const obs::QueryContext& ctx) {
@@ -436,7 +440,7 @@ ServedQuery Server::RunQuery(const PendingQuery& pending, WorkerState* state) {
     }
     query_ms_ranked_->Observe(out.simulated_ms);
   } else {
-    const StreamSource& source = streams_.at(pending.source);
+    const query::StreamSource& source = streams_.at(pending.source);
     detect::ModelBundle local_models;
     detect::ModelBundle* models = AcquireModels(pending.source, source,
                                                 pending.stmt, &local_models,
@@ -515,11 +519,7 @@ std::vector<ServedQuery> Server::Drain() {
       lock.unlock();
       ServedQuery done = RunQuery(pending, state);
       lock.lock();
-      shard->busy = false;
-      --pending_;
-      if (!done.tenant.empty()) --tenant_pending_[done.tenant];
-      queue_depth_->Set(static_cast<double>(pending_));
-      finished_.push_back(std::move(done));
+      CompleteQueryLocked(shard, std::move(done));
     }
   } else {
     drain_cv_.wait(lock, [this] { return pending_ == 0; });
@@ -593,7 +593,7 @@ Status Server::AdmitStandingLocked(int64_t id, const std::string& sql,
     q.trace = std::make_shared<obs::QueryTrace>("q" + std::to_string(id));
   }
   q.stmt = std::move(stmt);
-  const StreamSource& source = streams_.at(q.source);
+  const query::StreamSource& source = streams_.at(q.source);
   q.models = AcquireModels(q.source, source, q.stmt, &q.owned_models, {});
   auto cnf = query::OnlineStatementQuery(q.stmt, source.scenario.vocab());
   if (!cnf.ok()) {
@@ -615,7 +615,7 @@ Status Server::AdmitStandingLocked(int64_t id, const std::string& sql,
 }
 
 Status Server::PlanStandingCascadeLocked(StandingQuery* q,
-                                         const StreamSource& source) {
+                                         const query::StreamSource& source) {
   // The planner models conjunctions only: a CNF statement loads no proxy
   // index and PlanRecall falls back to the exact path.
   std::optional<cascade::Planner> planner;
@@ -697,7 +697,6 @@ Status Server::AdvanceStreamLocked(const std::string& source) {
     // re-runs this advance on engines restored to exactly this position.
     VAQ_RETURN_IF_ERROR(LogClipLocked(source, pos));
   }
-  double advance_ms = 0.0;
   for (const std::unique_ptr<StandingQuery>& owner : standing_) {
     StandingQuery& q = *owner;
     if (q.source != source || q.finished || !q.status.ok()) continue;
@@ -738,7 +737,6 @@ Status Server::AdvanceStreamLocked(const std::string& source) {
             : detect::ModelStats();
     q.det_acc += det_delta;
     q.rec_acc += rec_delta;
-    advance_ms += det_delta.simulated_ms + rec_delta.simulated_ms;
     adv.AddMs(det_delta.simulated_ms + rec_delta.simulated_ms);
     adv.AddStat("clips", 1);
     adv.AddStat("detector_inferences", det_delta.inferences);
@@ -754,16 +752,10 @@ Status Server::AdvanceStreamLocked(const std::string& source) {
   }
   stream_pos_[source] = pos + 1;
   ++clips_since_snapshot_;
-  sim_ms_since_snapshot_ += advance_ms;
-  if (options_.checkpoint_store != nullptr && !replaying_) {
-    const bool clips_due =
-        options_.snapshot_every_clips > 0 &&
-        clips_since_snapshot_ >= options_.snapshot_every_clips;
-    const bool ms_due = options_.snapshot_every_ms > 0 &&
-                        sim_ms_since_snapshot_ >= options_.snapshot_every_ms;
-    if (clips_due || ms_due) {
-      VAQ_RETURN_IF_ERROR(CheckpointLocked());
-    }
+  if (options_.checkpoint_store != nullptr && !replaying_ &&
+      options_.snapshot_every_clips > 0 &&
+      clips_since_snapshot_ >= options_.snapshot_every_clips) {
+    VAQ_RETURN_IF_ERROR(CheckpointLocked());
   }
   return Status::OK();
 }
@@ -973,7 +965,6 @@ Status Server::CheckpointLocked() {
   }
   ++ckpt_seq_;
   clips_since_snapshot_ = 0;
-  sim_ms_since_snapshot_ = 0.0;
   return Status::OK();
 }
 

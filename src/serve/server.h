@@ -130,10 +130,8 @@ struct ServeOptions {
   // snapshots. Not owned; must outlive the server.
   ckpt::Store* checkpoint_store = nullptr;
   // Automatic snapshot policy, evaluated after each AdvanceStream: a
-  // snapshot is taken every N clips advanced (0 = off) or every M
-  // simulated engine milliseconds (0 = off), whichever trips first.
+  // snapshot is taken every N clips advanced (0 = off).
   int64_t snapshot_every_clips = 0;
-  double snapshot_every_ms = 0.0;
   // Embed the process-wide metric registry in snapshots (and restore it
   // on Recover). True for a single-server process, where the registry's
   // whole contents belong to this server. Cluster nodes set it false:
@@ -192,6 +190,11 @@ class Server {
   void RegisterStream(const std::string& name, synth::Scenario scenario,
                       uint64_t model_seed = 1,
                       online::SvaqdOptions svaqd_options = {});
+  // Registers a repository video by its index alone: the server holds no
+  // proxy tier for it, so a ranked statement's WITH RECALL clause always
+  // plans exact (`exact(recall_target=...)`) and never prunes, where a
+  // query::Session with a proxy set would cascade. Results are exact
+  // either way; tests/golden/ranked_statements.txt pins both paths.
   void RegisterRepository(const std::string& name, storage::VideoIndex index);
 
   // Parses, resolves and enqueues one statement; returns its id.
@@ -279,11 +282,6 @@ class Server {
   const ServeOptions& options() const { return options_; }
 
  private:
-  struct StreamSource {
-    synth::Scenario scenario;
-    uint64_t model_seed = 1;
-    online::SvaqdOptions options;
-  };
   struct PendingQuery {
     int64_t id = 0;
     std::string sql;
@@ -346,11 +344,15 @@ class Server {
   void WorkerLoop(WorkerState* state);
   // Claims the head of the first idle non-empty shard in name order.
   bool ClaimNextLocked(PendingQuery* out, Shard** shard);
+  // Retires a claimed query that has run, for WorkerLoop and the
+  // threads = 0 Drain alike: frees its shard, decrements the pending and
+  // tenant counts, updates the queue-depth gauge and files its result.
+  void CompleteQueryLocked(Shard* shard, ServedQuery done);
   ServedQuery RunQuery(const PendingQuery& pending, WorkerState* state);
   // A statement's model bundle over stream `name`: the shared cache's,
   // counted as a hit or miss (also on `ctx`), else a fresh `*owned`.
   detect::ModelBundle* AcquireModels(const std::string& name,
-                                     const StreamSource& source,
+                                     const query::StreamSource& source,
                                      const query::QueryStatement& stmt,
                                      detect::ModelBundle* owned,
                                      const obs::QueryContext& ctx);
@@ -368,7 +370,7 @@ class Server {
   // snapshot restore and WAL replay, so a recovered session prunes the
   // exact same clips the crashed one would have.
   Status PlanStandingCascadeLocked(StandingQuery* q,
-                                   const StreamSource& source);
+                                   const query::StreamSource& source);
   Status AdvanceStreamLocked(const std::string& source);
   // The clip the next advance of `source` pushes, or why it cannot
   // advance (finished, unregistered, exhausted).
@@ -384,7 +386,7 @@ class Server {
   const ServeOptions options_;
 
   // Immutable after the first Submit.
-  std::map<std::string, StreamSource> streams_;
+  std::map<std::string, query::StreamSource> streams_;
   std::map<std::string, storage::VideoIndex> repositories_;
 
   SharedDetectionCache cache_;
@@ -417,8 +419,7 @@ class Server {
   std::map<std::string, cascade::ProxySet> proxies_;
   std::map<std::string, int64_t> stream_pos_;  // Clips advanced per source.
   int64_t ckpt_seq_ = 0;               // Next snapshot sequence number.
-  int64_t clips_since_snapshot_ = 0;   // Snapshot-policy accumulators.
-  double sim_ms_since_snapshot_ = 0.0;
+  int64_t clips_since_snapshot_ = 0;   // Snapshot-policy accumulator.
   bool standing_finished_ = false;
   bool replaying_ = false;  // Inside Recover(): no WAL, no snapshots.
 

@@ -20,10 +20,12 @@ std::string FormatMs(double ms) {
   return buf;
 }
 
+// DRR refill per visit, in modeled ms (times the tenant's weight).
+constexpr double kQuantumMs = 5.0;
+
 // DRR state over the per-tenant FIFOs.
 struct Scheduler {
   const std::vector<TenantSpec>* tenants;
-  double quantum_ms = 5.0;
   std::vector<std::deque<Arrival>> queues;
   std::vector<double> deficit;
   int cursor = 0;
@@ -44,7 +46,7 @@ struct Scheduler {
       const double cost = preset_cost_ms[static_cast<size_t>(head.preset)];
       if (deficit[static_cast<size_t>(cursor)] >= cost) return cursor;
       deficit[static_cast<size_t>(cursor)] +=
-          quantum_ms * (*tenants)[static_cast<size_t>(cursor)].weight;
+          kQuantumMs * (*tenants)[static_cast<size_t>(cursor)].weight;
       if (deficit[static_cast<size_t>(cursor)] >= cost) return cursor;
       cursor = (cursor + 1) % n;
     }
@@ -103,13 +105,11 @@ TrafficReport RunFrontDoor(const std::vector<TenantSpec>& tenants,
                            const std::vector<double>& preset_cost_ms,
                            const FrontDoorOptions& options) {
   VAQ_CHECK_GT(options.num_workers, 0);
-  VAQ_CHECK_GT(options.quantum_ms, 0.0);
   VAQ_CHECK(!tenants.empty());
   const size_t n = tenants.size();
 
   Scheduler sched;
   sched.tenants = &tenants;
-  sched.quantum_ms = options.quantum_ms;
   sched.queues.resize(n);
   sched.deficit.assign(n, 0.0);
 

@@ -13,8 +13,8 @@
 //     sizing quotas below num_workers leaves guaranteed headroom for
 //     everyone else's percentiles.
 //   * Scheduling: classic DRR with a per-tenant deficit denominated in
-//     modeled milliseconds. Each visit tops the deficit up by
-//     quantum_ms * weight; a tenant serves while its deficit covers the
+//     modeled milliseconds. Each visit tops the deficit up by a 5 ms
+//     quantum * weight; a tenant serves while its deficit covers the
 //     head-of-line cost, then yields. Long queries cannot starve light
 //     tenants — over any window each backlogged tenant gets service time
 //     proportional to its weight.
@@ -39,7 +39,6 @@ namespace traffic {
 
 struct FrontDoorOptions {
   int num_workers = 4;       // Virtual service slots draining the queues.
-  double quantum_ms = 5.0;   // DRR refill per visit (times tenant weight).
   bool record_metrics = true;  // Publish vaq_traffic_* families.
 };
 

@@ -15,22 +15,31 @@ constexpr uint64_t kTrafficSalt = 0x9bd1c4f2a75e3068ULL;
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
+// Diurnal curve: amplitude in [0, 1], one full cycle per period.
+constexpr double kDiurnalAmplitude = 0.5;
+constexpr double kDiurnalPeriodMs = 20'000.0;
+
+// Burst windows: Poisson-arriving per-tenant windows of elevated rate.
+constexpr double kBurstsPerMin = 1.0;  // Expected windows per virtual minute.
+constexpr double kBurstLenMs = 1'000.0;
+constexpr double kBurstFactor = 4.0;  // Rate multiplier inside a window.
+
+// Rate multipliers of a hotspot tenant and of the abusive tenant.
+constexpr double kHotspotFactor = 2.0;
+constexpr double kAbusiveFactor = 10.0;
+
 // Burst windows for one tenant: Poisson window starts, fixed length,
 // non-overlapping (the next draw starts after the previous window ends).
 std::vector<std::pair<double, double>> DrawBursts(Rng& rng,
-                                                  const WorkloadSpec& spec) {
+                                                  double duration_ms) {
   std::vector<std::pair<double, double>> windows;
-  if (spec.bursts_per_min <= 0.0 || spec.burst_len_ms <= 0.0 ||
-      spec.burst_factor <= 1.0) {
-    return windows;
-  }
-  const double starts_per_ms = spec.bursts_per_min / 60'000.0;
+  const double starts_per_ms = kBurstsPerMin / 60'000.0;
   double t = 0.0;
   while (true) {
     t += rng.Exponential(starts_per_ms);
-    if (t >= spec.duration_ms) break;
-    windows.emplace_back(t, t + spec.burst_len_ms);
-    t += spec.burst_len_ms;
+    if (t >= duration_ms) break;
+    windows.emplace_back(t, t + kBurstLenMs);
+    t += kBurstLenMs;
   }
   return windows;
 }
@@ -50,7 +59,7 @@ std::vector<TenantSpec> MakeTenants(const WorkloadSpec& spec) {
     tenant.slo_ms = spec.slo_ms;
     tenant.hotspot = spec.hotspot_every > 0 && i % spec.hotspot_every == 0;
     tenant.abusive = i == spec.abusive_tenant;
-    if (tenant.hotspot) tenant.rate_qps *= spec.hotspot_factor;
+    if (tenant.hotspot) tenant.rate_qps *= kHotspotFactor;
     tenants.push_back(std::move(tenant));
   }
   return tenants;
@@ -59,8 +68,6 @@ std::vector<TenantSpec> MakeTenants(const WorkloadSpec& spec) {
 std::vector<Arrival> GenerateArrivals(const WorkloadSpec& spec,
                                       bool* truncated) {
   VAQ_CHECK_GT(spec.num_presets, 0);
-  VAQ_CHECK_GE(spec.diurnal_amplitude, 0.0);
-  VAQ_CHECK_LE(spec.diurnal_amplitude, 1.0);
   const std::vector<TenantSpec> tenants = MakeTenants(spec);
   std::vector<Arrival> arrivals;
   if (truncated != nullptr) *truncated = false;
@@ -71,18 +78,15 @@ std::vector<Arrival> GenerateArrivals(const WorkloadSpec& spec,
     // tenant k is added, removed, or turned abusive.
     Rng rng = tenant_streams.Stream(static_cast<uint64_t>(i));
     const std::vector<std::pair<double, double>> bursts =
-        DrawBursts(rng, spec);
-    const double abusive_mult = tenants[static_cast<size_t>(i)].abusive
-                                    ? spec.abusive_factor
-                                    : 1.0;
+        DrawBursts(rng, spec.duration_ms);
+    const double abusive_mult =
+        tenants[static_cast<size_t>(i)].abusive ? kAbusiveFactor : 1.0;
     const double flat_per_ms =
         tenants[static_cast<size_t>(i)].rate_qps * abusive_mult / 1'000.0;
     if (flat_per_ms <= 0.0) continue;
-    const double burst_mult = spec.burst_factor > 1.0 ? spec.burst_factor
-                                                      : 1.0;
     // Thinning: draw at the all-factors-on peak, accept at rate(t)/peak.
     const double peak_per_ms =
-        flat_per_ms * (1.0 + spec.diurnal_amplitude) * burst_mult;
+        flat_per_ms * (1.0 + kDiurnalAmplitude) * kBurstFactor;
     size_t burst_cursor = 0;
     double t = 0.0;
     while (true) {
@@ -95,9 +99,9 @@ std::vector<Arrival> GenerateArrivals(const WorkloadSpec& spec,
       const bool in_burst = burst_cursor < bursts.size() &&
                             bursts[burst_cursor].first <= t;
       double rate = flat_per_ms *
-                    (1.0 + spec.diurnal_amplitude *
-                               std::sin(kTwoPi * t / spec.diurnal_period_ms));
-      if (in_burst) rate *= burst_mult;
+                    (1.0 + kDiurnalAmplitude *
+                               std::sin(kTwoPi * t / kDiurnalPeriodMs));
+      if (in_burst) rate *= kBurstFactor;
       // The preset draw happens even for thinned-out points so the kept
       // arrivals' mix is independent of the acceptance pattern.
       const int preset =

@@ -11,10 +11,14 @@
 // variables, MAGPIE-style:
 //
 //   rate(t) = base_qps
-//           * (1 + diurnal_amplitude * sin(2*pi*t / diurnal_period_ms))
-//           * (burst_factor     while t is inside a drawn burst window)
-//           * (hotspot_factor   for hotspot tenants)
-//           * (abusive_factor   for the designated abusive tenant)
+//           * (1 + 0.5 * sin(2*pi*t / 20 s))   (the diurnal curve)
+//           * (4   while t is inside a drawn burst window)
+//           * (2   for hotspot tenants)
+//           * (10  for the designated abusive tenant)
+//
+// Burst windows last 1 s and start per tenant as a Poisson process at
+// one per virtual minute. These shape constants live in workload.cc; the
+// spec sets the rest.
 //
 // Everything is a pure function of (spec, seed): each tenant draws from its
 // own Rng(MixSeed(seed, tenant)), so adding a tenant never perturbs another
@@ -40,8 +44,8 @@ struct TenantSpec {
   int queue_quota = 64;
   double rate_qps = 1.0;   // Mean offered rate at flat load, queries/s.
   double slo_ms = 250.0;   // Deadline class: sojourn above this is a miss.
-  bool hotspot = false;    // Runs hot (hotspot_factor) the whole time.
-  bool abusive = false;    // Offers abusive_factor times its fair rate.
+  bool hotspot = false;    // Runs hot (2x its rate) the whole time.
+  bool abusive = false;    // Offers 10 times its fair rate.
 };
 
 // One offered query: a tenant asks for one of the scenario presets.
@@ -59,25 +63,14 @@ struct WorkloadSpec {
   uint64_t seed = 1;
   double base_qps = 2.0;  // Per-tenant flat rate, queries per virtual second.
 
-  // Diurnal curve: amplitude in [0, 1], one full cycle per period.
-  double diurnal_amplitude = 0.5;
-  double diurnal_period_ms = 20'000.0;
-
-  // Burst windows: Poisson-arriving per-tenant windows of elevated rate.
-  double bursts_per_min = 1.0;   // Expected windows per virtual minute.
-  double burst_len_ms = 1'000.0;
-  double burst_factor = 4.0;     // Rate multiplier inside a window.
-
   // Every hotspot_every-th tenant (0-indexed: tenants 0, k, 2k, ...) is a
   // hotspot. 0 disables.
   int hotspot_every = 3;
-  double hotspot_factor = 2.0;
 
-  // The designated abusive tenant (-1 for none) offers abusive_factor
-  // times its configured rate — the isolation experiments shed it at its
-  // quota and check everyone else's percentiles stayed put.
+  // The designated abusive tenant (-1 for none) offers 10 times its
+  // configured rate — the isolation experiments shed it at its quota and
+  // check everyone else's percentiles stayed put.
   int abusive_tenant = -1;
-  double abusive_factor = 10.0;
 
   int num_presets = 4;   // Size of the query-mix preset pool.
   int queue_quota = 64;  // Per-tenant admission quota (TenantSpec).

@@ -80,6 +80,16 @@ TEST(ChaosReplayJson, RejectsMalformedDocuments) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+  // Window bounds are finite: strtod would read these as +/-infinity.
+  for (const char* event :
+       {"{\"kind\": \"net_partition\", \"from_ms\": 0, "
+        "\"to_ms\": 1e999}",
+        "{\"kind\": \"net_partition\", \"from_ms\": -1e999, "
+        "\"to_ms\": 10}"}) {
+    const auto parsed = ReplayFromJson(
+        std::string("{\"chaos_replay\": 1, \"events\": [") + event + "]}");
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << event;
+  }
 }
 
 // The largest advance the parser accepts still picks a byte to corrupt

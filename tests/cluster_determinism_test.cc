@@ -636,7 +636,7 @@ TEST(ClusterStanding, KilledOwnerFailsOverIdentically) {
   options.kill_node = HashShardOf("cam1", options.num_nodes);
   // Mid-drive: some advances land before the outage, the rest after
   // failover on the standby.
-  options.kill_at_ms = options.advance_tick_ms * (kStandingAdvances / 2);
+  options.kill_at_ms = kAdvanceTickMs * (kStandingAdvances / 2);
   const StandingRun run = RunStandingCluster(options);
   ASSERT_EQ(run.described.size(), ref.size());
   for (size_t i = 0; i < ref.size(); ++i) {
@@ -654,7 +654,7 @@ TEST(ClusterStanding, ShippingLagIsReplayedOnFailover) {
   // advance the killed node had applied.
   options.ship_every_advances = 1 << 20;
   options.kill_node = HashShardOf("cam1", options.num_nodes);
-  options.kill_at_ms = options.advance_tick_ms * (kStandingAdvances / 2);
+  options.kill_at_ms = kAdvanceTickMs * (kStandingAdvances / 2);
   const StandingRun run = RunStandingCluster(options);
   ASSERT_EQ(run.described.size(), ref.size());
   for (size_t i = 0; i < ref.size(); ++i) {

@@ -42,10 +42,9 @@ std::vector<Delivery> DrainAll(Net* net) {
 }
 
 // Delivery time without jitter for a copy that departs at `depart_ms`.
-double Unjittered(const NetOptions& options, double depart_ms,
-                  int64_t wire_bytes) {
-  return depart_ms + options.base_latency_ms +
-         static_cast<double>(wire_bytes) * options.per_byte_ms;
+double Unjittered(double depart_ms, int64_t wire_bytes) {
+  return depart_ms + kBaseLatencyMs +
+         static_cast<double>(wire_bytes) * kPerByteMs;
 }
 
 TEST(ClusterNetTest, DeliversInTimeThenSendOrder) {
@@ -94,7 +93,7 @@ TEST(ClusterNetTest, JitterStaysWithinItsBound) {
     EXPECT_EQ(delivery.attempts, 1);
     const double jitter =
         delivery.delivered_ms -
-        Unjittered(options, delivery.sent_ms, delivery.wire_bytes);
+        Unjittered(delivery.sent_ms, delivery.wire_bytes);
     EXPECT_GE(jitter, 0.0);
     EXPECT_LT(jitter, options.jitter_ms);
     jitter_max = std::max(jitter_max, jitter);
@@ -115,10 +114,10 @@ TEST(ClusterNetTest, DropIsRetransmittedOneRtoLaterAndCounted) {
   for (const Delivery& delivery : DrainAll(&net)) {
     retransmissions += delivery.attempts - 1;
     const double depart_ms =
-        delivery.sent_ms + (delivery.attempts - 1) * options.rto_ms;
+        delivery.sent_ms + (delivery.attempts - 1) * kRtoMs;
     const double jitter =
         delivery.delivered_ms -
-        Unjittered(options, depart_ms, delivery.wire_bytes);
+        Unjittered(depart_ms, delivery.wire_bytes);
     EXPECT_GE(jitter, 0.0);
     EXPECT_LT(jitter, options.jitter_ms);
   }
@@ -136,8 +135,7 @@ TEST(ClusterNetTest, DropIsRetransmittedOneRtoLaterAndCounted) {
   EXPECT_EQ(deliveries[0].attempts, options.max_attempts);
   EXPECT_EQ(lossy.stats().drops, options.max_attempts - 1);
   EXPECT_GE(deliveries[0].delivered_ms,
-            Unjittered(options, (options.max_attempts - 1) * options.rto_ms,
-                       16));
+            Unjittered((options.max_attempts - 1) * kRtoMs, 16));
 }
 
 TEST(ClusterNetTest, DuplicateIsSuppressedExactlyOnce) {
@@ -175,7 +173,7 @@ TEST(ClusterNetTest, PartitionDelaysToItsClearTime) {
   EXPECT_EQ(deliveries[0].message.index, 0);
   EXPECT_EQ(deliveries[0].attempts, options.max_attempts);
   const double jitter =
-      deliveries[0].delivered_ms - Unjittered(options, 100.0, 16);
+      deliveries[0].delivered_ms - Unjittered(100.0, 16);
   EXPECT_GE(jitter, 0.0);
   EXPECT_LT(jitter, options.jitter_ms);
   EXPECT_EQ(net.stats().partition_drops, 3);
@@ -183,7 +181,7 @@ TEST(ClusterNetTest, PartitionDelaysToItsClearTime) {
   EXPECT_EQ(deliveries[1].message.index, 1);
   EXPECT_EQ(deliveries[1].attempts, 1);
   EXPECT_LT(deliveries[1].delivered_ms,
-            Unjittered(options, 150.0, 16) + options.jitter_ms);
+            Unjittered(150.0, 16) + options.jitter_ms);
 }
 
 TEST(ClusterNetTest, TypedContentArrivesUnchanged) {

@@ -217,6 +217,8 @@ TEST(FaultSpecValidationTest, RejectsMalformedWindows) {
   spec.windows[0].from_ms = 10.0;
   spec.windows[0].to_ms = 10.0;  // Empty window is well-formed.
   EXPECT_TRUE(ValidateFaultSpec(spec).ok());
+  spec.windows[0].to_ms = INFINITY;  // A window that never ends is not.
+  EXPECT_EQ(ValidateFaultSpec(spec).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FaultSpecValidationTest, ScheduledNodeWindowsDriveNodeDown) {

@@ -355,7 +355,6 @@ StatusOr<std::unique_ptr<serve::Server>> MakeStandingDemoServer(
   options.fault_plan = spec.fault_plan;
   options.checkpoint_store = spec.checkpoint_store;
   options.snapshot_every_clips = spec.snapshot_every_clips;
-  options.snapshot_every_ms = spec.snapshot_every_ms;
   auto server = std::make_unique<serve::Server>(options);
   VAQ_RETURN_IF_ERROR(RegisterDemoSources(server.get(), spec.num_streams,
                                           /*with_repository=*/false,
@@ -420,6 +419,9 @@ std::vector<std::string> TrafficPresets(int num_presets) {
   return out;
 }
 
+// The traffic demo's TrafficPresets pool size.
+constexpr int kTrafficDemoPresets = 8;
+
 StatusOr<TrafficDemoResult> RunTrafficDemo(const TrafficDemoSpec& spec) {
   TrafficDemoResult out;
 
@@ -429,7 +431,7 @@ StatusOr<TrafficDemoResult> RunTrafficDemo(const TrafficDemoSpec& spec) {
   workload.seed = spec.seed;
   workload.base_qps = spec.base_qps;
   workload.abusive_tenant = spec.abusive_tenant;
-  workload.num_presets = spec.num_presets;
+  workload.num_presets = kTrafficDemoPresets;
   workload.queue_quota = spec.queue_quota;
   workload.slo_ms = spec.slo_ms;
   const std::vector<traffic::TenantSpec> tenants =
@@ -441,7 +443,7 @@ StatusOr<TrafficDemoResult> RunTrafficDemo(const TrafficDemoSpec& spec) {
   // the threads = 0 reference schedule. The front door replays millions
   // of arrivals against this table instead of executing each one — same
   // modeled costs, tractable simulation.
-  const std::vector<std::string> presets = TrafficPresets(spec.num_presets);
+  const std::vector<std::string> presets = TrafficPresets(kTrafficDemoPresets);
   out.preset_cost_ms.assign(presets.size(), 0.0);
   {
     serve::ServeOptions options;

@@ -172,7 +172,6 @@ struct StandingDemoSpec {
   const fault::FaultPlan* fault_plan = nullptr;
   ckpt::Store* checkpoint_store = nullptr;
   int64_t snapshot_every_clips = serve::kDefaultSnapshotEveryClips;
-  double snapshot_every_ms = 0.0;
 };
 
 // A server with the demo streams registered and the spec's durability
@@ -223,7 +222,6 @@ struct TrafficDemoSpec {
   int num_tenants = 4;
   double duration_min = 1.0;  // Virtual minutes of offered load.
   uint64_t seed = 21;
-  int num_presets = 8;        // TrafficPresets pool size.
   int num_workers = 8;        // Front-door service slots.
   double base_qps = 2.0;      // Per-tenant offered rate, queries/s.
   // Per-tenant admission quota: admitted-but-unfinished queries (queued

@@ -562,7 +562,6 @@ Status WriteServeConfig(ckpt::Store* store,
   payload.PutU64(spec.seed);
   payload.PutBool(spec.share_detection_cache);
   payload.PutI64(spec.snapshot_every_clips);
-  payload.PutF64(spec.snapshot_every_ms);
   ckpt::Serializer serializer;
   serializer.Append(kConfigTag, payload);
   return store->Put(kConfigEntry, serializer.blob());
@@ -574,6 +573,8 @@ StatusOr<tools::StandingDemoSpec> ReadServeConfig(const ckpt::Store& store) {
                        ckpt::ParseBlob(blob));
   for (const ckpt::Record& record : records) {
     if (record.tag != kConfigTag) continue;
+    // Bytes past the last field are ignored, so a record that still
+    // carries the retired ms snapshot trigger (a trailing F64) reads too.
     ckpt::PayloadReader in(record.payload);
     tools::StandingDemoSpec spec;
     int64_t streams = 0, queries = 0;
@@ -582,7 +583,6 @@ StatusOr<tools::StandingDemoSpec> ReadServeConfig(const ckpt::Store& store) {
     VAQ_RETURN_IF_ERROR(in.GetU64(&spec.seed));
     VAQ_RETURN_IF_ERROR(in.GetBool(&spec.share_detection_cache));
     VAQ_RETURN_IF_ERROR(in.GetI64(&spec.snapshot_every_clips));
-    VAQ_RETURN_IF_ERROR(in.GetF64(&spec.snapshot_every_ms));
     spec.num_streams = static_cast<int>(streams);
     spec.num_queries = static_cast<int>(queries);
     return spec;
