@@ -56,13 +56,9 @@ std::string DescribeTop(
 std::string NonCkptMetrics() {
   // vaq_ckpt_* legitimately differs between a run that crashed and one
   // that did not (that *is* the durability work); everything else is
-  // logical and must match byte for byte. vaq_log_* is also out: the
-  // rate-limited log suppression counter feeds off per-call-site static
-  // counters that span both runs of a trial, so its split between them
-  // is an artifact of process history, not of either run.
+  // logical and must match byte for byte.
   return obs::ExportPrometheus(obs::ExcludeSnapshot(
-      obs::MetricRegistry::Global().TakeSnapshot(),
-      {"vaq_ckpt_", "vaq_log_"}));
+      obs::MetricRegistry::Global().TakeSnapshot(), {"vaq_ckpt_"}));
 }
 
 // One run's comparable output.

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "common/rng.h"
-#include "fault/fault_plan.h"
 #include "obs/metrics.h"
 
 namespace vaq {
@@ -60,27 +58,6 @@ StatusOr<int64_t> WalSeq(const std::string& name) {
   return SeqOf(kWalPrefix, name);
 }
 
-RecoveryDriver::RecoveryDriver(const Store* store,
-                               const fault::FaultPlan* plan)
-    : store_(store), plan_(plan) {}
-
-StatusOr<std::string> RecoveryDriver::ReadEntry(
-    const std::string& name) const {
-  auto bytes = store_->Get(name);
-  if (!bytes.ok()) return bytes;
-  std::string blob = std::move(bytes).value();
-  if (plan_ != nullptr && !blob.empty()) {
-    const int64_t entry = static_cast<int64_t>(HashBytes(name) >> 1);
-    if (plan_->CheckpointCorrupts(entry)) {
-      const double pos = plan_->CheckpointCorruptPosition(entry);
-      const size_t bit =
-          static_cast<size_t>(pos * static_cast<double>(blob.size() * 8));
-      blob[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-    }
-  }
-  return blob;
-}
-
 StatusOr<RecoveryReport> RecoveryDriver::Run(
     const RecoveryHooks& hooks) const {
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
@@ -97,7 +74,7 @@ StatusOr<RecoveryReport> RecoveryDriver::Run(
   // Newest snapshot that parses clean wins; corrupt ones are counted and
   // skipped. No snapshot at all is a cold start, not an error.
   for (const std::string& name : snapshots) {
-    auto blob = ReadEntry(name);
+    auto blob = store_->Get(name);
     if (!blob.ok()) return blob.status();
     auto records = ParseBlob(blob.value());
     if (!records.ok()) {
@@ -137,7 +114,7 @@ StatusOr<RecoveryReport> RecoveryDriver::Run(
   std::sort(segments.begin(), segments.end());
   bool damaged = false;
   for (const auto& [seq, name] : segments) {
-    auto wal = ReadEntry(name);
+    auto wal = store_->Get(name);
     if (!wal.ok()) {
       if (wal.status().code() == StatusCode::kNotFound) continue;
       return wal.status();

@@ -19,8 +19,9 @@
 // the WAL segments after it through the caller's hooks, stopping at the
 // first torn or corrupt record (the tail a crash may leave behind). The
 // *semantics* of records live entirely in the hooks; the driver only
-// owns framing, snapshot selection and fault-plan-injected read
-// corruption.
+// owns framing and snapshot selection. It reads the stored bytes as they
+// are: corruption is a changed byte in the store (CorruptEntryByte in
+// ckpt/store.h), never a fault injected on the read path.
 //
 // Recovery invariants (asserted by tests/ckpt_recovery_test.cc):
 //  1. restore(snapshot) + replay(wal suffix) is byte-identical — results
@@ -42,10 +43,6 @@
 #include "common/status.h"
 
 namespace vaq {
-namespace fault {
-class FaultPlan;
-}  // namespace fault
-
 namespace ckpt {
 
 inline constexpr char kSnapshotPrefix[] = "snap-";
@@ -77,23 +74,16 @@ struct RecoveryReport {
 
 class RecoveryDriver {
  public:
-  // `plan` (optional) injects deterministic read corruption via
-  // FaultSpec::checkpoint_corrupt_rate; neither pointer is owned.
-  explicit RecoveryDriver(const Store* store,
-                          const fault::FaultPlan* plan = nullptr);
+  // `store` is not owned.
+  explicit RecoveryDriver(const Store* store) : store_(store) {}
 
   // Restore-then-replay. Fails only when every snapshot is corrupt and
   // there is no cold-start path left, or a hook fails; an empty store
   // recovers to a cold start with an empty report.
   StatusOr<RecoveryReport> Run(const RecoveryHooks& hooks) const;
 
-  // Reads entry `name`, applying any fault-plan corruption — the view
-  // recovery itself sees. Exposed for the corruption tests.
-  StatusOr<std::string> ReadEntry(const std::string& name) const;
-
  private:
   const Store* store_;
-  const fault::FaultPlan* plan_;
 };
 
 }  // namespace ckpt

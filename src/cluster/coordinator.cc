@@ -256,7 +256,6 @@ Node* Coordinator::HostNode(int host) const {
 }
 
 bool Coordinator::HostDown(int host, double at_ms) const {
-  if (options_.kill_node == host && at_ms >= options_.kill_at_ms) return true;
   return options_.fault_plan != nullptr &&
          options_.fault_plan->NodeDown(host, at_ms);
 }

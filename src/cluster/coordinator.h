@@ -31,7 +31,7 @@
 //
 // Failover: if an expected batch does not arrive within 50 ms of
 // virtual time (`kFailoverTimeoutMs`; the shard's host is inside a
-// fault-plan outage window, or was killed explicitly), the coordinator
+// fault-plan outage window, rate-drawn or a staged kill), the coordinator
 // re-points the fetch at the next follower replica. Batches are a pure
 // function of (shard, batch index), so the replica resumes mid-stream
 // with no hand-off state and the final result is unchanged; the replica
@@ -71,14 +71,10 @@ struct ClusterOptions {
   int num_replicas = 0;  // Follower replicas per shard.
   PartitionScheme scheme = PartitionScheme::kHash;
   int batch_size = 4;    // Candidates per gather batch.
-  // Drives node outages (FaultSpec::node_outage_rate) and network
-  // faults. Not owned; may be null (no faults).
+  // Drives node outages (FaultSpec::node_outage_rate and kNode windows:
+  // a staged kill such as `vaqctl cluster --kill-node` is one window) and
+  // network faults. Not owned; may be null (no faults).
   const fault::FaultPlan* fault_plan = nullptr;
-  // Staged outage for tests and `vaqctl cluster --kill-node`: host
-  // `kill_node` is down from `kill_at_ms` onward (in addition to any
-  // fault-plan windows). -1 disables.
-  int kill_node = -1;
-  double kill_at_ms = 0.0;
   // Deterministic watchdog: abort the gather with kDeadlineExceeded
   // after this many scheduler events (timer fires + deliveries). 0
   // disables. A bound on *events*, not wall time, so a livelocked

@@ -56,7 +56,6 @@ int StandingCluster::OwnerOf(const std::string& source) const {
 }
 
 bool StandingCluster::NodeIsDown(int node, double at_ms) const {
-  if (options_.kill_node == node && at_ms >= options_.kill_at_ms) return true;
   return options_.cluster_fault_plan != nullptr &&
          options_.cluster_fault_plan->NodeDown(node, at_ms);
 }

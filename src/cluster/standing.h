@@ -11,8 +11,8 @@
 // snapshots) over the simulated network after every
 // `ship_every_advances` logged advances.
 //
-// Failover: when the fault plan (FaultSpec::node_outage_rate, or an
-// explicit kill) downs an owner node at an advance's virtual time, the
+// Failover: when the fault plan (FaultSpec::node_outage_rate, or a
+// kNode window) downs an owner node at an advance's virtual time, the
 // cluster builds a standby serve::Server with the same registrations
 // over the *replica* store, runs ckpt recovery, and replays any
 // advances the replica had not yet been shipped (the cluster knows each
@@ -54,16 +54,13 @@ struct StandingClusterOptions {
   // Faults injected inside the perception engines (every node gets the
   // same plan, preserving per-stream determinism vs. a single server).
   const fault::FaultPlan* engine_fault_plan = nullptr;
-  // Drives node outages and network faults at the cluster layer.
+  // Drives node outages (a staged kill is a kNode window) and network
+  // faults at the cluster layer.
   const fault::FaultPlan* cluster_fault_plan = nullptr;
   // Replica sync cadence in logged advances. 1 = synchronous shipping
   // (failover loses nothing); larger values leave a shipping lag the
   // failover path must re-execute.
   int ship_every_advances = 1;
-  // Staged outage: node `kill_node` is down from `kill_at_ms` onward
-  // (in addition to any fault-plan windows). -1 disables.
-  int kill_node = -1;
-  double kill_at_ms = 0.0;
 };
 
 class StandingCluster {

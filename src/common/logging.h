@@ -1,136 +1,60 @@
-// Logging and invariant-checking macros with a structured sink.
-//
-// `VAQ_LOG(level) << ...` builds a message and hands it to the process
-// sink (common/logging.cc), which applies:
-//
-//   * level filtering — minimum level from the `VAQ_LOG_LEVEL` env var
-//     (`info` | `warning` | `error` | `fatal`; default `info`) or
-//     `SetMinLogLevel()`; `Fatal` always emits and aborts;
-//   * output format — classic text, or JSON lines when `VAQ_LOG_FORMAT`
-//     is `json` (or via `SetJsonLogging(true)`): one
-//     `{"seq":N,"level":...,"file":...,"line":...,"msg":...}` object per
-//     line. The sequence number is a deterministic monotone counter, not
-//     a wall timestamp, so seeded runs log identically;
-//   * an optional redirect (`SetLogSink`) used by tests to capture lines.
-//
-// `VAQ_LOG_RATELIMITED(level, n)` emits the first occurrence per call
-// site and then every n-th, annotating how many were suppressed — for
-// warnings that fire per occurrence unit (breaker trips, checksum
-// mismatches) and would otherwise flood stderr.
+// Invariant-checking macros.
 //
 // `VAQ_CHECK*` macros abort the process with a diagnostic when an
 // invariant is violated; they are enabled in all build types (defensive
 // checks in library internals use them only for programmer errors, never
-// for data-dependent failures, which go through `Status`). They expand to
-// a single ternary expression, so they are safe inside unbraced
-// `if`/`else` branches.
+// for data-dependent failures, which go through `Status`; faults are
+// reported through metrics and `Status`, never through a log line). The
+// diagnostic is one line on stderr,
+// `[FATAL file:line] Check failed: <cond> <streamed message>`, printed
+// just before the abort. Each macro expands to a single ternary
+// expression, so it is safe inside unbraced `if`/`else` branches.
 #ifndef VAQ_COMMON_LOGGING_H_
 #define VAQ_COMMON_LOGGING_H_
 
-#include <atomic>
-#include <cstdint>
-#include <functional>
+#include <ostream>
 #include <sstream>
-#include <string>
 
 namespace vaq {
 namespace internal_logging {
 
-enum class LogLevel { kInfo, kWarning, kError, kFatal };
-
-// Minimum emitted level; initialized from VAQ_LOG_LEVEL on first use.
-void SetMinLogLevel(LogLevel level);
-LogLevel MinLogLevel();
-
-// JSON-lines output; initialized from VAQ_LOG_FORMAT on first use.
-void SetJsonLogging(bool on);
-
-// Redirects fully formatted lines (no trailing newline) away from
-// stderr; nullptr restores stderr. Fatal still aborts after the call.
-void SetLogSink(std::function<void(const std::string&)> sink);
-
-// Sink entry point used by LogMessage's destructor.
-void EmitLogLine(LogLevel level, const char* file, int line,
-                 const std::string& message);
-
-// Per-call-site rate limiting: bumps the counter and returns the number
-// of messages suppressed since the last emitted one (0 for the first),
-// or -1 when this occurrence should be suppressed.
-int64_t RateLimitTick(std::atomic<int64_t>* counter, int64_t every_n);
-
-// Observes every suppressed rate-limited occurrence (called with 1 per
-// suppressed tick). The obs layer installs a listener that mirrors the
-// count into `vaq_log_suppressed_total`; common/ cannot depend on obs/,
-// so the hook is inverted. nullptr uninstalls.
-void SetLogSuppressionListener(std::function<void(int64_t)> listener);
-
-// Stream-style message builder; hands the line to the sink on
-// destruction and aborts for kFatal.
-class LogMessage {
+// Stream-style builder of one failed check's diagnostic; prints it on
+// stderr and aborts on destruction.
+class CheckFailure {
  public:
-  LogMessage(LogLevel level, const char* file, int line,
-             int64_t suppressed = 0)
-      : level_(level), file_(file), line_(line), suppressed_(suppressed) {}
+  CheckFailure(const char* file, int line) : file_(file), line_(line) {}
 
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
+  CheckFailure(const CheckFailure&) = delete;
+  CheckFailure& operator=(const CheckFailure&) = delete;
 
-  ~LogMessage() {
-    if (suppressed_ > 0) {
-      stream_ << " (" << suppressed_ << " similar suppressed)";
-    }
-    EmitLogLine(level_, file_, line_, stream_.str());
-  }
+  ~CheckFailure();
 
   std::ostream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
   const char* file_;
   int line_;
-  int64_t suppressed_;
   std::ostringstream stream_;
 };
 
 // Swallows the stream expression in the ternary-check idiom below:
 // `operator&` binds looser than `<<` but tighter than `?:`.
-struct LogMessageVoidify {
+struct CheckVoidify {
   void operator&(std::ostream&) {}
 };
 
 }  // namespace internal_logging
 }  // namespace vaq
 
-#define VAQ_LOG(level)                                            \
-  ::vaq::internal_logging::LogMessage(                            \
-      ::vaq::internal_logging::LogLevel::k##level, __FILE__, __LINE__) \
-      .stream()
-
-// Emits the first occurrence per call site, then every (every_n)-th,
-// annotating the suppressed count. The loop body runs at most once; a
-// `for` keeps this a single statement (dangling-else safe) while giving
-// the call site its own static counter.
-#define VAQ_LOG_RATELIMITED(level, every_n)                                \
-  for (int64_t vaq_rl_suppressed =                                         \
-           ::vaq::internal_logging::RateLimitTick(                         \
-               [] {                                                        \
-                 static ::std::atomic<int64_t> vaq_rl_counter{0};          \
-                 return &vaq_rl_counter;                                   \
-               }(),                                                        \
-               (every_n));                                                 \
-       vaq_rl_suppressed >= 0; vaq_rl_suppressed = -1)                     \
-  ::vaq::internal_logging::LogMessage(                                     \
-      ::vaq::internal_logging::LogLevel::k##level, __FILE__, __LINE__,     \
-      vaq_rl_suppressed)                                                   \
-      .stream()
-
 // Aborts with a message when `cond` is false. Use for programmer errors.
 // Expands to one expression, so `if (x) VAQ_CHECK(y); else ...` binds as
-// written (the old `if/else` expansion captured the dangling `else`).
-#define VAQ_CHECK(cond)                                       \
-  (cond) ? (void)0                                            \
-         : ::vaq::internal_logging::LogMessageVoidify() &     \
-               VAQ_LOG(Fatal) << "Check failed: " #cond " "
+// written (an `if/else` expansion would capture the dangling `else`).
+#define VAQ_CHECK(cond)                                                 \
+  (cond) ? (void)0                                                      \
+         : ::vaq::internal_logging::CheckVoidify() &                    \
+               ::vaq::internal_logging::CheckFailure(__FILE__, __LINE__) \
+                       .stream()                                        \
+                   << "Check failed: " #cond " "
 
 #define VAQ_CHECK_OP_(a, b, op) \
   VAQ_CHECK((a)op(b)) << "(" << (a) << " vs " << (b) << ") "

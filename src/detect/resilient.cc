@@ -83,7 +83,6 @@ ResilientObjectDetector::ResilientObjectDetector(ObjectDetector* inner,
                                                  const fault::FaultPlan* plan,
                                                  fault::SimClock* clock)
     : inner_(inner),
-      plan_(plan),
       core_(plan, fault::FaultDomain::kDetector, clock,
             inner->profile().name) {}
 
@@ -98,7 +97,6 @@ ResilientActionRecognizer::ResilientActionRecognizer(
     ActionRecognizer* inner, const fault::FaultPlan* plan,
     fault::SimClock* clock)
     : inner_(inner),
-      plan_(plan),
       core_(plan, fault::FaultDomain::kRecognizer, clock,
             inner->profile().name) {}
 

@@ -238,7 +238,6 @@ class ResilientObjectDetector {
 
  private:
   ObjectDetector* inner_;
-  const fault::FaultPlan* plan_;
   internal_detect::ResilientCore core_;
 };
 
@@ -270,7 +269,6 @@ class ResilientActionRecognizer {
 
  private:
   ActionRecognizer* inner_;
-  const fault::FaultPlan* plan_;
   internal_detect::ResilientCore core_;
 };
 

@@ -15,8 +15,6 @@ namespace {
 constexpr uint64_t kCrashSalt = 0x6b7c8d9e1f2a3b4cULL;
 constexpr uint64_t kCallSalt = 0x1a2b3c4d5e6f7081ULL;
 constexpr uint64_t kDropSalt = 0x9d8c7b6a594837f2ULL;
-constexpr uint64_t kPageSalt = 0x31415926535897e1ULL;
-constexpr uint64_t kCkptSalt = 0x8f1bbcdc62c1d6a5ULL;
 constexpr uint64_t kNetDropSalt = 0x243f6a8885a308d3ULL;
 constexpr uint64_t kNetDupSalt = 0x13198a2e03707344ULL;
 constexpr uint64_t kNodeSalt = 0xa4093822299f31d0ULL;
@@ -39,8 +37,6 @@ Status ValidateFaultSpec(const FaultSpec& spec) {
       {"nan_score_rate", spec.nan_score_rate},
       {"out_of_range_score_rate", spec.out_of_range_score_rate},
       {"drop_clip_rate", spec.drop_clip_rate},
-      {"page_error_rate", spec.page_error_rate},
-      {"checkpoint_corrupt_rate", spec.checkpoint_corrupt_rate},
       {"net_drop_rate", spec.net_drop_rate},
       {"net_dup_rate", spec.net_dup_rate},
       {"node_outage_rate", spec.node_outage_rate},
@@ -125,26 +121,6 @@ bool FaultPlan::DropClip(int64_t clip) const {
   if (spec_.drop_clip_rate <= 0.0) return false;
   return UniformAt(seed_, kDropSalt, static_cast<uint64_t>(FaultDomain::kStream),
                    static_cast<uint64_t>(clip)) < spec_.drop_clip_rate;
-}
-
-bool FaultPlan::PageReadFails(int64_t page, int64_t attempt) const {
-  if (spec_.page_error_rate <= 0.0) return false;
-  return UniformAt(seed_, kPageSalt, static_cast<uint64_t>(page),
-                   static_cast<uint64_t>(attempt)) < spec_.page_error_rate;
-}
-
-bool FaultPlan::CheckpointCorrupts(int64_t entry) const {
-  if (spec_.checkpoint_corrupt_rate <= 0.0) return false;
-  return UniformAt(seed_, kCkptSalt,
-                   static_cast<uint64_t>(FaultDomain::kCheckpoint),
-                   static_cast<uint64_t>(entry)) <
-         spec_.checkpoint_corrupt_rate;
-}
-
-double FaultPlan::CheckpointCorruptPosition(int64_t entry) const {
-  return UniformAt(seed_, kCkptSalt ^ 0x5a5a5a5a5a5a5a5aULL,
-                   static_cast<uint64_t>(FaultDomain::kCheckpoint),
-                   static_cast<uint64_t>(entry));
 }
 
 bool FaultPlan::NetDrops(int64_t link, int64_t seq, int64_t attempt) const {

@@ -2,9 +2,9 @@
 //
 // Production deployments of VAQ spend >98% of their runtime inside a
 // black-box perception service (§5.2) that times out, crashes and
-// occasionally returns garbage, and serve score tables from storage that
-// can lose pages. `FaultPlan` is the single source of truth for *when*
-// such faults happen: every decision is a pure function of
+// occasionally returns garbage, behind a network and on nodes that can
+// fail. `FaultPlan` is the single source of truth for *when* such faults
+// happen: every decision is a pure function of
 // (seed, domain, coordinate), so a plan can be consulted from any layer,
 // in any order, any number of times, and always yields the identical
 // fault schedule — the same property the simulated models rely on.
@@ -20,7 +20,7 @@
 //    is down with probability `crash_rate`. The expected fraction of
 //    units inside an outage equals `crash_rate`.
 //
-// Per-attempt faults (timeouts, garbage scores, page-read errors) take an
+// Per-attempt faults (timeouts, garbage scores, network drops) take an
 // attempt nonce supplied by the caller, so a retry of the same logical
 // read draws a fresh fault decision while staying deterministic for the
 // run as a whole.
@@ -36,14 +36,12 @@ namespace vaq {
 namespace fault {
 
 // Independent fault streams of one plan; a detector outage says nothing
-// about the recognizer or storage.
+// about the recognizer or the network. The values are fault coordinates
+// (they salt the plan's hashes), so they never change.
 enum class FaultDomain : uint64_t {
   kDetector = 1,
   kRecognizer = 2,
-  kTracker = 3,
-  kStorage = 4,
   kStream = 5,
-  kCheckpoint = 6,
   kNetwork = 7,
   kNode = 8,
 };
@@ -63,7 +61,9 @@ const char* FaultKindName(FaultKind kind);
 // the half-open virtual-time interval [from_ms, to_ms). Unlike the rate
 // parameters below — which describe a *distribution* the seed samples —
 // a window is an explicit event: the chaos harness (src/chaos) composes
-// node kill/restart and network partitions out of these.
+// node kill/restart and network partitions out of these, and a staged
+// kill of host N from time T on is the one window {kNode, N, T, max
+// double}.
 //
 //   * kNode: `key` is the host id (-1 = every host).
 //   * kNetwork: a partition; `key` is ignored (the whole fabric).
@@ -89,12 +89,6 @@ struct FaultSpec {
   // Per-clip probability that the clip's observations are lost entirely
   // (e.g. the camera feed dropped the segment).
   double drop_clip_rate = 0.0;
-  // Per-attempt probability that a storage page write fails while ingest
-  // materializes a score table (offline::Ingestor).
-  double page_error_rate = 0.0;
-  // Per-read probability that a checkpoint store entry comes back with a
-  // flipped bit (media corruption; see ckpt::RecoveryDriver).
-  double checkpoint_corrupt_rate = 0.0;
   // Per-transmission probability that a cluster network message copy is
   // lost (cluster::Net retransmits after an RTO; each attempt draws a
   // fresh decision).
@@ -115,7 +109,6 @@ struct FaultSpec {
   bool any() const {
     return timeout_rate > 0.0 || crash_rate > 0.0 || nan_score_rate > 0.0 ||
            out_of_range_score_rate > 0.0 || drop_clip_rate > 0.0 ||
-           page_error_rate > 0.0 || checkpoint_corrupt_rate > 0.0 ||
            net_drop_rate > 0.0 || net_dup_rate > 0.0 ||
            node_outage_rate > 0.0 || !windows.empty();
   }
@@ -154,19 +147,6 @@ class FaultPlan {
 
   // True when clip `clip`'s observations are dropped wholesale.
   bool DropClip(int64_t clip) const;
-
-  // True when the `attempt`-th access of storage page `page` fails.
-  bool PageReadFails(int64_t page, int64_t attempt) const;
-
-  // True when a read of checkpoint entry `entry` (a stable hash of the
-  // entry name) returns corrupted bytes. Position-based like outages:
-  // re-reading the same entry keeps returning the same corruption, which
-  // is what forces recovery to fall back to an older snapshot.
-  bool CheckpointCorrupts(int64_t entry) const;
-
-  // Which bit of the corrupted entry flips, as a fraction of its length
-  // in [0, 1). Only meaningful when CheckpointCorrupts(entry).
-  double CheckpointCorruptPosition(int64_t entry) const;
 
   // True when the `attempt`-th transmission of message `seq` on `link`
   // is lost in flight (cluster::Net schedules a retransmission).

@@ -111,16 +111,7 @@ std::string CanonicalLabels(Labels labels) {
 }
 
 MetricRegistry& MetricRegistry::Global() {
-  static MetricRegistry* const registry = [] {
-    MetricRegistry* r = new MetricRegistry();
-    // Surface rate-limited warn suppression (common/logging.h) as a
-    // counter; common/ cannot depend on obs/, so the hook is inverted.
-    // Registry Reset() zeroes it like every other counter.
-    Counter* suppressed = r->GetCounter("vaq_log_suppressed_total", {});
-    internal_logging::SetLogSuppressionListener(
-        [suppressed](int64_t n) { suppressed->Increment(n); });
-    return r;
-  }();
+  static MetricRegistry* const registry = new MetricRegistry();
   return *registry;
 }
 

@@ -9,41 +9,6 @@
 
 namespace vaq {
 namespace offline {
-namespace {
-
-// Simulated materialization of one score table through faulty storage,
-// the only consumer of the plan's page_error_rate: each 4096-byte page
-// write may fail per the plan and is retried with a fresh attempt nonce;
-// three consecutive failures abort the ingest. Tables get disjoint
-// page-id ranges so their fault streams are independent. The page model
-// (24 B per row) is the fault plan's unit of work, not the catalog's
-// on-disk size.
-Status MaterializeTable(const fault::FaultPlan* plan, int64_t table_ordinal,
-                        int64_t num_rows) {
-  if (plan == nullptr || plan->spec().page_error_rate <= 0.0) {
-    return Status::OK();
-  }
-  constexpr int64_t kPageBytes = 4096;
-  constexpr int64_t kRowBytes = 24;  // Sorted row + by-clip projection.
-  constexpr int64_t kMaxAttempts = 3;
-  const int64_t pages = 1 + (num_rows * kRowBytes + kPageBytes - 1) / kPageBytes;
-  for (int64_t p = 0; p < pages; ++p) {
-    const int64_t page_id = table_ordinal * (int64_t{1} << 32) + p;
-    int64_t failed = 0;
-    while (failed < kMaxAttempts && plan->PageReadFails(page_id, failed)) {
-      ++failed;
-    }
-    if (failed == kMaxAttempts) {
-      return Status::Unavailable(
-          "storage fault persisted while materializing table " +
-          std::to_string(table_ordinal) + " (page " + std::to_string(p) +
-          ")");
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Ingestor::Ingestor(const Vocabulary* vocab, const ScoringModel* scoring,
                    IngestOptions options)
@@ -66,7 +31,6 @@ StatusOr<storage::VideoIndex> Ingestor::Ingest(
 
   online::SvaqdOptions indicator_options;
   indicator_options.fault_plan = options_.fault_plan;
-  int64_t table_ordinal = 0;
 
   // --- Object types: tracker-scored tables + SVAQD individual sequences.
   for (ObjectTypeId type = 0; type < vocab_->num_object_types(); ++type) {
@@ -93,8 +57,6 @@ StatusOr<storage::VideoIndex> Ingestor::Ingest(
     }
     VAQ_ASSIGN_OR_RETURN(entry.table,
                          storage::ScoreTable::Build(std::move(rows)));
-    VAQ_RETURN_IF_ERROR(
-        MaterializeTable(options_.fault_plan, table_ordinal++, num_clips));
     metric_tables->Increment();
 
     // Individual sequences via a single-predicate SVAQD run (§4.2).
@@ -128,8 +90,6 @@ StatusOr<storage::VideoIndex> Ingestor::Ingest(
     }
     VAQ_ASSIGN_OR_RETURN(entry.table,
                          storage::ScoreTable::Build(std::move(rows)));
-    VAQ_RETURN_IF_ERROR(
-        MaterializeTable(options_.fault_plan, table_ordinal++, num_clips));
     metric_tables->Increment();
 
     QuerySpec single;

@@ -35,10 +35,7 @@ namespace offline {
 struct IngestOptions {
   // Fault injection (see src/fault/). When non-null, the per-type SVAQD
   // runs inherit this plan (model faults degrade individual sequences
-  // gracefully) and the materialization of each score table goes through
-  // simulated faulty storage: every page write may fail per the plan's
-  // page_error_rate and is retried twice; a persistent fault aborts the
-  // ingest with kUnavailable. Not owned; null (default) disables.
+  // gracefully). Not owned; null (default) disables.
   const fault::FaultPlan* fault_plan = nullptr;
 };
 
@@ -50,8 +47,8 @@ class Ingestor {
            IngestOptions options);
 
   // Processes one video with the given models. This is the expensive,
-  // inference-heavy pass (once per video). Fails only for injected
-  // storage faults (kUnavailable) or malformed score rows.
+  // inference-heavy pass (once per video). Fails only for malformed
+  // score rows.
   StatusOr<storage::VideoIndex> Ingest(
       const synth::GroundTruth& truth,
       const detect::ModelBundle& models) const;

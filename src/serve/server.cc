@@ -978,7 +978,7 @@ StatusOr<ckpt::RecoveryReport> Server::Recover() {
         "Recover requires a freshly constructed server");
   }
   replaying_ = true;
-  ckpt::RecoveryDriver driver(options_.checkpoint_store, options_.fault_plan);
+  ckpt::RecoveryDriver driver(options_.checkpoint_store);
   ckpt::RecoveryHooks hooks;
   hooks.restore = [this](uint32_t version,
                          const std::vector<ckpt::Record>& records) {

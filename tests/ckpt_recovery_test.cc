@@ -1,16 +1,16 @@
 // Crash-recovery determinism for the durable standing-query runtime.
 //
-// The central claim (ISSUE: checkpoint/recovery subsystem): killing the
+// The central claim of the checkpoint/recovery subsystem: killing the
 // serving process at an arbitrary clip boundary, restoring the newest
 // valid snapshot and replaying the WAL yields results and logical
 // metrics *byte-identical* to a run that was never interrupted — with
 // faults injected, with the shared detection cache on or off, through
 // MemStore or an on-disk DirStore, and even when the newest snapshot is
-// itself corrupt (fallback to the previous one plus a longer replay).
+// itself corrupt (fallback to the previous one plus a longer replay) or
+// a WAL segment is damaged (replay stops there; the rest re-executes).
 // Runs under ThreadSanitizer and the VAQ_SANITIZE configuration.
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,7 +21,6 @@
 #include "ckpt/recovery.h"
 #include "ckpt/serializer.h"
 #include "ckpt/store.h"
-#include "common/rng.h"
 #include "fault/fault_plan.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -267,51 +266,36 @@ TEST(CkptRecoveryTest, TornWalTailIsDroppedAndRecoveryStillExact) {
   EXPECT_EQ(recovered.value().run.metrics, reference.value().metrics);
 }
 
-// --- Snapshot corruption (satellite: fault::FaultPlan checkpoint hooks) --
+// --- Stored-byte damage ---------------------------------------------------
+//
+// Corruption is a changed byte in the store, made with
+// ckpt::CorruptEntryByte after the crash; recovery reads the bytes as
+// stored. A crash after 17 advances leaves snap-0, snap-1, wal-1 (the
+// records after snap-0, up to snap-1) and wal-2 (the records after
+// snap-1).
 
-bool PlanCorrupts(const fault::FaultPlan& plan, const std::string& name) {
-  const int64_t entry = static_cast<int64_t>(HashBytes(name) >> 1);
-  return plan.CheckpointCorrupts(entry);
+// Flips the lowest bit of the middle byte of snapshot `name`: inside its
+// records, where it fails a record checksum, not in the 12-byte header
+// (where it could read as a newer format version, kUnimplemented).
+void FlipSnapshotBodyByte(ckpt::Store* store, const std::string& name) {
+  const auto bytes = store->Get(name);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  ASSERT_GT(bytes->size(), 24u);
+  ASSERT_TRUE(ckpt::CorruptEntryByte(
+                  store, name, static_cast<int64_t>(bytes->size() / 2), 0x01)
+                  .ok());
 }
 
-// Corrupt-position far enough into the blob that the flip cannot land in
-// the 12-byte header (where it could read as a newer format version,
-// kUnimplemented, instead of failing a record checksum). Snapshots are
-// KBs, so > 5% of the blob is comfortably past byte 12.
-bool CorruptsBody(const fault::FaultPlan& plan, const std::string& name) {
-  if (!PlanCorrupts(plan, name)) return false;
-  const int64_t entry = static_cast<int64_t>(HashBytes(name) >> 1);
-  return plan.CheckpointCorruptPosition(entry) > 0.05;
-}
-
-// Deterministically picks a fault seed matching `pred` — how the tests
-// aim read corruption at specific store entries.
-uint64_t FindCorruptionSeed(
-    const std::function<bool(const fault::FaultPlan&)>& pred) {
-  fault::FaultSpec spec;
-  spec.checkpoint_corrupt_rate = 0.5;
-  for (uint64_t seed = 1; seed <= 5000; ++seed) {
-    const fault::FaultPlan plan(spec, seed);
-    if (pred(plan)) return seed;
-  }
-  return 0;
+int64_t EntrySize(const ckpt::Store& store, const std::string& name) {
+  const auto bytes = store.Get(name);
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  return bytes.ok() ? static_cast<int64_t>(bytes->size()) : -1;
 }
 
 TEST(CkptRecoveryTest, CorruptNewestSnapshotFallsBackToPrevious) {
-  // Crash after 17 advances leaves snap-0, snap-1, wal-1, wal-2. A plan
-  // that corrupts exactly snap-1 must fall back to snap-0 and replay
-  // both WAL segments — and still reproduce the reference run exactly.
-  const uint64_t seed = FindCorruptionSeed([](const fault::FaultPlan& p) {
-    return CorruptsBody(p, ckpt::SnapshotName(1)) &&
-           !PlanCorrupts(p, ckpt::SnapshotName(0)) &&
-           !PlanCorrupts(p, ckpt::WalName(1)) &&
-           !PlanCorrupts(p, ckpt::WalName(2));
-  });
-  ASSERT_NE(seed, 0u);
-  fault::FaultSpec fault_spec;
-  fault_spec.checkpoint_corrupt_rate = 0.5;
-  const fault::FaultPlan plan(fault_spec, seed);
-
+  // A damaged snap-1 must fall back to snap-0 and replay both WAL
+  // segments, and still reproduce the reference run exactly.
+  const fault::FaultPlan plan(tools::DemoFaultSpec(), /*seed=*/21);
   ckpt::MemStore ref_store;
   const auto reference = RunUninterrupted(DemoSpec(&ref_store, &plan, true));
   ASSERT_TRUE(reference.ok()) << reference.status();
@@ -319,6 +303,7 @@ TEST(CkptRecoveryTest, CorruptNewestSnapshotFallsBackToPrevious) {
   ckpt::MemStore store;
   const tools::StandingDemoSpec spec = DemoSpec(&store, &plan, true);
   ASSERT_TRUE(RunUntilCrash(spec, 17).ok());
+  FlipSnapshotBodyByte(&store, ckpt::SnapshotName(1));
   const auto recovered = RecoverAndFinish(spec);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_EQ(recovered.value().report.snapshot, ckpt::SnapshotName(0));
@@ -330,18 +315,12 @@ TEST(CkptRecoveryTest, CorruptNewestSnapshotFallsBackToPrevious) {
 }
 
 TEST(CkptRecoveryTest, EverySnapshotCorruptIsAnError) {
-  const uint64_t seed = FindCorruptionSeed([](const fault::FaultPlan& p) {
-    return CorruptsBody(p, ckpt::SnapshotName(0)) &&
-           CorruptsBody(p, ckpt::SnapshotName(1));
-  });
-  ASSERT_NE(seed, 0u);
-  fault::FaultSpec fault_spec;
-  fault_spec.checkpoint_corrupt_rate = 0.5;
-  const fault::FaultPlan plan(fault_spec, seed);
-
+  const fault::FaultPlan plan(tools::DemoFaultSpec(), /*seed=*/21);
   ckpt::MemStore store;
   const tools::StandingDemoSpec spec = DemoSpec(&store, &plan, true);
   ASSERT_TRUE(RunUntilCrash(spec, 17).ok());
+  FlipSnapshotBodyByte(&store, ckpt::SnapshotName(0));
+  FlipSnapshotBodyByte(&store, ckpt::SnapshotName(1));
 
   obs::MetricRegistry::Global().Reset();
   auto server = tools::MakeStandingDemoServer(spec);
@@ -350,6 +329,37 @@ TEST(CkptRecoveryTest, EverySnapshotCorruptIsAnError) {
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kCorruption);
   EXPECT_EQ(CounterValue("vaq_ckpt_corrupt_total"), 2);
+}
+
+TEST(CkptRecoveryTest, DamagedWalSegmentDropsEveryLaterSegment) {
+  // With snap-1 damaged, recovery restores snap-0 and must replay wal-1
+  // then wal-2. A flipped byte in wal-1's first record stops replay
+  // there: every byte from it on is dropped, wal-2 included, since a
+  // later record has no trustworthy predecessor. The resumed run then
+  // re-executes every advance after snap-0 and still matches the
+  // reference exactly.
+  const fault::FaultPlan plan(tools::DemoFaultSpec(), /*seed=*/21);
+  ckpt::MemStore ref_store;
+  const auto reference = RunUninterrupted(DemoSpec(&ref_store, &plan, true));
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  ckpt::MemStore store;
+  const tools::StandingDemoSpec spec = DemoSpec(&store, &plan, true);
+  ASSERT_TRUE(RunUntilCrash(spec, 17).ok());
+  FlipSnapshotBodyByte(&store, ckpt::SnapshotName(1));
+  // Byte 0 is the first record's tag, which its checksum covers.
+  ASSERT_TRUE(
+      ckpt::CorruptEntryByte(&store, ckpt::WalName(1), 0, 0x01).ok());
+  const int64_t wal_bytes =
+      EntrySize(store, ckpt::WalName(1)) + EntrySize(store, ckpt::WalName(2));
+
+  const auto recovered = RecoverAndFinish(spec);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered.value().report.snapshot, ckpt::SnapshotName(0));
+  EXPECT_EQ(recovered.value().report.wal_records, 0);
+  EXPECT_EQ(recovered.value().report.wal_bytes_dropped, wal_bytes);
+  EXPECT_EQ(recovered.value().run.described, reference.value().described);
+  EXPECT_EQ(recovered.value().run.metrics, reference.value().metrics);
 }
 
 TEST(CkptRecoveryTest, RecoverGuardsItsPreconditions) {

@@ -1,16 +1,18 @@
 // Cluster acceptance suite: for ANY shard count, partition scheme and
 // replica count, scatter–gather ranked results and every logical vaq_*
 // metric are byte-identical to the single-node reference; node kills
-// (staged or fault-plan-driven) fail over to replicas with identical
-// final results; and the standing-query cluster with WAL shipping
-// matches a single server clip for clip, through failover and shipping
-// lag.
+// (a staged kNode window or rate-drawn outages, both from the fault
+// plan) fail over to replicas with identical final results; and the
+// standing-query cluster with WAL shipping matches a single server clip
+// for clip, through failover and shipping lag.
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "cluster/coordinator.h"
 #include "cluster/standing.h"
 #include "detect/models.h"
+#include "fault/fault_plan.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "offline/ingest.h"
@@ -56,6 +59,18 @@ const offline::Repository& DemoRepository() {
     return r;
   }();
   return *repo;
+}
+
+// A staged kill: `host` is down from `at_ms` onward. This is the one
+// kNode window `vaqctl cluster --kill-node --kill-at` builds, with seed 0
+// so that the network jitters as it does without a plan.
+fault::FaultPlan KillPlan(int host, double at_ms) {
+  fault::FaultSpec spec;
+  spec.windows.push_back({fault::FaultDomain::kNode, host, at_ms,
+                          std::numeric_limits<double>::max()});
+  auto plan = fault::FaultPlan::Create(std::move(spec), /*seed=*/0);
+  EXPECT_TRUE(plan.ok()) << plan.status().message();
+  return std::move(plan).value();
 }
 
 std::string Fmt(double v) {
@@ -109,12 +124,11 @@ RankedOutput SingleNodeReference(
   out.videos_skipped = result->videos_skipped;
   out.candidate_sequences = result->candidate_sequences;
   // vaq_query_latency_ms{path="cluster"} exists only on the clustered
-  // path (the single-node reference records none), and vaq_log_* feeds
-  // off per-call-site static rate-limit counters that span runs within
-  // this process — neither is part of the logical comparison surface.
+  // path (the single-node reference records none), so it is not part of
+  // the logical comparison surface.
   out.logical_metrics = obs::ExportPrometheus(obs::ExcludeSnapshot(
       obs::MetricRegistry::Global().TakeSnapshot(),
-      {"vaq_cluster_", "vaq_query_latency_ms", "vaq_log_"}));
+      {"vaq_cluster_", "vaq_query_latency_ms"}));
   return out;
 }
 
@@ -146,7 +160,7 @@ ClusterRun RunCluster(ClusterOptions options, int64_t k = kK,
     run.output.candidate_sequences = result->merged.candidate_sequences;
     run.output.logical_metrics = obs::ExportPrometheus(obs::ExcludeSnapshot(
         obs::MetricRegistry::Global().TakeSnapshot(),
-        {"vaq_cluster_", "vaq_query_latency_ms", "vaq_log_"}));
+        {"vaq_cluster_", "vaq_query_latency_ms"}));
   }
   return run;
 }
@@ -212,12 +226,12 @@ TEST(ClusterRanked, StagedKillFailsOverToReplica) {
   // after the scan started (one modeled seek is 5ms) but before it can
   // serve every batch, so the replica finishes the stream.
   for (const double kill_at : {0.0, 5.0}) {
+    const fault::FaultPlan kill = KillPlan(1, kill_at);
     ClusterOptions options;
     options.num_shards = 3;
     options.num_replicas = 1;
     options.batch_size = 1;
-    options.kill_node = 1;
-    options.kill_at_ms = kill_at;
+    options.fault_plan = &kill;
     const ClusterRun run = RunCluster(options, kAllK);
     const std::string label = "kill_at=" + Fmt(kill_at);
     ASSERT_TRUE(run.status.ok()) << label << ": " << run.status.message();
@@ -231,10 +245,11 @@ TEST(ClusterRanked, StagedKillFailsOverToReplica) {
 }
 
 TEST(ClusterRanked, KillWithoutReplicaIsUnavailable) {
+  const fault::FaultPlan kill = KillPlan(1, 0.0);
   ClusterOptions options;
   options.num_shards = 3;
   options.num_replicas = 0;
-  options.kill_node = 1;
+  options.fault_plan = &kill;
   const ClusterRun run = RunCluster(options);
   EXPECT_EQ(run.status.code(), StatusCode::kUnavailable);
 }
@@ -446,12 +461,9 @@ TEST(ClusterCascade, RecallOneThroughBackendMatchesPlainStatement) {
   // WITH RECALL 1 must never reach the planner: the whole observable
   // surface — results, access accounting, every metric family including
   // vaq_cluster_* — matches the clause-free statement byte for byte.
-  // (Only vaq_log_* is excluded: its rate-limit counters are per-call-
-  // site statics that span runs within this process.)
-  const std::vector<std::string> exclude = {"vaq_log_"};
-  const BackendRun plain = RunThroughBackend(kBackendSql, 3, exclude);
+  const BackendRun plain = RunThroughBackend(kBackendSql, 3, {});
   const BackendRun recall_one = RunThroughBackend(
-      std::string(kBackendSql) + " WITH RECALL 1", 3, exclude);
+      std::string(kBackendSql) + " WITH RECALL 1", 3, {});
   EXPECT_FALSE(plain.described.empty());
   EXPECT_EQ(plain.described, recall_one.described);
   EXPECT_EQ(plain.metrics, recall_one.metrics);
@@ -464,8 +476,7 @@ TEST(ClusterCascade, ApproximateStatementIsShardCountInvariant) {
   // an approximate statement's results, plan text and logical metrics
   // cannot depend on the shard count.
   const std::vector<std::string> exclude = {"vaq_cluster_",
-                                            "vaq_query_latency_ms",
-                                            "vaq_log_"};
+                                            "vaq_query_latency_ms"};
   const std::string sql = std::string(kBackendSql) + " WITH RECALL 0.9";
   const BackendRun one = RunThroughBackend(sql, 1, exclude);
   EXPECT_NE(one.cascade_plan.find("cascade"), std::string::npos)
@@ -633,10 +644,12 @@ TEST(ClusterStanding, KilledOwnerFailsOverIdentically) {
   const std::vector<std::string> ref = SingleServerStandingReference();
   StandingClusterOptions options;
   options.num_nodes = 3;
-  options.kill_node = HashShardOf("cam1", options.num_nodes);
   // Mid-drive: some advances land before the outage, the rest after
   // failover on the standby.
-  options.kill_at_ms = kAdvanceTickMs * (kStandingAdvances / 2);
+  const fault::FaultPlan kill =
+      KillPlan(HashShardOf("cam1", options.num_nodes),
+               kAdvanceTickMs * (kStandingAdvances / 2));
+  options.cluster_fault_plan = &kill;
   const StandingRun run = RunStandingCluster(options);
   ASSERT_EQ(run.described.size(), ref.size());
   for (size_t i = 0; i < ref.size(); ++i) {
@@ -653,8 +666,10 @@ TEST(ClusterStanding, ShippingLagIsReplayedOnFailover) {
   // replica stays at stream position zero, so failover must replay every
   // advance the killed node had applied.
   options.ship_every_advances = 1 << 20;
-  options.kill_node = HashShardOf("cam1", options.num_nodes);
-  options.kill_at_ms = kAdvanceTickMs * (kStandingAdvances / 2);
+  const fault::FaultPlan kill =
+      KillPlan(HashShardOf("cam1", options.num_nodes),
+               kAdvanceTickMs * (kStandingAdvances / 2));
+  options.cluster_fault_plan = &kill;
   const StandingRun run = RunStandingCluster(options);
   ASSERT_EQ(run.described.size(), ref.size());
   for (size_t i = 0; i < ref.size(); ++i) {

@@ -17,7 +17,6 @@ FaultSpec AllFaultsSpec() {
   spec.nan_score_rate = 0.02;
   spec.out_of_range_score_rate = 0.02;
   spec.drop_clip_rate = 0.03;
-  spec.page_error_rate = 0.04;
   return spec;
 }
 
@@ -31,7 +30,6 @@ TEST(FaultPlanTest, SameSeedYieldsIdenticalSchedule) {
     EXPECT_EQ(a.ProbeCall(FaultDomain::kDetector, unit, unit % 3),
               b.ProbeCall(FaultDomain::kDetector, unit, unit % 3));
     EXPECT_EQ(a.DropClip(unit), b.DropClip(unit));
-    EXPECT_EQ(a.PageReadFails(unit, unit % 3), b.PageReadFails(unit, unit % 3));
   }
   // Repeated consultation of the same coordinate never disagrees with
   // itself (the plan is a pure function, not a stateful stream).
@@ -74,7 +72,6 @@ TEST(FaultPlanTest, EmptySpecInjectsNothing) {
     EXPECT_EQ(plan.ProbeCall(FaultDomain::kDetector, unit, 0),
               FaultKind::kNone);
     EXPECT_FALSE(plan.DropClip(unit));
-    EXPECT_FALSE(plan.PageReadFails(unit, 0));
   }
 }
 
@@ -86,12 +83,10 @@ TEST(FaultPlanTest, RaisingARateOnlyAddsFaults) {
   lo.crash_rate = 0.05;
   lo.timeout_rate = 0.03;
   lo.drop_clip_rate = 0.02;
-  lo.page_error_rate = 0.02;
   FaultSpec hi = lo;
   hi.crash_rate = 0.2;
   hi.timeout_rate = 0.12;
   hi.drop_clip_rate = 0.08;
-  hi.page_error_rate = 0.08;
   const FaultPlan plan_lo(lo, 33);
   const FaultPlan plan_hi(hi, 33);
   for (int64_t unit = 0; unit < 4000; ++unit) {
@@ -106,9 +101,6 @@ TEST(FaultPlanTest, RaisingARateOnlyAddsFaults) {
     }
     if (plan_lo.DropClip(unit)) {
       EXPECT_TRUE(plan_hi.DropClip(unit)) << unit;
-    }
-    if (plan_lo.PageReadFails(unit, 0)) {
-      EXPECT_TRUE(plan_hi.PageReadFails(unit, 0)) << unit;
     }
   }
 }
@@ -165,13 +157,13 @@ TEST(FaultSpecValidationTest, RejectsNegativeRate) {
 
 TEST(FaultSpecValidationTest, RejectsNanRate) {
   FaultSpec spec;
-  spec.checkpoint_corrupt_rate = std::nan("");
+  spec.node_outage_rate = std::nan("");
   EXPECT_EQ(FaultPlan::Create(spec, 7).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(FaultSpecValidationTest, RejectsEveryRateField) {
-  // Each of the ten rate fields is individually validated; a regression
+  // Each of the eight rate fields is individually validated; a regression
   // that drops one from the checklist fails here.
   const std::vector<void (*)(FaultSpec&)> poke = {
       [](FaultSpec& s) { s.timeout_rate = 2.0; },
@@ -179,8 +171,6 @@ TEST(FaultSpecValidationTest, RejectsEveryRateField) {
       [](FaultSpec& s) { s.nan_score_rate = 2.0; },
       [](FaultSpec& s) { s.out_of_range_score_rate = 2.0; },
       [](FaultSpec& s) { s.drop_clip_rate = 2.0; },
-      [](FaultSpec& s) { s.page_error_rate = 2.0; },
-      [](FaultSpec& s) { s.checkpoint_corrupt_rate = 2.0; },
       [](FaultSpec& s) { s.net_drop_rate = 2.0; },
       [](FaultSpec& s) { s.net_dup_rate = 2.0; },
       [](FaultSpec& s) { s.node_outage_rate = 2.0; },

@@ -1,8 +1,7 @@
 // Per-query trace plumbing (obs/query_trace.h): tree shape and phase
 // folding, the rendered profile format, Chrome trace export against the
 // JSON linter, nearest-rank percentiles, the LatencyRecorder's gauge
-// mirror, the promlint-style exporter self-check and the rate-limited
-// log suppression counter.
+// mirror and the promlint-style exporter self-check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/logging.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/query_trace.h"
@@ -234,21 +232,6 @@ TEST(PromLintTest, RejectsMalformedText) {
       PromLintError("# TYPE vaq_x counter\nvaq_x{9bad=\"v\"} 1\n"), "");
   // Diagnostics carry a line number.
   EXPECT_EQ(PromLintError("vaq_x 1\n").rfind("line 1:", 0), 0u);
-}
-
-TEST(LogSuppressionTest, SuppressedWarningsSurfaceAsACounter) {
-  // Touch the registry first so the suppression listener is installed.
-  Counter* suppressed =
-      MetricRegistry::Global().GetCounter("vaq_log_suppressed_total", {});
-  // Swallow the one emitted line; the other 49 occurrences at this call
-  // site are suppressed and must each tick the counter.
-  internal_logging::SetLogSink([](const std::string&) {});
-  const int64_t before = suppressed->value();
-  for (int i = 0; i < 50; ++i) {
-    VAQ_LOG_RATELIMITED(Warning, 1000) << "unit-test suppression probe";
-  }
-  internal_logging::SetLogSink(nullptr);
-  EXPECT_EQ(suppressed->value(), before + 49);
 }
 
 }  // namespace

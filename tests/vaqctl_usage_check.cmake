@@ -40,11 +40,12 @@ endforeach()
 # Each case is "<flag>|<command line>": the command must exit 2 with
 # <flag> named on stderr. Every value is one the parse rejects — garbage,
 # trailing characters, a sign on an unsigned field, a value out of the
-# field's range — or the flag is one the subcommand (or its mode: durable
-# or in-memory serve, chaos sweep or replay) does not read, or a value
-# flag is last with no value (--selfcheck is the one flag that takes
-# none). None is a valid huge --threads, --workers or --nodes,
-# which would start that many threads.
+# field's range, or a cluster kill value outside its domain (a negative
+# --kill-at, a --kill-node below -1) — or the flag is one the subcommand
+# (or its mode: durable or in-memory serve, chaos sweep or replay) does
+# not read, or a value flag is last with no value (--selfcheck is the
+# one flag that takes none). None is a valid huge --threads, --workers
+# or --nodes, which would start that many threads.
 file(REMOVE_RECURSE "${WORKDIR}")
 set(bad_flag_cases
   "--seed|chaos --trials 1 --seed abc"
@@ -60,7 +61,9 @@ set(bad_flag_cases
   "--name|ingest --catalog ${WORKDIR} --scenario youtube:3 --name"
   "--crash-after|serve --queries 1 --streams 1 --crash-after 5"
   "--threads|serve --checkpoint-dir ${WORKDIR} --threads 2"
-  "--seed|chaos --replay ${WORKDIR}/repro.json --seed 3")
+  "--seed|chaos --replay ${WORKDIR}/repro.json --seed 3"
+  "--kill-at|cluster --kill-node 1 --kill-at -1"
+  "--kill-node|cluster --kill-node -3")
 foreach(case IN LISTS bad_flag_cases)
   string(FIND "${case}" "|" bar)
   string(SUBSTRING "${case}" 0 ${bar} flag)

@@ -82,8 +82,9 @@
 //       scatter–gather top-k with the threshold-algorithm stopping rule
 //       (src/cluster/). Prints the merged top-k, whether it is identical
 //       to single-node RVAQ (exit 1 if not), the modeled speedup, and
-//       gather/network statistics. --kill-node I stages a node outage at
-//       --kill-at virtual ms to demo replica failover.
+//       gather/network statistics. --kill-node I (a host id; -1, the
+//       default, kills none) takes that host down from --kill-at virtual
+//       ms (>= 0) onward, a fault-plan window, to demo replica failover.
 //
 //   vaqctl cascade [--recall R] [--seed S] [--videos V] [--k K]
 //       Plan a model cascade over the seeded demo corpus (src/cascade/):
@@ -895,7 +896,7 @@ int CmdCluster(const Args& args) {
   const int replicas = args.Number<int>("replicas", 1);
   const int videos = args.Number<int>("videos", 8);
   const int batch = args.Number<int>("batch", 4);
-  const int kill_node = args.Number<int>("kill-node", -1);
+  const int kill_host = args.Number<int>("kill-node", -1);
   const double kill_at = args.Number<double>("kill-at", 0.0);
   const int64_t k = args.Number<int64_t>("k", 5);
   const uint64_t seed = args.Number<uint64_t>("seed", 7);
@@ -908,6 +909,26 @@ int CmdCluster(const Args& args) {
                  "and --replicas >= 0\n");
     return 2;
   }
+  if (kill_host < -1) {
+    std::fprintf(stderr,
+                 "cluster: --kill-node must be a host id >= 0, or -1 for "
+                 "no kill\n");
+    return 2;
+  }
+  if (kill_at < 0.0) {
+    std::fprintf(stderr, "cluster: --kill-at must be >= 0\n");
+    return 2;
+  }
+  // A staged kill is one kNode window, down from --kill-at onward. Its
+  // plan has seed 0: the network seeds its jitter from the plan, and a
+  // run without a plan jitters with seed 0.
+  fault::FaultSpec kill;
+  if (kill_host >= 0) {
+    kill.windows.push_back({fault::FaultDomain::kNode, kill_host, kill_at,
+                            std::numeric_limits<double>::max()});
+  }
+  const auto kill_plan = fault::FaultPlan::Create(std::move(kill), 0);
+  VAQ_CHECK_OK(kill_plan.status());  // The window's bounds are checked above.
   auto scheme = cluster::ParsePartitionScheme(args.Get("scheme", "hash"));
   if (!scheme.ok()) {
     std::fprintf(stderr, "%s\n", scheme.status().ToString().c_str());
@@ -944,8 +965,7 @@ int CmdCluster(const Args& args) {
   options.num_replicas = replicas;
   options.scheme = scheme.value();
   options.batch_size = batch;
-  options.kill_node = kill_node;
-  options.kill_at_ms = kill_at;
+  options.fault_plan = kill_host >= 0 ? &kill_plan.value() : nullptr;
   cluster::Coordinator coordinator(&repository, options);
   auto clustered = coordinator.TopK(action, objects, scoring, rvaq);
   if (!clustered.ok()) {
