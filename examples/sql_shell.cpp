@@ -23,8 +23,7 @@ void RunStatement(vaq::query::Session& session, const std::string& sql) {
     return;
   }
   std::printf("  plan: %s (%s)\n", parsed->ToString().c_str(),
-              parsed->ranked || parsed->limit >= 0 ? "offline / RVAQ"
-                                                   : "online / SVAQD");
+              parsed->IsRanked() ? "offline / RVAQ" : "online / SVAQD");
   auto result = session.Execute(*parsed);
   if (!result.ok()) {
     std::printf("  error: %s\n", result.status().ToString().c_str());

@@ -83,7 +83,6 @@ Coordinator::Coordinator(const offline::Repository* repository,
   VAQ_CHECK_GT(options_.batch_size, 0);
   shard_videos_ = PartitionNames(repository_->VideoNames(),
                                  options_.num_shards, options_.scheme);
-  shard_load_ms_.assign(shard_videos_.size(), 0.0);
   RebuildNodes();
 }
 
@@ -133,8 +132,7 @@ Status Coordinator::SplitShard(int shard) {
         " holds fewer than two videos; nothing to split");
   }
   // Midpoint cut of the sorted run: the left half stays in place, the
-  // right half becomes the new adjacent shard. The window load has no
-  // per-video attribution, so it is split evenly.
+  // right half becomes the new adjacent shard.
   const auto mid =
       videos.begin() + static_cast<std::ptrdiff_t>(videos.size() / 2);
   std::vector<std::string> right(mid, videos.end());
@@ -142,10 +140,6 @@ Status Coordinator::SplitShard(int shard) {
   shard_videos_.insert(
       shard_videos_.begin() + static_cast<std::ptrdiff_t>(shard) + 1,
       std::move(right));
-  const double half = shard_load_ms_[static_cast<size_t>(shard)] / 2.0;
-  shard_load_ms_[static_cast<size_t>(shard)] = half;
-  shard_load_ms_.insert(
-      shard_load_ms_.begin() + static_cast<std::ptrdiff_t>(shard) + 1, half);
   RebuildNodes();
   obs::MetricRegistry::Global()
       .GetCounter("vaq_cluster_rebalance_total", {{"op", "split"}})
@@ -171,75 +165,11 @@ Status Coordinator::MergeShards(int left) {
   lhs = std::move(merged);
   shard_videos_.erase(shard_videos_.begin() +
                       static_cast<std::ptrdiff_t>(left) + 1);
-  shard_load_ms_[static_cast<size_t>(left)] +=
-      shard_load_ms_[static_cast<size_t>(left) + 1];
-  shard_load_ms_.erase(shard_load_ms_.begin() +
-                       static_cast<std::ptrdiff_t>(left) + 1);
   RebuildNodes();
   obs::MetricRegistry::Global()
       .GetCounter("vaq_cluster_rebalance_total", {{"op", "merge"}})
       ->Increment();
   return Status::OK();
-}
-
-int Coordinator::Rebalance(const RebalanceOptions& rebalance) {
-  int actions = 0;
-  // Split first so this round's merge can never immediately undo it (a
-  // fresh split halves the window load, and the doc comment on
-  // RebalanceOptions asks for merge_threshold_ms well below half the
-  // split threshold).
-  if (num_shards() < rebalance.max_shards) {
-    int hottest = -1;
-    double hottest_ms = 0.0;
-    for (int s = 0; s < num_shards(); ++s) {
-      if (shard_videos_[static_cast<size_t>(s)].size() >= 2 &&
-          shard_load_ms_[static_cast<size_t>(s)] > hottest_ms) {
-        hottest = s;
-        hottest_ms = shard_load_ms_[static_cast<size_t>(s)];
-      }
-    }
-    if (hottest >= 0 && hottest_ms >= rebalance.split_threshold_ms &&
-        SplitShard(hottest).ok()) {
-      ++actions;
-    }
-  }
-  if (num_shards() > rebalance.min_shards) {
-    int coldest = -1;
-    double coldest_ms = kInf;
-    for (int l = 0; l + 1 < num_shards(); ++l) {
-      const double lhs = shard_load_ms_[static_cast<size_t>(l)];
-      const double rhs = shard_load_ms_[static_cast<size_t>(l) + 1];
-      if (std::max(lhs, rhs) <= rebalance.merge_threshold_ms &&
-          lhs + rhs < coldest_ms) {
-        coldest = l;
-        coldest_ms = lhs + rhs;
-      }
-    }
-    if (coldest >= 0 && MergeShards(coldest).ok()) ++actions;
-  }
-  // Close the load window: the next window starts from zero under the
-  // (possibly new) layout.
-  std::fill(shard_load_ms_.begin(), shard_load_ms_.end(), 0.0);
-  for (int s = 0; s < num_shards(); ++s) ShardLoadGauge(s)->Set(0.0);
-  return actions;
-}
-
-obs::Gauge* Coordinator::ShardLoadGauge(int shard) const {
-  const size_t index = static_cast<size_t>(shard);
-  if (shard_load_gauges_.size() <= index) {
-    shard_load_gauges_.resize(index + 1, nullptr);
-  }
-  obs::Gauge*& gauge = shard_load_gauges_[index];
-  if (gauge == nullptr) {
-    gauge = obs::MetricRegistry::Global().GetGauge(
-        "vaq_cluster_shard_load_ms", {{"shard", std::to_string(shard)}});
-  }
-  return gauge;
-}
-
-double Coordinator::ShardLoadMs(int shard) const {
-  if (shard < 0 || shard >= num_shards()) return 0.0;
-  return shard_load_ms_[static_cast<size_t>(shard)];
 }
 
 const std::vector<std::string>& Coordinator::ShardVideos(int shard) const {
@@ -448,11 +378,6 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
       result.single_node_ms += run->modeled_ms;
       result.max_shard_ms = std::max(result.max_shard_ms, run->modeled_ms);
       state.folded = true;
-      // Load window for elastic rebalancing (replica re-runs count: a
-      // failing-over shard really did cost that much scan time).
-      double& load_ms = shard_load_ms_[static_cast<size_t>(batch.shard)];
-      load_ms += run->modeled_ms;
-      ShardLoadGauge(batch.shard)->Set(load_ms);
       if (shard_ctx.active()) {
         shard_ctx.AddMs(run->modeled_ms);
         shard_ctx.AddStat("videos_queried", run->videos_queried);

@@ -95,22 +95,6 @@ struct ClusterOptions {
   const cascade::ProxySet* proxy = nullptr;
 };
 
-// Elastic rebalancing policy (Coordinator::Rebalance). Loads are the
-// per-shard modeled scan milliseconds accumulated since the previous
-// Rebalance call (the "load window"); each call acts on the window and
-// then closes it. Keep merge_threshold_ms well below half the split
-// threshold or a freshly split pair can oscillate.
-struct RebalanceOptions {
-  // Split the hottest shard when its window load reaches this (and it
-  // holds at least two videos).
-  double split_threshold_ms = 50.0;
-  // Merge the coldest adjacent pair when both sides are at or below
-  // this.
-  double merge_threshold_ms = 5.0;
-  int min_shards = 1;
-  int max_shards = 64;
-};
-
 struct ClusterTopKResult {
   // Byte-identical to the single-node Repository::TopK outcome.
   offline::RepositoryTopKResult merged;
@@ -139,7 +123,7 @@ class Coordinator : public query::RankedBackend {
   int num_shards() const { return static_cast<int>(shard_videos_.size()); }
   const std::vector<std::string>& ShardVideos(int shard) const;
 
-  // --- Elastic rebalancing ----------------------------------------------
+  // --- Elastic layout ---------------------------------------------------
   // The shard layout only affects transport (vaq_cluster_* batch/net
   // accounting, host ids, answer_ms): merged results are merged by
   // (video, per-video rank) position and every per-video scan runs exactly
@@ -157,18 +141,6 @@ class Coordinator : public query::RankedBackend {
 
   // Merges shard `left` with shard `left + 1` into one sorted run.
   Status MergeShards(int left);
-
-  // Load-reactive layout step: splits the hottest shard at or above
-  // split_threshold_ms, then merges the coldest adjacent pair wholly at
-  // or below merge_threshold_ms, honoring the min/max shard bounds —
-  // at most one split and one merge per call. Returns the number of
-  // layout actions taken and closes the load window (accumulators reset
-  // to zero).
-  int Rebalance(const RebalanceOptions& rebalance = {});
-
-  // Modeled scan ms shard `shard` accumulated in the current load
-  // window (also exported as vaq_cluster_shard_load_ms{shard=...}).
-  double ShardLoadMs(int shard) const;
 
   // Global top-K for a conjunctive query, scatter–gathered. Every
   // message is a typed cluster::Message; the statement's serial rides
@@ -208,8 +180,6 @@ class Coordinator : public query::RankedBackend {
   // kFailedPrecondition once the repository has changed since
   // construction: the nodes' resolved videos may be stale.
   Status CheckRepository() const;
-  // vaq_cluster_shard_load_ms{shard=<shard>}, resolved on first use.
-  obs::Gauge* ShardLoadGauge(int shard) const;
 
   const offline::Repository* repository_;
   // The repository's generation the nodes were resolved against.
@@ -220,11 +190,6 @@ class Coordinator : public query::RankedBackend {
   // Plans WITH RECALL statements over options_.proxy; null without one.
   std::unique_ptr<const cascade::Planner> planner_;
   std::vector<std::vector<std::string>> shard_videos_;
-  // Per-shard modeled scan ms of the current load window (Rebalance
-  // resets it). Mutable: folded during the logically-const TopK.
-  mutable std::vector<double> shard_load_ms_;
-  // ShardLoadGauge's handles by shard index; grows as split adds shards.
-  mutable std::vector<obs::Gauge*> shard_load_gauges_;
   // Primaries [0, S), then replicas in ReplicaHost order. Mutable: nodes
   // cache the per-query shard run; TopK is logically const.
   mutable std::vector<std::unique_ptr<Node>> nodes_;
@@ -239,8 +204,8 @@ class Coordinator : public query::RankedBackend {
 // outcome counts don't depend on the layout at all. The elastic
 // determinism test diffs snapshots filtered to these across static vs
 // split/merge layouts. Transport families (vaq_cluster_batches/net/
-// shard_load/answer_ms) and latency gauges built on answer_ms are
-// deliberately absent — they measure the layout itself.
+// answer_ms) and latency gauges built on answer_ms are deliberately
+// absent — they measure the layout itself.
 const std::vector<std::string>& LayoutInvariantMetricPrefixes();
 
 }  // namespace cluster

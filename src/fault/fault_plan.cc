@@ -87,7 +87,7 @@ const char* FaultKindName(FaultKind kind) {
 
 FaultPlan::FaultPlan(FaultSpec spec, uint64_t seed)
     : spec_(std::move(spec)), seed_(seed) {
-  VAQ_CHECK_GT(spec_.crash_len_units, 0);
+  VAQ_CHECK_OK(ValidateFaultSpec(spec_));
 }
 
 StatusOr<FaultPlan> FaultPlan::Create(FaultSpec spec, uint64_t seed) {

@@ -119,16 +119,18 @@ struct FaultSpec {
 // interval.
 // kInvalidArgument (naming the offending field) otherwise. A rate of 1.1
 // or a negative latency silently *changes* the schedule semantics — 1.1
-// faults every coordinate, a negative length divides by it — so the
-// validated construction path (FaultPlan::Create) refuses them.
+// faults every coordinate, a negative length divides by it — so no plan
+// is built over such a spec.
 Status ValidateFaultSpec(const FaultSpec& spec);
 
 class FaultPlan {
  public:
+  // Aborts (VAQ_CHECK) on a spec ValidateFaultSpec rejects; for a spec
+  // that is fixed in code.
   FaultPlan(FaultSpec spec, uint64_t seed);
 
-  // The validated construction path: ValidateFaultSpec first,
-  // kInvalidArgument instead of a plan that silently misbehaves.
+  // The same rule as a Status: kInvalidArgument instead of a plan. For a
+  // spec built from input.
   static StatusOr<FaultPlan> Create(FaultSpec spec, uint64_t seed);
 
   const FaultSpec& spec() const { return spec_; }

@@ -121,7 +121,7 @@ StatusOr<TopKResult> QueryVideoTopK(const storage::VideoIndex& index,
                                     RvaqOptions options);
 
 // The per-video step of every ranked statement (RankedScan::Video and
-// query::ExecuteRankedStatement): narrows `options` to video `name`. The
+// query::Session::Run on one video): narrows `options` to video `name`. The
 // prefilter's surviving clips become `clip_filter`, and the identifier's
 // base seed the video's own (PerVideoIdentifierSeed). Returns false,
 // counting vaq_cascade_videos_pruned_total, when the prefilter rules out

@@ -67,6 +67,10 @@ struct QueryStatement {
   // disjunctive clauses or multiple actions (footnotes 3-4).
   bool IsConjunctive() const;
 
+  // True when the statement ranks (RANK or LIMIT present): it runs over a
+  // repository with RVAQ, not online over a stream.
+  bool IsRanked() const { return ranked || limit >= 0; }
+
   std::string ToString() const;
 };
 

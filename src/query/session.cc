@@ -133,6 +133,10 @@ void RankedStatement::OpenSamplingPhase() {
   }
 }
 
+namespace {
+
+// Runs a ranked statement against one repository video: the front end
+// with `planner`, then one RVAQ run over the bound tables.
 StatusOr<QueryResult> ExecuteRankedStatement(
     const QueryStatement& stmt, const storage::VideoIndex& index,
     const obs::QueryContext& ctx, const cascade::Planner* planner) {
@@ -173,6 +177,8 @@ StatusOr<QueryResult> ExecuteRankedStatement(
       });
 }
 
+}  // namespace
+
 StatusOr<CnfQuery> OnlineStatementQuery(const QueryStatement& stmt,
                                         const Vocabulary& vocab) {
   if (!stmt.IsConjunctive()) {
@@ -183,19 +189,24 @@ StatusOr<CnfQuery> OnlineStatementQuery(const QueryStatement& stmt,
   return CnfQuery::FromConjunctive(spec);
 }
 
-StatusOr<QueryResult> ExecuteOnlineStatement(
-    const QueryStatement& stmt, const synth::Scenario& scenario,
-    const online::SvaqdOptions& options, detect::ModelBundle* models,
-    const obs::QueryContext& ctx) {
+namespace {
+
+// Runs an online statement over `stream` with `models`. The returned stats
+// are per-run deltas, so a bundle shared across successive statements
+// reports each statement's marginal cost only.
+StatusOr<QueryResult> ExecuteOnlineStatement(const QueryStatement& stmt,
+                                             const StreamSource& stream,
+                                             detect::ModelBundle* models,
+                                             const obs::QueryContext& ctx) {
   VAQ_TRACE_SPAN("session/online_query");
   const obs::QueryContext phase = ctx.Child("online");
   // The resilient model wrappers read the thread-local context, so their
   // per-outcome call counts land on this query's "online" node.
   obs::ScopedQueryContext scoped(phase);
   VAQ_ASSIGN_OR_RETURN(CnfQuery query,
-                       OnlineStatementQuery(stmt, scenario.vocab()));
+                       OnlineStatementQuery(stmt, stream.scenario.vocab()));
   online::OnlineResult online_result =
-      online::Svaqd(std::move(query), scenario.layout(), options)
+      online::Svaqd(std::move(query), stream.scenario.layout(), stream.options)
           .Run(models->detector.get(), models->recognizer.get());
   QueryResult result;
   result.online = true;
@@ -216,6 +227,8 @@ StatusOr<QueryResult> ExecuteOnlineStatement(
   }
   return result;
 }
+
+}  // namespace
 
 void Session::RegisterStream(const std::string& name,
                              synth::Scenario scenario, uint64_t model_seed,
@@ -245,49 +258,75 @@ StatusOr<QueryResult> Session::Execute(const std::string& sql) {
 }
 
 StatusOr<QueryResult> Session::Execute(const QueryStatement& stmt) {
+  // Each kind's series is registered on its first statement.
+  if (stmt.IsRanked()) {
+    static obs::Counter* const ranked = obs::MetricRegistry::Global()
+        .GetCounter("vaq_session_statements_total", {{"kind", "ranked"}});
+    ranked->Increment();
+  } else {
+    static obs::Counter* const online = obs::MetricRegistry::Global()
+        .GetCounter("vaq_session_statements_total", {{"kind", "online"}});
+    online->Increment();
+  }
   if (stmt.explain_analyze) {
     // EXPLAIN ANALYZE outside a serving context: profile into a private
     // trace and render it. The root name is fixed so the output is a
     // pure function of the statement's execution.
     obs::QueryTrace trace("explain");
-    const obs::QueryContext root{&trace, 0};
-    VAQ_ASSIGN_OR_RETURN(QueryResult result, Execute(stmt, root));
+    VAQ_ASSIGN_OR_RETURN(QueryResult result, Run(stmt, {&trace, 0}));
     result.profile_text = trace.RenderProfile();
     return result;
   }
-  return Execute(stmt, obs::QueryContext{});
+  return Run(stmt, obs::QueryContext{});
 }
 
-StatusOr<QueryResult> Session::Execute(const QueryStatement& stmt,
-                                       const obs::QueryContext& ctx) {
-  if (stmt.ranked || stmt.limit >= 0) {
-    static obs::Counter* const ranked = obs::MetricRegistry::Global()
-        .GetCounter("vaq_session_statements_total", {{"kind", "ranked"}});
-    ranked->Increment();
-    auto backend = backends_.find(stmt.video);
-    if (backend != backends_.end()) {
-      return backend->second->ExecuteRanked(stmt, ctx);
+StatusOr<Session::Source> Session::Resolve(const QueryStatement& stmt) const {
+  if (!stmt.IsRanked()) {
+    const StreamSource* stream = FindStream(stmt.video);
+    if (stream == nullptr) {
+      return Status::NotFound("no stream named '" + stmt.video + "'");
     }
-    auto it = repositories_.find(stmt.video);
-    if (it == repositories_.end()) {
-      return Status::NotFound("no repository video named '" + stmt.video +
-                              "'");
-    }
-    return ExecuteRankedStatement(stmt, it->second, ctx, planner_.get());
+    return Source{.stream = stream};
   }
+  auto backend = backends_.find(stmt.video);
+  if (backend != backends_.end()) return Source{.backend = backend->second};
+  auto it = repositories_.find(stmt.video);
+  if (it == repositories_.end()) {
+    return Status::NotFound("no repository video named '" + stmt.video + "'");
+  }
+  return Source{.repository = &it->second};
+}
 
-  static obs::Counter* const online = obs::MetricRegistry::Global()
-      .GetCounter("vaq_session_statements_total", {{"kind", "online"}});
-  online->Increment();
-  auto it = streams_.find(stmt.video);
-  if (it == streams_.end()) {
-    return Status::NotFound("no stream named '" + stmt.video + "'");
+Status Session::CheckSource(const QueryStatement& stmt) const {
+  return Resolve(stmt).status();
+}
+
+const StreamSource* Session::FindStream(const std::string& name) const {
+  auto it = streams_.find(name);
+  return it == streams_.end() ? nullptr : &it->second;
+}
+
+StatusOr<QueryResult> Session::Run(const QueryStatement& stmt,
+                                   const obs::QueryContext& ctx,
+                                   const ModelSource& models) const {
+  VAQ_ASSIGN_OR_RETURN(const Source source, Resolve(stmt));
+  if (source.backend != nullptr) {
+    return source.backend->ExecuteRanked(stmt, ctx);
   }
-  const StreamSource& source = it->second;
-  detect::ModelBundle models = MakeStatementModels(
-      stmt.models, source.scenario.truth(), source.model_seed);
-  return ExecuteOnlineStatement(stmt, source.scenario, source.options,
-                                &models, ctx);
+  if (source.repository != nullptr) {
+    return ExecuteRankedStatement(stmt, *source.repository, ctx,
+                                  planner_.get());
+  }
+  const StreamSource& stream = *source.stream;
+  detect::ModelBundle owned;
+  detect::ModelBundle* bundle = &owned;
+  if (models != nullptr) {
+    bundle = models(stmt.video, stream, stmt, &owned, ctx);
+  } else {
+    owned = MakeStatementModels(stmt.models, stream.scenario.truth(),
+                                stream.model_seed);
+  }
+  return ExecuteOnlineStatement(stmt, stream, bundle, ctx);
 }
 
 }  // namespace query

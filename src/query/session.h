@@ -7,11 +7,14 @@
 //   * a *repository video* — an ingested storage::VideoIndex queried with
 //     RVAQ (ORDER BY RANK ... LIMIT K).
 //
-// `Execute` parses a statement, resolves the source, dispatches to the
-// right engine and returns a uniform result.
+// `Run` resolves a statement's source, dispatches to the right engine and
+// returns a uniform result; `Execute` parses and counts a statement, then
+// runs it there. serve::Server holds a Session and runs every batch
+// statement through the same step.
 #ifndef VAQ_QUERY_SESSION_H_
 #define VAQ_QUERY_SESSION_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -69,10 +72,10 @@ struct QueryResult {
   int64_t bai_arms_eliminated = 0;
 };
 
-// --- Stateless execution cores -----------------------------------------
-// `Session::Execute` and the concurrent serving runtime (src/serve/) run
-// statements through the same functions, so a served query cannot drift
-// from its single-session semantics.
+// --- Stateless statement steps -----------------------------------------
+// Session::Run builds on these, and so does the serving runtime's
+// standing mode (src/serve/), so a standing query cannot drift from a
+// session's semantics.
 
 // Chooses the model stack selected by the statement's USING names
 // (defaults to MaskRCNN + I3D) and builds a fresh bundle over `truth`.
@@ -89,19 +92,6 @@ const char* StatementModelStack(const std::vector<std::string>& names);
 StatusOr<CnfQuery> OnlineStatementQuery(const QueryStatement& stmt,
                                         const Vocabulary& vocab);
 
-// Runs an online (streaming) statement against `scenario` using
-// caller-owned `models` (whose stack must match the statement; see
-// MakeStatementModels). The returned stats are per-run deltas, so a
-// bundle shared across successive statements reports each statement's
-// marginal cost only. `ctx` (optional) attributes the run's simulated ms
-// and model-call outcomes to a per-query trace; the context is also
-// installed thread-locally for the duration so the resilient model
-// wrappers charge the same query.
-StatusOr<QueryResult> ExecuteOnlineStatement(
-    const QueryStatement& stmt, const synth::Scenario& scenario,
-    const online::SvaqdOptions& options, detect::ModelBundle* models,
-    const obs::QueryContext& ctx = {});
-
 // The WITH RECALL step, shared by RankedStatement and serve::Server's
 // standing admission. τ = 1.0 does nothing (no plan, counter or profile
 // node), keeping the exact path byte-identical to a build without
@@ -114,8 +104,8 @@ StatusOr<std::shared_ptr<const cascade::PlannedQuery>> PlanRecall(
     const QueryStatement& stmt, const cascade::Planner* planner,
     const obs::QueryContext& ctx, std::string* plan_text);
 
-// The ranked-statement front end: every executor (ExecuteRankedStatement
-// on one video, cluster::Coordinator::ExecuteRanked on the corpus) plans
+// The ranked-statement front end: every executor (Session::Run on one
+// video, cluster::Coordinator::ExecuteRanked on the corpus) plans
 // its statement here and keeps only its execution step, which runs
 // offline::ScopeToVideo per video, and its certificate renderer.
 // options() holds k, the WITH RECALL prefilter and the WITH CONFIDENCE
@@ -179,14 +169,6 @@ class RankedStatement {
   QueryResult result_;  // Holds the rendered plan until answered.
 };
 
-// Runs a ranked (repository) statement against `index`: the front end
-// above with `planner`, then one RVAQ run over the bound tables. `ctx` as
-// above.
-StatusOr<QueryResult> ExecuteRankedStatement(
-    const QueryStatement& stmt, const storage::VideoIndex& index,
-    const obs::QueryContext& ctx = {},
-    const cascade::Planner* planner = nullptr);
-
 // A pluggable executor for ranked statements over a named source that is
 // not a locally-held VideoIndex. The cluster coordinator implements this
 // (src/cluster/coordinator.h), so ranked statements whose FROM clause
@@ -208,19 +190,28 @@ class RankedBackend {
 
 // A registered streaming source: the scenario's video, the seed of the
 // model bundle built over it, and the engine options every query against
-// it runs with. Session and serve::Server hold their streams as these.
+// it runs with.
 struct StreamSource {
   synth::Scenario scenario;
   uint64_t model_seed = 1;
   online::SvaqdOptions options;
 };
 
+// Supplies an online statement's model bundle over registered stream
+// `name`: one the caller keeps (serve::Server's shared detection cache),
+// or `*owned`, filled in. Its stack must match the statement's.
+using ModelSource = std::function<detect::ModelBundle*(
+    const std::string& name, const StreamSource& source,
+    const QueryStatement& stmt, detect::ModelBundle* owned,
+    const obs::QueryContext& ctx)>;
+
 class Session {
  public:
   Session() = default;
 
-  // Registers a streaming source: the scenario's video processed by a
-  // fresh model bundle per query. `svaqd_options` configures the engine.
+  // Registers a streaming source: the scenario's video, processed per
+  // statement by the bundle Run is given (by default a fresh one).
+  // `svaqd_options` configures the engine.
   void RegisterStream(const std::string& name, synth::Scenario scenario,
                       uint64_t model_seed = 1,
                       online::SvaqdOptions svaqd_options = {});
@@ -249,15 +240,38 @@ class Session {
   // deterministic per-phase profile tree.
   StatusOr<QueryResult> Execute(const std::string& sql);
 
-  // Runs an already-parsed statement.
+  // Runs an already-parsed statement through Run, counting it in
+  // vaq_session_statements_total{kind=...}.
   StatusOr<QueryResult> Execute(const QueryStatement& stmt);
 
-  // Runs a statement, attributing its cost to `ctx` (the serving layer
-  // passes each admitted query's own trace node here).
-  StatusOr<QueryResult> Execute(const QueryStatement& stmt,
-                                const obs::QueryContext& ctx);
+  // The one dispatch step. Resolves the statement's FROM name and runs
+  // it, attributing its cost to `ctx`: a ranked statement on the backend
+  // of that name, else on the repository video with the session's
+  // planner; an online statement on the stream, over the bundle `models`
+  // supplies (a fresh MakeStatementModels bundle when null). Counts no
+  // statement. Once registration is done, concurrent calls are safe for
+  // statements over distinct sources.
+  StatusOr<QueryResult> Run(const QueryStatement& stmt,
+                            const obs::QueryContext& ctx,
+                            const ModelSource& models = nullptr) const;
+
+  // kNotFound when the statement's FROM name is no registered source of
+  // its kind (a backend or repository video for a ranked statement, a
+  // stream otherwise): the check Run makes first.
+  Status CheckSource(const QueryStatement& stmt) const;
+
+  // The stream registered as `name`; null if there is none.
+  const StreamSource* FindStream(const std::string& name) const;
 
  private:
+  // A resolved FROM name: exactly one member is set.
+  struct Source {
+    RankedBackend* backend = nullptr;
+    const storage::VideoIndex* repository = nullptr;
+    const StreamSource* stream = nullptr;
+  };
+  StatusOr<Source> Resolve(const QueryStatement& stmt) const;
+
   std::map<std::string, StreamSource> streams_;
   std::map<std::string, storage::VideoIndex> repositories_;
   std::map<std::string, RankedBackend*> backends_;

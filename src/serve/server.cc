@@ -215,14 +215,22 @@ void Server::RegisterStream(const std::string& name, synth::Scenario scenario,
   if (svaqd_options.fault_plan == nullptr) {
     svaqd_options.fault_plan = options_.fault_plan;
   }
-  streams_.insert_or_assign(
-      name, query::StreamSource{std::move(scenario), model_seed,
-                                std::move(svaqd_options)});
+  session_.RegisterStream(name, std::move(scenario), model_seed,
+                          std::move(svaqd_options));
 }
 
 void Server::RegisterRepository(const std::string& name,
                                 storage::VideoIndex index) {
-  repositories_.insert_or_assign(name, std::move(index));
+  session_.RegisterRepository(name, std::move(index));
+}
+
+void Server::RegisterProxySet(const cascade::ProxySet* proxy) {
+  session_.RegisterProxySet(proxy);
+}
+
+void Server::RegisterRankedBackend(const std::string& name,
+                                   query::RankedBackend* backend) {
+  session_.RegisterRankedBackend(name, backend);
 }
 
 namespace {
@@ -260,20 +268,13 @@ StatusOr<int64_t> Server::Submit(const std::string& sql,
   PendingQuery pending;
   pending.sql = sql;
   pending.stmt = std::move(parsed).value();
-  pending.ranked = pending.stmt.ranked || pending.stmt.limit >= 0;
-  pending.source = pending.stmt.video;
-  pending.shard = (pending.ranked ? "repo/" : "stream/") + pending.source;
-  const bool known = pending.ranked
-                         ? repositories_.count(pending.source) > 0
-                         : streams_.count(pending.source) > 0;
-  if (!known) {
+  pending.ranked = pending.stmt.IsRanked();
+  pending.shard = (pending.ranked ? "repo/" : "stream/") + pending.stmt.video;
+  if (Status known = session_.CheckSource(pending.stmt); !known.ok()) {
     submitted_rejected_unknown_->Increment();
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.rejected_unknown_source;
-    return Status::NotFound("no " +
-                            std::string(pending.ranked ? "repository"
-                                                       : "stream") +
-                            " named '" + pending.source + "'");
+    return known;
   }
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -340,7 +341,7 @@ StatusOr<int64_t> Server::Submit(const std::string& sql,
 void Server::StartWorkersLocked() {
   if (options_.threads <= 0 || !workers_.empty() || stopping_) return;
   // First admission starts the pool, so every registration happens-before
-  // every worker read of streams_/repositories_.
+  // every worker read of the session's registry.
   workers_.reserve(options_.threads);
   for (int i = 0; i < options_.threads; ++i) {
     worker_states_.push_back(std::make_unique<WorkerState>());
@@ -428,46 +429,34 @@ ServedQuery Server::RunQuery(const PendingQuery& pending, WorkerState* state) {
   }
   const obs::QueryContext exec = root.Child("execute");
   obs::ScopedQueryContext scoped(exec);
-  if (pending.ranked) {
-    const storage::VideoIndex& index = repositories_.at(pending.source);
-    auto run = query::ExecuteRankedStatement(pending.stmt, index, exec);
-    if (!run.ok()) {
-      out.status = run.status();
-    } else {
-      out.result = std::move(run).value();
-      out.simulated_ms = out.result.accesses.ModeledMs();
-      state->accesses.Merge(out.result.accesses);
-    }
-    query_ms_ranked_->Observe(out.simulated_ms);
+  auto run = session_.Run(pending.stmt, exec, [this](auto&&... args) {
+    return AcquireModels(args...);
+  });
+  if (!run.ok()) {
+    out.status = run.status();
+  } else if (pending.ranked) {
+    out.result = std::move(run).value();
+    out.simulated_ms = out.result.accesses.ModeledMs();
+    state->accesses.Merge(out.result.accesses);
   } else {
-    const query::StreamSource& source = streams_.at(pending.source);
-    detect::ModelBundle local_models;
-    detect::ModelBundle* models = AcquireModels(pending.source, source,
-                                                pending.stmt, &local_models,
-                                                exec);
-    auto run = query::ExecuteOnlineStatement(pending.stmt, source.scenario,
-                                             source.options, models, exec);
-    if (!run.ok()) {
-      out.status = run.status();
-    } else {
-      out.result = std::move(run).value();
-      out.simulated_ms = out.result.detector_stats.simulated_ms +
-                         out.result.recognizer_stats.simulated_ms;
-      state->detector_stats.Merge(out.result.detector_stats);
-      state->recognizer_stats.Merge(out.result.recognizer_stats);
-      // Score lookups answered without a fresh network invocation —
-      // within-query memoization plus, under the shared cache, reuse of
-      // other queries' inferences on the same source.
-      const int64_t lookups = out.result.detector_stats.type_queries +
-                              out.result.recognizer_stats.type_queries;
-      const int64_t fresh = out.result.detector_stats.inferences +
-                            out.result.recognizer_stats.inferences;
-      cache_misses_inference_->Increment(fresh);
-      cache_hits_inference_->Increment(lookups - fresh);
-      exec.AddStat("inference_cache_hits", lookups - fresh);
-    }
-    query_ms_online_->Observe(out.simulated_ms);
+    out.result = std::move(run).value();
+    out.simulated_ms = out.result.detector_stats.simulated_ms +
+                       out.result.recognizer_stats.simulated_ms;
+    state->detector_stats.Merge(out.result.detector_stats);
+    state->recognizer_stats.Merge(out.result.recognizer_stats);
+    // Score lookups answered without a fresh network invocation —
+    // within-query memoization plus, under the shared cache, reuse of
+    // other queries' inferences on the same source.
+    const int64_t lookups = out.result.detector_stats.type_queries +
+                            out.result.recognizer_stats.type_queries;
+    const int64_t fresh = out.result.detector_stats.inferences +
+                          out.result.recognizer_stats.inferences;
+    cache_misses_inference_->Increment(fresh);
+    cache_hits_inference_->Increment(lookups - fresh);
+    exec.AddStat("inference_cache_hits", lookups - fresh);
   }
+  (pending.ranked ? query_ms_ranked_ : query_ms_online_)
+      ->Observe(out.simulated_ms);
   latency_->Record(out.simulated_ms);
   if (pending.tenant_latency != nullptr) {
     pending.tenant_latency->Record(out.simulated_ms);
@@ -551,16 +540,16 @@ StatusOr<int64_t> Server::AddStandingQuery(const std::string& sql) {
     return parsed.status();
   }
   query::QueryStatement stmt = std::move(parsed).value();
-  if (stmt.ranked || stmt.limit >= 0) {
+  if (stmt.IsRanked()) {
     submitted_rejected_parse_->Increment();
     ++stats_.rejected_parse;
     return Status::InvalidArgument(
         "standing queries are online; ranked statements go through Submit");
   }
-  if (streams_.count(stmt.video) == 0) {
+  if (Status known = session_.CheckSource(stmt); !known.ok()) {
     submitted_rejected_unknown_->Increment();
     ++stats_.rejected_unknown_source;
-    return Status::NotFound("no stream named '" + stmt.video + "'");
+    return known;
   }
   auto pos = stream_pos_.find(stmt.video);
   if (pos != stream_pos_.end() && pos->second > 0) {
@@ -593,7 +582,13 @@ Status Server::AdmitStandingLocked(int64_t id, const std::string& sql,
     q.trace = std::make_shared<obs::QueryTrace>("q" + std::to_string(id));
   }
   q.stmt = std::move(stmt);
-  const query::StreamSource& source = streams_.at(q.source);
+  // Live admission has checked the stream; a recovered one may not be.
+  const query::StreamSource* stream = session_.FindStream(q.source);
+  if (stream == nullptr) {
+    return Status::Corruption("standing query over unregistered stream '" +
+                              q.source + "'");
+  }
+  const query::StreamSource& source = *stream;
   q.models = AcquireModels(q.source, source, q.stmt, &q.owned_models, {});
   auto cnf = query::OnlineStatementQuery(q.stmt, source.scenario.vocab());
   if (!cnf.ok()) {
@@ -669,13 +664,13 @@ StatusOr<int64_t> Server::NextClipLocked(const std::string& source) const {
   if (standing_finished_) {
     return Status::FailedPrecondition("standing queries already finished");
   }
-  auto it = streams_.find(source);
-  if (it == streams_.end()) {
+  const query::StreamSource* stream = session_.FindStream(source);
+  if (stream == nullptr) {
     return Status::NotFound("no stream named '" + source + "'");
   }
   auto pos_it = stream_pos_.find(source);
   const int64_t pos = pos_it == stream_pos_.end() ? 0 : pos_it->second;
-  const int64_t num_clips = it->second.scenario.layout().NumClips();
+  const int64_t num_clips = stream->scenario.layout().NumClips();
   if (pos >= num_clips) {
     return Status::OutOfRange("stream '" + source + "' is exhausted (" +
                               std::to_string(num_clips) + " clips)");

@@ -1,9 +1,11 @@
 // Concurrent multi-query serving runtime.
 //
 // The paper evaluates one query at a time; a deployment faces many
-// standing queries over many feeds at once. `Server` turns the
-// single-session executor (query::ExecuteOnlineStatement /
-// ExecuteRankedStatement) into a small serving runtime:
+// standing queries over many feeds at once. `Server` turns a
+// query::Session, its source registry and its one dispatch step
+// (Session::Run), into a small serving runtime; the one input of its own
+// is each online statement's model bundle, from the shared detection
+// cache below:
 //
 //  * **Admission control.** `Submit` parses and resolves a statement and
 //    either enqueues it or rejects it — kUnavailable when the bounded
@@ -186,16 +188,19 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   // Register sources before the first Submit; registration is not
-  // synchronized against running workers.
+  // synchronized against running workers. Each call forwards to the
+  // session method of the same name, so a statement resolves, plans and
+  // runs as in a session; RegisterStream first gives a stream without a
+  // fault plan of its own ServeOptions::fault_plan. A backend's
+  // statements share the shard "repo/<name>", so one worker at a time
+  // runs the backend.
   void RegisterStream(const std::string& name, synth::Scenario scenario,
                       uint64_t model_seed = 1,
                       online::SvaqdOptions svaqd_options = {});
-  // Registers a repository video by its index alone: the server holds no
-  // proxy tier for it, so a ranked statement's WITH RECALL clause always
-  // plans exact (`exact(recall_target=...)`) and never prunes, where a
-  // query::Session with a proxy set would cascade. Results are exact
-  // either way; tests/golden/ranked_statements.txt pins both paths.
   void RegisterRepository(const std::string& name, storage::VideoIndex index);
+  void RegisterProxySet(const cascade::ProxySet* proxy);
+  void RegisterRankedBackend(const std::string& name,
+                             query::RankedBackend* backend);
 
   // Parses, resolves and enqueues one statement; returns its id.
   // kUnavailable = queue full (retry later), kInvalidArgument = parse
@@ -287,7 +292,6 @@ class Server {
     std::string sql;
     query::QueryStatement stmt;
     bool ranked = false;
-    std::string source;  // Registered name (sans shard prefix).
     std::string shard;
     std::string tenant;  // Empty for untagged submissions.
     // The tenant's percentile recorder (stable pointer into
@@ -385,9 +389,9 @@ class Server {
 
   const ServeOptions options_;
 
-  // Immutable after the first Submit.
-  std::map<std::string, query::StreamSource> streams_;
-  std::map<std::string, storage::VideoIndex> repositories_;
+  // The source registry and dispatch step. Immutable after the first
+  // Submit.
+  query::Session session_;
 
   SharedDetectionCache cache_;
 

@@ -382,6 +382,18 @@ TEST(CkptRecoveryTest, RecoverGuardsItsPreconditions) {
     EXPECT_EQ(server.value()->Recover().status().code(),
               StatusCode::kFailedPrecondition);
   }
+  // The log admits a query over a stream the recovering server lacks: an
+  // error, not an abort.
+  {
+    ckpt::MemStore store;
+    tools::StandingDemoSpec spec = DemoSpec(&store, nullptr, true);
+    ASSERT_TRUE(RunUntilCrash(spec, 3).ok());
+    spec.num_streams = 1;
+    auto server = tools::MakeStandingDemoServer(spec);
+    ASSERT_TRUE(server.ok());
+    EXPECT_EQ(server.value()->Recover().status().code(),
+              StatusCode::kCorruption);
+  }
 }
 
 TEST(CkptRecoveryTest, RetiredEngineBlobLayoutsAreRejected) {

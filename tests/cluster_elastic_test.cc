@@ -122,50 +122,6 @@ TEST(ClusterElastic, SplitAndMergeNeverChangeResultBytes) {
   EXPECT_EQ(merged_out.invariant_metrics, ref.invariant_metrics);
 }
 
-TEST(ClusterElastic, LoadDrivenRebalanceIsDeterministic) {
-  // Two coordinators fed the identical query stream must make the
-  // identical split/merge decisions — the load gauges are modeled
-  // milliseconds, a pure function of the scan, never wall-clock.
-  RebalanceOptions rebalance;
-  rebalance.split_threshold_ms = 0.5;  // Everything hot: must split.
-  rebalance.max_shards = 8;
-  int actions[2] = {0, 0};
-  std::string tops[2];
-  for (int run = 0; run < 2; ++run) {
-    Coordinator coordinator = MakeCoordinator(1);
-    (void)QueryOnce(coordinator);
-    EXPECT_GT(coordinator.ShardLoadMs(0), 0.0);
-    actions[run] = coordinator.Rebalance(rebalance);
-    EXPECT_GT(actions[run], 0);
-    EXPECT_GT(coordinator.num_shards(), 1);
-    // Acting on the load resets the gauges: the next epoch's decisions
-    // see only the next epoch's load.
-    for (int s = 0; s < coordinator.num_shards(); ++s) {
-      EXPECT_EQ(coordinator.ShardLoadMs(s), 0.0);
-    }
-    tops[run] = QueryOnce(coordinator).top;
-  }
-  EXPECT_EQ(actions[0], actions[1]);
-  EXPECT_EQ(tops[0], tops[1]);
-  EXPECT_EQ(tops[0], QueryOnce(MakeCoordinator(1)).top);
-}
-
-TEST(ClusterElastic, ColdShardsMergeDownToTheFloor) {
-  Coordinator coordinator = MakeCoordinator(4);
-  RebalanceOptions rebalance;
-  rebalance.split_threshold_ms = 1e12;  // Nothing is ever hot.
-  rebalance.merge_threshold_ms = 1e12;  // Everything idle is cold.
-  rebalance.min_shards = 2;
-  // Each pass merges one adjacent cold pair; the floor stops it.
-  EXPECT_EQ(coordinator.Rebalance(rebalance), 1);
-  EXPECT_EQ(coordinator.num_shards(), 3);
-  EXPECT_EQ(coordinator.Rebalance(rebalance), 1);
-  EXPECT_EQ(coordinator.num_shards(), 2);
-  EXPECT_EQ(coordinator.Rebalance(rebalance), 0);
-  EXPECT_EQ(coordinator.num_shards(), 2);
-  EXPECT_EQ(QueryOnce(coordinator).top, QueryOnce(MakeCoordinator(1)).top);
-}
-
 TEST(ClusterElastic, SplitGuardsItsPreconditions) {
   Coordinator coordinator = MakeCoordinator(4);  // One video per shard.
   EXPECT_EQ(coordinator.SplitShard(-1).code(), StatusCode::kInvalidArgument);

@@ -162,6 +162,17 @@ TEST(FaultSpecValidationTest, RejectsNanRate) {
             StatusCode::kInvalidArgument);
 }
 
+// The constructor holds every spec to the rule Create checks, and aborts
+// where Create returns kInvalidArgument.
+TEST(FaultSpecValidationDeathTest, ConstructorRejectsWhatCreateRejects) {
+  FaultSpec above_one;
+  above_one.timeout_rate = 1.1;
+  EXPECT_DEATH(FaultPlan(above_one, 7), "timeout_rate");
+  FaultSpec nan_rate;
+  nan_rate.node_outage_rate = std::nan("");
+  EXPECT_DEATH(FaultPlan(nan_rate, 7), "node_outage_rate");
+}
+
 TEST(FaultSpecValidationTest, RejectsEveryRateField) {
   // Each of the eight rate fields is individually validated; a regression
   // that drops one from the checklist fails here.

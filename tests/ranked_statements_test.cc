@@ -16,8 +16,9 @@
 // Further cases: a CNF statement on each side, a missing type, vid5 at
 // WITH RECALL 0.1 (the proxy rules out every clip of vid5, so the video
 // is answered without binding and renders neither a ranked nor a bai
-// node), the corpus at that τ, one served ranked statement and two
-// standing WITH RECALL 0.9 admissions (a conjunction and a CNF one).
+// node), the corpus at that τ, a served ranked statement over vid2 and
+// over "corpus", and two standing WITH RECALL 0.9 admissions (a
+// conjunction and a CNF one).
 // LIMIT 2 leaves more candidates than winners in most videos, so
 // WITH CONFIDENCE samples.
 //
@@ -158,19 +159,23 @@ std::string Render() {
     out += "metrics:\n" + StatementMetrics();
   }
 
-  // A served ranked statement: the serving runtime holds no planner, so
-  // its WITH RECALL clause renders the exact fallback.
-  {
+  // Served ranked statements. The server runs them through its session's
+  // dispatch step, over the same proxy set and coordinator, so they plan,
+  // prune and answer as the session's do; the profile hangs under the
+  // served query's own trace ("q0", then "execute").
+  for (const std::string video : {"vid2", "corpus"}) {
     obs::MetricRegistry::Global().Reset();
     serve::ServeOptions options;
     options.threads = 0;
     options.trace_queries = true;
     serve::Server server(options);
     server.RegisterRepository("vid2", *demo->repository.Find("vid2"));
+    server.RegisterProxySet(&demo->proxies);
+    server.RegisterRankedBackend("corpus", &coordinator);
     const std::string sql =
-        RankedSql("vid2", kConjunction, " WITH RECALL 0.9 WITH CONFIDENCE 0.05")
+        RankedSql(video, kConjunction, " WITH RECALL 0.9 WITH CONFIDENCE 0.05")
             .substr(std::string("EXPLAIN ANALYZE ").size());
-    out += "[served vid2 recall+confidence]\n" + sql + "\n";
+    out += "[served " + video + " recall+confidence]\n" + sql + "\n";
     const StatusOr<int64_t> id = server.Submit(sql);
     EXPECT_TRUE(id.ok()) << id.status();
     for (const serve::ServedQuery& served : server.Drain()) {

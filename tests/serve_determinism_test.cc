@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/coordinator.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
@@ -71,6 +72,64 @@ RunOutput RunWorkload(int threads) {
   return out;
 }
 
+// Ranked statements over the cascade demo corpus: every video, its proxy
+// set, and a 4-shard coordinator registered as "corpus". Exact, WITH
+// RECALL and WITH CONFIDENCE statements on three videos and the corpus
+// run in parallel on their own shards, sharing the session's planner;
+// the coordinator runs one statement at a time on "repo/corpus".
+RunOutput RunRankedWorkload(int threads) {
+  static const StatusOr<tools::CascadeDemo> demo =
+      tools::MakeCascadeDemo(/*num_videos=*/8, kSeed);
+  EXPECT_TRUE(demo.ok()) << demo.status();
+  if (!demo.ok()) return {};
+  obs::MetricRegistry::Global().Reset();
+  cluster::ClusterOptions cluster_options;
+  cluster_options.num_shards = 4;
+  cluster_options.proxy = &demo->proxies;
+  cluster::Coordinator coordinator(&demo->repository, cluster_options);
+  const std::vector<std::string> clauses = {
+      "", " WITH RECALL 0.9", " WITH CONFIDENCE 0.05",
+      " WITH RECALL 0.9 WITH CONFIDENCE 0.05"};
+  const std::vector<std::string> sources = {"vid1", "corpus", "vid2",
+                                            "vid5"};
+  ServeOptions options;
+  options.threads = threads;
+  options.queue_capacity =
+      static_cast<int>(clauses.size() * sources.size());
+  Server server(options);
+  for (const std::string& name : demo->videos) {
+    server.RegisterRepository(name, *demo->repository.Find(name));
+  }
+  server.RegisterProxySet(&demo->proxies);
+  server.RegisterRankedBackend("corpus", &coordinator);
+  for (const std::string& clause : clauses) {
+    for (const std::string& source : sources) {
+      const std::string sql =
+          "SELECT MERGE(clipID) AS Sequence, RANK(act, obj) FROM (PROCESS " +
+          source +
+          " PRODUCE clipID, obj USING ObjectTracker, act USING "
+          "ActionRecognizer) WHERE act='running' AND obj.include('dog') "
+          "ORDER BY RANK(act, obj) LIMIT 2" +
+          clause;
+      EXPECT_TRUE(server.Submit(sql).ok()) << sql;
+    }
+  }
+  RunOutput out;
+  for (const ServedQuery& q : server.Drain()) {
+    EXPECT_TRUE(q.status.ok()) << q.sql << ": " << q.status;
+    out.described.push_back(DescribeServedQuery(q));
+  }
+  std::vector<std::string> prefixes = LogicalMetricPrefixes();
+  prefixes.insert(prefixes.end(), {"vaq_cascade_", "vaq_bai_"});
+  out.logical_metrics = obs::ExportPrometheus(obs::FilterSnapshot(
+      obs::MetricRegistry::Global().TakeSnapshot(), prefixes));
+  const ServeStats stats = server.stats();
+  out.accesses = stats.accesses.ToString();
+  out.completed = stats.completed;
+  out.failed = stats.failed;
+  return out;
+}
+
 void ExpectIdentical(const RunOutput& a, const RunOutput& b) {
   ASSERT_EQ(a.described.size(), b.described.size());
   for (size_t i = 0; i < a.described.size(); ++i) {
@@ -105,6 +164,21 @@ TEST(ServeDeterminismTest, RepeatedRunsAreIdentical) {
   const RunOutput first = RunWorkload(8);
   const RunOutput second = RunWorkload(8);
   ExpectIdentical(first, second);
+}
+
+TEST(ServeDeterminismTest, RankedStatementsOverProxiesAndABackendAgree) {
+  const RunOutput one = RunRankedWorkload(1);
+  const RunOutput eight = RunRankedWorkload(8);
+  ASSERT_EQ(one.described.size(), 16u);
+  EXPECT_EQ(one.completed, 16);
+  EXPECT_EQ(one.failed, 0);
+  // WITH RECALL plans over the registered proxy set, not the exact
+  // fallback of a server without one.
+  EXPECT_NE(one.logical_metrics.find(
+                "vaq_cascade_plans_total{mode=\"cascade\"} 8"),
+            std::string::npos)
+      << one.logical_metrics;
+  ExpectIdentical(one, eight);
 }
 
 TEST(ServeDeterminismTest, LogicalMetricsArePopulated) {

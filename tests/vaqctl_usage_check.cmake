@@ -41,7 +41,8 @@ endforeach()
 # <flag> named on stderr. Every value is one the parse rejects — garbage,
 # trailing characters, a sign on an unsigned field, a value out of the
 # field's range, or a cluster kill value outside its domain (a negative
-# --kill-at, a --kill-node below -1) — or the flag is one the subcommand
+# --kill-at, a --kill-node below -1 or past the last of the
+# nodes x (1 + replicas) hosts) — or the flag is one the subcommand
 # (or its mode: durable or in-memory serve, chaos sweep or replay) does
 # not read, or a value flag is last with no value (--selfcheck is the
 # one flag that takes none). None is a valid huge --threads, --workers
@@ -63,7 +64,9 @@ set(bad_flag_cases
   "--threads|serve --checkpoint-dir ${WORKDIR} --threads 2"
   "--seed|chaos --replay ${WORKDIR}/repro.json --seed 3"
   "--kill-at|cluster --kill-node 1 --kill-at -1"
-  "--kill-node|cluster --kill-node -3")
+  "--kill-node|cluster --kill-node -3"
+  "--kill-node|cluster --nodes 4 --replicas 1 --kill-node 99 --kill-at 0"
+  "--kill-node|cluster --nodes 4 --replicas 1 --kill-node 8")
 foreach(case IN LISTS bad_flag_cases)
   string(FIND "${case}" "|" bar)
   string(SUBSTRING "${case}" 0 ${bar} flag)

@@ -82,9 +82,10 @@
 //       scatter–gather top-k with the threshold-algorithm stopping rule
 //       (src/cluster/). Prints the merged top-k, whether it is identical
 //       to single-node RVAQ (exit 1 if not), the modeled speedup, and
-//       gather/network statistics. --kill-node I (a host id; -1, the
-//       default, kills none) takes that host down from --kill-at virtual
-//       ms (>= 0) onward, a fault-plan window, to demo replica failover.
+//       gather/network statistics. --kill-node I (a host id below
+//       N * (1 + R); -1, the default, kills none) takes that host down
+//       from --kill-at virtual ms (>= 0) onward, a fault-plan window, to
+//       demo replica failover.
 //
 //   vaqctl cascade [--recall R] [--seed S] [--videos V] [--k K]
 //       Plan a model cascade over the seeded demo corpus (src/cascade/):
@@ -909,10 +910,13 @@ int CmdCluster(const Args& args) {
                  "and --replicas >= 0\n");
     return 2;
   }
-  if (kill_host < -1) {
+  // Hosts are the primaries [0, N), then R replicas of each.
+  const int64_t hosts = int64_t{nodes} * (1 + int64_t{replicas});
+  if (kill_host < -1 || kill_host >= hosts) {
     std::fprintf(stderr,
-                 "cluster: --kill-node must be a host id >= 0, or -1 for "
-                 "no kill\n");
+                 "cluster: --kill-node must be a host id in [0, %lld), or "
+                 "-1 for no kill\n",
+                 static_cast<long long>(hosts));
     return 2;
   }
   if (kill_at < 0.0) {
