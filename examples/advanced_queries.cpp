@@ -8,6 +8,7 @@
 // raising alerts as sequences open and close.
 #include <cstdio>
 
+#include "detect/relationship.h"
 #include "vaq/vaq.h"
 
 int main() {

@@ -68,7 +68,7 @@ struct CascadePlan {
   // full / cascade; 1.0 for exact plans.
   double CostReduction() const;
   // Serialized size when the coordinator ships the plan to shards,
-  // mirroring cluster::EntryWireBytes-style modeled accounting.
+  // modeled like the cluster's per-entry wire bytes (cluster/node.cc).
   int64_t WireBytes() const;
   // One-line human rendering for vaqctl / EXPLAIN output.
   std::string ToString() const;

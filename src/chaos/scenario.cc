@@ -13,20 +13,7 @@ namespace {
 // (seed, trial) while substituting a shrunk schedule.
 constexpr uint64_t kScenarioSalt = 0x5c3a9d4be1f02687ULL;
 
-}  // namespace
-
-const char* PhaseName(Phase phase) {
-  switch (phase) {
-    case Phase::kStanding:
-      return "standing";
-    case Phase::kCluster:
-      return "cluster";
-    case Phase::kServe:
-      return "serve";
-  }
-  return "unknown";
-}
-
+// The scenario family's spec: see ChaosScenario.
 synth::ScenarioSpec ChaosScenarioSpec(int index, int minutes) {
   synth::ScenarioSpec spec;
   spec.name = "s" + std::to_string(index);
@@ -54,6 +41,20 @@ synth::ScenarioSpec ChaosScenarioSpec(int index, int minutes) {
     spec.objects.push_back(car);
   }
   return spec;
+}
+
+}  // namespace
+
+const char* PhaseName(Phase phase) {
+  switch (phase) {
+    case Phase::kStanding:
+      return "standing";
+    case Phase::kCluster:
+      return "cluster";
+    case Phase::kServe:
+      return "serve";
+  }
+  return "unknown";
 }
 
 synth::Scenario ChaosScenario(int index, int minutes) {

@@ -42,7 +42,6 @@ const char* PhaseName(Phase phase);
 // an uncoupled "car") but `minutes` long. Pure function of its
 // arguments; the same (index, minutes) is byte-identical forever, which
 // is what lets trials share ingested indexes through an IndexCache.
-synth::ScenarioSpec ChaosScenarioSpec(int index, int minutes);
 synth::Scenario ChaosScenario(int index, int minutes);
 
 // One trial's drawn configuration.

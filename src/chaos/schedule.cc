@@ -137,6 +137,16 @@ class MiniJson {
   size_t pos_ = 0;
 };
 
+StatusOr<EventKind> EventKindFromName(const std::string& name) {
+  for (const EventKind kind :
+       {EventKind::kCrashRestart, EventKind::kTornAdvance,
+        EventKind::kCorruptSnapshot, EventKind::kForceCheckpoint,
+        EventKind::kNodeKill, EventKind::kNetPartition}) {
+    if (name == EventKindName(kind)) return kind;
+  }
+  return Status::InvalidArgument("unknown chaos event kind '" + name + "'");
+}
+
 StatusOr<ChaosEvent> ParseEvent(MiniJson& in) {
   VAQ_RETURN_IF_ERROR(in.Expect('{'));
   ChaosEvent event;
@@ -194,16 +204,6 @@ const char* EventKindName(EventKind kind) {
       return "net_partition";
   }
   return "unknown";
-}
-
-StatusOr<EventKind> EventKindFromName(const std::string& name) {
-  for (const EventKind kind :
-       {EventKind::kCrashRestart, EventKind::kTornAdvance,
-        EventKind::kCorruptSnapshot, EventKind::kForceCheckpoint,
-        EventKind::kNodeKill, EventKind::kNetPartition}) {
-    if (name == EventKindName(kind)) return kind;
-  }
-  return Status::InvalidArgument("unknown chaos event kind '" + name + "'");
 }
 
 Schedule GenerateSchedule(const TrialScenario& s, uint64_t seed) {

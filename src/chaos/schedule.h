@@ -46,7 +46,6 @@ enum class EventKind {
 };
 
 const char* EventKindName(EventKind kind);
-StatusOr<EventKind> EventKindFromName(const std::string& name);
 
 struct ChaosEvent {
   EventKind kind = EventKind::kCrashRestart;

@@ -166,26 +166,6 @@ StatusOr<std::vector<std::string>> DirStore::List() const {
   return names;
 }
 
-Status SyncStores(const Store& from, Store* to, int64_t* bytes_shipped) {
-  int64_t shipped = 0;
-  VAQ_ASSIGN_OR_RETURN(std::vector<std::string> src_names, from.List());
-  VAQ_ASSIGN_OR_RETURN(std::vector<std::string> dst_names, to->List());
-  for (const std::string& name : src_names) {
-    VAQ_ASSIGN_OR_RETURN(std::string bytes, from.Get(name));
-    StatusOr<std::string> existing = to->Get(name);
-    if (existing.ok() && existing.value() == bytes) continue;
-    VAQ_RETURN_IF_ERROR(to->Put(name, bytes));
-    shipped += static_cast<int64_t>(bytes.size());
-  }
-  for (const std::string& name : dst_names) {
-    if (!std::binary_search(src_names.begin(), src_names.end(), name)) {
-      VAQ_RETURN_IF_ERROR(to->Delete(name));
-    }
-  }
-  if (bytes_shipped != nullptr) *bytes_shipped = shipped;
-  return Status::OK();
-}
-
 Status CorruptEntryByte(Store* store, const std::string& name,
                         int64_t byte_index, uint8_t mask) {
   if (mask == 0) {

@@ -42,15 +42,6 @@ class Store {
 // Returns whether `name` is a legal store entry name.
 bool ValidEntryName(const std::string& name);
 
-// Makes `to` byte-identical to `from`: copies every entry whose bytes
-// differ (or is missing) and deletes entries `from` does not have. This
-// is the primitive behind cluster WAL shipping — a follower replica's
-// store is synced after each logged operation, and only the changed
-// entries (the appended WAL tail, a new snapshot) cost transfer bytes.
-// On success `*bytes_shipped` (optional) is the total size of the
-// entries that had to be copied.
-Status SyncStores(const Store& from, Store* to, int64_t* bytes_shipped);
-
 // XORs `mask` into one byte of an existing entry:
 // bytes[byte_index mod size] ^= mask. This is the chaos harness's
 // media-corruption event — a deterministic, schedule-placed bit flip

@@ -172,10 +172,6 @@ Status Coordinator::MergeShards(int left) {
   return Status::OK();
 }
 
-const std::vector<std::string>& Coordinator::ShardVideos(int shard) const {
-  return shard_videos_[static_cast<size_t>(shard)];
-}
-
 int Coordinator::ReplicaHost(int shard, int replica) const {
   return num_shards() + shard * options_.num_replicas + replica;
 }
@@ -534,30 +530,6 @@ StatusOr<query::QueryResult> Coordinator::ExecuteRanked(
                                                merged.bai_arms_eliminated,
                                                merged.bai_stops);
       });
-}
-
-const std::vector<std::string>& LayoutInvariantMetricPrefixes() {
-  // Engine-level families: each counts work the per-video scan does
-  // exactly once per clean query, wherever the video lives. Plus
-  // vaq_cluster_queries_total and vaq_cascade_plans_total, which count
-  // per-query outcomes. See the header comment for what is excluded.
-  static const std::vector<std::string> prefixes = {
-      "vaq_bai_arms_eliminated_total",
-      "vaq_bai_pulls_total",
-      "vaq_bai_stops_total",
-      "vaq_cascade_candidates_pruned_total",
-      "vaq_cascade_plans_total",
-      "vaq_cascade_videos_pruned_total",
-      "vaq_clip_eval_simulated_ms",
-      "vaq_clips_degraded_total",
-      "vaq_clips_dropped_total",
-      "vaq_clips_processed_total",
-      "vaq_cluster_queries_total",
-      "vaq_model_calls_total",
-      "vaq_rvaq_iterations_total",
-      "vaq_storage_accesses_total",
-  };
-  return prefixes;
 }
 
 }  // namespace cluster

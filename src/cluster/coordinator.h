@@ -121,17 +121,16 @@ class Coordinator : public query::RankedBackend {
   // The *live* shard count: ClusterOptions::num_shards initially,
   // tracking elastic splits/merges afterwards.
   int num_shards() const { return static_cast<int>(shard_videos_.size()); }
-  const std::vector<std::string>& ShardVideos(int shard) const;
 
   // --- Elastic layout ---------------------------------------------------
   // The shard layout only affects transport (vaq_cluster_* batch/net
   // accounting, host ids, answer_ms): merged results are merged by
   // (video, per-video rank) position and every per-video scan runs exactly
   // once per clean query, so results and engine-level metrics are
-  // byte-identical before, during and after any rebalance
-  // (LayoutInvariantMetricPrefixes below; the elastic determinism test
-  // pins this). Call between queries only — none of these methods are
-  // synchronized against a running TopK.
+  // byte-identical before, during and after any rebalance (the elastic
+  // determinism test, cluster_elastic_test, pins this). Call between
+  // queries only — none of these methods are synchronized against a
+  // running TopK.
 
   // Splits `shard`'s sorted video run at its midpoint into two adjacent
   // shards (range-style, whatever the original scheme). The shard must
@@ -197,16 +196,6 @@ class Coordinator : public query::RankedBackend {
   // (vaq_query_latency_ms{path="cluster"}).
   std::unique_ptr<obs::LatencyRecorder> latency_;
 };
-
-// Metric-family prefixes whose values are shard-layout-invariant for a
-// clean (fault-free) run: engine-level work happens exactly once per
-// video per query no matter which shard owns the video, and per-query
-// outcome counts don't depend on the layout at all. The elastic
-// determinism test diffs snapshots filtered to these across static vs
-// split/merge layouts. Transport families (vaq_cluster_batches/net/
-// answer_ms) and latency gauges built on answer_ms are deliberately
-// absent — they measure the layout itself.
-const std::vector<std::string>& LayoutInvariantMetricPrefixes();
 
 }  // namespace cluster
 }  // namespace vaq

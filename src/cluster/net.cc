@@ -43,14 +43,10 @@ obs::Counter* MessagesCounter(const char* tag_name) {
     static obs::Counter* const fetch = resolve("fetch");
     return fetch;
   }
-  if (std::strcmp(tag_name, "batch") == 0) {
-    static obs::Counter* const batch = resolve("batch");
-    return batch;
-  }
-  VAQ_CHECK(std::strcmp(tag_name, "ship") == 0)
+  VAQ_CHECK(std::strcmp(tag_name, "batch") == 0)
       << "unknown net message tag '" << tag_name << "'";
-  static obs::Counter* const ship = resolve("ship");
-  return ship;
+  static obs::Counter* const batch = resolve("batch");
+  return batch;
 }
 
 }  // namespace

@@ -47,8 +47,7 @@ struct NetOptions {
 // What a message says, as a value: the simulation hands the logical
 // content across, and Send's `wire_bytes` prices what a real
 // serialization would ship. A query or fetch names a batch by
-// (shard, index); a batch reply carries the batch itself. A ship
-// message carries nothing.
+// (shard, index); a batch reply carries the batch itself.
 struct Message {
   uint64_t query = 0;  // The statement's serial; a reply echoes it.
   int shard = 0;
@@ -93,7 +92,7 @@ class Net {
 
   // Queues a message sent at virtual time `send_ms`. `tag_name` labels
   // the vaq_cluster_net_messages_total counter and is one of "query",
-  // "fetch", "batch" or "ship". `wire_bytes` is the modeled on-the-wire
+  // "fetch" or "batch". `wire_bytes` is the modeled on-the-wire
   // size, which transfer time is charged for.
   void Send(int from, int to, uint32_t tag, const char* tag_name,
             const Message& message, int64_t wire_bytes, double send_ms);

@@ -8,11 +8,15 @@
 
 namespace vaq {
 namespace cluster {
+namespace {
 
+// Modeled payload size of one entry: name + interval endpoints + three
+// bounds + rank + framing.
 int64_t EntryWireBytes(const ShardEntry& entry) {
-  // Name + interval endpoints + three bounds + rank + framing.
   return static_cast<int64_t>(entry.video->name.size()) + 48;
 }
+
+}  // namespace
 
 Node::Node(int id, std::vector<ShardVideo> videos)
     : id_(id), videos_(std::move(videos)) {}

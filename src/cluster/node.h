@@ -47,9 +47,6 @@ struct ShardEntry {
   double merge_score = 0.0;  // offline::RankedMergeScore(sequence).
 };
 
-// Modeled payload size of one entry (name, interval, bounds, score).
-int64_t EntryWireBytes(const ShardEntry& entry);
-
 // A completed shard-local scan: the node's full candidate stream plus
 // the accounting the coordinator folds into the global result, summed
 // over the shard's videos. The accounting is deterministic per shard

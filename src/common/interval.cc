@@ -98,12 +98,6 @@ IntervalSet IntervalSet::Intersect(const IntervalSet& other) const {
   return out;
 }
 
-IntervalSet IntervalSet::Union(const IntervalSet& other) const {
-  IntervalSet out;
-  out.AssignUnion(*this, other);
-  return out;
-}
-
 void IntervalSet::AssignIntersection(const IntervalSet& a,
                                      const IntervalSet& b) {
   intervals_.clear();

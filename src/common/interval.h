@@ -82,12 +82,11 @@ class IntervalSet {
   // re-merged into maximal runs. Implemented as a linear two-pointer sweep.
   IntervalSet Intersect(const IntervalSet& other) const;
 
-  // Set union, re-merged into maximal runs (a linear merge).
-  IntervalSet Union(const IntervalSet& other) const;
-
-  // In-place forms of the two operations above for callers that reuse
-  // one set's storage across many evaluations: each replaces this set's
-  // contents and keeps its capacity. Neither operand may be this set.
+  // In-place forms for callers that reuse one set's storage across many
+  // evaluations: each replaces this set's contents with the intersection
+  // (the ⊗ above) or the union (re-merged into maximal runs, a linear
+  // merge) of `a` and `b`, and keeps its capacity. Neither operand may
+  // be this set.
   void AssignIntersection(const IntervalSet& a, const IntervalSet& b);
   void AssignUnion(const IntervalSet& a, const IntervalSet& b);
 

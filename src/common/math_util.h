@@ -10,22 +10,6 @@ namespace vaq {
 
 inline constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-// log(exp(a) + exp(b)) without overflow.
-inline double LogSumExp(double a, double b) {
-  if (a == kNegInf) return b;
-  if (b == kNegInf) return a;
-  const double m = std::max(a, b);
-  return m + std::log(std::exp(a - m) + std::exp(b - m));
-}
-
-// log(1 - exp(x)) for x <= 0, numerically stable near both ends
-// (Maechler 2012). Returns -inf for x == 0.
-inline double Log1mExp(double x) {
-  if (x >= 0.0) return kNegInf;
-  if (x > -0.6931471805599453) return std::log(-std::expm1(x));
-  return std::log1p(-std::exp(x));
-}
-
 // Thread-safe log-gamma. std::lgamma writes the process-global signgam,
 // a data race when scan-stat thresholds are recomputed on concurrent
 // serve workers; all arguments here are positive, so the sign is 1 and
@@ -50,14 +34,6 @@ inline double LogChoose(int64_t n, int64_t k) {
 // Clamps a probability to [0, 1].
 inline double ClampProbability(double p) {
   return std::min(1.0, std::max(0.0, p));
-}
-
-// Relative/absolute near-equality for doubles.
-inline bool AlmostEqual(double a, double b, double rel_tol = 1e-9,
-                        double abs_tol = 1e-12) {
-  const double diff = std::fabs(a - b);
-  if (diff <= abs_tol) return true;
-  return diff <= rel_tol * std::max(std::fabs(a), std::fabs(b));
 }
 
 }  // namespace vaq

@@ -49,10 +49,8 @@ inline uint64_t HashBytes(std::string_view bytes) {
 // xoshiro256** generator with distribution helpers.
 class Rng {
  public:
-  explicit Rng(uint64_t seed) { Reseed(seed); }
-
-  // Re-initializes the state from `seed` via SplitMix64.
-  void Reseed(uint64_t seed) {
+  // The state is drawn from `seed` by SplitMix64.
+  explicit Rng(uint64_t seed) {
     uint64_t sm = seed;
     for (auto& word : state_) word = SplitMix64(sm);
   }
@@ -113,10 +111,6 @@ class Rng {
     const double u2 = UniformDouble();
     return std::sqrt(-2.0 * std::log(u1)) *
            std::cos(6.283185307179586476925286766559 * u2);
-  }
-
-  double Normal(double mean, double stddev) {
-    return mean + stddev * Normal();
   }
 
   // Exponential with rate `lambda` (> 0).

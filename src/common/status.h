@@ -14,7 +14,9 @@
 
 namespace vaq {
 
-// Machine-readable error category carried by a `Status`.
+// Machine-readable error category carried by a `Status`. Checkpoints
+// store a code by its number, so an enumerator keeps its value even when
+// nothing constructs it (kAlreadyExists).
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
@@ -59,9 +61,6 @@ class Status {
   }
   static Status OutOfRange(std::string msg) {
     return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));

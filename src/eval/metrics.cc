@@ -148,17 +148,5 @@ double SurvivingActionFpr(const synth::GroundTruth& truth,
                        : 0.0;
 }
 
-double ResultFpr(const IntervalSet& result_clips,
-                 const IntervalSet& truth_frames, const VideoLayout& layout) {
-  const IntervalSet result_frames = layout.ClipsToFrames(result_clips);
-  const int64_t negatives = layout.num_frames() - truth_frames.TotalLength();
-  const int64_t covered_negatives =
-      result_frames.TotalLength() -
-      result_frames.Intersect(truth_frames).TotalLength();
-  return negatives > 0 ? static_cast<double>(covered_negatives) /
-                             static_cast<double>(negatives)
-                       : 0.0;
-}
-
 }  // namespace eval
 }  // namespace vaq

@@ -83,12 +83,6 @@ double SurvivingActionFpr(const synth::GroundTruth& truth,
                           const detect::ActionRecognizer& recognizer,
                           ActionTypeId type, const IntervalSet& result_clips);
 
-// Result-level false-positive rate at frame granularity: the fraction of
-// non-truth frames that the result sequences cover. `truth_frames` is the
-// frame-level truth of the relevant predicate (or of the whole query).
-double ResultFpr(const IntervalSet& result_clips,
-                 const IntervalSet& truth_frames, const VideoLayout& layout);
-
 }  // namespace eval
 }  // namespace vaq
 

@@ -31,6 +31,20 @@ std::string JsonLabels(const Labels& labels) {
   return out;
 }
 
+// Deterministic double rendering shared by both exporters: integers
+// print without a decimal point, +inf prints "+Inf" (Prometheus).
+std::string FormatMetricValue(double v) {
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  if (std::isnan(v)) return "NaN";
+  if (v == static_cast<double>(static_cast<int64_t>(v)) &&
+      std::fabs(v) < 1e15) {
+    return std::to_string(static_cast<int64_t>(v));
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
 // JSON number rendering: reuses FormatMetricValue but quotes non-finite
 // values ("+Inf"/"-Inf"/"NaN"), which bare JSON numbers cannot express.
 std::string JsonNumber(double v) {
@@ -53,18 +67,6 @@ const char* KindName(Snapshot::Kind kind) {
 }
 
 }  // namespace
-
-std::string FormatMetricValue(double v) {
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  if (std::isnan(v)) return "NaN";
-  if (v == static_cast<double>(static_cast<int64_t>(v)) &&
-      std::fabs(v) < 1e15) {
-    return std::to_string(static_cast<int64_t>(v));
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 std::string ExportPrometheus(const Snapshot& snapshot) {
   std::string out;

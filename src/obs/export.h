@@ -27,11 +27,6 @@ namespace obs {
 std::string ExportPrometheus(const Snapshot& snapshot);
 std::string ExportJson(const Snapshot& snapshot);
 
-// Shared deterministic double rendering: integers print without a
-// decimal point, +inf prints "+Inf" (Prometheus) — exporters and the
-// bench sidecar all use this one routine.
-std::string FormatMetricValue(double v);
-
 // Minimal structural JSON validator (objects, arrays, strings, numbers,
 // true/false/null; UTF-8 passthrough). Returns an empty string when
 // `text` parses as exactly one JSON value, otherwise a diagnostic with

@@ -8,7 +8,9 @@
 
 namespace vaq {
 namespace scanstat {
+namespace {
 
+// log P[Bin(n, p) = k]; -inf outside the support. p in [0, 1].
 double LogBinomialPmf(int64_t k, int64_t n, double p) {
   VAQ_CHECK_GE(n, 0);
   VAQ_CHECK_GE(p, 0.0);
@@ -19,6 +21,8 @@ double LogBinomialPmf(int64_t k, int64_t n, double p) {
   return LogChoose(n, k) + static_cast<double>(k) * std::log(p) +
          static_cast<double>(n - k) * std::log1p(-p);
 }
+
+}  // namespace
 
 double BinomialPmf(int64_t k, int64_t n, double p) {
   return std::exp(LogBinomialPmf(k, n, p));

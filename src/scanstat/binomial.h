@@ -10,9 +10,6 @@
 namespace vaq {
 namespace scanstat {
 
-// log P[Bin(n, p) = k]; -inf outside the support. p in [0, 1].
-double LogBinomialPmf(int64_t k, int64_t n, double p);
-
 // P[Bin(n, p) = k].
 double BinomialPmf(int64_t k, int64_t n, double p);
 

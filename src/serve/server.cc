@@ -89,6 +89,11 @@ Status DecodeStatus(ckpt::PayloadReader* in, Status* out) {
   std::string message;
   VAQ_RETURN_IF_ERROR(in->GetU32(&code));
   VAQ_RETURN_IF_ERROR(in->GetString(&message));
+  // A failed status has a code past kOk and within the enumeration.
+  if (code == static_cast<uint32_t>(StatusCode::kOk) ||
+      code > static_cast<uint32_t>(StatusCode::kResourceExhausted)) {
+    return Status::Corruption("bad status code in checkpoint");
+  }
   *out = Status(static_cast<StatusCode>(code), std::move(message));
   return Status::OK();
 }
@@ -915,17 +920,13 @@ Status Server::CheckpointLocked() {
   // families: restoring those would mask the corruption/recovery counts
   // the *recovering* process accumulates while reading this very blob.
   // Wall families are not state: their time belongs to this process.
-  // Skipped entirely when the registry is shared beyond this server
-  // (ServeOptions::snapshot_metrics == false).
-  if (options_.snapshot_metrics) {
-    const obs::Snapshot metrics = obs::MetricRegistry::Global().TakeSnapshot();
-    for (const obs::Snapshot::Entry& entry : metrics.entries) {
-      if (entry.name.rfind("vaq_ckpt_", 0) == 0) continue;
-      if (obs::IsWallFamily(entry.name)) continue;
-      ckpt::Payload p;
-      ckpt::EncodeMetricEntry(entry, &p);
-      snap.Append(kSnapMetric, p);
-    }
+  const obs::Snapshot metrics = obs::MetricRegistry::Global().TakeSnapshot();
+  for (const obs::Snapshot::Entry& entry : metrics.entries) {
+    if (entry.name.rfind("vaq_ckpt_", 0) == 0) continue;
+    if (obs::IsWallFamily(entry.name)) continue;
+    ckpt::Payload p;
+    ckpt::EncodeMetricEntry(entry, &p);
+    snap.Append(kSnapMetric, p);
   }
   const std::string& blob = snap.blob();
   VAQ_RETURN_IF_ERROR(store->Put(ckpt::SnapshotName(ckpt_seq_), blob));
@@ -1272,6 +1273,10 @@ std::string DescribeServedQuery(const ServedQuery& q) {
     // relaxation — before comparing against the fault-free reference.
     if (!q.result.bai_certificate.empty()) {
       out += " bai=" + q.result.bai_certificate;
+    }
+    // The WITH RECALL plan; statements without one render unchanged.
+    if (!q.result.cascade_plan.empty()) {
+      out += " cascade=" + q.result.cascade_plan;
     }
   }
   return out;

@@ -134,12 +134,6 @@ struct ServeOptions {
   // Automatic snapshot policy, evaluated after each AdvanceStream: a
   // snapshot is taken every N clips advanced (0 = off).
   int64_t snapshot_every_clips = 0;
-  // Embed the process-wide metric registry in snapshots (and restore it
-  // on Recover). True for a single-server process, where the registry's
-  // whole contents belong to this server. Cluster nodes set it false:
-  // the registry is shared by every node in the simulated cluster, and
-  // restoring one node's snapshot would clobber the others' live state.
-  bool snapshot_metrics = true;
 };
 
 // One admitted query's outcome.

@@ -144,18 +144,6 @@ const TypeIndex* VideoIndex::FindActionByName(const std::string& name) const {
   return nullptr;
 }
 
-AccessCounter VideoIndex::TotalAccesses() const {
-  AccessCounter total;
-  for (const TypeIndex& t : objects) total += t.table.counter();
-  for (const TypeIndex& t : actions) total += t.table.counter();
-  return total;
-}
-
-void VideoIndex::ResetAccessCounters() const {
-  for (const TypeIndex& t : objects) t.table.ResetCounter();
-  for (const TypeIndex& t : actions) t.table.ResetCounter();
-}
-
 Catalog::Catalog(std::string root) : store_(std::move(root)) {}
 
 Status Catalog::Save(const std::string& name, const VideoIndex& index) const {

@@ -55,10 +55,6 @@ struct VideoIndex {
   const TypeIndex* FindAction(int32_t type_id) const;
   const TypeIndex* FindObjectByName(const std::string& name) const;
   const TypeIndex* FindActionByName(const std::string& name) const;
-
-  // Sum of access counters across all tables.
-  AccessCounter TotalAccesses() const;
-  void ResetAccessCounters() const;
 };
 
 // A directory of persisted VideoIndexes keyed by name. Save, Load and

@@ -258,45 +258,5 @@ StatusOr<ScenarioSpec> LoadScenarioSpec(const std::string& path) {
   return ParseScenarioSpec(buffer.str());
 }
 
-std::string FormatScenarioSpec(const ScenarioSpec& spec) {
-  std::ostringstream os;
-  os << "name = " << spec.name << "\n";
-  os << "minutes = " << spec.minutes << "\n";
-  os << "fps = " << spec.fps << "\n";
-  os << "seed = " << spec.seed << "\n";
-  os << "video_id = " << spec.video_id << "\n";
-  os << "frames_per_shot = " << spec.frames_per_shot << "\n";
-  os << "shots_per_clip = " << spec.shots_per_clip << "\n";
-  auto drift = [&os](const DriftProfile& profile) {
-    if (profile.flat()) return;
-    os << "drift = ";
-    for (size_t i = 0; i < profile.multipliers.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << profile.multipliers[i];
-    }
-    os << "\n";
-  };
-  for (const ActionTrackSpec& action : spec.actions) {
-    os << "\n[action]\n";
-    os << "name = " << action.name << "\n";
-    os << "duty = " << action.duty << "\n";
-    os << "mean_len_frames = " << action.mean_len_frames << "\n";
-    drift(action.drift);
-  }
-  for (const ObjectTrackSpec& object : spec.objects) {
-    os << "\n[object]\n";
-    os << "name = " << object.name << "\n";
-    os << "background_duty = " << object.background_duty << "\n";
-    os << "mean_len_frames = " << object.mean_len_frames << "\n";
-    if (!object.coupled_action.empty()) {
-      os << "coupled_action = " << object.coupled_action << "\n";
-      os << "cover_action_prob = " << object.cover_action_prob << "\n";
-    }
-    os << "mean_instances = " << object.mean_instances << "\n";
-    drift(object.drift);
-  }
-  return os.str();
-}
-
 }  // namespace synth
 }  // namespace vaq

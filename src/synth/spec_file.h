@@ -44,10 +44,6 @@ StatusOr<ScenarioSpec> ParseScenarioSpec(const std::string& text);
 // Reads and parses a spec file from disk.
 StatusOr<ScenarioSpec> LoadScenarioSpec(const std::string& path);
 
-// Serializes a spec back to the text form (round-trips through
-// ParseScenarioSpec).
-std::string FormatScenarioSpec(const ScenarioSpec& spec);
-
 }  // namespace synth
 }  // namespace vaq
 

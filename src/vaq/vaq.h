@@ -57,7 +57,6 @@
 #include "video/cnf_query.h"
 #include "video/layout.h"
 #include "video/query_spec.h"
-#include "video/sequence_ops.h"
 #include "video/vocabulary.h"
 
 #endif  // VAQ_VAQ_H_

@@ -75,7 +75,7 @@ TEST(TopKIdentifierTest, IdentifiesSeparatedGaussianArms) {
   const TopKIdentifier identifier(options);
   const TopKOutcome outcome = identifier.Identify(
       8, /*seed=*/11, [](int64_t arm, Rng& rng) {
-        return rng.Normal(static_cast<double>(arm), 0.3);
+        return static_cast<double>(arm) + 0.3 * rng.Normal();
       });
   EXPECT_TRUE(outcome.certificate.stopped);
   ASSERT_EQ(outcome.top.size(), 2u);
@@ -96,7 +96,7 @@ TEST(TopKIdentifierTest, DeterministicPerSeed) {
   options.k = 2;
   const TopKIdentifier identifier(options);
   const auto sampler = [](int64_t arm, Rng& rng) {
-    return rng.Normal(static_cast<double>(arm % 4), 0.5);
+    return static_cast<double>(arm % 4) + 0.5 * rng.Normal();
   };
   const TopKOutcome a = identifier.Identify(6, /*seed=*/21, sampler);
   const TopKOutcome b = identifier.Identify(6, /*seed=*/21, sampler);

@@ -498,6 +498,70 @@ TEST(CkptRecoveryTest, MetricOfAnotherShapeFailsRecoveryWithoutAbort) {
   EXPECT_EQ(histogram->sum(), 3.0);
 }
 
+TEST(CkptRecoveryTest, StatusCodeOutsideTheEnumerationFailsRecovery) {
+  // A failed standing query's status is stored as (ok=false, code,
+  // message). Code 0 would restore the failure as OK and a code past
+  // the last enumerator as a status no code names, so both are damage.
+  obs::MetricRegistry::Global().Reset();
+  ckpt::MemStore store;
+  const tools::StandingDemoSpec spec = DemoSpec(&store, nullptr, true);
+  auto server = tools::MakeStandingDemoServer(spec);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(tools::AdmitStandingDemoWorkload(server.value().get(), spec)
+                  .ok());
+  ASSERT_TRUE(tools::DriveStandingDemo(server.value().get(), spec, 3).ok());
+  ASSERT_TRUE(server.value()->Checkpoint().ok());
+  const auto blob = store.Get(ckpt::SnapshotName(0));
+  ASSERT_TRUE(blob.ok()) << blob.status();
+  const auto records = ckpt::ParseBlob(blob.value());
+  ASSERT_TRUE(records.ok()) << records.status();
+
+  const uint32_t past_last =
+      static_cast<uint32_t>(StatusCode::kResourceExhausted) + 1;
+  for (const uint32_t code : {0u, past_last}) {
+    // Reseal the first standing record (tag 1: id, sql, status, then the
+    // rest) with the failed status `code`; every other record as read.
+    ckpt::Serializer resealed;
+    bool replaced = false;
+    for (const ckpt::Record& record : records.value()) {
+      if (record.tag != /*kSnapStanding=*/1 || replaced) {
+        resealed.Append(record.tag, record.payload);
+        continue;
+      }
+      ckpt::PayloadReader in(record.payload);
+      int64_t id = 0;
+      std::string sql;
+      bool ok = false;
+      ASSERT_TRUE(in.GetI64(&id).ok());
+      ASSERT_TRUE(in.GetString(&sql).ok());
+      ASSERT_TRUE(in.GetBool(&ok).ok());
+      ASSERT_TRUE(ok) << "the demo's standing queries admit cleanly";
+      ckpt::Payload standing;
+      standing.PutI64(id);
+      standing.PutString(sql);
+      standing.PutBool(false);
+      standing.PutU32(code);
+      standing.PutString("failed before the checkpoint");
+      resealed.Append(
+          record.tag,
+          standing.data() +
+              record.payload.substr(record.payload.size() - in.remaining()));
+      replaced = true;
+    }
+    ASSERT_TRUE(replaced);
+    ckpt::MemStore damaged;
+    ASSERT_TRUE(damaged.Put(ckpt::SnapshotName(0), resealed.blob()).ok());
+
+    obs::MetricRegistry::Global().Reset();
+    auto recovering =
+        tools::MakeStandingDemoServer(DemoSpec(&damaged, nullptr, true));
+    ASSERT_TRUE(recovering.ok());
+    const auto report = recovering.value()->Recover();
+    EXPECT_EQ(report.status().code(), StatusCode::kCorruption)
+        << "code " << code << ": " << report.status();
+  }
+}
+
 TEST(CkptRecoveryTest, EmptyStoreRecoversToColdStartAndRunsNormally) {
   // `vaqctl recover` on a directory nobody has served into yet: cold
   // start, then the session proceeds as if freshly configured.

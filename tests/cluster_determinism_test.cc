@@ -2,9 +2,7 @@
 // replica count, scatter–gather ranked results and every logical vaq_*
 // metric are byte-identical to the single-node reference; node kills
 // (a staged kNode window or rate-drawn outages, both from the fault
-// plan) fail over to replicas with identical final results; and the
-// standing-query cluster with WAL shipping matches a single server clip
-// for clip, through failover and shipping lag.
+// plan) fail over to replicas with identical final results.
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -20,7 +18,6 @@
 #include "cascade/planner.h"
 #include "cascade/proxy_index.h"
 #include "cluster/coordinator.h"
-#include "cluster/standing.h"
 #include "detect/models.h"
 #include "fault/fault_plan.h"
 #include "obs/export.h"
@@ -28,7 +25,6 @@
 #include "offline/ingest.h"
 #include "offline/repository.h"
 #include "offline/scoring.h"
-#include "serve/server.h"
 #include "tools/pipeline_setup.h"
 
 namespace vaq {
@@ -38,9 +34,6 @@ namespace {
 constexpr int kVideos = 6;
 constexpr uint64_t kSeed = 4242;
 constexpr int64_t kK = 5;
-constexpr int kStreams = 4;
-constexpr int kStandingQueries = 6;
-constexpr int kStandingAdvances = 120;  // 30 clips per stream.
 
 const offline::Repository& DemoRepository() {
   static const offline::Repository* const repo = [] {
@@ -554,129 +547,6 @@ TEST(ClusterCascade, ConcurrentPlansMatchSingleThreadedPlans) {
           << "thread " << t << " tau=" << taus[key];
     }
   }
-}
-
-// --- Standing-query cluster ---------------------------------------------
-
-Status RegisterStandingStreams(serve::Server* server) {
-  return tools::RegisterDemoSources(server, kStreams,
-                                    /*with_repository=*/false, kSeed);
-}
-
-std::vector<std::string> StandingWorkload() {
-  return tools::DemoWorkload(kStreams, kStandingQueries,
-                             /*with_repository=*/false);
-}
-
-// The single-server reference run: same streams, same admissions, same
-// round-robin advance schedule.
-std::vector<std::string> SingleServerStandingReference() {
-  obs::MetricRegistry::Global().Reset();
-  serve::ServeOptions options;
-  options.threads = 0;
-  serve::Server server(options);
-  EXPECT_TRUE(RegisterStandingStreams(&server).ok());
-  for (const std::string& sql : StandingWorkload()) {
-    EXPECT_TRUE(server.AddStandingQuery(sql).ok()) << sql;
-  }
-  for (int i = 0; i < kStandingAdvances; ++i) {
-    EXPECT_TRUE(
-        server.AdvanceStream("cam" + std::to_string(i % kStreams)).ok());
-  }
-  std::vector<std::string> described;
-  for (const serve::ServedQuery& q : server.FinishStanding()) {
-    described.push_back(serve::DescribeServedQuery(q));
-  }
-  return described;
-}
-
-struct StandingRun {
-  std::vector<std::string> described;
-  int64_t failovers = 0;
-  int64_t catchup_advances = 0;
-  int64_t shipped_bytes = 0;
-};
-
-StandingRun RunStandingCluster(StandingClusterOptions options) {
-  obs::MetricRegistry::Global().Reset();
-  StandingCluster cluster(options, RegisterStandingStreams);
-  EXPECT_TRUE(cluster.Init().ok());
-  for (const std::string& sql : StandingWorkload()) {
-    EXPECT_TRUE(cluster.AddStandingQuery(sql).ok()) << sql;
-  }
-  for (int i = 0; i < kStandingAdvances; ++i) {
-    const Status advanced =
-        cluster.AdvanceStream("cam" + std::to_string(i % kStreams));
-    EXPECT_TRUE(advanced.ok()) << i << ": " << advanced.message();
-  }
-  StandingRun run;
-  auto finished = cluster.Finish();
-  EXPECT_TRUE(finished.ok()) << finished.status().message();
-  if (finished.ok()) {
-    for (const serve::ServedQuery& q : *finished) {
-      run.described.push_back(serve::DescribeServedQuery(q));
-    }
-  }
-  run.failovers = cluster.failovers();
-  run.catchup_advances = cluster.catchup_advances();
-  run.shipped_bytes = cluster.shipped_bytes();
-  return run;
-}
-
-TEST(ClusterStanding, MatchesSingleServerAcrossNodeCounts) {
-  const std::vector<std::string> ref = SingleServerStandingReference();
-  ASSERT_EQ(ref.size(), static_cast<size_t>(kStandingQueries));
-  for (const int nodes : {1, 3}) {
-    StandingClusterOptions options;
-    options.num_nodes = nodes;
-    const StandingRun run = RunStandingCluster(options);
-    ASSERT_EQ(run.described.size(), ref.size()) << nodes;
-    for (size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(run.described[i], ref[i])
-          << "nodes=" << nodes << " query " << i;
-    }
-    EXPECT_EQ(run.failovers, 0);
-    EXPECT_GT(run.shipped_bytes, 0);
-  }
-}
-
-TEST(ClusterStanding, KilledOwnerFailsOverIdentically) {
-  const std::vector<std::string> ref = SingleServerStandingReference();
-  StandingClusterOptions options;
-  options.num_nodes = 3;
-  // Mid-drive: some advances land before the outage, the rest after
-  // failover on the standby.
-  const fault::FaultPlan kill =
-      KillPlan(HashShardOf("cam1", options.num_nodes),
-               kAdvanceTickMs * (kStandingAdvances / 2));
-  options.cluster_fault_plan = &kill;
-  const StandingRun run = RunStandingCluster(options);
-  ASSERT_EQ(run.described.size(), ref.size());
-  for (size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(run.described[i], ref[i]) << "query " << i;
-  }
-  EXPECT_GE(run.failovers, 1);
-}
-
-TEST(ClusterStanding, ShippingLagIsReplayedOnFailover) {
-  const std::vector<std::string> ref = SingleServerStandingReference();
-  StandingClusterOptions options;
-  options.num_nodes = 3;
-  // Cadence so long it never fires: after the admission-time ship the
-  // replica stays at stream position zero, so failover must replay every
-  // advance the killed node had applied.
-  options.ship_every_advances = 1 << 20;
-  const fault::FaultPlan kill =
-      KillPlan(HashShardOf("cam1", options.num_nodes),
-               kAdvanceTickMs * (kStandingAdvances / 2));
-  options.cluster_fault_plan = &kill;
-  const StandingRun run = RunStandingCluster(options);
-  ASSERT_EQ(run.described.size(), ref.size());
-  for (size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(run.described[i], ref[i]) << "query " << i;
-  }
-  EXPECT_GE(run.failovers, 1);
-  EXPECT_GT(run.catchup_advances, 0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Elastic shard rebalancing determinism: split/merge churn may change
 // transport topology, but never what a query returns. The oracle is
 // byte-identity — described top lists and the layout-invariant logical
-// vaq_* families (cluster::LayoutInvariantMetricPrefixes) must match the
+// vaq_* families (LayoutInvariantMetricPrefixes below) must match the
 // static layout exactly, before, during and after rebalancing, for the
 // same seed.
 #include <cstdint>
@@ -27,6 +27,33 @@ namespace {
 constexpr int kVideos = 4;
 constexpr uint64_t kSeed = 515;
 constexpr int64_t kK = 4;
+
+// Metric-family prefixes whose values are shard-layout-invariant for a
+// clean (fault-free) run: engine-level work happens exactly once per
+// video per query no matter which shard owns the video, and per-query
+// outcome counts (vaq_cluster_queries_total, vaq_cascade_plans_total)
+// don't depend on the layout at all. Transport families
+// (vaq_cluster_batches/net/answer_ms) and latency gauges built on
+// answer_ms are deliberately absent — they measure the layout itself.
+const std::vector<std::string>& LayoutInvariantMetricPrefixes() {
+  static const std::vector<std::string> prefixes = {
+      "vaq_bai_arms_eliminated_total",
+      "vaq_bai_pulls_total",
+      "vaq_bai_stops_total",
+      "vaq_cascade_candidates_pruned_total",
+      "vaq_cascade_plans_total",
+      "vaq_cascade_videos_pruned_total",
+      "vaq_clip_eval_simulated_ms",
+      "vaq_clips_degraded_total",
+      "vaq_clips_dropped_total",
+      "vaq_clips_processed_total",
+      "vaq_cluster_queries_total",
+      "vaq_model_calls_total",
+      "vaq_rvaq_iterations_total",
+      "vaq_storage_accesses_total",
+  };
+  return prefixes;
+}
 
 const offline::Repository& DemoRepository() {
   static const offline::Repository* const repo = [] {

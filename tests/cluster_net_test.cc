@@ -190,7 +190,7 @@ TEST(ClusterNetTest, TypedContentArrivesUnchanged) {
     net.Send(i, -1 - i, kTag + static_cast<uint32_t>(i), "batch",
              MessageFor(i), 100 + i, static_cast<double>(i));
   }
-  net.Send(0, 4, kTag, "ship", Message{}, 4096, 20.0);
+  net.Send(0, 4, kTag, "fetch", Message{}, 4096, 20.0);
   const std::vector<Delivery> deliveries = DrainAll(&net);
   ASSERT_EQ(deliveries.size(), 9u);
   for (int i = 0; i < 8; ++i) {
@@ -208,9 +208,9 @@ TEST(ClusterNetTest, TypedContentArrivesUnchanged) {
     EXPECT_EQ(delivery.message.next_bound, expected.next_bound);
     EXPECT_EQ(delivery.message.more, expected.more);
   }
-  const Message& ship = deliveries[8].message;
-  EXPECT_EQ(ship.query, 0u);
-  EXPECT_EQ(ship.end - ship.begin, 0u);
+  const Message& empty = deliveries[8].message;
+  EXPECT_EQ(empty.query, 0u);
+  EXPECT_EQ(empty.end - empty.begin, 0u);
   EXPECT_EQ(deliveries[8].wire_bytes, 4096);
   EXPECT_EQ(net.stats().bytes, 4096 + 8 * 100 + 28);
 }

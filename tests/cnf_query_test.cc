@@ -237,11 +237,9 @@ TEST(OfflineCnfTest, PqIsClausewiseIntersectionOfUnions) {
   auto tables =
       offline::QueryTables::BindCnf(f.index, *cnf, f.scenario.vocab());
   ASSERT_TRUE(tables.ok());
-  const IntervalSet expected =
-      tables->sequences[0]
-          ->Union(*tables->sequences[1])
-          .Intersect(*tables->sequences[2]);
-  EXPECT_EQ(tables->ComputePq(), expected);
+  IntervalSet clause;
+  clause.AssignUnion(*tables->sequences[0], *tables->sequences[1]);
+  EXPECT_EQ(tables->ComputePq(), clause.Intersect(*tables->sequences[2]));
 }
 
 TEST(OfflineCnfTest, RvaqMatchesBruteForceOnCnfQuery) {

@@ -154,7 +154,8 @@ TEST_P(IntervalSetPropertyTest, OperationsMatchBitmaskModel) {
     ExpectCanonical(inter);
     EXPECT_EQ(ToBits(inter), bits_a & bits_b);
 
-    const IntervalSet uni = a.Union(b);
+    IntervalSet uni;
+    uni.AssignUnion(a, b);
     ExpectCanonical(uni);
     EXPECT_EQ(ToBits(uni), bits_a | bits_b);
 

@@ -7,33 +7,6 @@
 namespace vaq {
 namespace {
 
-TEST(LogSumExpTest, MatchesDirectComputation) {
-  EXPECT_NEAR(LogSumExp(std::log(2.0), std::log(3.0)), std::log(5.0), 1e-12);
-  EXPECT_NEAR(LogSumExp(0.0, 0.0), std::log(2.0), 1e-12);
-  // Extreme magnitudes: no overflow, dominated by the larger term.
-  EXPECT_NEAR(LogSumExp(1000.0, 0.0), 1000.0, 1e-9);
-  EXPECT_NEAR(LogSumExp(-1000.0, 0.0), 0.0, 1e-9);
-}
-
-TEST(LogSumExpTest, NegativeInfinityIsIdentity) {
-  EXPECT_DOUBLE_EQ(LogSumExp(kNegInf, 3.5), 3.5);
-  EXPECT_DOUBLE_EQ(LogSumExp(3.5, kNegInf), 3.5);
-  EXPECT_DOUBLE_EQ(LogSumExp(kNegInf, kNegInf), kNegInf);
-}
-
-TEST(Log1mExpTest, AccurateOnBothBranches) {
-  // Large negative x: log(1 - e^x) ~ -e^x.
-  EXPECT_NEAR(Log1mExp(-40.0), -std::exp(-40.0), 1e-25);
-  // Near zero: 1 - e^x is tiny; compare against long-double reference.
-  for (double x : {-1e-6, -0.1, -0.5, -0.6931, -0.70, -2.0, -10.0}) {
-    const double reference =
-        std::log(static_cast<double>(1.0L - std::exp(static_cast<long double>(x))));
-    EXPECT_NEAR(Log1mExp(x), reference, 1e-10) << x;
-  }
-  EXPECT_DOUBLE_EQ(Log1mExp(0.0), kNegInf);
-  EXPECT_DOUBLE_EQ(Log1mExp(1.0), kNegInf);
-}
-
 TEST(LogChooseTest, MatchesSmallFactorials) {
   EXPECT_NEAR(LogChoose(5, 2), std::log(10.0), 1e-12);
   EXPECT_NEAR(LogChoose(10, 5), std::log(252.0), 1e-12);
@@ -49,9 +22,11 @@ TEST(LogChooseTest, SymmetryAndPascal) {
     for (int64_t k = 0; k <= n; ++k) {
       EXPECT_NEAR(LogChoose(n, k), LogChoose(n, n - k), 1e-9);
       if (k >= 1 && n >= 1) {
-        // C(n, k) = C(n-1, k-1) + C(n-1, k) in log space.
+        // C(n, k) = C(n-1, k-1) + C(n-1, k), compared in log space.
+        // C(n-1, n) = 0 is exp(-inf), so the sum stays exact at k = n.
         EXPECT_NEAR(LogChoose(n, k),
-                    LogSumExp(LogChoose(n - 1, k - 1), LogChoose(n - 1, k)),
+                    std::log(std::exp(LogChoose(n - 1, k - 1)) +
+                             std::exp(LogChoose(n - 1, k))),
                     1e-8)
             << n << "," << k;
       }
@@ -63,14 +38,6 @@ TEST(ClampProbabilityTest, Clamps) {
   EXPECT_DOUBLE_EQ(ClampProbability(-0.5), 0.0);
   EXPECT_DOUBLE_EQ(ClampProbability(0.5), 0.5);
   EXPECT_DOUBLE_EQ(ClampProbability(1.5), 1.0);
-}
-
-TEST(AlmostEqualTest, RelativeAndAbsolute) {
-  EXPECT_TRUE(AlmostEqual(1.0, 1.0));
-  EXPECT_TRUE(AlmostEqual(1e-15, 0.0));            // Absolute tolerance.
-  EXPECT_TRUE(AlmostEqual(1e9, 1e9 * (1 + 1e-10)));  // Relative tolerance.
-  EXPECT_FALSE(AlmostEqual(1.0, 1.001));
-  EXPECT_FALSE(AlmostEqual(1e9, 1.0000021e9));
 }
 
 }  // namespace

@@ -112,7 +112,7 @@ TEST(RngTest, NormalMoments) {
   double sum2 = 0;
   const int n = 50000;
   for (int i = 0; i < n; ++i) {
-    const double x = rng.Normal(3.0, 2.0);
+    const double x = 3.0 + 2.0 * rng.Normal();
     sum += x;
     sum2 += x * x;
   }

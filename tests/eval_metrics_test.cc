@@ -88,15 +88,6 @@ TEST(FrameLevelF1Test, ClipTruthVariant) {
   EXPECT_DOUBLE_EQ(r.f1, 1.0);
 }
 
-TEST(ResultFprTest, CountsCoveredNegatives) {
-  const VideoLayout layout(100, 5, 2);  // 10 clips of 10 frames.
-  const IntervalSet truth_frames = Set({{0, 49}});  // Half the video.
-  // Result covers clips 4..6 = frames 40..69: 20 frames outside truth.
-  const double fpr = ResultFpr(Set({{4, 6}}), truth_frames, layout);
-  EXPECT_NEAR(fpr, 20.0 / 50.0, 1e-12);
-  EXPECT_DOUBLE_EQ(ResultFpr(Set({}), truth_frames, layout), 0.0);
-}
-
 }  // namespace
 }  // namespace eval
 }  // namespace vaq

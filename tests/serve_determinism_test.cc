@@ -178,6 +178,14 @@ TEST(ServeDeterminismTest, RankedStatementsOverProxiesAndABackendAgree) {
                 "vaq_cascade_plans_total{mode=\"cascade\"} 8"),
             std::string::npos)
       << one.logical_metrics;
+  // Each of those statements renders the plan it ran under.
+  int rendered_cascades = 0;
+  for (const std::string& described : one.described) {
+    if (described.find(" cascade=cascade(") != std::string::npos) {
+      ++rendered_cascades;
+    }
+  }
+  EXPECT_EQ(rendered_cascades, 8);
   ExpectIdentical(one, eight);
 }
 

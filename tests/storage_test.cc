@@ -140,17 +140,6 @@ TEST(VideoIndexTest, Lookups) {
   EXPECT_NE(index.FindActionByName("jumping"), nullptr);
 }
 
-TEST(VideoIndexTest, AccessAggregation) {
-  const VideoIndex index = MakeIndex();
-  index.objects[0].table.RandomScore(0);
-  index.actions[0].table.SortedRow(0);
-  const AccessCounter total = index.TotalAccesses();
-  EXPECT_EQ(total.random_accesses, 1);
-  EXPECT_EQ(total.sorted_accesses, 1);
-  index.ResetAccessCounters();
-  EXPECT_EQ(index.TotalAccesses().total(), 0);
-}
-
 TEST(CatalogTest, SaveLoadRoundTrip) {
   const std::string root = TempDir("vaq_catalog_test");
   const Catalog catalog(root);

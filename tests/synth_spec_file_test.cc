@@ -57,25 +57,6 @@ TEST(SpecFileTest, ParsesEveryField) {
   EXPECT_DOUBLE_EQ(spec->objects[0].cover_action_prob, 0.9);
 }
 
-TEST(SpecFileTest, RoundTripsThroughFormat) {
-  auto spec = ParseScenarioSpec(kSample);
-  ASSERT_TRUE(spec.ok());
-  const std::string text = FormatScenarioSpec(*spec);
-  auto again = ParseScenarioSpec(text);
-  ASSERT_TRUE(again.ok()) << again.status() << "\n" << text;
-  EXPECT_EQ(again->name, spec->name);
-  EXPECT_EQ(again->seed, spec->seed);
-  EXPECT_EQ(again->actions.size(), spec->actions.size());
-  EXPECT_EQ(again->objects.size(), spec->objects.size());
-  EXPECT_EQ(again->actions[0].drift.multipliers,
-            spec->actions[0].drift.multipliers);
-  // Identical generated ground truth.
-  Vocabulary v1;
-  Vocabulary v2;
-  EXPECT_EQ(Generate(*spec, v1).ActionFrames(0),
-            Generate(*again, v2).ActionFrames(0));
-}
-
 TEST(SpecFileTest, ParseErrors) {
   EXPECT_FALSE(ParseScenarioSpec("minutes = abc").ok());
   EXPECT_FALSE(ParseScenarioSpec("mystery = 1").ok());
@@ -124,16 +105,15 @@ TEST(SpecFileTest, OutOfRangeFieldsAreInvalidArgument) {
   }
 }
 
-// Integer fields parse as integers: a seed above 2^53 reads back exactly
-// and formats to the same text.
+// Integer fields parse as integers: a seed above 2^53 reads back
+// exactly, alone and inside a whole spec.
 TEST(SpecFileTest, SeedAboveTwoToThe53RoundTrips) {
   const auto spec = ParseScenarioSpec("seed = 9007199254740993");
   ASSERT_TRUE(spec.ok()) << spec.status();
   EXPECT_EQ(spec->seed, uint64_t{9007199254740993u});
-  const std::string text = FormatScenarioSpec(*spec);
-  EXPECT_NE(text.find("seed = 9007199254740993\n"), std::string::npos)
-      << text;
-  const auto again = ParseScenarioSpec(text);
+  const auto again = ParseScenarioSpec(
+      "name = big-seed\nminutes = 1\nseed = 9007199254740993\n\n"
+      "[action]\nname = a\nduty = 0.1\nmean_len_frames = 50\n");
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_EQ(again->seed, spec->seed);
 }
