@@ -1,6 +1,6 @@
 // Micro-benchmarks of the library's hot kernels: scan-statistic
 // evaluation, critical-value search, interval algebra, score-table
-// access and the simulated detector.
+// access, the simulated detector and one trace span.
 //
 // main() self-times each kernel as the fastest of several
 // multi-millisecond repeats and prints one table of ns/op, then runs the
@@ -22,6 +22,7 @@
 #include "common/interval.h"
 #include "common/rng.h"
 #include "detect/models.h"
+#include "obs/trace.h"
 #include "scanstat/critical_value.h"
 #include "scanstat/naus.h"
 #include "storage/score_table.h"
@@ -124,6 +125,12 @@ void PrintKernelTimings() {
           Sink(detector.MaxScore(0, i % frames));
         }));
   }
+
+  // One VAQ_TRACE_SPAN open and close: two steady-clock reads, the span
+  // counter and the wall histogram. obs/trace.h weighs what a span may
+  // time against this figure.
+  add("trace_span", 1,
+      TimeNsPerOp([](int64_t) { VAQ_TRACE_SPAN("bench/micro_kernels"); }));
 
   table.Print();
 }

@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "fault/sim_clock.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace vaq {
 namespace cluster {
@@ -190,6 +191,7 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
     const std::string& action, const std::vector<std::string>& objects,
     const offline::ScoringModel& scoring, offline::RvaqOptions rvaq,
     const obs::QueryContext& ctx, int64_t plan_wire_bytes) const {
+  VAQ_TRACE_SPAN("corpus/topk");
   const obs::QueryContext phase = ctx.Child("scatter_gather");
   if (repository_->num_videos() == 0) {
     RankedQueries(/*ok=*/false)->Increment();

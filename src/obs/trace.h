@@ -16,6 +16,15 @@
 // histogram is a wall family (`IsWallFamily`): identity checks compare
 // `ExcludeSnapshot` output, which leaves it out, and checkpoints do not
 // carry it. No clock is ever pinned.
+//
+// What a span may time: a statement, a batch engine run or an ingest,
+// never a per-video, per-clip or per-row step. Spans are always on, and
+// an open and close costs about 0.1 us (two steady-clock reads, the
+// counter and a histogram update; the `trace_span` row of
+// bench_micro_kernels measures it), while one RVAQ run on one video
+// takes 1-2 us and its phases less. A span inside such a step would be
+// a measurable share of the statement it belongs to, paid once per
+// video of the corpus.
 #ifndef VAQ_OBS_TRACE_H_
 #define VAQ_OBS_TRACE_H_
 

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace vaq {
 namespace offline {
@@ -172,6 +173,7 @@ const storage::VideoIndex* Repository::Find(const std::string& name) const {
 StatusOr<RepositoryTopKResult> Repository::TopK(
     const std::string& action, const std::vector<std::string>& objects,
     const ScoringModel& scoring, RvaqOptions options) const {
+  VAQ_TRACE_SPAN("corpus/topk");
   if (videos_.empty()) {
     return Status::FailedPrecondition("repository holds no videos");
   }

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "offline/tbclip.h"
 #include "storage/access_metrics.h"
 
@@ -70,16 +69,12 @@ TopKResult Rvaq::Run() const {
 
 const TopKResult& Rvaq::Run(RvaqWorkspace* workspace) const {
   using SeqState = RvaqWorkspace::SeqState;
-  VAQ_TRACE_SPAN("rvaq/run");
   ResetCounters(*tables_);
 
   TopKResult& result = workspace->result_;
   ResetResult(&result);
-  {
-    VAQ_TRACE_SPAN("rvaq/compute_pq");
-    tables_->ComputePq(&result.pq, &workspace->pq_cover_,
-                       &workspace->pq_scratch_);
-  }
+  tables_->ComputePq(&result.pq, &workspace->pq_cover_,
+                     &workspace->pq_scratch_);
 
   // Cascade pre-filter: drop candidate sequences with no surviving clip.
   // Retained intervals keep their FULL extent — the proxy only decides
@@ -129,7 +124,6 @@ const TopKResult& Rvaq::Run(RvaqWorkspace* workspace) const {
   // unfiltered run — only set membership is approximate, at confidence δ.
   if (options_.identifier != nullptr &&
       static_cast<int64_t>(candidates.size()) > options_.k) {
-    VAQ_TRACE_SPAN("rvaq/bai_identify");
     const IdentifyOutcome outcome = options_.identifier->Identify(
         candidates, options_.k, options_.identifier_seed, &source);
     VAQ_CHECK_EQ(outcome.keep.size(), candidates.size());
@@ -182,7 +176,6 @@ const TopKResult& Rvaq::Run(RvaqWorkspace* workspace) const {
 
   // Emits `winners` (best lower bound first) as the result.
   auto finalize = [&]() -> const TopKResult& {
-    VAQ_TRACE_SPAN("rvaq/finalize");
     std::vector<RankedSequence>& rows = workspace->rows_;
     rows.clear();
     rows.reserve(winners.size());
@@ -269,7 +262,6 @@ const TopKResult& Rvaq::Run(RvaqWorkspace* workspace) const {
   TbClipIterator::Entry bottom;
   std::vector<double>& lows = workspace->lows_;
   std::vector<bool>& in_topk = workspace->in_topk_;
-  VAQ_TRACE_SPAN("rvaq/bound_loop");
   while (iterator.Next(&top, &bottom)) {
     ++result.iterations;
     // Fold the new extreme clips into their sequences' partial scores.

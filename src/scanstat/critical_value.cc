@@ -22,20 +22,9 @@ int64_t CriticalValue(double p, const ScanConfig& config) {
   VAQ_CHECK_LT(config.alpha, 1.0);
   const int64_t w = config.window;
   const double L = config.L();
-  // The tail probability is non-increasing in k, so binary search for the
-  // first k meeting the significance level.
-  int64_t lo = 1;       // Smallest candidate.
-  int64_t hi = w + 1;   // Sentinel: "never significant".
-  while (lo < hi) {
-    const int64_t mid = lo + (hi - lo) / 2;
-    const double tail = ScanStatisticTailProbability(mid, p, w, L);
-    if (tail <= config.alpha) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+  return FirstSignificantCount(w, config.alpha, [&](int64_t k) {
+    return ScanStatisticTailProbability(k, p, w, L);
+  });
 }
 
 }  // namespace scanstat

@@ -32,6 +32,25 @@ struct ScanConfig {
   std::string ToString() const;
 };
 
+// Eq. 5's search over k, shared by CriticalValue and MarkovCriticalValue:
+// the smallest k in [1, window] with tail(k) <= alpha, or window + 1 when
+// none. `tail` must be non-increasing in k, so bisection finds that k;
+// the k probed, and their order, depend on (window, alpha, tail) alone.
+template <typename Tail>
+int64_t FirstSignificantCount(int64_t window, double alpha, Tail tail) {
+  int64_t lo = 1;           // Smallest candidate.
+  int64_t hi = window + 1;  // Sentinel: "never significant".
+  while (lo < hi) {
+    const int64_t mid = lo + (hi - lo) / 2;
+    if (tail(mid) <= alpha) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
 // Smallest k in [1, window] whose scan tail probability is <= alpha under
 // background probability `p`. Returns window + 1 when even k = window is
 // not significant (the background rate is too high for any count within

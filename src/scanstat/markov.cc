@@ -250,17 +250,9 @@ int64_t MarkovCriticalValue(const MarkovParams& params,
   VAQ_CHECK_LT(config.alpha, 1.0);
   const int64_t w = config.window;
   const double L = config.L();
-  int64_t lo = 1;
-  int64_t hi = w + 1;
-  while (lo < hi) {
-    const int64_t mid = lo + (hi - lo) / 2;
-    if (MarkovScanTailProbability(mid, params, w, L) <= config.alpha) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+  return FirstSignificantCount(w, config.alpha, [&](int64_t k) {
+    return MarkovScanTailProbability(k, params, w, L);
+  });
 }
 
 }  // namespace scanstat

@@ -139,6 +139,18 @@ Status DecodeBundleStats(ckpt::PayloadReader* in,
   return Status::OK();
 }
 
+// A standing-query id or snapshot sequence: a counter the server steps
+// past, so a value outside [0, INT64_MAX) is damage.
+Status DecodeCounter(ckpt::PayloadReader* in, const char* what,
+                     int64_t* out) {
+  VAQ_RETURN_IF_ERROR(in->GetI64(out));
+  if (*out < 0 || *out == std::numeric_limits<int64_t>::max()) {
+    return Status::Corruption(std::string("bad ") + what +
+                              " in checkpoint: " + std::to_string(*out));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string ServeStats::ToString() const {
@@ -1012,7 +1024,7 @@ Status Server::RestoreBlobLocked(uint32_t /*version*/,
         std::string engine_blob;
         detect::ModelStats det_acc, rec_acc;
         int64_t clips_pruned = 0;
-        VAQ_RETURN_IF_ERROR(in.GetI64(&id));
+        VAQ_RETURN_IF_ERROR(DecodeCounter(&in, "standing query id", &id));
         VAQ_RETURN_IF_ERROR(in.GetString(&sql));
         VAQ_RETURN_IF_ERROR(DecodeStatus(&in, &saved_status));
         VAQ_RETURN_IF_ERROR(in.GetBool(&finished));
@@ -1063,6 +1075,18 @@ Status Server::RestoreBlobLocked(uint32_t /*version*/,
         int64_t pos = 0;
         VAQ_RETURN_IF_ERROR(in.GetString(&source));
         VAQ_RETURN_IF_ERROR(in.GetI64(&pos));
+        // A cursor counts the clips a registered stream has advanced, so
+        // it lies in [0, clips].
+        const query::StreamSource* stream = session_.FindStream(source);
+        if (stream == nullptr) {
+          return Status::Corruption(
+              "snapshot positions unregistered stream '" + source + "'");
+        }
+        if (pos < 0 || pos > stream->scenario.layout().NumClips()) {
+          return Status::Corruption("bad position " + std::to_string(pos) +
+                                    " of stream '" + source +
+                                    "' in checkpoint");
+        }
         stream_pos_[source] = pos;
         break;
       }
@@ -1102,8 +1126,8 @@ Status Server::RestoreBlobLocked(uint32_t /*version*/,
       }
       case kSnapMeta: {
         int64_t next_id = 0, seq = 0;
-        VAQ_RETURN_IF_ERROR(in.GetI64(&next_id));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&seq));
+        VAQ_RETURN_IF_ERROR(DecodeCounter(&in, "next query id", &next_id));
+        VAQ_RETURN_IF_ERROR(DecodeCounter(&in, "snapshot sequence", &seq));
         VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.accepted));
         VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.rejected_overflow));
         VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.rejected_parse));

@@ -11,6 +11,8 @@
 // Runs under ThreadSanitizer and the VAQ_SANITIZE configuration.
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -498,10 +500,9 @@ TEST(CkptRecoveryTest, MetricOfAnotherShapeFailsRecoveryWithoutAbort) {
   EXPECT_EQ(histogram->sum(), 3.0);
 }
 
-TEST(CkptRecoveryTest, StatusCodeOutsideTheEnumerationFailsRecovery) {
-  // A failed standing query's status is stored as (ok=false, code,
-  // message). Code 0 would restore the failure as OK and a code past
-  // the last enumerator as a status no code names, so both are damage.
+// The records of a real snapshot: the demo workload admitted, advanced
+// three clips and checkpointed.
+void DemoSnapshotRecords(std::vector<ckpt::Record>* records) {
   obs::MetricRegistry::Global().Reset();
   ckpt::MemStore store;
   const tools::StandingDemoSpec spec = DemoSpec(&store, nullptr, true);
@@ -513,53 +514,143 @@ TEST(CkptRecoveryTest, StatusCodeOutsideTheEnumerationFailsRecovery) {
   ASSERT_TRUE(server.value()->Checkpoint().ok());
   const auto blob = store.Get(ckpt::SnapshotName(0));
   ASSERT_TRUE(blob.ok()) << blob.status();
-  const auto records = ckpt::ParseBlob(blob.value());
-  ASSERT_TRUE(records.ok()) << records.status();
+  auto parsed = ckpt::ParseBlob(blob.value());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  *records = std::move(parsed).value();
+}
 
+// `records` resealed as a snapshot blob, with valid checksums. The first
+// record tagged `tag` has its leading fields replaced: `rewrite` reads
+// them from the old payload and writes their replacement; the rest of
+// that payload, and every other record, is kept as read.
+std::string Reseal(
+    const std::vector<ckpt::Record>& records, uint32_t tag,
+    const std::function<void(ckpt::PayloadReader*, ckpt::Payload*)>&
+        rewrite) {
+  ckpt::Serializer resealed;
+  bool replaced = false;
+  for (const ckpt::Record& record : records) {
+    if (record.tag != tag || replaced) {
+      resealed.Append(record.tag, record.payload);
+      continue;
+    }
+    ckpt::PayloadReader in(record.payload);
+    ckpt::Payload head;
+    rewrite(&in, &head);
+    resealed.Append(
+        record.tag,
+        head.data() +
+            record.payload.substr(record.payload.size() - in.remaining()));
+    replaced = true;
+  }
+  EXPECT_TRUE(replaced) << "the snapshot has no record tagged " << tag;
+  return resealed.blob();
+}
+
+// Recovers a fresh demo server from a store whose only snapshot is `blob`.
+Status RecoverFromSnapshot(const std::string& blob) {
+  ckpt::MemStore store;
+  VAQ_RETURN_IF_ERROR(store.Put(ckpt::SnapshotName(0), blob));
+  obs::MetricRegistry::Global().Reset();
+  auto server = tools::MakeStandingDemoServer(DemoSpec(&store, nullptr, true));
+  if (!server.ok()) return server.status();
+  return server.value()->Recover().status();
+}
+
+TEST(CkptRecoveryTest, StatusCodeOutsideTheEnumerationFailsRecovery) {
+  // A failed standing query's status is stored as (ok=false, code,
+  // message). Code 0 would restore the failure as OK and a code past
+  // the last enumerator as a status no code names, so both are damage.
+  std::vector<ckpt::Record> records;
+  ASSERT_NO_FATAL_FAILURE(DemoSnapshotRecords(&records));
   const uint32_t past_last =
       static_cast<uint32_t>(StatusCode::kResourceExhausted) + 1;
   for (const uint32_t code : {0u, past_last}) {
-    // Reseal the first standing record (tag 1: id, sql, status, then the
-    // rest) with the failed status `code`; every other record as read.
-    ckpt::Serializer resealed;
-    bool replaced = false;
-    for (const ckpt::Record& record : records.value()) {
-      if (record.tag != /*kSnapStanding=*/1 || replaced) {
-        resealed.Append(record.tag, record.payload);
-        continue;
-      }
-      ckpt::PayloadReader in(record.payload);
-      int64_t id = 0;
-      std::string sql;
-      bool ok = false;
-      ASSERT_TRUE(in.GetI64(&id).ok());
-      ASSERT_TRUE(in.GetString(&sql).ok());
-      ASSERT_TRUE(in.GetBool(&ok).ok());
-      ASSERT_TRUE(ok) << "the demo's standing queries admit cleanly";
-      ckpt::Payload standing;
-      standing.PutI64(id);
-      standing.PutString(sql);
-      standing.PutBool(false);
-      standing.PutU32(code);
-      standing.PutString("failed before the checkpoint");
-      resealed.Append(
-          record.tag,
-          standing.data() +
-              record.payload.substr(record.payload.size() - in.remaining()));
-      replaced = true;
-    }
-    ASSERT_TRUE(replaced);
-    ckpt::MemStore damaged;
-    ASSERT_TRUE(damaged.Put(ckpt::SnapshotName(0), resealed.blob()).ok());
-
-    obs::MetricRegistry::Global().Reset();
-    auto recovering =
-        tools::MakeStandingDemoServer(DemoSpec(&damaged, nullptr, true));
-    ASSERT_TRUE(recovering.ok());
-    const auto report = recovering.value()->Recover();
-    EXPECT_EQ(report.status().code(), StatusCode::kCorruption)
-        << "code " << code << ": " << report.status();
+    // The first standing record (tag 1: id, sql, status, then the rest)
+    // with the failed status `code`.
+    const std::string blob = Reseal(
+        records, /*kSnapStanding=*/1,
+        [code](ckpt::PayloadReader* in, ckpt::Payload* head) {
+          int64_t id = 0;
+          std::string sql;
+          bool ok = false;
+          ASSERT_TRUE(in->GetI64(&id).ok());
+          ASSERT_TRUE(in->GetString(&sql).ok());
+          ASSERT_TRUE(in->GetBool(&ok).ok());
+          ASSERT_TRUE(ok) << "the demo's standing queries admit cleanly";
+          head->PutI64(id);
+          head->PutString(sql);
+          head->PutBool(false);
+          head->PutU32(code);
+          head->PutString("failed before the checkpoint");
+        });
+    EXPECT_EQ(RecoverFromSnapshot(blob).code(), StatusCode::kCorruption)
+        << "code " << code;
   }
+}
+
+TEST(CkptRecoveryTest, IdOrSequenceOutsideItsRangeFailsRecovery) {
+  // Recovery steps past a standing query's id and the snapshot's
+  // sequence (id + 1, seq + 1), so a negative value or INT64_MAX is
+  // damage, not a signed overflow.
+  std::vector<ckpt::Record> records;
+  ASSERT_NO_FATAL_FAILURE(DemoSnapshotRecords(&records));
+  for (const int64_t bad : {int64_t{-1}, std::numeric_limits<int64_t>::max()}) {
+    SCOPED_TRACE("value " + std::to_string(bad));
+    // The first standing record's id (tag 1: id first).
+    const std::string bad_id =
+        Reseal(records, /*kSnapStanding=*/1,
+               [bad](ckpt::PayloadReader* in, ckpt::Payload* head) {
+                 int64_t id = 0;
+                 ASSERT_TRUE(in->GetI64(&id).ok());
+                 head->PutI64(bad);
+               });
+    EXPECT_EQ(RecoverFromSnapshot(bad_id).code(), StatusCode::kCorruption);
+    // The meta record's next id or sequence (tag 5: next id, sequence).
+    for (const bool sequence : {false, true}) {
+      const std::string bad_meta = Reseal(
+          records, /*kSnapMeta=*/5,
+          [bad, sequence](ckpt::PayloadReader* in, ckpt::Payload* head) {
+            int64_t next_id = 0;
+            int64_t seq = 0;
+            ASSERT_TRUE(in->GetI64(&next_id).ok());
+            ASSERT_TRUE(in->GetI64(&seq).ok());
+            head->PutI64(sequence ? next_id : bad);
+            head->PutI64(sequence ? bad : seq);
+          });
+      EXPECT_EQ(RecoverFromSnapshot(bad_meta).code(), StatusCode::kCorruption)
+          << (sequence ? "sequence" : "next id");
+    }
+  }
+}
+
+TEST(CkptRecoveryTest, StreamCursorOutsideItsStreamFailsRecovery) {
+  // A stream-position record (tag 2: stream name, cursor) holds what an
+  // advance can leave: a registered stream, a cursor in [0, clips].
+  std::vector<ckpt::Record> records;
+  ASSERT_NO_FATAL_FAILURE(DemoSnapshotRecords(&records));
+  const auto position = [&records](const std::string& stream_override,
+                                   int64_t cursor_offset) {
+    return Reseal(records, /*kSnapStreamPos=*/2,
+                  [&](ckpt::PayloadReader* in, ckpt::Payload* head) {
+                    std::string stream;
+                    int64_t cursor = 0;
+                    ASSERT_TRUE(in->GetString(&stream).ok());
+                    ASSERT_TRUE(in->GetI64(&cursor).ok());
+                    head->PutString(stream_override.empty() ? stream
+                                                            : stream_override);
+                    head->PutI64(cursor + cursor_offset);
+                  });
+  };
+  // The record as read recovers: only the value below is the damage.
+  ASSERT_TRUE(RecoverFromSnapshot(position("", 0)).ok());
+  // The demo advanced each stream at most 3 clips: -5 puts it below 0.
+  EXPECT_EQ(RecoverFromSnapshot(position("", -5)).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(RecoverFromSnapshot(position("", int64_t{1} << 40)).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(RecoverFromSnapshot(position("cam9", 0)).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(CkptRecoveryTest, EmptyStoreRecoversToColdStartAndRunsNormally) {
