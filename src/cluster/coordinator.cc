@@ -31,12 +31,6 @@ constexpr double kBatchServeMs = 0.05;
 // over to the next replica.
 constexpr double kFailoverTimeoutMs = 50.0;
 
-const std::vector<double>& AnswerMsBounds() {
-  static const std::vector<double> bounds = {1,   5,    10,   50,  100,
-                                             500, 1000, 5000, 20000};
-  return bounds;
-}
-
 // vaq_cluster_queries_total{mode="ranked",outcome=...}; each outcome
 // resolves its counter on first use.
 obs::Counter* RankedQueries(bool ok) {
@@ -76,9 +70,7 @@ Coordinator::Coordinator(const offline::Repository* repository,
       options_(options),
       planner_(options.proxy == nullptr
                    ? nullptr
-                   : std::make_unique<const cascade::Planner>(options.proxy)),
-      latency_(std::make_unique<obs::LatencyRecorder>("vaq_query_latency_ms",
-                                                      "cluster")) {
+                   : std::make_unique<const cascade::Planner>(options.proxy)) {
   VAQ_CHECK_GT(options_.num_shards, 0);
   VAQ_CHECK_GE(options_.num_replicas, 0);
   VAQ_CHECK_GT(options_.batch_size, 0);
@@ -477,14 +469,13 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
   static obs::Counter* const entries_pruned = registry.GetCounter(
       "vaq_cluster_entries_total", {{"result", "pruned"}});
   static obs::Histogram* const answer_ms =
-      registry.GetHistogram("vaq_cluster_answer_ms", AnswerMsBounds());
+      registry.GetHistogram("vaq_cluster_answer_ms");
   RankedQueries(/*ok=*/true)->Increment();
   batches_consumed->Increment(result.batches_consumed);
   batches_pruned->Increment(result.batches_pruned);
   entries_consumed->Increment(result.entries_consumed);
   entries_pruned->Increment(result.entries_total - result.entries_consumed);
   answer_ms->Observe(result.answer_ms);
-  latency_->Record(result.answer_ms);
   // Coordinator-level attribution: self_ms is the end-to-end virtual
   // answer latency (the shards' scan ms sits on their child nodes and
   // overlaps it — the scatter–gather runs them in parallel).

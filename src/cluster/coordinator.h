@@ -41,7 +41,10 @@
 // Times are virtual (fault::SimClock): a node's reply is ready
 // `modeled_ms` (its shard's modeled disk time) after the query arrives,
 // so `answer_ms` reflects the parallel schedule — max over shards, not
-// sum — which is where the scatter–gather speedup shows up.
+// sum — which is where the scatter–gather speedup shows up. Each
+// statement's answer_ms lands in one histogram, vaq_cluster_answer_ms,
+// over the registry's one bucket ladder (obs::LatencyBucketsMs); its
+// quantiles are read from the buckets.
 #ifndef VAQ_CLUSTER_COORDINATOR_H_
 #define VAQ_CLUSTER_COORDINATOR_H_
 
@@ -192,9 +195,6 @@ class Coordinator : public query::RankedBackend {
   // Primaries [0, S), then replicas in ReplicaHost order. Mutable: nodes
   // cache the per-query shard run; TopK is logically const.
   mutable std::vector<std::unique_ptr<Node>> nodes_;
-  // Exact-sample answer-latency percentiles
-  // (vaq_query_latency_ms{path="cluster"}).
-  std::unique_ptr<obs::LatencyRecorder> latency_;
 };
 
 }  // namespace cluster

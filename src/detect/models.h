@@ -33,7 +33,7 @@ namespace detect {
 // Not thread-safe: a ModelStats (and the model that owns it) must only be
 // mutated from one thread at a time. Concurrent runtimes (src/serve/)
 // therefore keep one accumulator per worker and combine them with
-// Merge() once the workers have drained — stats are never shared hot.
+// operator+= once the workers have drained — stats are never shared hot.
 struct ModelStats {
   int64_t inferences = 0;    // Distinct OUs run through the network.
   int64_t type_queries = 0;  // (type, OU) score lookups served.
@@ -48,8 +48,10 @@ struct ModelStats {
   int64_t fallbacks = 0;        // Observations filled by a missing-obs policy.
   int64_t breaker_trips = 0;    // Circuit-breaker open transitions.
 
-  // Aggregation across models of a bundle or runs of a sweep; replaces
-  // field-by-field hand summing at the call sites.
+  // Aggregation across models of a bundle or runs of a sweep, and the
+  // merge at drain of worker-local accumulators: N accumulators filled on
+  // N threads and added on one thread afterwards total exactly what a
+  // single-thread run would have counted.
   ModelStats& operator+=(const ModelStats& other) {
     inferences += other.inferences;
     type_queries += other.type_queries;
@@ -61,11 +63,6 @@ struct ModelStats {
     breaker_trips += other.breaker_trips;
     return *this;
   }
-
-  // Merge-at-drain spelling of operator+= for worker-local accumulators:
-  // N accumulators filled on N threads and merged on one thread afterwards
-  // total exactly what a single-thread run would have counted.
-  ModelStats& Merge(const ModelStats& other) { return *this += other; }
 
   // Delta between two cumulative snapshots of the same model: the engines
   // report per-run stats as stats_after - stats_before, which stays

@@ -11,23 +11,27 @@ namespace obs {
 // Histogram
 // ---------------------------------------------------------------------------
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)),
-      counts_(new std::atomic<int64_t>[bounds_.size() + 1]) {
-  for (size_t i = 1; i < bounds_.size(); ++i) {
-    VAQ_CHECK_LT(bounds_[i - 1], bounds_[i]);
-  }
-  for (size_t i = 0; i <= bounds_.size(); ++i) counts_[i].store(0);
+const std::vector<double>& LatencyBucketsMs() {
+  static const std::vector<double> buckets = {
+      0.1,  0.5,   1,     5,   10,  50,  100, 500, 1000,
+      5000, 10000, 50000, 1e5, 5e5, 1e6, 5e6, 1e7};
+  return buckets;
+}
+
+Histogram::Histogram()
+    : counts_(new std::atomic<int64_t>[LatencyBucketsMs().size() + 1]) {
+  for (size_t i = 0; i <= LatencyBucketsMs().size(); ++i) counts_[i].store(0);
 }
 
 void Histogram::Observe(double v) {
   // First bucket whose upper bound admits v; NaN lands in +inf.
+  const std::vector<double>& bounds = LatencyBucketsMs();
   const size_t bucket =
-      std::upper_bound(bounds_.begin(), bounds_.end(), v,
+      std::upper_bound(bounds.begin(), bounds.end(), v,
                        [](double value, double bound) {
                          return !(value > bound);  // value <= bound, NaN-safe.
                        }) -
-      bounds_.begin();
+      bounds.begin();
   counts_[bucket].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   uint64_t old = sum_bits_.load(std::memory_order_relaxed);
@@ -53,7 +57,7 @@ double Histogram::sum() const {
 }
 
 void Histogram::Reset() {
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
+  for (size_t i = 0; i <= LatencyBucketsMs().size(); ++i) {
     counts_[i].store(0, std::memory_order_relaxed);
   }
   count_.store(0, std::memory_order_relaxed);
@@ -62,21 +66,15 @@ void Histogram::Reset() {
 
 void Histogram::RestoreState(const std::vector<int64_t>& bucket_counts,
                              int64_t count, double sum) {
-  VAQ_CHECK_EQ(bucket_counts.size(), bounds_.size() + 1)
+  VAQ_CHECK_EQ(bucket_counts.size(), LatencyBucketsMs().size() + 1)
       << "histogram restore with mismatched bucket count";
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
+  for (size_t i = 0; i < bucket_counts.size(); ++i) {
     counts_[i].store(bucket_counts[i], std::memory_order_relaxed);
   }
   count_.store(count, std::memory_order_relaxed);
   uint64_t bits;
   std::memcpy(&bits, &sum, sizeof(bits));
   sum_bits_.store(bits, std::memory_order_relaxed);
-}
-
-const std::vector<double>& DefaultLatencyBucketsMs() {
-  static const std::vector<double> buckets = {0.1, 0.5, 1,    5,    10,   50,
-                                              100, 500, 1000, 5000, 10000};
-  return buckets;
 }
 
 // ---------------------------------------------------------------------------
@@ -150,7 +148,6 @@ Gauge* MetricRegistry::GetGauge(const std::string& name,
 }
 
 Histogram* MetricRegistry::GetHistogram(const std::string& name,
-                                        const std::vector<double>& bounds,
                                         const Labels& labels) {
   Labels canonical = labels;
   std::sort(canonical.begin(), canonical.end());
@@ -162,10 +159,7 @@ Histogram* MetricRegistry::GetHistogram(const std::string& name,
         << "metric '" << name << "' re-registered with a different kind";
     inst.kind = Snapshot::Kind::kHistogram;
     inst.labels = std::move(canonical);
-    inst.histogram = std::make_unique<Histogram>(bounds);
-  } else {
-    VAQ_CHECK(inst.histogram->bounds() == bounds)
-        << "histogram '" << name << "' re-registered with different buckets";
+    inst.histogram = std::make_unique<Histogram>();
   }
   return inst.histogram.get();
 }
@@ -188,7 +182,7 @@ Snapshot MetricRegistry::TakeSnapshot() const {
         break;
       case Snapshot::Kind::kHistogram: {
         const Histogram& h = *inst.histogram;
-        entry.bounds = h.bounds();
+        entry.bounds = LatencyBucketsMs();
         entry.bucket_counts.resize(entry.bounds.size() + 1);
         for (size_t i = 0; i <= entry.bounds.size(); ++i) {
           entry.bucket_counts[i] = h.bucket_count(i);
@@ -230,10 +224,9 @@ Status RestoreSnapshot(const Snapshot& snap) {
   {
     // Every entry must fit the instrument it lands in — one registered
     // already, or one an earlier entry creates — before any is written:
-    // the Get* calls below abort on a mismatch.
+    // the Get* calls below abort on a kind mismatch.
     std::lock_guard<std::mutex> lock(registry.mu_);
-    std::map<std::pair<std::string, std::string>, const Snapshot::Entry*>
-        created;
+    std::map<std::pair<std::string, std::string>, Snapshot::Kind> created;
     for (const Snapshot::Entry& entry : snap.entries) {
       const std::pair<std::string, std::string> key(
           entry.name, CanonicalLabels(entry.labels));
@@ -241,28 +234,20 @@ Status RestoreSnapshot(const Snapshot& snap) {
         return Status::FailedPrecondition("snapshot metric '" + key.first +
                                           "{" + key.second + "}' " + why);
       };
-      const bool histogram = entry.kind == Snapshot::Kind::kHistogram;
-      if (histogram &&
-          (entry.bucket_counts.size() != entry.bounds.size() + 1 ||
-           std::adjacent_find(entry.bounds.begin(), entry.bounds.end(),
-                              [](double a, double b) { return !(a < b); }) !=
-               entry.bounds.end())) {
-        return refuse("has malformed buckets");
+      if (entry.kind == Snapshot::Kind::kHistogram &&
+          (entry.bounds != LatencyBucketsMs() ||
+           entry.bucket_counts.size() != entry.bounds.size() + 1)) {
+        return refuse("has other buckets than this build's ladder");
       }
       const auto registered = registry.instruments_.find(key);
       if (registered != registry.instruments_.end()) {
         if (registered->second.kind != entry.kind) {
           return refuse("is of another kind than the registered one");
         }
-        if (histogram &&
-            registered->second.histogram->bounds() != entry.bounds) {
-          return refuse("has other buckets than the registered one");
-        }
         continue;
       }
-      const auto [first, fresh] = created.emplace(key, &entry);
-      if (!fresh && (first->second->kind != entry.kind ||
-                     (histogram && first->second->bounds != entry.bounds))) {
+      const auto [first, fresh] = created.emplace(key, entry.kind);
+      if (!fresh && first->second != entry.kind) {
         return refuse("disagrees with an earlier entry for it");
       }
     }
@@ -279,7 +264,7 @@ Status RestoreSnapshot(const Snapshot& snap) {
         registry.GetGauge(entry.name, entry.labels)->Set(entry.gauge_value);
         break;
       case Snapshot::Kind::kHistogram:
-        registry.GetHistogram(entry.name, entry.bounds, entry.labels)
+        registry.GetHistogram(entry.name, entry.labels)
             ->RestoreState(entry.bucket_counts, entry.hist_count,
                            entry.hist_sum);
         break;

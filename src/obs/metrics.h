@@ -8,7 +8,8 @@
 //
 //   * `Counter` — monotone int64 (invocations, retries, rejections);
 //   * `Gauge`  — last-write-wins double (queue depth, breaker state);
-//   * `Histogram` — fixed upper-bound buckets plus count/sum (latencies).
+//   * `Histogram` — the one bucket ladder, `LatencyBucketsMs`, plus
+//     count/sum (latencies).
 //
 // Instruments are *labeled families*: the same name may exist with
 // different label sets, e.g.
@@ -108,17 +109,24 @@ class Gauge {
   std::atomic<uint64_t> bits_{0};
 };
 
-// Fixed-bucket histogram: `bounds` are inclusive upper bounds in
-// ascending order; an implicit +inf bucket catches the rest. Cumulative
-// counts are derived at snapshot time (Prometheus convention).
+// The one histogram ladder (ms): inclusive upper bounds from 0.1 ms to
+// 1e7 ms, each at most 5x the one below, so a quantile read from the
+// buckets is off by at most that factor. The top reaches the modeled
+// range: one served online statement over the 6-minute demo stream
+// costs up to 937,800 simulated ms.
+const std::vector<double>& LatencyBucketsMs();
+
+// Fixed-bucket histogram over LatencyBucketsMs(); an implicit +inf bucket
+// catches the rest. Cumulative counts are derived at snapshot time
+// (Prometheus convention).
 class Histogram {
  public:
-  explicit Histogram(std::vector<double> bounds);
+  Histogram();
 
   void Observe(double v);
 
-  const std::vector<double>& bounds() const { return bounds_; }
-  // Per-bucket (non-cumulative) count; index bounds_.size() is +inf.
+  // Per-bucket (non-cumulative) count; index LatencyBucketsMs().size()
+  // is +inf.
   int64_t bucket_count(size_t i) const {
     return counts_[i].load(std::memory_order_relaxed);
   }
@@ -127,21 +135,19 @@ class Histogram {
   void Reset();
 
   // Overwrites the histogram with a snapshot taken by TakeSnapshot
-  // (checkpoint recovery). `bucket_counts` must have bounds().size() + 1
-  // entries. Not atomic with respect to concurrent Observe calls;
-  // recovery runs single-threaded before any engine restarts.
+  // (checkpoint recovery). `bucket_counts` must have
+  // LatencyBucketsMs().size() + 1 entries. Not atomic with respect to
+  // concurrent Observe calls; recovery runs single-threaded before any
+  // engine restarts.
   void RestoreState(const std::vector<int64_t>& bucket_counts, int64_t count,
                     double sum);
 
  private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<int64_t>[]> counts_;  // bounds_.size() + 1.
+  // LatencyBucketsMs().size() + 1.
+  std::unique_ptr<std::atomic<int64_t>[]> counts_;
   std::atomic<int64_t> count_{0};
   std::atomic<uint64_t> sum_bits_{0};
 };
-
-// Latency-style default buckets (ms): sub-ms through minutes.
-const std::vector<double>& DefaultLatencyBucketsMs();
 
 // A point-in-time copy of every registered instrument, ordered by
 // (name, canonical labels) — the exporters' input.
@@ -154,6 +160,8 @@ struct Snapshot {
     int64_t counter_value = 0;
     double gauge_value = 0.0;
     // Histogram payload (parallel to bounds, plus the +inf bucket last).
+    // A snapshot taken by this build carries LatencyBucketsMs(); one from
+    // a build with another ladder does not restore.
     std::vector<double> bounds;
     std::vector<int64_t> bucket_counts;
     int64_t hist_count = 0;
@@ -173,13 +181,10 @@ class MetricRegistry {
 
   // Get-or-create. The returned pointer is stable until the registry is
   // destroyed (never, for Global()); callers cache it. Aborts if `name`
-  // is already registered with a different instrument kind, or — for
-  // histograms — different bounds.
+  // is already registered with a different instrument kind.
   Counter* GetCounter(const std::string& name, const Labels& labels = {});
   Gauge* GetGauge(const std::string& name, const Labels& labels = {});
-  Histogram* GetHistogram(const std::string& name,
-                          const std::vector<double>& bounds,
-                          const Labels& labels = {});
+  Histogram* GetHistogram(const std::string& name, const Labels& labels = {});
 
   Snapshot TakeSnapshot() const;
 
@@ -214,14 +219,14 @@ class MetricRegistry {
 std::string CanonicalLabels(Labels labels);
 
 // Loads `snap` back into the global registry: instruments are created on
-// demand (histograms with the snapshot's bounds) and overwritten with the
-// recorded values. Instruments registered but absent from `snap` are left
-// untouched — recovery paths Reset() first when they need a clean slate.
-// Every entry is checked first: one whose kind or histogram bounds
-// disagree with the instrument it would overwrite (or with an earlier
-// entry for the same instrument), or whose histogram payload is
-// malformed, fails the call with kFailedPrecondition and nothing is
-// overwritten.
+// demand and overwritten with the recorded values. Instruments registered
+// but absent from `snap` are left untouched — recovery paths Reset()
+// first when they need a clean slate. Every entry is checked first: one
+// whose kind disagrees with the instrument it would overwrite (or with an
+// earlier entry for the same instrument), or a histogram whose bounds are
+// not LatencyBucketsMs() or whose counts are not one more than its
+// bounds, fails the call with kFailedPrecondition naming the family, and
+// nothing is overwritten.
 Status RestoreSnapshot(const Snapshot& snap);
 
 // True for the families that hold wall-clock time (the `vaq_wall_`

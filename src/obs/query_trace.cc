@@ -189,61 +189,5 @@ double PercentileNearestRank(const std::vector<double>& sorted,
   return sorted[index];
 }
 
-LatencyRecorder::LatencyRecorder(const std::string& name,
-                                 const std::string& path)
-    : LatencyRecorder(name, Labels{{"path", path}}) {}
-
-LatencyRecorder::LatencyRecorder(const std::string& name,
-                                 const Labels& labels) {
-  MetricRegistry& registry = MetricRegistry::Global();
-  const auto with_quantile = [&labels](const char* q) {
-    Labels out = labels;
-    out.emplace_back("quantile", q);
-    return out;
-  };
-  p50_ = registry.GetGauge(name, with_quantile("0.5"));
-  p99_ = registry.GetGauge(name, with_quantile("0.99"));
-  p999_ = registry.GetGauge(name, with_quantile("0.999"));
-  count_ = registry.GetCounter(name + "_count", labels);
-}
-
-void LatencyRecorder::Record(double ms) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++runs_[ms];
-  ++samples_;
-  count_->Increment();
-  p50_->Set(PercentileLocked(0.5));
-  p99_->Set(PercentileLocked(0.99));
-  p999_->Set(PercentileLocked(0.999));
-}
-
-double LatencyRecorder::PercentileLocked(double quantile) const {
-  if (samples_ == 0) return 0.0;
-  const double rank = std::ceil(quantile * static_cast<double>(samples_));
-  const int64_t index =
-      rank < 1.0 ? 0 : std::min(samples_ - 1, static_cast<int64_t>(rank) - 1);
-  int64_t below = 0;
-  for (const auto& [value, count] : runs_) {
-    below += count;
-    if (index < below) return value;
-  }
-  return runs_.rbegin()->first;
-}
-
-int64_t LatencyRecorder::count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return samples_;
-}
-
-std::vector<double> LatencyRecorder::sorted_samples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<double> sorted;
-  sorted.reserve(static_cast<size_t>(samples_));
-  for (const auto& [value, count] : runs_) {
-    sorted.insert(sorted.end(), static_cast<size_t>(count), value);
-  }
-  return sorted;
-}
-
 }  // namespace obs
 }  // namespace vaq

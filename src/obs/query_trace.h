@@ -1,5 +1,5 @@
 // Per-query cost attribution: profile trees, context propagation, Chrome
-// trace export and exact-sample latency percentiles.
+// trace export, and exact percentiles over a finite sample set.
 //
 // The process-global registry (obs/metrics.h) answers "how much did this
 // *process* spend"; a `QueryTrace` answers "where did *this query's*
@@ -30,12 +30,9 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "obs/metrics.h"
 
 namespace vaq {
 namespace obs {
@@ -117,47 +114,11 @@ class ScopedQueryContext {
 std::string ExportChromeTrace(const std::vector<const QueryTrace*>& traces);
 
 // Nearest-rank percentile over an ascending-sorted sample vector;
-// returns 0.0 when empty.
+// returns 0.0 when empty. For a report over a finite sample set (the
+// traffic replay, bench_serve); a running latency is an obs::Histogram,
+// whose quantiles are read from its buckets.
 double PercentileNearestRank(const std::vector<double>& sorted,
                              double quantile);
-
-// Exact-sample latency percentile tracker. Every `Record` adds its
-// sample to a sorted run-length multiset — one (value, count) run per
-// distinct value, so memory grows with the distinct values, not the
-// samples — and republishes nearest-rank p50/p99/p999 as
-//   <name>{path="<path>",quantile="0.5|0.99|0.999"}
-// gauges plus a <name>_count{path=...} counter in the global registry.
-// Because the gauges are a pure function of the sample *multiset*, the
-// exported values are identical at any thread count for a fixed
-// workload.
-class LatencyRecorder {
- public:
-  LatencyRecorder(const std::string& name, const std::string& path);
-
-  // Arbitrary-label variant: publishes <name>{<labels>,quantile=...}
-  // gauges plus <name>_count{<labels>}. The multi-tenant front door uses
-  // it for per-tenant percentiles ({tenant="..."}).
-  LatencyRecorder(const std::string& name, const Labels& labels);
-
-  void Record(double ms);
-
-  int64_t count() const;
-  // Every sample recorded, ascending (the runs expanded).
-  std::vector<double> sorted_samples() const;
-
- private:
-  // PercentileNearestRank over the expanded runs. Caller holds mu_.
-  double PercentileLocked(double quantile) const;
-
-  mutable std::mutex mu_;
-  // Sample value -> how many times it was recorded.
-  std::map<double, int64_t> runs_;
-  int64_t samples_ = 0;
-  Gauge* p50_;
-  Gauge* p99_;
-  Gauge* p999_;
-  Counter* count_;
-};
 
 }  // namespace obs
 }  // namespace vaq

@@ -9,8 +9,7 @@ void SpanSite::Record(double duration_ms) {
   std::call_once(resolved_, [this] {
     MetricRegistry& registry = MetricRegistry::Global();
     total_ = registry.GetCounter("vaq_span_total", {{"span", name_}});
-    ms_ = registry.GetHistogram("vaq_wall_span_ms", DefaultLatencyBucketsMs(),
-                                {{"span", name_}});
+    ms_ = registry.GetHistogram("vaq_wall_span_ms", {{"span", name_}});
   });
   total_->Increment();
   ms_->Observe(duration_ms);

@@ -223,8 +223,8 @@ StreamingSvaqd::StreamingSvaqd(CnfQuery query, VideoLayout layout,
   gap.emplace_back("policy", PolicyName(options_.missing_policy));
   s.metric_gap_policy =
       registry.GetCounter("vaq_gap_policy_activations_total", gap);
-  s.metric_clip_ms = registry.GetHistogram(
-      "vaq_clip_eval_simulated_ms", obs::DefaultLatencyBucketsMs(), engine);
+  s.metric_clip_ms =
+      registry.GetHistogram("vaq_clip_eval_simulated_ms", engine);
   const auto event_counter = [&](const char* kind) {
     return registry.GetCounter("vaq_stream_events_total", {{"kind", kind}});
   };

@@ -58,15 +58,32 @@ void EncodeModelStats(const detect::ModelStats& s, ckpt::Payload* out) {
   out->PutI64(s.breaker_trips);
 }
 
+// Every counter a snapshot restores: a standing-query id, the next id
+// and snapshot sequence, the ServeStats and cache counts, a standing
+// query's pruned clips and a model's call counts. The server steps past
+// or adds to each, so a value outside [0, INT64_MAX) is damage.
+Status DecodeCounter(ckpt::PayloadReader* in, const char* what,
+                     int64_t* out) {
+  VAQ_RETURN_IF_ERROR(in->GetI64(out));
+  if (*out < 0 || *out == std::numeric_limits<int64_t>::max()) {
+    return Status::Corruption(std::string("bad ") + what +
+                              " in checkpoint: " + std::to_string(*out));
+  }
+  return Status::OK();
+}
+
 Status DecodeModelStats(ckpt::PayloadReader* in, detect::ModelStats* s) {
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->inferences));
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->type_queries));
+  VAQ_RETURN_IF_ERROR(DecodeCounter(in, "model inferences", &s->inferences));
+  VAQ_RETURN_IF_ERROR(
+      DecodeCounter(in, "model type queries", &s->type_queries));
   VAQ_RETURN_IF_ERROR(in->GetF64(&s->simulated_ms));
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->faults_injected));
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->retries));
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->failures));
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->fallbacks));
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->breaker_trips));
+  VAQ_RETURN_IF_ERROR(
+      DecodeCounter(in, "model faults injected", &s->faults_injected));
+  VAQ_RETURN_IF_ERROR(DecodeCounter(in, "model retries", &s->retries));
+  VAQ_RETURN_IF_ERROR(DecodeCounter(in, "model failures", &s->failures));
+  VAQ_RETURN_IF_ERROR(DecodeCounter(in, "model fallbacks", &s->fallbacks));
+  VAQ_RETURN_IF_ERROR(
+      DecodeCounter(in, "model breaker trips", &s->breaker_trips));
   return Status::OK();
 }
 
@@ -139,18 +156,6 @@ Status DecodeBundleStats(ckpt::PayloadReader* in,
   return Status::OK();
 }
 
-// A standing-query id or snapshot sequence: a counter the server steps
-// past, so a value outside [0, INT64_MAX) is damage.
-Status DecodeCounter(ckpt::PayloadReader* in, const char* what,
-                     int64_t* out) {
-  VAQ_RETURN_IF_ERROR(in->GetI64(out));
-  if (*out < 0 || *out == std::numeric_limits<int64_t>::max()) {
-    return Status::Corruption(std::string("bad ") + what +
-                              " in checkpoint: " + std::to_string(*out));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 std::string ServeStats::ToString() const {
@@ -191,21 +196,14 @@ Server::Server(ServeOptions options) : options_(options) {
                                               {{"domain", "inference"}});
   cache_misses_inference_ = registry.GetCounter("vaq_serve_cache_misses_total",
                                                 {{"domain", "inference"}});
-  query_ms_online_ =
-      registry.GetHistogram("vaq_serve_query_simulated_ms",
-                            obs::DefaultLatencyBucketsMs(),
-                            {{"kind", "online"}});
-  query_ms_ranked_ =
-      registry.GetHistogram("vaq_serve_query_simulated_ms",
-                            obs::DefaultLatencyBucketsMs(),
-                            {{"kind", "ranked"}});
+  query_ms_online_ = registry.GetHistogram("vaq_serve_query_simulated_ms",
+                                           {{"kind", "online"}});
+  query_ms_ranked_ = registry.GetHistogram("vaq_serve_query_simulated_ms",
+                                           {{"kind", "ranked"}});
   ckpt_snapshots_ = registry.GetCounter("vaq_ckpt_snapshots_total");
   ckpt_snapshot_bytes_ = registry.GetCounter("vaq_ckpt_snapshot_bytes_total");
   ckpt_wal_records_ = registry.GetCounter("vaq_ckpt_wal_records_total");
-  ckpt_snapshot_ms_ = registry.GetHistogram("vaq_ckpt_snapshot_modeled_ms",
-                                            obs::DefaultLatencyBucketsMs());
-  latency_ = std::make_unique<obs::LatencyRecorder>("vaq_query_latency_ms",
-                                                    "serve");
+  ckpt_snapshot_ms_ = registry.GetHistogram("vaq_ckpt_snapshot_modeled_ms");
   if (options_.trace_queries) {
     session_trace_ = std::make_unique<obs::QueryTrace>("session");
   }
@@ -326,12 +324,6 @@ StatusOr<int64_t> Server::Submit(const std::string& sql,
   pending.tenant = tenant;
   if (!tenant.empty()) {
     ++tenant_pending_[tenant];
-    std::unique_ptr<obs::LatencyRecorder>& recorder = tenant_latency_[tenant];
-    if (recorder == nullptr) {
-      recorder = std::make_unique<obs::LatencyRecorder>(
-          "vaq_tenant_latency_ms", obs::Labels{{"tenant", tenant}});
-    }
-    pending.tenant_latency = recorder.get();
     obs::MetricRegistry::Global()
         .GetCounter("vaq_tenant_submitted_total",
                     {{"outcome", "accepted"}, {"tenant", tenant}})
@@ -454,13 +446,13 @@ ServedQuery Server::RunQuery(const PendingQuery& pending, WorkerState* state) {
   } else if (pending.ranked) {
     out.result = std::move(run).value();
     out.simulated_ms = out.result.accesses.ModeledMs();
-    state->accesses.Merge(out.result.accesses);
+    state->accesses += out.result.accesses;
   } else {
     out.result = std::move(run).value();
     out.simulated_ms = out.result.detector_stats.simulated_ms +
                        out.result.recognizer_stats.simulated_ms;
-    state->detector_stats.Merge(out.result.detector_stats);
-    state->recognizer_stats.Merge(out.result.recognizer_stats);
+    state->detector_stats += out.result.detector_stats;
+    state->recognizer_stats += out.result.recognizer_stats;
     // Score lookups answered without a fresh network invocation —
     // within-query memoization plus, under the shared cache, reuse of
     // other queries' inferences on the same source.
@@ -471,12 +463,6 @@ ServedQuery Server::RunQuery(const PendingQuery& pending, WorkerState* state) {
     cache_misses_inference_->Increment(fresh);
     cache_hits_inference_->Increment(lookups - fresh);
     exec.AddStat("inference_cache_hits", lookups - fresh);
-  }
-  (pending.ranked ? query_ms_ranked_ : query_ms_online_)
-      ->Observe(out.simulated_ms);
-  latency_->Record(out.simulated_ms);
-  if (pending.tenant_latency != nullptr) {
-    pending.tenant_latency->Record(out.simulated_ms);
   }
   if (!pending.tenant.empty()) {
     obs::MetricRegistry::Global()
@@ -490,7 +476,6 @@ ServedQuery Server::RunQuery(const PendingQuery& pending, WorkerState* state) {
                   {{"kind", out.kind},
                    {"outcome", out.status.ok() ? "ok" : "error"}})
       ->Increment();
-  state->simulated_ms += out.simulated_ms;
   ++state->completed;
   if (!out.status.ok()) ++state->failed;
   return out;
@@ -498,10 +483,9 @@ ServedQuery Server::RunQuery(const PendingQuery& pending, WorkerState* state) {
 
 void Server::MergeWorkerStatsLocked() {
   for (const std::unique_ptr<WorkerState>& state : worker_states_) {
-    stats_.detector_stats.Merge(state->detector_stats);
-    stats_.recognizer_stats.Merge(state->recognizer_stats);
-    stats_.accesses.Merge(state->accesses);
-    stats_.total_simulated_ms += state->simulated_ms;
+    stats_.detector_stats += state->detector_stats;
+    stats_.recognizer_stats += state->recognizer_stats;
+    stats_.accesses += state->accesses;
     stats_.completed += state->completed;
     stats_.failed += state->failed;
     *state = WorkerState();  // Merged exactly once across Drains.
@@ -537,6 +521,21 @@ std::vector<ServedQuery> Server::Drain() {
             [](const ServedQuery& a, const ServedQuery& b) {
               return a.id < b.id;
             });
+  // The modeled-ms total and the latency histograms fill here, in
+  // admission order, not on the workers: each is a floating-point sum,
+  // and one tenant's statements complete on parallel shards, fractional
+  // ranked costs among them, so only a fixed order keeps the sums
+  // byte-identical at any thread count.
+  for (const ServedQuery& q : out) {
+    stats_.total_simulated_ms += q.simulated_ms;
+    (q.kind == "ranked" ? query_ms_ranked_ : query_ms_online_)
+        ->Observe(q.simulated_ms);
+    if (!q.tenant.empty()) {
+      obs::MetricRegistry::Global()
+          .GetHistogram("vaq_tenant_latency_ms", {{"tenant", q.tenant}})
+          ->Observe(q.simulated_ms);
+    }
+  }
   return out;
 }
 
@@ -799,15 +798,14 @@ std::vector<ServedQuery> Server::FinishStanding() {
       served.result.cascade_plan = q.cascade_plan;
       served.result.clips_pruned = q.clips_pruned;
       served.simulated_ms = q.det_acc.simulated_ms + q.rec_acc.simulated_ms;
-      stats_.detector_stats.Merge(q.det_acc);
-      stats_.recognizer_stats.Merge(q.rec_acc);
+      stats_.detector_stats += q.det_acc;
+      stats_.recognizer_stats += q.rec_acc;
       const int64_t lookups = q.det_acc.type_queries + q.rec_acc.type_queries;
       const int64_t fresh = q.det_acc.inferences + q.rec_acc.inferences;
       cache_misses_inference_->Increment(fresh);
       cache_hits_inference_->Increment(lookups - fresh);
     }
     query_ms_online_->Observe(served.simulated_ms);
-    latency_->Record(served.simulated_ms);
     obs::MetricRegistry::Global()
         .GetCounter("vaq_serve_queries_total",
                     {{"kind", "online"},
@@ -1032,7 +1030,7 @@ Status Server::RestoreBlobLocked(uint32_t /*version*/,
         VAQ_RETURN_IF_ERROR(in.GetString(&engine_blob));
         VAQ_RETURN_IF_ERROR(DecodeModelStats(&in, &det_acc));
         VAQ_RETURN_IF_ERROR(DecodeModelStats(&in, &rec_acc));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&clips_pruned));
+        VAQ_RETURN_IF_ERROR(DecodeCounter(&in, "pruned clips", &clips_pruned));
         if (layout == 1 || layout == 2) {
           // Retired layouts (DESIGN.md §10): no decoder reads them.
           return Status::Unimplemented(
@@ -1119,8 +1117,8 @@ Status Server::RestoreBlobLocked(uint32_t /*version*/,
       }
       case kSnapCacheCounters: {
         int64_t created = 0, reuses = 0;
-        VAQ_RETURN_IF_ERROR(in.GetI64(&created));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&reuses));
+        VAQ_RETURN_IF_ERROR(DecodeCounter(&in, "bundles created", &created));
+        VAQ_RETURN_IF_ERROR(DecodeCounter(&in, "bundle reuses", &reuses));
         cache_.RestoreCounters(created, reuses);
         break;
       }
@@ -1128,12 +1126,17 @@ Status Server::RestoreBlobLocked(uint32_t /*version*/,
         int64_t next_id = 0, seq = 0;
         VAQ_RETURN_IF_ERROR(DecodeCounter(&in, "next query id", &next_id));
         VAQ_RETURN_IF_ERROR(DecodeCounter(&in, "snapshot sequence", &seq));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.accepted));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.rejected_overflow));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.rejected_parse));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.rejected_unknown_source));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.completed));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.failed));
+        VAQ_RETURN_IF_ERROR(
+            DecodeCounter(&in, "accepted count", &stats_.accepted));
+        VAQ_RETURN_IF_ERROR(DecodeCounter(&in, "overflow rejection count",
+                                          &stats_.rejected_overflow));
+        VAQ_RETURN_IF_ERROR(DecodeCounter(&in, "parse rejection count",
+                                          &stats_.rejected_parse));
+        VAQ_RETURN_IF_ERROR(DecodeCounter(&in, "unknown-source rejection count",
+                                          &stats_.rejected_unknown_source));
+        VAQ_RETURN_IF_ERROR(
+            DecodeCounter(&in, "completed count", &stats_.completed));
+        VAQ_RETURN_IF_ERROR(DecodeCounter(&in, "failed count", &stats_.failed));
         VAQ_RETURN_IF_ERROR(in.GetF64(&stats_.total_simulated_ms));
         next_id_ = std::max(next_id_, next_id);
         ckpt_seq_ = seq + 1;
@@ -1150,8 +1153,10 @@ Status Server::RestoreBlobLocked(uint32_t /*version*/,
     }
   }
   // The metric records are the blob's last and are restored as one
-  // snapshot: one whose kind or buckets disagree with this build's
-  // registry fails recovery before any instrument is overwritten.
+  // snapshot: one whose kind disagrees with this build's registry, or a
+  // histogram over another bucket ladder (a checkpoint from an older
+  // build), fails recovery with kFailedPrecondition before any
+  // instrument is overwritten.
   return obs::RestoreSnapshot(metrics);
 }
 
@@ -1308,10 +1313,12 @@ std::string DescribeServedQuery(const ServedQuery& q) {
 
 const std::vector<std::string>& LogicalMetricPrefixes() {
   // Thread-count-invariant families for a fixed seed and workload: event
-  // counts and simulated milliseconds. Deliberately absent:
-  // vaq_serve_queue_depth (scheduling-dependent gauge) and
-  // vaq_serve_submitted_total (overflow rejections depend on how fast
-  // workers drain relative to submitters).
+  // counts and simulated milliseconds. The two latency histograms,
+  // vaq_serve_query_simulated_ms and vaq_tenant_latency_ms, qualify down
+  // to their _sum lines because Drain fills them in admission order.
+  // Deliberately absent: vaq_serve_queue_depth (scheduling-dependent
+  // gauge) and vaq_serve_submitted_total (overflow rejections depend on
+  // how fast workers drain relative to submitters).
   static const std::vector<std::string>* const prefixes =
       new std::vector<std::string>{
           "vaq_serve_queries_total",
@@ -1319,14 +1326,10 @@ const std::vector<std::string>& LogicalMetricPrefixes() {
           "vaq_serve_query_simulated_ms",
           "vaq_model_",
           "vaq_breaker_",
-          // Pure function of the per-query sample multiset, which the
-          // deterministic shard schedule fixes regardless of threads.
-          "vaq_query_latency_ms",
-          // Per-tenant completion counts and service-latency gauges are
-          // logical for the same reasons as the two families above.
-          // vaq_tenant_submitted_total is deliberately absent, like
-          // vaq_serve_submitted_total: quota sheds depend on how fast
-          // workers drain relative to submitters.
+          // Per-tenant completion counts and latency. Like
+          // vaq_serve_submitted_total, vaq_tenant_submitted_total is
+          // deliberately absent: quota sheds depend on how fast workers
+          // drain relative to submitters.
           "vaq_tenant_queries_total",
           "vaq_tenant_latency_ms",
       };

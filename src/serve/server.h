@@ -20,9 +20,9 @@
 //    tenant at its quota is shed with kResourceExhausted while every
 //    other tenant's admissions proceed untouched — the isolation
 //    contract the traffic front door (src/traffic/) builds on. Per-
-//    tenant outcomes land in vaq_tenant_* metric families and each
-//    tenant gets exact p50/p99/p999 service-latency gauges
-//    (vaq_tenant_latency_ms{tenant=...}).
+//    tenant outcomes land in vaq_tenant_* metric families, and each
+//    tenant's statement costs in one histogram,
+//    vaq_tenant_latency_ms{tenant=...}.
 //
 //  * **Per-stream sharding.** Each registered source owns a shard: a FIFO
 //    of its admitted queries. A worker claims an idle shard, runs its
@@ -44,7 +44,11 @@
 //  * **Merge-at-drain statistics.** Workers accumulate ModelStats /
 //    AccessCounter into worker-local state only; `Drain` merges them
 //    after the pool is quiescent. Nothing non-atomic is ever written
-//    concurrently (the TSan tier-1 config runs these tests).
+//    concurrently (the TSan tier-1 config runs these tests). The
+//    modeled-ms total and the latency histograms
+//    (vaq_serve_query_simulated_ms, vaq_tenant_latency_ms) fill there
+//    too, over the id-sorted results, so each floating-point sum adds in
+//    admission order at any worker count.
 //
 // Costs are modeled on the simulated timeline — online queries charge the
 // engines' simulated inference milliseconds, ranked queries the modeled
@@ -207,13 +211,14 @@ class Server {
   // quota check (kResourceExhausted when `tenant` is listed in
   // ServeOptions::tenant_quotas and already has that many pending
   // queries) and per-tenant accounting — vaq_tenant_submitted_total /
-  // vaq_tenant_queries_total counters and exact p50/p99/p999 service
-  // gauges (vaq_tenant_latency_ms{tenant=...}). An empty tenant is the
-  // untagged path.
+  // vaq_tenant_queries_total counters and, at Drain, the
+  // vaq_tenant_latency_ms{tenant=...} histogram of its statements'
+  // modeled cost. An empty tenant is the untagged path.
   StatusOr<int64_t> Submit(const std::string& sql, const std::string& tenant);
 
   // Blocks until every admitted query has finished, merges worker-local
-  // statistics, and returns all results sorted by id. Terminal: from the
+  // statistics, fills the latency histograms in id order, and returns all
+  // results sorted by id. Terminal: from the
   // moment Drain begins, further Submit calls deterministically fail
   // with kFailedPrecondition (there is no later merge point that could
   // pick their results up).
@@ -288,10 +293,6 @@ class Server {
     bool ranked = false;
     std::string shard;
     std::string tenant;  // Empty for untagged submissions.
-    // The tenant's percentile recorder (stable pointer into
-    // tenant_latency_), resolved at admission so RunQuery records
-    // without taking mu_.
-    obs::LatencyRecorder* tenant_latency = nullptr;
     // Minted under mu_ at admission (trace_queries); the claiming worker
     // parents its spans under the root the submitter created.
     std::shared_ptr<obs::QueryTrace> trace;
@@ -303,12 +304,13 @@ class Server {
     std::deque<PendingQuery> queue;
     bool busy = false;
   };
-  // Worker-local accumulators, merged into stats_ at Drain only.
+  // Worker-local accumulators, merged into stats_ at Drain only. The
+  // modeled-ms total is not among them: a floating-point sum, it adds at
+  // Drain in id order.
   struct WorkerState {
     detect::ModelStats detector_stats;
     detect::ModelStats recognizer_stats;
     storage::AccessCounter accesses;
-    double simulated_ms = 0;
     int64_t completed = 0;
     int64_t failed = 0;
   };
@@ -399,12 +401,8 @@ class Server {
   ServeStats stats_;
   int64_t next_id_ = 0;
   int64_t pending_ = 0;  // Admitted, not yet finished.
-  // Per-tenant admitted-but-unfinished counts (quota enforcement) and
-  // exact-sample latency recorders (vaq_tenant_latency_ms{tenant=...}).
-  // unique_ptr keeps recorder pointers stable across map growth.
+  // Per-tenant admitted-but-unfinished counts (quota enforcement).
   std::map<std::string, int64_t> tenant_pending_;
-  std::map<std::string, std::unique_ptr<obs::LatencyRecorder>>
-      tenant_latency_;
   bool stopping_ = false;
   bool drained_ = false;  // Drain began; submissions are closed.
 
@@ -438,9 +436,6 @@ class Server {
   obs::Counter* ckpt_wal_records_;
   obs::Histogram* ckpt_snapshot_ms_;
 
-  // Exact-sample per-query modeled-latency percentiles
-  // (vaq_query_latency_ms{path="serve"}); thread-safe.
-  std::unique_ptr<obs::LatencyRecorder> latency_;
   // Root "session": WAL/snapshot/recovery attribution (trace_queries).
   std::unique_ptr<obs::QueryTrace> session_trace_;
 };
@@ -460,7 +455,9 @@ std::string DescribeServedQuery(const ServedQuery& q);
 
 // The metric-family prefixes whose values are logical (event counts,
 // simulated ms) and therefore thread-count-invariant for a fixed seed —
-// the FilterSnapshot allowlist used by the determinism tests.
+// the FilterSnapshot allowlist used by the determinism tests. The latency
+// histograms among them are byte-identical at any thread count, _sum
+// lines included, because Drain fills them in id order.
 const std::vector<std::string>& LogicalMetricPrefixes();
 
 }  // namespace serve

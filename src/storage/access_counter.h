@@ -8,8 +8,8 @@
 //
 // Not thread-safe: a counter belongs to the query thread that owns the
 // table view it accounts for. Concurrent runtimes (src/serve/) keep one
-// AccessCounter per worker and combine them with Merge() once the workers
-// have drained — counters are never shared hot.
+// AccessCounter per worker and combine them with operator+= once the
+// workers have drained — counters are never shared hot.
 #ifndef VAQ_STORAGE_ACCESS_COUNTER_H_
 #define VAQ_STORAGE_ACCESS_COUNTER_H_
 
@@ -54,6 +54,9 @@ struct AccessCounter {
            static_cast<double>(sequential_rows()) * kModeledRowMs;
   }
 
+  // Merge at drain of worker-local accumulators: N counters filled on N
+  // threads and added on one thread afterwards total exactly what a
+  // single-thread run would have counted.
   AccessCounter& operator+=(const AccessCounter& other) {
     sorted_accesses += other.sorted_accesses;
     reverse_accesses += other.reverse_accesses;
@@ -62,11 +65,6 @@ struct AccessCounter {
     range_rows += other.range_rows;
     return *this;
   }
-
-  // Merge-at-drain spelling of operator+= for worker-local accumulators:
-  // N counters filled on N threads and merged on one thread afterwards
-  // total exactly what a single-thread run would have counted.
-  AccessCounter& Merge(const AccessCounter& other) { return *this += other; }
 
   std::string ToString() const {
     return "{sorted=" + std::to_string(sorted_accesses) +

@@ -14,6 +14,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -463,8 +464,8 @@ TEST(CkptRecoveryTest, MetricOfAnotherShapeFailsRecoveryWithoutAbort) {
   obs::Counter* counter =
       obs::MetricRegistry::Global().GetCounter("vaq_ckpt_test_total");
   counter->Increment(5);
-  obs::Histogram* histogram = obs::MetricRegistry::Global().GetHistogram(
-      "vaq_ckpt_test_ms", obs::DefaultLatencyBucketsMs());
+  obs::Histogram* histogram =
+      obs::MetricRegistry::Global().GetHistogram("vaq_ckpt_test_ms");
   histogram->Observe(3.0);
 
   obs::Snapshot::Entry restorable;
@@ -620,6 +621,110 @@ TEST(CkptRecoveryTest, IdOrSequenceOutsideItsRangeFailsRecovery) {
           });
       EXPECT_EQ(RecoverFromSnapshot(bad_meta).code(), StatusCode::kCorruption)
           << (sequence ? "sequence" : "next id");
+    }
+  }
+}
+
+// Copies a ModelStats payload (seven counts and the simulated ms).
+void CopyModelStats(ckpt::PayloadReader* in, ckpt::Payload* out) {
+  for (int field = 0; field < 8; ++field) {
+    if (field == 2) {  // simulated_ms, after inferences and type queries.
+      double ms = 0;
+      ASSERT_TRUE(in->GetF64(&ms).ok());
+      out->PutF64(ms);
+      continue;
+    }
+    int64_t count = 0;
+    ASSERT_TRUE(in->GetI64(&count).ok());
+    out->PutI64(count);
+  }
+}
+
+TEST(CkptRecoveryTest, CountersOutsideTheirRangeFailRecovery) {
+  // The server adds to every count it restores (admissions, cache
+  // reuses, pruned clips, model calls), so a negative value or INT64_MAX
+  // is damage, not a signed overflow on the next admission or clip.
+  std::vector<ckpt::Record> records;
+  ASSERT_NO_FATAL_FAILURE(DemoSnapshotRecords(&records));
+  struct Field {
+    const char* name;
+    uint32_t tag;
+    // Copies the record's fields in front of the counter.
+    std::function<void(ckpt::PayloadReader*, ckpt::Payload*)> copy_head;
+  };
+  const std::vector<Field> fields = {
+      // Tag 1: id, sql, status, finished, layout, engine blob, the
+      // detector and recognizer stats, then clips_pruned.
+      {"standing clips_pruned", /*kSnapStanding=*/1,
+       [](ckpt::PayloadReader* in, ckpt::Payload* head) {
+         int64_t id = 0;
+         std::string sql, engine_blob;
+         bool ok = false, finished = false;
+         uint32_t layout = 0;
+         ASSERT_TRUE(in->GetI64(&id).ok());
+         ASSERT_TRUE(in->GetString(&sql).ok());
+         ASSERT_TRUE(in->GetBool(&ok).ok());
+         ASSERT_TRUE(ok) << "the demo's standing queries admit cleanly";
+         ASSERT_TRUE(in->GetBool(&finished).ok());
+         ASSERT_TRUE(in->GetU32(&layout).ok());
+         ASSERT_TRUE(in->GetString(&engine_blob).ok());
+         head->PutI64(id);
+         head->PutString(sql);
+         head->PutBool(ok);
+         head->PutBool(finished);
+         head->PutU32(layout);
+         head->PutString(engine_blob);
+         ASSERT_NO_FATAL_FAILURE(CopyModelStats(in, head));
+         ASSERT_NO_FATAL_FAILURE(CopyModelStats(in, head));
+       }},
+      // Tag 3: a shared bundle's (source, stack), then its detector's
+      // stats, inferences first.
+      {"bundle detector inferences", /*kSnapBundleStats=*/3,
+       [](ckpt::PayloadReader* in, ckpt::Payload* head) {
+         bool owned = true, has_detector = false;
+         std::string source, stack;
+         ASSERT_TRUE(in->GetBool(&owned).ok());
+         ASSERT_FALSE(owned) << "the demo shares its model bundles";
+         ASSERT_TRUE(in->GetString(&source).ok());
+         ASSERT_TRUE(in->GetString(&stack).ok());
+         ASSERT_TRUE(in->GetBool(&has_detector).ok());
+         ASSERT_TRUE(has_detector) << stack;
+         head->PutBool(owned);
+         head->PutString(source);
+         head->PutString(stack);
+         head->PutBool(has_detector);
+       }},
+      // Tag 4: bundles created, then reuses.
+      {"cache bundles created", /*kSnapCacheCounters=*/4,
+       [](ckpt::PayloadReader*, ckpt::Payload*) {}},
+      // Tag 5: next id, sequence, then the accepted count.
+      {"meta accepted", /*kSnapMeta=*/5,
+       [](ckpt::PayloadReader* in, ckpt::Payload* head) {
+         int64_t next_id = 0, seq = 0;
+         ASSERT_TRUE(in->GetI64(&next_id).ok());
+         ASSERT_TRUE(in->GetI64(&seq).ok());
+         head->PutI64(next_id);
+         head->PutI64(seq);
+       }},
+  };
+  for (const Field& field : fields) {
+    SCOPED_TRACE(field.name);
+    // The snapshot with the counter replaced by `value`, or kept as read.
+    const auto with = [&records, &field](std::optional<int64_t> value) {
+      return Reseal(records, field.tag,
+                    [&](ckpt::PayloadReader* in, ckpt::Payload* head) {
+                      ASSERT_NO_FATAL_FAILURE(field.copy_head(in, head));
+                      int64_t read = 0;
+                      ASSERT_TRUE(in->GetI64(&read).ok());
+                      head->PutI64(value.value_or(read));
+                    });
+    };
+    // The record as read recovers: only the values below are the damage.
+    ASSERT_TRUE(RecoverFromSnapshot(with(std::nullopt)).ok());
+    for (const int64_t bad :
+         {int64_t{-1}, std::numeric_limits<int64_t>::max()}) {
+      EXPECT_EQ(RecoverFromSnapshot(with(bad)).code(), StatusCode::kCorruption)
+          << "value " << bad;
     }
   }
 }

@@ -116,12 +116,8 @@ RankedOutput SingleNodeReference(
   out.videos_queried = result->videos_queried;
   out.videos_skipped = result->videos_skipped;
   out.candidate_sequences = result->candidate_sequences;
-  // vaq_query_latency_ms{path="cluster"} exists only on the clustered
-  // path (the single-node reference records none), so it is not part of
-  // the logical comparison surface.
   out.logical_metrics = obs::ExportPrometheus(obs::ExcludeSnapshot(
-      obs::MetricRegistry::Global().TakeSnapshot(),
-      {"vaq_cluster_", "vaq_query_latency_ms"}));
+      obs::MetricRegistry::Global().TakeSnapshot(), {"vaq_cluster_"}));
   return out;
 }
 
@@ -152,8 +148,7 @@ ClusterRun RunCluster(ClusterOptions options, int64_t k = kK,
     run.output.videos_skipped = result->merged.videos_skipped;
     run.output.candidate_sequences = result->merged.candidate_sequences;
     run.output.logical_metrics = obs::ExportPrometheus(obs::ExcludeSnapshot(
-        obs::MetricRegistry::Global().TakeSnapshot(),
-        {"vaq_cluster_", "vaq_query_latency_ms"}));
+        obs::MetricRegistry::Global().TakeSnapshot(), {"vaq_cluster_"}));
   }
   return run;
 }
@@ -468,8 +463,7 @@ TEST(ClusterCascade, ApproximateStatementIsShardCountInvariant) {
   // The coordinator plans once and ships thresholds with the scatter, so
   // an approximate statement's results, plan text and logical metrics
   // cannot depend on the shard count.
-  const std::vector<std::string> exclude = {"vaq_cluster_",
-                                            "vaq_query_latency_ms"};
+  const std::vector<std::string> exclude = {"vaq_cluster_"};
   const std::string sql = std::string(kBackendSql) + " WITH RECALL 0.9";
   const BackendRun one = RunThroughBackend(sql, 1, exclude);
   EXPECT_NE(one.cascade_plan.find("cascade"), std::string::npos)

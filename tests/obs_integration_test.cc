@@ -124,11 +124,13 @@ TEST(ObsIntegrationTest, RegistryMirrorsEngineAndModelAccounting) {
                 outcome("detector", "MaskRCNN", "breaker_open"),
             result.detector_stats.failures);
 
-  // Per-clip latency histogram saw every clip, in simulated time.
+  // Per-clip latency histogram saw every clip, in simulated time, and
+  // the ladder reaches every clip's cost, retries included: no clip
+  // lands above the top finite bound.
   obs::Histogram* clip_ms = obs::MetricRegistry::Global().GetHistogram(
-      "vaq_clip_eval_simulated_ms", obs::DefaultLatencyBucketsMs(),
-      {{"engine", "svaqd"}});
+      "vaq_clip_eval_simulated_ms", {{"engine", "svaqd"}});
   EXPECT_EQ(clip_ms->count(), result.clips_processed);
+  EXPECT_EQ(clip_ms->bucket_count(obs::LatencyBucketsMs().size()), 0);
   EXPECT_DOUBLE_EQ(clip_ms->sum(), result.detector_stats.simulated_ms +
                                        result.recognizer_stats.simulated_ms);
 }

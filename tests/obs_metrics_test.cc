@@ -1,5 +1,6 @@
 // MetricRegistry semantics: labeled families, concurrent counter updates,
-// histogram bucket boundaries, the two exporters (Prometheus text and
+// the one histogram ladder and its bucket boundaries, the two exporters
+// (Prometheus text and
 // JSON, including the built-in JSON linter and the shared string escape),
 // and RestoreSnapshot's refusal of a snapshot that does not fit the
 // registry.
@@ -62,30 +63,56 @@ TEST(MetricRegistryTest, GaugeSetAndAdd) {
   EXPECT_DOUBLE_EQ(g->value(), 2.5);
 }
 
+TEST(HistogramTest, LadderRisesAtMostFiveTimesPerBucketTo1e7Ms) {
+  // A quantile read from the buckets is within 5x, and one served
+  // online statement's modeled cost (up to 937,800 ms on the demo
+  // stream) lands below the top bound, not in +Inf.
+  const std::vector<double>& bounds = LatencyBucketsMs();
+  ASSERT_EQ(bounds.size(), 17u);
+  EXPECT_EQ(bounds.front(), 0.1);
+  EXPECT_EQ(bounds.back(), 1e7);
+  for (size_t i = 1; i < bounds.size(); ++i) {
+    EXPECT_LT(bounds[i - 1], bounds[i]) << i;
+    EXPECT_LE(bounds[i], 5 * bounds[i - 1]) << i;
+  }
+}
+
 TEST(HistogramTest, BucketBoundariesAreInclusiveUpperBounds) {
-  Histogram h({1.0, 2.0, 4.0});
-  for (const double v : {0.5, 1.0, 1.5, 2.0, 4.0, 5.0}) h.Observe(v);
-  EXPECT_EQ(h.bucket_count(0), 2);  // 0.5, 1.0 (boundary is inclusive).
-  EXPECT_EQ(h.bucket_count(1), 2);  // 1.5, 2.0.
-  EXPECT_EQ(h.bucket_count(2), 1);  // 4.0.
-  EXPECT_EQ(h.bucket_count(3), 1);  // 5.0 lands in +inf.
-  EXPECT_EQ(h.count(), 6);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.5 + 2.0 + 4.0 + 5.0);
+  const size_t top = LatencyBucketsMs().size() - 1;  // The 1e7 ms bucket.
+  Histogram h;
+  for (const double v : {0.05, 0.1, 0.3, 0.5, 1.0, 9e6, 1e7, 2e7}) {
+    h.Observe(v);
+  }
+  EXPECT_EQ(h.bucket_count(0), 2);  // 0.05, 0.1 (boundary is inclusive).
+  EXPECT_EQ(h.bucket_count(1), 2);  // 0.3, 0.5.
+  EXPECT_EQ(h.bucket_count(2), 1);  // 1.0.
+  EXPECT_EQ(h.bucket_count(top), 2);      // 9e6, 1e7.
+  EXPECT_EQ(h.bucket_count(top + 1), 1);  // 2e7 lands in +inf.
+  EXPECT_EQ(h.count(), 8);
+  EXPECT_DOUBLE_EQ(h.sum(), 0.05 + 0.1 + 0.3 + 0.5 + 1.0 + 9e6 + 1e7 + 2e7);
 }
 
 TEST(HistogramTest, RegistryRejectsNothingButSnapshotsCumulative) {
   MetricRegistry registry;
-  Histogram* h = registry.GetHistogram("lat_ms", {1.0, 10.0});
+  Histogram* h = registry.GetHistogram("lat_ms");
+  EXPECT_EQ(registry.GetHistogram("lat_ms"), h);
   h->Observe(0.5);
   h->Observe(5.0);
-  h->Observe(100.0);
+  h->Observe(2e7);
   const Snapshot snapshot = registry.TakeSnapshot();
   ASSERT_EQ(snapshot.entries.size(), 1u);
+  EXPECT_EQ(snapshot.entries[0].bounds, LatencyBucketsMs());
   const std::string text = ExportPrometheus(snapshot);
-  // Prometheus buckets are cumulative: le="1" 1, le="10" 2, le="+Inf" 3.
-  EXPECT_NE(text.find("lat_ms_bucket{le=\"1\"} 1"), std::string::npos)
+  // Prometheus buckets are cumulative: le="0.5" 1, le="5" 2, and 2 up to
+  // the top bound; le="+Inf" 3.
+  EXPECT_NE(text.find("lat_ms_bucket{le=\"0.1\"} 0"), std::string::npos)
       << text;
-  EXPECT_NE(text.find("lat_ms_bucket{le=\"10\"} 2"), std::string::npos)
+  EXPECT_NE(text.find("lat_ms_bucket{le=\"0.5\"} 1"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("lat_ms_bucket{le=\"5\"} 2"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("lat_ms_bucket{le=\"10000000\"} 2"),
+            std::string::npos)
       << text;
   EXPECT_NE(text.find("lat_ms_bucket{le=\"+Inf\"} 3"), std::string::npos)
       << text;
@@ -115,7 +142,7 @@ TEST(ExportTest, JsonExportPassesTheLinter) {
   registry.GetCounter("c", {{"k", "v with \"quotes\" and \\slashes\\"}})
       ->Increment();
   registry.GetGauge("g")->Set(1.5);
-  registry.GetHistogram("h", {1.0})->Observe(2.0);
+  registry.GetHistogram("h")->Observe(2.0);
   const std::string json = ExportJson(registry.TakeSnapshot());
   EXPECT_EQ(JsonLintError(json), "") << json;
 }
@@ -181,15 +208,17 @@ TEST(ExportTest, SnapshotOrderIsDeterministic) {
   EXPECT_EQ(snapshot.entries[2].name, "z_metric");
 }
 
-Snapshot::Entry HistogramEntry(const std::string& name,
-                               std::vector<double> bounds) {
+// A histogram entry with one observation of 0.05 ms, over `bounds`.
+Snapshot::Entry HistogramEntry(
+    const std::string& name,
+    std::vector<double> bounds = LatencyBucketsMs()) {
   Snapshot::Entry entry;
   entry.name = name;
   entry.kind = Snapshot::Kind::kHistogram;
   entry.bucket_counts.assign(bounds.size() + 1, 0);
   entry.bucket_counts[0] = 1;
   entry.hist_count = 1;
-  entry.hist_sum = 0.5;
+  entry.hist_sum = 0.05;
   entry.bounds = std::move(bounds);
   return entry;
 }
@@ -202,20 +231,29 @@ TEST(RestoreSnapshotTest, ShapeMismatchIsAStatusAndWritesNothing) {
   Counter* counter = registry.GetCounter("vaq_restore_a_total");
   counter->Reset();
   counter->Increment(5);
-  Histogram* histogram =
-      registry.GetHistogram("vaq_x_ms", DefaultLatencyBucketsMs());
+  Histogram* histogram = registry.GetHistogram("vaq_x_ms");
   Snapshot::Entry fine;
   fine.name = "vaq_restore_a_total";
   fine.counter_value = 9;
   Snapshot::Entry as_counter;
   as_counter.name = "vaq_x_ms";
+  Snapshot::Entry new_as_counter;
+  new_as_counter.name = "vaq_restore_new_ms";
+  // The ladder before it reached the modeled range: what a checkpoint
+  // from an older build carries.
+  const std::vector<double> older_ladder = {0.1, 0.5, 1,    5,    10,   50,
+                                            100, 500, 1000, 5000, 10000};
+  Snapshot::Entry count_short = HistogramEntry("vaq_restore_new_ms");
+  count_short.bucket_counts.pop_back();
   const std::vector<Snapshot> refused = {
       {{fine, HistogramEntry("vaq_x_ms", {1, 2})}},  // Other buckets.
       {{fine, as_counter}},                          // Other kind.
-      {{fine, HistogramEntry("vaq_restore_new_ms", {2, 1})}},  // Unsorted.
+      // An instrument nobody registered, over the older ladder.
+      {{fine, HistogramEntry("vaq_restore_new_ms", older_ladder)}},
+      // Over the ladder, with as many counts as bounds.
+      {{fine, count_short}},
       // Two entries disagreeing over one instrument nobody registered.
-      {{fine, HistogramEntry("vaq_restore_new_ms", {1}),
-        HistogramEntry("vaq_restore_new_ms", {1, 2})}},
+      {{fine, HistogramEntry("vaq_restore_new_ms"), new_as_counter}},
   };
   for (size_t i = 0; i < refused.size(); ++i) {
     const int64_t histogram_count = histogram->count();

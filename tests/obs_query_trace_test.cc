@@ -1,11 +1,9 @@
 // Per-query trace plumbing (obs/query_trace.h): tree shape and phase
 // folding, the rendered profile format, Chrome trace export against the
-// JSON linter, nearest-rank percentiles, the LatencyRecorder's gauge
-// mirror and the promlint-style exporter self-check.
+// JSON linter, nearest-rank percentiles and the promlint-style exporter
+// self-check.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,74 +146,11 @@ TEST(PercentileTest, NearestRankEdgeCases) {
   EXPECT_DOUBLE_EQ(PercentileNearestRank(samples, 1.0), 100.0);
 }
 
-TEST(LatencyRecorderTest, PublishesExactPercentileGauges) {
-  MetricRegistry& registry = MetricRegistry::Global();
-  LatencyRecorder recorder("vaq_test_latency_ms", "unit");
-  // Insert out of order: the recorder keeps its samples sorted.
-  for (int i = 100; i >= 1; --i) recorder.Record(i);
-  EXPECT_EQ(recorder.count(), 100);
-  EXPECT_DOUBLE_EQ(
-      registry.GetGauge("vaq_test_latency_ms",
-                        {{"path", "unit"}, {"quantile", "0.5"}})
-          ->value(),
-      50.0);
-  EXPECT_DOUBLE_EQ(
-      registry.GetGauge("vaq_test_latency_ms",
-                        {{"path", "unit"}, {"quantile", "0.99"}})
-          ->value(),
-      99.0);
-  EXPECT_DOUBLE_EQ(
-      registry.GetGauge("vaq_test_latency_ms",
-                        {{"path", "unit"}, {"quantile", "0.999"}})
-          ->value(),
-      100.0);
-  const std::vector<double> sorted = recorder.sorted_samples();
-  ASSERT_EQ(sorted.size(), 100u);
-  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
-}
-
-TEST(LatencyRecorderTest, RunsMatchNearestRankOverTheExpandedMultiset) {
-  // 10^5 samples over 10 distinct values, halving in frequency, so the
-  // three quantiles land in different runs; shuffled, so runs are both
-  // created and extended between checks.
-  std::vector<double> samples;
-  int64_t count = 50000;
-  for (int value = 0; value < 10; ++value) {
-    if (value == 9) count = 100000 - static_cast<int64_t>(samples.size());
-    samples.insert(samples.end(), static_cast<size_t>(count), 0.5 * value);
-    count /= 2;
-  }
-  ASSERT_EQ(samples.size(), 100000u);
-  std::mt19937_64 rng(17);
-  std::shuffle(samples.begin(), samples.end(), rng);
-
-  MetricRegistry& registry = MetricRegistry::Global();
-  LatencyRecorder recorder("vaq_test_runs_ms", "unit");
-  const auto gauge = [&](const char* q) {
-    return registry.GetGauge("vaq_test_runs_ms",
-                             {{"path", "unit"}, {"quantile", q}})->value();
-  };
-  std::vector<double> expanded;
-  for (size_t i = 0; i < samples.size(); ++i) {
-    recorder.Record(samples[i]);
-    if ((i + 1) % 1000 != 0) continue;
-    expanded.assign(samples.begin(), samples.begin() + i + 1);
-    std::sort(expanded.begin(), expanded.end());
-    ASSERT_EQ(gauge("0.5"), PercentileNearestRank(expanded, 0.5)) << i;
-    ASSERT_EQ(gauge("0.99"), PercentileNearestRank(expanded, 0.99)) << i;
-    ASSERT_EQ(gauge("0.999"), PercentileNearestRank(expanded, 0.999)) << i;
-  }
-  EXPECT_EQ(recorder.count(), 100000);
-  EXPECT_EQ(recorder.sorted_samples(), expanded);
-}
-
 TEST(PromLintTest, AcceptsTheExportersOwnOutput) {
   MetricRegistry& registry = MetricRegistry::Global();
   registry.GetCounter("vaq_promlint_total", {{"path", "unit"}})->Increment();
   registry.GetGauge("vaq_promlint_gauge", {})->Set(1.5);
-  registry
-      .GetHistogram("vaq_promlint_ms", DefaultLatencyBucketsMs(), {})
-      ->Observe(3.0);
+  registry.GetHistogram("vaq_promlint_ms")->Observe(3.0);
   const std::string text = ExportPrometheus(registry.TakeSnapshot());
   EXPECT_EQ(PromLintError(text), "") << text;
 }

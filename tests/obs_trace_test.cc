@@ -19,8 +19,8 @@ namespace obs {
 namespace {
 
 Histogram* SpanMs(const std::string& span) {
-  return MetricRegistry::Global().GetHistogram(
-      "vaq_wall_span_ms", DefaultLatencyBucketsMs(), {{"span", span}});
+  return MetricRegistry::Global().GetHistogram("vaq_wall_span_ms",
+                                               {{"span", span}});
 }
 
 Counter* SpanTotal(const std::string& span) {

@@ -4,8 +4,8 @@
 // thread count, the cluster coordinator's scatter–gather trace is
 // repeat-identical per shard count, per-query model-call attribution
 // reconciles exactly with the process-wide vaq_model_calls_total
-// counter, and vaq_query_latency_ms percentiles are exported from both
-// the serve and cluster paths.
+// counter, and the serve and cluster latency histograms hold every
+// statement below the bucket ladder's top bound.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -104,8 +104,7 @@ struct ServeTraceRun {
   std::string chrome_json;  // Session trace + query traces.
   int64_t model_call_registry_delta = 0;
   int64_t model_call_trace_sum = 0;
-  double latency_p50 = 0.0;
-  double latency_p999 = 0.0;
+  obs::Snapshot latency;  // The vaq_serve_query_simulated_ms series.
 };
 
 int64_t SumModelCallCounter() {
@@ -156,17 +155,9 @@ ServeTraceRun RunServeTraced(int threads) {
     }
   }
   run.chrome_json = obs::ExportChromeTrace(traces);
-  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-  run.latency_p50 =
-      registry
-          .GetGauge("vaq_query_latency_ms",
-                    {{"path", "serve"}, {"quantile", "0.5"}})
-          ->value();
-  run.latency_p999 =
-      registry
-          .GetGauge("vaq_query_latency_ms",
-                    {{"path", "serve"}, {"quantile", "0.999"}})
-          ->value();
+  run.latency =
+      obs::FilterSnapshot(obs::MetricRegistry::Global().TakeSnapshot(),
+                          {"vaq_serve_query_simulated_ms"});
   return run;
 }
 
@@ -178,14 +169,22 @@ TEST(ServeTrace, ProfilesAndChromeExportByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(inline_run.profiles, pooled_run.profiles);
   EXPECT_EQ(obs::JsonLintError(inline_run.chrome_json), "");
   EXPECT_EQ(inline_run.chrome_json, pooled_run.chrome_json);
-  // The latency gauges are a pure function of the per-query sample
-  // multiset, so they match across thread counts too. With the shared
-  // detection cache on, most queries cost 0 simulated ms (cache hits),
-  // so p50 is legitimately 0 — the tail percentile carries the signal.
-  EXPECT_GT(inline_run.latency_p999, 0.0);
-  EXPECT_GE(inline_run.latency_p999, inline_run.latency_p50);
-  EXPECT_DOUBLE_EQ(inline_run.latency_p50, pooled_run.latency_p50);
-  EXPECT_DOUBLE_EQ(inline_run.latency_p999, pooled_run.latency_p999);
+  // The ladder reaches the modeled range: an online statement over a
+  // 6-minute demo stream costs up to 937,800 ms, and every statement
+  // lands in a finite bucket, so each series' +Inf count equals its top
+  // finite bucket's (the +Inf bucket itself holds nothing).
+  ASSERT_EQ(inline_run.latency.entries.size(), 2u);  // online, ranked.
+  for (const obs::Snapshot::Entry& entry : inline_run.latency.entries) {
+    const std::string series = obs::CanonicalLabels(entry.labels);
+    EXPECT_GT(entry.hist_count, 0) << series;
+    ASSERT_EQ(entry.bucket_counts.size(), obs::LatencyBucketsMs().size() + 1)
+        << series;
+    EXPECT_EQ(entry.bucket_counts.back(), 0) << series;
+  }
+  // Drain fills the histograms in id order, so the series match across
+  // thread counts byte for byte, _sum included.
+  EXPECT_EQ(obs::ExportPrometheus(inline_run.latency),
+            obs::ExportPrometheus(pooled_run.latency));
 }
 
 TEST(ServeTrace, PerQueryModelCallsReconcileWithTheRegistry) {
@@ -194,7 +193,7 @@ TEST(ServeTrace, PerQueryModelCallsReconcileWithTheRegistry) {
   EXPECT_EQ(run.model_call_trace_sum, run.model_call_registry_delta);
 }
 
-// --- Cluster: repeat identity per shard count and latency export ---------
+// --- Cluster: repeat identity per shard count and the answer histogram ----
 
 const offline::Repository& ClusterRepository() {
   static const offline::Repository* const repo = [] {
@@ -210,7 +209,8 @@ const offline::Repository& ClusterRepository() {
 struct ClusterTraceRun {
   std::string profile;
   std::string chrome_json;
-  double latency_p99 = 0.0;
+  // vaq_cluster_answer_ms observations in finite buckets.
+  int64_t answers_below_top = 0;
 };
 
 ClusterTraceRun RunClusterTraced(int shards) {
@@ -228,10 +228,11 @@ ClusterTraceRun RunClusterTraced(int shards) {
   ClusterTraceRun run;
   run.profile = trace.RenderProfile();
   run.chrome_json = obs::ExportChromeTrace({&trace});
-  run.latency_p99 = obs::MetricRegistry::Global()
-                        .GetGauge("vaq_query_latency_ms",
-                                  {{"path", "cluster"}, {"quantile", "0.99"}})
-                        ->value();
+  const obs::Histogram* answer_ms =
+      obs::MetricRegistry::Global().GetHistogram("vaq_cluster_answer_ms");
+  run.answers_below_top =
+      answer_ms->count() -
+      answer_ms->bucket_count(obs::LatencyBucketsMs().size());
   return run;
 }
 
@@ -247,7 +248,7 @@ TEST(ClusterTrace, ProfileRepeatIdenticalPerShardCount) {
     EXPECT_EQ(first.profile, second.profile) << "shards=" << shards;
     EXPECT_EQ(obs::JsonLintError(first.chrome_json), "");
     EXPECT_EQ(first.chrome_json, second.chrome_json) << "shards=" << shards;
-    EXPECT_GT(first.latency_p99, 0.0) << "shards=" << shards;
+    EXPECT_GT(first.answers_below_top, 0) << "shards=" << shards;
   }
 }
 

@@ -4,6 +4,7 @@
 // load-bearing property of the per-stream sharding design (see
 // src/serve/server.h and DESIGN.md §9), and the test that the VAQ_TSAN
 // configuration replays under ThreadSanitizer.
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,11 @@ constexpr uint64_t kSeed = 7;
 struct RunOutput {
   std::vector<std::string> described;
   std::string logical_metrics;
+  // Every floating-point sum the run reports, bit for bit: each logical
+  // histogram's _sum and ServeStats::total_simulated_ms. The export
+  // prints nine significant digits and ToString three decimals, which
+  // hide a last-bit difference.
+  std::string float_sums;
   std::string detector_stats;
   std::string recognizer_stats;
   std::string accesses;
@@ -34,6 +40,35 @@ struct RunOutput {
   int64_t cache_bundles_created = 0;
   int64_t cache_bundle_reuses = 0;
 };
+
+// Fills the rest of `out` from a drained server's stats and the global
+// registry's families under `prefixes`.
+void CaptureRun(const Server& server, const std::vector<std::string>& prefixes,
+                RunOutput* out) {
+  const obs::Snapshot logical = obs::FilterSnapshot(
+      obs::MetricRegistry::Global().TakeSnapshot(), prefixes);
+  out->logical_metrics = obs::ExportPrometheus(logical);
+  const ServeStats stats = server.stats();
+  const auto add_sum = [out](const std::string& what, double sum) {
+    char bits[32];
+    std::snprintf(bits, sizeof(bits), "%a", sum);
+    out->float_sums += what + " " + bits + "\n";
+  };
+  for (const obs::Snapshot::Entry& entry : logical.entries) {
+    if (entry.kind == obs::Snapshot::Kind::kHistogram) {
+      add_sum(entry.name + "{" + obs::CanonicalLabels(entry.labels) + "}",
+              entry.hist_sum);
+    }
+  }
+  add_sum("total_simulated_ms", stats.total_simulated_ms);
+  out->detector_stats = stats.detector_stats.ToString();
+  out->recognizer_stats = stats.recognizer_stats.ToString();
+  out->accesses = stats.accesses.ToString();
+  out->completed = stats.completed;
+  out->failed = stats.failed;
+  out->cache_bundles_created = stats.cache_bundles_created;
+  out->cache_bundle_reuses = stats.cache_bundle_reuses;
+}
 
 // One full serving run: fleet + repository, fault injection on, mixed
 // conjunctive / CNF / ranked workload, shared detection cache.
@@ -58,17 +93,74 @@ RunOutput RunWorkload(int threads) {
   for (const ServedQuery& q : results) {
     out.described.push_back(DescribeServedQuery(q));
   }
-  out.logical_metrics = obs::ExportPrometheus(
-      obs::FilterSnapshot(obs::MetricRegistry::Global().TakeSnapshot(),
-                          LogicalMetricPrefixes()));
-  const ServeStats stats = server.stats();
-  out.detector_stats = stats.detector_stats.ToString();
-  out.recognizer_stats = stats.recognizer_stats.ToString();
-  out.accesses = stats.accesses.ToString();
-  out.completed = stats.completed;
-  out.failed = stats.failed;
-  out.cache_bundles_created = stats.cache_bundles_created;
-  out.cache_bundle_reuses = stats.cache_bundle_reuses;
+  CaptureRun(server, LogicalMetricPrefixes(), &out);
+  return out;
+}
+
+// The cascade demo corpus, built once per process: eight videos whose
+// ranked statements cost distinct fractional modeled ms.
+const StatusOr<tools::CascadeDemo>& CascadeCorpus() {
+  static const StatusOr<tools::CascadeDemo> demo =
+      tools::MakeCascadeDemo(/*num_videos=*/8, kSeed);
+  return demo;
+}
+
+// The ranked demo statement over `source`.
+std::string RankedSql(const std::string& source,
+                      const std::string& clause = "") {
+  return "SELECT MERGE(clipID) AS Sequence, RANK(act, obj) FROM (PROCESS " +
+         source +
+         " PRODUCE clipID, obj USING ObjectTracker, act USING "
+         "ActionRecognizer) WHERE act='running' AND obj.include('dog') "
+         "ORDER BY RANK(act, obj) LIMIT 2" +
+         clause;
+}
+
+// Tenant-tagged statements round-robin over the demo streams, the demo
+// repository and three corpus videos, three tenants over seven shards:
+// each tenant's statements run on parallel shards, and its latency
+// histogram adds distinct fractional ranked costs to integral online
+// ones, whose sum depends on the order of the additions.
+RunOutput RunTenantWorkload(int threads) {
+  const StatusOr<tools::CascadeDemo>& demo = CascadeCorpus();
+  EXPECT_TRUE(demo.ok()) << demo.status();
+  if (!demo.ok()) return {};
+  // The ranked sources follow the streams: the demo repository, then
+  // three corpus videos.
+  const std::vector<std::string> ranked = {tools::kDemoRepositoryName, "vid1",
+                                           "vid2", "vid3"};
+  const int sources = kStreams + static_cast<int>(ranked.size());
+  const int statements = 3 * sources;
+  obs::MetricRegistry::Global().Reset();
+  const fault::FaultPlan plan(tools::DemoFaultSpec(), kSeed);
+  ServeOptions options;
+  options.threads = threads;
+  options.queue_capacity = statements;
+  options.share_detection_cache = true;
+  options.fault_plan = &plan;
+  Server server(options);
+  EXPECT_TRUE(tools::RegisterDemoSources(&server, kStreams,
+                                         /*with_repository=*/true, kSeed)
+                  .ok());
+  for (size_t v = 1; v < ranked.size(); ++v) {
+    server.RegisterRepository(ranked[v], *demo->repository.Find(ranked[v]));
+  }
+  // DemoWorkload's statement q runs on stream q % kStreams.
+  const std::vector<std::string> online =
+      tools::DemoWorkload(kStreams, kQueries, /*with_repository=*/false);
+  for (int i = 0; i < statements; ++i) {
+    const int source = i % sources;
+    const std::string sql =
+        source < kStreams
+            ? online[static_cast<size_t>(i / sources * kStreams + source)]
+            : RankedSql(ranked[static_cast<size_t>(source - kStreams)]);
+    EXPECT_TRUE(server.Submit(sql, "t" + std::to_string(i % 3)).ok()) << sql;
+  }
+  RunOutput out;
+  for (const ServedQuery& q : server.Drain()) {
+    out.described.push_back(DescribeServedQuery(q));
+  }
+  CaptureRun(server, LogicalMetricPrefixes(), &out);
   return out;
 }
 
@@ -78,8 +170,7 @@ RunOutput RunWorkload(int threads) {
 // run in parallel on their own shards, sharing the session's planner;
 // the coordinator runs one statement at a time on "repo/corpus".
 RunOutput RunRankedWorkload(int threads) {
-  static const StatusOr<tools::CascadeDemo> demo =
-      tools::MakeCascadeDemo(/*num_videos=*/8, kSeed);
+  const StatusOr<tools::CascadeDemo>& demo = CascadeCorpus();
   EXPECT_TRUE(demo.ok()) << demo.status();
   if (!demo.ok()) return {};
   obs::MetricRegistry::Global().Reset();
@@ -104,13 +195,7 @@ RunOutput RunRankedWorkload(int threads) {
   server.RegisterRankedBackend("corpus", &coordinator);
   for (const std::string& clause : clauses) {
     for (const std::string& source : sources) {
-      const std::string sql =
-          "SELECT MERGE(clipID) AS Sequence, RANK(act, obj) FROM (PROCESS " +
-          source +
-          " PRODUCE clipID, obj USING ObjectTracker, act USING "
-          "ActionRecognizer) WHERE act='running' AND obj.include('dog') "
-          "ORDER BY RANK(act, obj) LIMIT 2" +
-          clause;
+      const std::string sql = RankedSql(source, clause);
       EXPECT_TRUE(server.Submit(sql).ok()) << sql;
     }
   }
@@ -121,12 +206,7 @@ RunOutput RunRankedWorkload(int threads) {
   }
   std::vector<std::string> prefixes = LogicalMetricPrefixes();
   prefixes.insert(prefixes.end(), {"vaq_cascade_", "vaq_bai_"});
-  out.logical_metrics = obs::ExportPrometheus(obs::FilterSnapshot(
-      obs::MetricRegistry::Global().TakeSnapshot(), prefixes));
-  const ServeStats stats = server.stats();
-  out.accesses = stats.accesses.ToString();
-  out.completed = stats.completed;
-  out.failed = stats.failed;
+  CaptureRun(server, prefixes, &out);
   return out;
 }
 
@@ -136,6 +216,7 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b) {
     EXPECT_EQ(a.described[i], b.described[i]) << "query " << i;
   }
   EXPECT_EQ(a.logical_metrics, b.logical_metrics);
+  EXPECT_EQ(a.float_sums, b.float_sums);
   EXPECT_EQ(a.detector_stats, b.detector_stats);
   EXPECT_EQ(a.recognizer_stats, b.recognizer_stats);
   EXPECT_EQ(a.accesses, b.accesses);
@@ -187,6 +268,30 @@ TEST(ServeDeterminismTest, RankedStatementsOverProxiesAndABackendAgree) {
   }
   EXPECT_EQ(rendered_cascades, 8);
   ExpectIdentical(one, eight);
+}
+
+TEST(ServeDeterminismTest, TenantLatencyAgreesAcrossThreadCountsOnMixedShards) {
+  const RunOutput reference = RunTenantWorkload(0);
+  ASSERT_EQ(reference.described.size(), 21u);
+  EXPECT_EQ(reference.failed, 0);
+  // Both latency histograms are in the comparison, _sum lines included
+  // (their bits are compared too), and each tenant's _count series is
+  // named vaq_tenant_latency_ms_count.
+  for (const char* line :
+       {"vaq_serve_query_simulated_ms_sum{kind=\"online\"}",
+        "vaq_serve_query_simulated_ms_sum{kind=\"ranked\"}",
+        "vaq_tenant_latency_ms_sum{tenant=\"t0\"}",
+        "vaq_tenant_latency_ms_sum{tenant=\"t1\"}",
+        "vaq_tenant_latency_ms_sum{tenant=\"t2\"}",
+        "vaq_tenant_latency_ms_count{tenant=\"t0\"} 7"}) {
+    EXPECT_NE(reference.logical_metrics.find(line), std::string::npos)
+        << line << "\n"
+        << reference.logical_metrics;
+  }
+  for (const int threads : {1, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectIdentical(reference, RunTenantWorkload(threads));
+  }
 }
 
 TEST(ServeDeterminismTest, LogicalMetricsArePopulated) {
